@@ -22,7 +22,7 @@ var updateKernelGolden = flag.Bool("update-kernel-golden", false,
 // max-min sharing ablation on a transfer-heavy cell, and two faulted runs
 // (one per sharing policy) that exercise the flow-cancellation matrix and
 // the same-timestamp cancel-race semantics PR 2 pinned, plus the adaptive
-// feedback pair on a stale-GIS grid.
+// feedback pair on a stale-GIS grid and a contended 60-site grid.
 func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -68,6 +68,20 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	feedback.InfoStaleness = 120
 	cfgs["feedback"] = feedback
 
+	// Hundreds of concurrent flows with outage-stalled ones among them:
+	// pins netsim's tie-breaks between simultaneous completions, stall and
+	// resume, and aborts, which the small grids above barely reach.
+	contended := base()
+	contended.Sites = 60
+	contended.Users = 240
+	contended.Files = 400
+	contended.TotalJobs = 3000
+	contended.RegionFanout = 6
+	contended.ES, contended.DS = "JobRandom", "DataDoNothing"
+	contended.Faults.LinkOutage = faults.Spec{MTBF: 2000, MTTR: 400}
+	contended.Faults.TransferAbort = faults.Spec{MTBF: 500}
+	cfgs["contended"] = contended
+
 	for name := range cfgs {
 		names = append(names, name)
 	}
@@ -105,7 +119,7 @@ func TestKernelGolden(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if name == "faulted" || name == "faulted-maxmin" {
+		if name == "faulted" || name == "faulted-maxmin" || name == "contended" {
 			if res.Faults.FaultsInjected == 0 {
 				t.Fatalf("%s: no faults injected; case exercises nothing", name)
 			}

@@ -148,13 +148,13 @@ func (e *Engine) At(t Time, fn func()) Event {
 
 // Reschedule moves a pending event to fire after delay seconds of virtual
 // time, assigning it a fresh sequence number — exactly as if it had been
-// cancelled and scheduled anew, but without the queue churn. netsim's
-// reflow leans on the equivalence: rescheduling every completion event in
-// admission order consumes sequence numbers identically to the
-// cancel+schedule pattern it replaced, which keeps the (time, seq) event
-// order — and therefore simulation Results — byte-identical. Rescheduling
-// an event that fired, was cancelled, or whose node was recycled is a
-// caller bug and panics.
+// cancelled and scheduled anew, but without the queue churn. netsim leans
+// on the equivalence: it keeps one completion event per network and
+// Reschedules it at every change point, so the event sorts after
+// everything scheduled before that change point and before everything
+// scheduled after it, which is where a block of freshly scheduled
+// per-flow events would sort. Rescheduling an event that fired, was
+// cancelled, or whose node was recycled is a caller bug and panics.
 func (e *Engine) Reschedule(ev Event, delay Time) {
 	if math.IsNaN(delay) || delay < 0 {
 		panic(fmt.Sprintf("desim: Reschedule with invalid delay %v", delay))

@@ -53,9 +53,9 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 }
 
 // TestRescheduleMatchesCancelPlusSchedule pins the equivalence netsim's
-// reflow relies on: Reschedule assigns a fresh sequence number, so among
-// equal-time events the rescheduled one sorts exactly where a fresh
-// Schedule would.
+// single completion event relies on: Reschedule assigns a fresh sequence
+// number, so among equal-time events the rescheduled one sorts exactly
+// where a fresh Schedule would — after every event already queued.
 func TestRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 	e := New()
 	var order []string

@@ -10,12 +10,16 @@
 // ablation (see DESIGN.md §6).
 //
 // Whenever any flow starts or finishes, all in-flight flows have their
-// transferred bytes advanced at the old rates and their completion events
-// rescheduled at the new rates. The reflow is incremental: only flows
+// transferred bytes advanced at the old rates and their finish times
+// re-derived at the new rates. The reflow is incremental: only flows
 // sharing a link with the change have their equal-share rate recomputed
-// (the others' shares are provably unchanged), and completion events are
-// moved in place via desim's Reschedule instead of cancel+schedule churn —
-// see DESIGN.md §13 for why this keeps results byte-identical.
+// (the others' shares are provably unchanged). A Network keeps a single
+// pending engine event, at the earliest finish among its running flows
+// (ties to the earliest admitted), so a change point costs one heap
+// fix-up however many flows are in flight. That fires completions in
+// exactly the (time, sequence) order that one event per flow, all
+// rescheduled in admission order at every change point, would — see
+// DESIGN.md §13 for why this keeps results byte-identical.
 package netsim
 
 import (
@@ -56,9 +60,9 @@ func (p SharingPolicy) String() string {
 // struct returns to the Network's free list and a later Transfer reuses
 // it (with a fresh ID). A *Flow handle is therefore only valid between
 // Transfer and the flow's completion or cancellation — exactly the window
-// the simulator uses them in. The three scheduling closures are built
-// once per struct, when it is first allocated, so the steady-state
-// transfer loop allocates nothing per flow.
+// the simulator uses them in. The two scheduling closures are built once
+// per struct, when it is first allocated, so the steady-state transfer
+// loop allocates nothing per flow.
 type Flow struct {
 	ID         int
 	Src, Dst   topology.SiteID
@@ -67,8 +71,7 @@ type Flow struct {
 	rate       float64 // bytes/sec at last update
 	path       []topology.LinkID
 	done       func(*Flow)
-	ev         desim.Event // pending completion event; zero when stalled or inactive
-	completeFn func()      // completion closure, built once per pooled struct
+	ev         desim.Event // pending startup-latency or local-delivery event
 	localFn    func()      // zero-hop/zero-size delivery closure
 	activateFn func()      // startup-latency expiry closure
 	ord        int         // index into Network.ordered while active
@@ -107,6 +110,12 @@ type Network struct {
 	nextID  int
 	pool    []*Flow // recycled Flow structs with prebuilt closures
 
+	// The one pending completion event: next's finish, the earliest among
+	// running flows. Zero when no flow is running.
+	ev         desim.Event
+	next       *Flow
+	completeFn func()
+
 	// Reflow scratch state, reused across calls so the per-change-point
 	// hot path allocates nothing.
 	linkEpoch []uint64           // epoch mark per link: "touched by the current change"
@@ -119,7 +128,7 @@ type Network struct {
 	bytesMoved   float64   // bytes delivered by completed flows
 	transfers    int       // completed transfers
 	linkBusy     []float64 // integral of (active?1:0) dt per link
-	linkBytes    []float64 // bytes attributed per link (Σ rate·dt)
+	linkBytes    []float64 // bytes moved per link by flows no longer active
 	lastAccounts desim.Time
 }
 
@@ -157,6 +166,7 @@ func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Netw
 	for i := range n.bwOverride {
 		n.bwOverride[i] = -1
 	}
+	n.completeFn = func() { n.complete(n.next) }
 	return n
 }
 
@@ -249,7 +259,6 @@ func (n *Network) newFlow() *Flow {
 		return f
 	}
 	f := &Flow{}
-	f.completeFn = func() { n.complete(f) }
 	f.localFn = func() { n.finishLocal(f) }
 	f.activateFn = func() { n.activate(f) }
 	return f
@@ -321,7 +330,9 @@ func (n *Network) BytesMoved() float64 { return n.bytesMoved }
 func (n *Network) CompletedTransfers() int { return n.transfers }
 
 // LinkUtilization returns, for every link, the fraction of [0, now] during
-// which at least one flow crossed it. Call settle-free at end of run.
+// which at least one flow crossed it. It settles accounts to now, and
+// settling at an extra instant moves float rounding in later results, so
+// call it at the end of a run.
 func (n *Network) LinkUtilization() []float64 {
 	n.settle()
 	out := make([]float64, len(n.linkBusy))
@@ -335,11 +346,18 @@ func (n *Network) LinkUtilization() []float64 {
 	return out
 }
 
-// LinkBytes returns the bytes carried per link so far.
+// LinkBytes returns the bytes carried per link so far: everything moved
+// by finished and cancelled flows plus, for flows still in flight, what
+// they have moved up to now.
 func (n *Network) LinkBytes() []float64 {
 	n.settle()
 	out := make([]float64, len(n.linkBytes))
 	copy(out, n.linkBytes)
+	for _, f := range n.ordered {
+		for _, l := range f.path {
+			out[l] += f.Size - f.remaining
+		}
+	}
 	return out
 }
 
@@ -446,9 +464,6 @@ func (n *Network) settle() {
 			if f.remaining < 1e-9 {
 				f.remaining = 0
 			}
-			for _, l := range f.path {
-				n.linkBytes[l] += f.rate * dt
-			}
 		}
 		for l, c := range n.onLink {
 			if c > 0 {
@@ -461,21 +476,22 @@ func (n *Network) settle() {
 
 // reflow recomputes flow rates after a change to the links in changed — a
 // started, finished, or cancelled flow's path, or a link whose bandwidth
-// was overridden — and re-anchors every flow's completion event. Must be
-// called with settled accounts.
+// was overridden — and re-anchors the network's completion event at the
+// earliest finish. Must be called with settled accounts.
 //
-// Byte-identity contract (the golden-hash test enforces it): the
-// pre-optimization reflow recomputed every rate and cancel+rescheduled
-// every completion event at every change point. The equal-share rate of a
-// flow crossing none of the changed links is provably bit-identical (no
-// bandwidth or flow count on its path moved), so skipping its
-// recomputation is exact. Completion *times* must still be re-derived for
-// every flow: remaining/rate recomputed at the new change point differs
-// from the previously scheduled time by float rounding, and the old
-// kernel's results embed exactly that jitter. Each running flow is
-// therefore Rescheduled in admission order, burning engine sequence
-// numbers precisely like the cancel+schedule pair it replaces — see
-// desim.Engine.Reschedule.
+// Byte-identity contract (the golden-hash and reference tests enforce
+// it): the outcome must equal a kernel that recomputes every rate and
+// gives every running flow its own completion event, scheduled afresh in
+// admission order at every change point. An equal-share rate whose path
+// saw no bandwidth or occupancy change is bit-identical, so skipping it
+// is exact. Finish times are still re-derived for every flow, because
+// remaining/rate at a new change point differs from the old target by
+// rounding. Those per-flow events would carry consecutive sequence
+// numbers in admission order, so the first to fire is the minimum finish
+// time with ties to the earliest admitted, and it sorts against every
+// other event where one event scheduled now does. The single event,
+// Rescheduled with that flow's remaining/rate, fires the same completion
+// at the same instant in the same order.
 func (n *Network) reflow(changed []topology.LinkID) {
 	switch n.policy {
 	case EqualShare:
@@ -508,21 +524,27 @@ func (n *Network) reflow(changed []topology.LinkID) {
 	default:
 		panic("netsim: unknown sharing policy")
 	}
+	now := n.eng.Now()
+	var next *Flow
+	var best, delay float64
 	for _, f := range n.ordered {
 		if f.rate <= 0 {
-			// Stalled (a link on the path is down); no completion event.
-			if !f.ev.IsZero() {
-				n.eng.Cancel(f.ev)
-				f.ev = desim.Event{}
-			}
-			continue
+			continue // stalled: a link on the path is down
 		}
-		delay := f.remaining / f.rate
-		if f.ev.IsZero() {
-			f.ev = n.eng.Schedule(delay, f.completeFn)
-		} else {
-			n.eng.Reschedule(f.ev, delay)
+		d := f.remaining / f.rate
+		if at := now + d; next == nil || at < best {
+			next, best, delay = f, at, d
 		}
+	}
+	n.next = next
+	switch {
+	case next == nil:
+		n.eng.Cancel(n.ev)
+		n.ev = desim.Event{}
+	case n.ev.IsZero():
+		n.ev = n.eng.Schedule(delay, n.completeFn)
+	default:
+		n.eng.Reschedule(n.ev, delay)
 	}
 }
 
@@ -593,11 +615,12 @@ func (n *Network) maxMin() {
 	}
 }
 
-// complete fires when a flow's completion event triggers.
+// complete fires when the network's completion event triggers; f is the
+// flow it was anchored to.
 func (n *Network) complete(f *Flow) {
+	n.ev = desim.Event{}
 	n.settle()
 	f.remaining = 0
-	f.ev = desim.Event{}
 	n.remove(f)
 	n.reflow(f.path)
 	n.finish(f)
@@ -612,6 +635,8 @@ func (n *Network) finishLocal(f *Flow) {
 	n.release(f)
 }
 
+// remove takes an active flow out of the sharing pool and credits the
+// bytes it moved to every link on its path. Accounts must be settled.
 func (n *Network) remove(f *Flow) {
 	if _, ok := n.flows[f.ID]; !ok {
 		return
@@ -629,6 +654,7 @@ func (n *Network) remove(f *Flow) {
 		n.ordered[i].ord = i
 	}
 	for _, l := range f.path {
+		n.linkBytes[l] += f.Size - f.remaining
 		n.onLink[l]--
 		if n.onLink[l] < 0 {
 			panic("netsim: negative link occupancy")

@@ -292,6 +292,33 @@ func TestLinkUtilizationAndBytes(t *testing.T) {
 			t.Fatalf("link bytes = %v, want 100e6", b)
 		}
 	}
+
+	// Two flows out of site 0 share its access link at 5 MB/s each; the
+	// second is cancelled at 6 s, after which the first runs at 10 MB/s.
+	eng = desim.New()
+	topo = star(t, 3, 10e6)
+	n = New(eng, topo, EqualShare)
+	access, to1, to2 := topo.Route(0, 1)[0], topo.Route(0, 1)[1], topo.Route(0, 2)[1]
+	n.Transfer(0, 1, 100e6, nil)
+	f2 := n.Transfer(0, 2, 100e6, nil)
+	check := func(when string, want map[topology.LinkID]float64) {
+		t.Helper()
+		got := n.LinkBytes()
+		for l, w := range want {
+			if math.Abs(got[l]-w) > 1 {
+				t.Errorf("%s: link %d carried %v bytes, want %v", when, l, got[l], w)
+			}
+		}
+	}
+	eng.Schedule(4, func() {
+		check("mid-flight", map[topology.LinkID]float64{access: 40e6, to1: 20e6, to2: 20e6})
+	})
+	eng.Schedule(6, func() { n.Cancel(f2) })
+	eng.Schedule(8, func() {
+		check("after cancel", map[topology.LinkID]float64{access: 80e6, to1: 50e6, to2: 30e6})
+	})
+	eng.Run()
+	check("end", map[topology.LinkID]float64{access: 130e6, to1: 100e6, to2: 30e6})
 }
 
 func TestCongestionAndPredict(t *testing.T) {
