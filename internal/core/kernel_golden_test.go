@@ -22,7 +22,8 @@ var updateKernelGolden = flag.Bool("update-kernel-golden", false,
 // max-min sharing ablation on a transfer-heavy cell, and two faulted runs
 // (one per sharing policy) that exercise the flow-cancellation matrix and
 // the same-timestamp cancel-race semantics PR 2 pinned, plus the adaptive
-// feedback pair on a stale-GIS grid and a contended 60-site grid.
+// feedback pair on a stale-GIS grid, a contended 60-site grid, and
+// JobDataPresent on a 60-site grid under the default GIS staleness.
 func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -81,6 +82,19 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	contended.Faults.LinkOutage = faults.Spec{MTBF: 2000, MTTR: 400}
 	contended.Faults.TransferAbort = faults.Spec{MTBF: 500}
 	cfgs["contended"] = contended
+
+	// JobDataPresent under the default 30 s GIS staleness on a grid big
+	// enough for a file to have many holders with equal snapshot loads:
+	// pins the least-loaded tie-break over snapshotted replica lists,
+	// which must leave those lists untouched.
+	presentStale := base()
+	presentStale.Sites = 60
+	presentStale.Users = 240
+	presentStale.Files = 400
+	presentStale.TotalJobs = 3000
+	presentStale.RegionFanout = 6
+	presentStale.ES, presentStale.DS = "JobDataPresent", "DataLeastLoaded"
+	cfgs["present-stale"] = presentStale
 
 	for name := range cfgs {
 		names = append(names, name)

@@ -12,9 +12,10 @@
 package gis
 
 import (
+	"slices"
+
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
-	"chicsim/internal/rng"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
@@ -39,7 +40,6 @@ type Service struct {
 	// is indistinguishable from the historical fresh-copy-per-refresh
 	// because no caller retains a returned slice across events.
 	snapRep [][]topology.SiteID
-	tieBuf  []topology.SiteID // LeastLoaded's detached tie set, reused
 
 	// masterOf records each file's permanent master site. Masters are
 	// globally advertised even under regional scoping (the initial
@@ -194,60 +194,8 @@ func (s *Service) HasReplica(f storage.FileID, site topology.SiteID) bool {
 	if f < 0 || int(f) >= len(s.snapRep) {
 		return false
 	}
-	// Linear scan, not binary search: LeastLoaded's tie-set writes can
-	// reorder a snapshot entry within a staleness window (see below), so
-	// the slice is not guaranteed sorted.
-	for _, r := range s.snapRep[f] {
-		if r == site {
-			return true
-		}
-	}
-	return false
-}
-
-// LeastLoaded returns the candidate with minimum load; ties are broken
-// uniformly at random from the tied set so no site is systematically
-// preferred. It panics on an empty candidate list.
-//
-// Allocation-free emulation of the historical append-into-subslice tie
-// set: while the running best set still aliases candidates, ties are
-// written into candidates[1:] — observable when the caller passes a
-// snapshot-backed slice, and recorded runs depend on those writes — and
-// once a strictly lower load appears the set moves to a reused scratch
-// buffer (the historical fresh allocation), after which candidates is
-// never written again.
-func (s *Service) LeastLoaded(candidates []topology.SiteID, tie *rng.Source) topology.SiteID {
-	if len(candidates) == 0 {
-		panic("gis: LeastLoaded with no candidates")
-	}
-	n := 1
-	aliased := true
-	bestLoad := s.Load(candidates[0])
-	det := s.tieBuf[:0]
-	for i := 1; i < len(candidates); i++ {
-		c := candidates[i]
-		l := s.Load(c)
-		switch {
-		case l < bestLoad:
-			bestLoad = l
-			aliased = false
-			det = append(det[:0], c)
-		case l == bestLoad:
-			if aliased {
-				candidates[n] = c
-				n++
-			} else {
-				det = append(det, c)
-			}
-		}
-	}
-	s.tieBuf = det
-	best := candidates[:n]
-	if !aliased {
-		best = det
-	}
-	if len(best) == 1 || tie == nil {
-		return best[0]
-	}
-	return rng.Pick(tie, best)
+	// Snapshot entries are sorted copies of the catalog's lists, and no
+	// caller writes into a slice Replicas returns.
+	_, ok := slices.BinarySearch(s.snapRep[f], site)
+	return ok
 }

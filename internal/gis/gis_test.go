@@ -151,37 +151,6 @@ func TestReplicasVisibleTo(t *testing.T) {
 	}
 }
 
-func TestLeastLoaded(t *testing.T) {
-	_, _, loads, svc := fixture(t, 0)
-	loads[0], loads[1], loads[2], loads[3] = 4, 1, 1, 9
-	cands := []topology.SiteID{0, 1, 2, 3}
-	counts := map[topology.SiteID]int{}
-	tie := rng.New(3)
-	for i := 0; i < 300; i++ {
-		counts[svc.LeastLoaded(cands, tie)]++
-	}
-	if counts[0] != 0 || counts[3] != 0 {
-		t.Fatalf("picked loaded site: %v", counts)
-	}
-	if counts[1] == 0 || counts[2] == 0 {
-		t.Fatalf("ties not randomized: %v", counts)
-	}
-	// Deterministic without a tie-breaker: first in candidate order.
-	if got := svc.LeastLoaded(cands, nil); got != 1 {
-		t.Fatalf("deterministic pick = %d, want 1", got)
-	}
-}
-
-func TestLeastLoadedEmptyPanics(t *testing.T) {
-	_, _, _, svc := fixture(t, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	svc.LeastLoaded(nil, nil)
-}
-
 func TestFileSizeUnknownPanics(t *testing.T) {
 	_, _, _, svc := fixture(t, 0)
 	defer func() {

@@ -68,12 +68,13 @@ func (LeastLoaded) Name() string { return "DataLeastLoaded" }
 // Decide implements scheduler.Dataset.
 func (l LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	var out []scheduler.Replication
+	var ties []topology.SiteID
 	for _, p := range popular {
 		cands := CandidateTargets(g, p.File, self)
 		if len(cands) == 0 {
 			continue
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: PickLeastLoaded(g, cands, l.Src)})
+		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, l.Src, &ties)})
 	}
 	return out
 }
@@ -113,12 +114,13 @@ func (Cascade) Name() string { return "DataCascade" }
 func (c Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	neighbors := g.Topology().Siblings(self)
 	var out []scheduler.Replication
+	var ties []topology.SiteID
 	for _, p := range popular {
 		cands := WithoutReplica(g, p.File, neighbors, self)
 		if len(cands) == 0 {
 			continue // tier saturated: cascading stops here
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: PickLeastLoaded(g, cands, c.Src)})
+		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, c.Src, &ties)})
 	}
 	return out
 }
@@ -163,25 +165,4 @@ func WithoutReplica(g scheduler.GridView, f storage.FileID, sites []topology.Sit
 		}
 	}
 	return out
-}
-
-// PickLeastLoaded returns the least-loaded candidate, breaking ties
-// uniformly at random.
-func PickLeastLoaded(g scheduler.GridView, cands []topology.SiteID, tie *rng.Source) topology.SiteID {
-	best := cands[:1]
-	bestLoad := g.Load(cands[0])
-	for _, c := range cands[1:] {
-		l := g.Load(c)
-		switch {
-		case l < bestLoad:
-			bestLoad = l
-			best = []topology.SiteID{c}
-		case l == bestLoad:
-			best = append(best, c)
-		}
-	}
-	if len(best) == 1 || tie == nil {
-		return best[0]
-	}
-	return rng.Pick(tie, best)
 }

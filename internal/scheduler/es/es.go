@@ -21,12 +21,14 @@ func allSites(g scheduler.GridView) []topology.SiteID {
 	return out
 }
 
-// fillAllSites refills buf with 0..NumSites-1, growing it only when
-// needed. Handing out a refilled buffer is equivalent to the historical
-// fresh allocation: leastLoaded's tie-set writes into it are overwritten
-// on the next fill.
+// fillAllSites returns buf holding 0..NumSites-1, filling it only when
+// its length differs. PickLeastLoaded never writes into its candidates, so
+// a filled buffer stays valid across placements.
 func fillAllSites(g scheduler.GridView, buf []topology.SiteID) []topology.SiteID {
 	n := g.NumSites()
+	if len(buf) == n {
+		return buf
+	}
 	if cap(buf) < n {
 		buf = make([]topology.SiteID, n)
 	}
@@ -35,47 +37,6 @@ func fillAllSites(g scheduler.GridView, buf []topology.SiteID) []topology.SiteID
 		buf[i] = topology.SiteID(i)
 	}
 	return buf
-}
-
-// leastLoaded picks the least-loaded candidate, breaking ties with one
-// rng.Pick draw. It reproduces the historical append-into-subslice tie
-// construction without allocating: while the running best set still
-// aliases candidates, ties are written into candidates[1:] — observable
-// (and recorded in golden runs) when candidates aliases a GIS snapshot —
-// and once a strictly lower load appears the set moves to *scratch (the
-// historical fresh allocation), after which candidates is never written
-// again.
-func leastLoaded(g scheduler.GridView, candidates []topology.SiteID, tie *rng.Source, scratch *[]topology.SiteID) topology.SiteID {
-	n := 1
-	aliased := true
-	bestLoad := g.Load(candidates[0])
-	det := (*scratch)[:0]
-	for i := 1; i < len(candidates); i++ {
-		c := candidates[i]
-		l := g.Load(c)
-		switch {
-		case l < bestLoad:
-			bestLoad = l
-			aliased = false
-			det = append(det[:0], c)
-		case l == bestLoad:
-			if aliased {
-				candidates[n] = c
-				n++
-			} else {
-				det = append(det, c)
-			}
-		}
-	}
-	*scratch = det
-	best := candidates[:n]
-	if !aliased {
-		best = det
-	}
-	if len(best) == 1 || tie == nil {
-		return best[0]
-	}
-	return rng.Pick(tie, best)
 }
 
 // Random sends each job to a uniformly random site ("JobRandom").
@@ -103,7 +64,7 @@ func (*LeastLoaded) Name() string { return "JobLeastLoaded" }
 // Place implements scheduler.External.
 func (l *LeastLoaded) Place(g scheduler.GridView, _ *job.Job) topology.SiteID {
 	l.sites = fillAllSites(g, l.sites)
-	return leastLoaded(g, l.sites, l.Src, &l.ties)
+	return scheduler.PickLeastLoaded(g, l.sites, l.Src, &l.ties)
 }
 
 // Local always runs jobs at the submitting user's site ("JobLocal").
@@ -132,7 +93,7 @@ func (*DataPresent) Name() string { return "JobDataPresent" }
 
 // Place implements scheduler.External.
 func (d *DataPresent) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
-	return leastLoaded(g, d.candidates(g, j), d.Src, &d.ties)
+	return scheduler.PickLeastLoaded(g, d.candidates(g, j), d.Src, &d.ties)
 }
 
 // candidates mirrors DataPresentCandidates but serves the hot single-input
@@ -229,7 +190,7 @@ func (r *Regional) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 	if len(holders) == 0 {
 		return j.Origin
 	}
-	return leastLoaded(g, holders, r.Src, &r.ties)
+	return scheduler.PickLeastLoaded(g, holders, r.Src, &r.ties)
 }
 
 // BestCost is an extension: it estimates, for every site, the job's

@@ -39,5 +39,5 @@ func (a AvoidFailed) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
 	// Retry fallback is cold (faulted runs only): a transient scratch is
 	// fine here.
 	var scratch []topology.SiteID
-	return leastLoaded(g, candidates, a.Src, &scratch)
+	return scheduler.PickLeastLoaded(g, candidates, a.Src, &scratch)
 }

@@ -19,6 +19,8 @@ type DS struct {
 	Src     *rng.Source
 	Tracker *Tracker
 	Params  Params
+
+	ties []topology.SiteID // reused tie-set scratch
 }
 
 // Name implements scheduler.Dataset.
@@ -84,18 +86,19 @@ func (d *DS) rank(g scheduler.GridView, self topology.SiteID, p scheduler.Popula
 		}
 		return sc
 	}
-	best := cands[:1]
+	best := append(d.ties[:0], cands[0])
 	bestScore := score(cands[0])
 	for _, c := range cands[1:] {
 		sc := score(c)
 		switch {
 		case sc < bestScore:
 			bestScore = sc
-			best = []topology.SiteID{c}
+			best = append(best[:0], c)
 		case sc == bestScore:
 			best = append(best, c)
 		}
 	}
+	d.ties = best
 	if len(best) == 1 || d.Src == nil {
 		return best[0]
 	}

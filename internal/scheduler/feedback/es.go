@@ -21,6 +21,8 @@ type ES struct {
 	CEsPerSite    float64 // assumed processors per site
 	Tracker       *Tracker
 	Params        Params
+
+	ties []topology.SiteID // reused tie-set scratch
 }
 
 // Name implements scheduler.External.
@@ -64,20 +66,22 @@ func (e *ES) score(g scheduler.GridView, s topology.SiteID) float64 {
 // rank picks the lowest-scoring candidate, collecting exact ties in
 // candidate order and breaking them with one rng.Pick draw — the same
 // structure (and therefore the same stream consumption) as the static
-// policies' least-loaded selection.
+// policies' least-loaded selection. Ties go to scratch: cands may be a GIS
+// snapshot entry and is never written.
 func (e *ES) rank(g scheduler.GridView, cands []topology.SiteID) topology.SiteID {
-	best := cands[:1]
+	best := append(e.ties[:0], cands[0])
 	bestScore := e.score(g, cands[0])
 	for _, c := range cands[1:] {
 		sc := e.score(g, c)
 		switch {
 		case sc < bestScore:
 			bestScore = sc
-			best = []topology.SiteID{c}
+			best = append(best[:0], c)
 		case sc == bestScore:
 			best = append(best, c)
 		}
 	}
+	e.ties = best
 	if len(best) == 1 || e.Src == nil {
 		return best[0]
 	}
