@@ -260,6 +260,13 @@ func (v view) Replicas(f storage.FileID) []topology.SiteID {
 	}
 	return v.s.gis.Replicas(f)
 }
+func (v view) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
+	if v.viewer >= 0 {
+		// Nil dst: an empty visible set yields nil.
+		return scheduler.LeastLoadedSet(v, v.s.gis.ReplicasVisibleTo(f, v.viewer), nil)
+	}
+	return v.s.gis.LeastLoadedHolders(f)
+}
 func (v view) HasReplica(f storage.FileID, sid topology.SiteID) bool {
 	if v.viewer >= 0 {
 		for _, r := range v.s.gis.ReplicasVisibleTo(f, v.viewer) {

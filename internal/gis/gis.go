@@ -40,6 +40,12 @@ type Service struct {
 	// is indistinguishable from the historical fresh-copy-per-refresh
 	// because no caller retains a returned slice across events.
 	snapRep [][]topology.SiteID
+	// gen numbers the snapshots; refresh bumps it. memo[f] caches
+	// LeastLoadedHolders(f) for snapshot memo[f].gen, so it is stale
+	// exactly when that differs from gen.
+	gen  uint64
+	memo []holdersMemo
+	scan []topology.SiteID // the oracle's LeastLoadedHolders answer, reused
 
 	// masterOf records each file's permanent master site. Masters are
 	// globally advertised even under regional scoping (the initial
@@ -47,6 +53,12 @@ type Service struct {
 	masterOf map[storage.FileID]topology.SiteID
 	// regionOf caches each site's region membership for scoped queries.
 	regionOf []map[topology.SiteID]bool
+}
+
+// holdersMemo is one file's memoized least-loaded holder set.
+type holdersMemo struct {
+	gen   uint64
+	sites []topology.SiteID
 }
 
 // New creates a service. staleness <= 0 yields an oracle.
@@ -130,6 +142,7 @@ func (s *Service) refresh() {
 		return
 	}
 	s.snapTime = now
+	s.gen++
 	n := s.topo.NumSites()
 	if cap(s.snapLoad) < n {
 		s.snapLoad = make([]int, n)
@@ -141,6 +154,7 @@ func (s *Service) refresh() {
 	bound := s.cat.FileIDBound()
 	for len(s.snapRep) < bound {
 		s.snapRep = append(s.snapRep, nil)
+		s.memo = append(s.memo, holdersMemo{})
 	}
 	for f := 0; f < bound; f++ {
 		id := storage.FileID(f)
@@ -198,4 +212,54 @@ func (s *Service) HasReplica(f storage.FileID, site topology.SiteID) bool {
 	// caller writes into a slice Replicas returns.
 	_, ok := slices.BinarySearch(s.snapRep[f], site)
 	return ok
+}
+
+// LeastLoadedHolders returns the holders of f that have the minimum load,
+// sorted by site id, or nil when f has no holders. Within one snapshot
+// neither the holders nor their loads change, so snapshot mode computes
+// the answer once per file per snapshot and then serves it from the memo;
+// the oracle scans on every call. The slice belongs to the service:
+// callers must not modify it, and it holds until the next call (oracle)
+// or the next refresh (snapshot).
+func (s *Service) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
+	if s.stale <= 0 {
+		s.scan = minLoad(s.cat.ReplicaList(f), s.loadOf, s.scan)
+		return nonEmpty(s.scan)
+	}
+	s.refresh()
+	if f < 0 || int(f) >= len(s.snapRep) {
+		return nil
+	}
+	m := &s.memo[f]
+	if m.gen != s.gen {
+		m.sites = minLoad(s.snapRep[f], func(site topology.SiteID) int { return s.snapLoad[site] }, m.sites)
+		m.gen = s.gen
+	}
+	return nonEmpty(m.sites)
+}
+
+// minLoad returns the sites with the minimum load, in order, reusing dst's
+// storage.
+func minLoad(sites []topology.SiteID, load func(topology.SiteID) int, dst []topology.SiteID) []topology.SiteID {
+	dst = dst[:0]
+	best := 0
+	for i, site := range sites {
+		l := load(site)
+		switch {
+		case i == 0 || l < best:
+			best = l
+			dst = append(dst[:0], site)
+		case l == best:
+			dst = append(dst, site)
+		}
+	}
+	return dst
+}
+
+// nonEmpty maps an empty set to nil.
+func nonEmpty(sites []topology.SiteID) []topology.SiteID {
+	if len(sites) == 0 {
+		return nil
+	}
+	return sites
 }

@@ -85,31 +85,26 @@ func (Local) Place(_ scheduler.GridView, j *job.Job) topology.SiteID { return j.
 type DataPresent struct {
 	Src *rng.Source
 
-	sites, ties []topology.SiteID // reused per-placement scratch
+	ties []topology.SiteID // reused per-placement scratch
 }
 
 // Name implements scheduler.External.
 func (*DataPresent) Name() string { return "JobDataPresent" }
 
-// Place implements scheduler.External.
+// Place implements scheduler.External. A single-input job asks the view
+// for the input's least-loaded holders directly (the GIS memoizes that
+// set per snapshot) and draws among them exactly as PickLeastLoaded would
+// over the full holder list.
 func (d *DataPresent) Place(g scheduler.GridView, j *job.Job) topology.SiteID {
-	return scheduler.PickLeastLoaded(g, d.candidates(g, j), d.Src, &d.ties)
-}
-
-// candidates mirrors DataPresentCandidates but serves the hot single-input
-// case from reused scratch: the all-sites fallback refills a per-scheduler
-// buffer instead of allocating. Multi-input jobs delegate to the exported
-// (allocating) path.
-func (d *DataPresent) candidates(g scheduler.GridView, j *job.Job) []topology.SiteID {
 	if len(j.Inputs) == 1 {
-		reps := g.Replicas(j.Inputs[0])
-		if len(reps) == 0 {
-			d.sites = fillAllSites(g, d.sites)
-			return d.sites
+		if best := g.LeastLoadedHolders(j.Inputs[0]); len(best) > 0 {
+			if len(best) == 1 || d.Src == nil {
+				return best[0]
+			}
+			return rng.Pick(d.Src, best)
 		}
-		return reps
 	}
-	return DataPresentCandidates(g, j)
+	return scheduler.PickLeastLoaded(g, DataPresentCandidates(g, j), d.Src, &d.ties)
 }
 
 // DataPresentCandidates returns, in deterministic order, the candidate

@@ -66,6 +66,27 @@ func (v *View) CEs(s topology.SiteID) int {
 // Replicas implements scheduler.GridView.
 func (v *View) Replicas(f storage.FileID) []topology.SiteID { return v.Reps[f] }
 
+// LeastLoadedHolders implements scheduler.GridView with a naive two-pass
+// scan: find the minimum load among the holders, then keep the holders
+// that have it.
+func (v *View) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
+	reps := v.Reps[f]
+	if len(reps) == 0 {
+		return nil
+	}
+	lo := v.Loads[reps[0]]
+	for _, r := range reps {
+		lo = min(lo, v.Loads[r])
+	}
+	var out []topology.SiteID
+	for _, r := range reps {
+		if v.Loads[r] == lo {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
 // HasReplica implements scheduler.GridView.
 func (v *View) HasReplica(f storage.FileID, s topology.SiteID) bool {
 	for _, r := range v.Reps[f] {

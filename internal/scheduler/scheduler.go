@@ -28,7 +28,13 @@ type GridView interface {
 	// information any grid information index publishes).
 	CEs(topology.SiteID) int
 	// Replicas returns the sites currently holding a file, sorted by id.
+	// The slice belongs to the view: callers must not modify it or keep
+	// it past the current event.
 	Replicas(storage.FileID) []topology.SiteID
+	// LeastLoadedHolders returns the holders of a file that have the
+	// minimum load, sorted by id, or nil when the file has no holders.
+	// The slice belongs to the view, as with Replicas.
+	LeastLoadedHolders(storage.FileID) []topology.SiteID
 	// HasReplica reports whether a site holds a file.
 	HasReplica(storage.FileID, topology.SiteID) bool
 	// FileSize returns a file's size in bytes.
