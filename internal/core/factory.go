@@ -81,9 +81,9 @@ func NewDataset(name string, src *rng.Source) (scheduler.Dataset, error) {
 	case "DataRandom":
 		return ds.Random{Src: src}, nil
 	case "DataLeastLoaded":
-		return ds.LeastLoaded{Src: src}, nil
+		return &ds.LeastLoaded{Src: src}, nil
 	case "DataCascade":
-		return ds.Cascade{Src: src}, nil
+		return &ds.Cascade{Src: src}, nil
 	case "DataBestClient":
 		return ds.BestClient{Src: src}, nil
 	case "DataFeedback":

@@ -262,8 +262,7 @@ func (v view) Replicas(f storage.FileID) []topology.SiteID {
 }
 func (v view) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
 	if v.viewer >= 0 {
-		// Nil dst: an empty visible set yields nil.
-		return scheduler.LeastLoadedSet(v, v.s.gis.ReplicasVisibleTo(f, v.viewer), nil)
+		return scheduler.LeastLoadedSet(v.Load, v.s.gis.ReplicasVisibleTo(f, v.viewer), nil)
 	}
 	return v.s.gis.LeastLoadedHolders(f)
 }

@@ -9,6 +9,12 @@
 // a configurable staleness interval makes the service answer from periodic
 // snapshots instead, modelling MDS-style cached indexes (extension, see
 // DESIGN.md §6).
+//
+// Within one snapshot neither a file's holders nor their loads change, so
+// the least-loaded holders of a file (what JobDataPresent asks for) are
+// computed once per file per snapshot and memoized; a refresh bumps the
+// snapshot generation, which invalidates every memo entry at once
+// (DESIGN.md §13).
 package gis
 
 import (
@@ -16,6 +22,7 @@ import (
 
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
+	"chicsim/internal/scheduler"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
@@ -223,7 +230,7 @@ func (s *Service) HasReplica(f storage.FileID, site topology.SiteID) bool {
 // or the next refresh (snapshot).
 func (s *Service) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
 	if s.stale <= 0 {
-		s.scan = minLoad(s.cat.ReplicaList(f), s.loadOf, s.scan)
+		s.scan = scheduler.LeastLoadedSet(s.loadOf, s.cat.ReplicaList(f), s.scan)
 		return nonEmpty(s.scan)
 	}
 	s.refresh()
@@ -232,29 +239,14 @@ func (s *Service) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
 	}
 	m := &s.memo[f]
 	if m.gen != s.gen {
-		m.sites = minLoad(s.snapRep[f], func(site topology.SiteID) int { return s.snapLoad[site] }, m.sites)
+		m.sites = scheduler.LeastLoadedSet(s.snapLoadOf, s.snapRep[f], m.sites)
 		m.gen = s.gen
 	}
 	return nonEmpty(m.sites)
 }
 
-// minLoad returns the sites with the minimum load, in order, reusing dst's
-// storage.
-func minLoad(sites []topology.SiteID, load func(topology.SiteID) int, dst []topology.SiteID) []topology.SiteID {
-	dst = dst[:0]
-	best := 0
-	for i, site := range sites {
-		l := load(site)
-		switch {
-		case i == 0 || l < best:
-			best = l
-			dst = append(dst[:0], site)
-		case l == best:
-			dst = append(dst, site)
-		}
-	}
-	return dst
-}
+// snapLoadOf reads a site's load from the current snapshot.
+func (s *Service) snapLoadOf(site topology.SiteID) int { return s.snapLoad[site] }
 
 // nonEmpty maps an empty set to nil.
 func nonEmpty(sites []topology.SiteID) []topology.SiteID {

@@ -60,21 +60,24 @@ func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []sch
 // regional parent in the hierarchy; if every neighbor already holds the
 // file the policy widens to the whole grid so popularity pressure is never
 // silently dropped.
-type LeastLoaded struct{ Src *rng.Source }
+type LeastLoaded struct {
+	Src *rng.Source
+
+	ties []topology.SiteID // reused tie-set scratch
+}
 
 // Name implements scheduler.Dataset.
-func (LeastLoaded) Name() string { return "DataLeastLoaded" }
+func (*LeastLoaded) Name() string { return "DataLeastLoaded" }
 
 // Decide implements scheduler.Dataset.
-func (l LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+func (l *LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	var out []scheduler.Replication
-	var ties []topology.SiteID
 	for _, p := range popular {
 		cands := CandidateTargets(g, p.File, self)
 		if len(cands) == 0 {
 			continue
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, l.Src, &ties)})
+		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, l.Src, &l.ties)})
 	}
 	return out
 }
@@ -90,7 +93,8 @@ func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.Site
 	if len(cands) == 0 {
 		// Widen to the whole grid, filtering site ids directly — same
 		// order as materializing 0..NumSites-1 first, without the
-		// intermediate slice.
+		// intermediate slice — into one allocation sized for the grid.
+		cands = make([]topology.SiteID, 0, g.NumSites())
 		for s := 0; s < g.NumSites(); s++ {
 			sid := topology.SiteID(s)
 			if sid != self && !g.HasReplica(f, sid) {
@@ -105,22 +109,25 @@ func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.Site
 // targets the least loaded *sibling* first and, once all siblings hold the
 // file, stops (extension modeled on [23]'s cascading strategy, where
 // replicas flow tier-by-tier rather than jumping across the grid).
-type Cascade struct{ Src *rng.Source }
+type Cascade struct {
+	Src *rng.Source
+
+	ties []topology.SiteID // reused tie-set scratch
+}
 
 // Name implements scheduler.Dataset.
-func (Cascade) Name() string { return "DataCascade" }
+func (*Cascade) Name() string { return "DataCascade" }
 
 // Decide implements scheduler.Dataset.
-func (c Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
+func (c *Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	neighbors := g.Topology().Siblings(self)
 	var out []scheduler.Replication
-	var ties []topology.SiteID
 	for _, p := range popular {
 		cands := WithoutReplica(g, p.File, neighbors, self)
 		if len(cands) == 0 {
 			continue // tier saturated: cascading stops here
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, c.Src, &ties)})
+		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, c.Src, &c.ties)})
 	}
 	return out
 }

@@ -25,8 +25,8 @@ func TestNames(t *testing.T) {
 	}{
 		{DoNothing{}, "DataDoNothing"},
 		{Random{Src: rng.New(1)}, "DataRandom"},
-		{LeastLoaded{Src: rng.New(1)}, "DataLeastLoaded"},
-		{Cascade{Src: rng.New(1)}, "DataCascade"},
+		{&LeastLoaded{Src: rng.New(1)}, "DataLeastLoaded"},
+		{&Cascade{Src: rng.New(1)}, "DataCascade"},
 		{BestClient{Src: rng.New(1)}, "DataBestClient"},
 	} {
 		if c.d.Name() != c.want {

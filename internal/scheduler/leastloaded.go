@@ -6,13 +6,14 @@ import (
 )
 
 // LeastLoadedSet returns the candidates with the minimum load, in
-// candidate order, reusing dst's storage. It never writes into cands, so
-// cands may be a slice the GridView owns (a GIS snapshot entry).
-func LeastLoadedSet(g GridView, cands, dst []topology.SiteID) []topology.SiteID {
+// candidate order, reusing dst's storage; with a nil dst and no
+// candidates it returns nil. It never writes into cands, so cands may be a
+// slice the GridView owns (a GIS snapshot entry).
+func LeastLoadedSet(load func(topology.SiteID) int, cands, dst []topology.SiteID) []topology.SiteID {
 	dst = dst[:0]
 	best := 0
 	for i, c := range cands {
-		l := g.Load(c)
+		l := load(c)
 		switch {
 		case i == 0 || l < best:
 			best = l
@@ -34,7 +35,7 @@ func PickLeastLoaded(g GridView, cands []topology.SiteID, tie *rng.Source, scrat
 	if len(cands) == 0 {
 		panic("scheduler: PickLeastLoaded with no candidates")
 	}
-	best := LeastLoadedSet(g, cands, *scratch)
+	best := LeastLoadedSet(g.Load, cands, *scratch)
 	*scratch = best
 	if len(best) == 1 || tie == nil {
 		return best[0]

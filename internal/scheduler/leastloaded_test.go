@@ -66,7 +66,7 @@ func TestPickLeastLoadedNeverWritesCandidates(t *testing.T) {
 				if !slices.Equal(cands, orig) {
 					t.Fatalf("cands %v rewritten to %v", orig, cands)
 				}
-				if want := scheduler.LeastLoadedSet(v, orig, nil); !slices.Contains(want, got) {
+				if want := scheduler.LeastLoadedSet(v.Load, orig, nil); !slices.Contains(want, got) {
 					t.Fatalf("picked %d from %v, not in least-loaded set %v", got, orig, want)
 				}
 			}
@@ -80,14 +80,14 @@ func TestLeastLoadedSetOrderAndReuse(t *testing.T) {
 		v.Loads[topology.SiteID(s)] = l
 	}
 	dst := make([]topology.SiteID, 0, 8)
-	got := scheduler.LeastLoadedSet(v, []topology.SiteID{5, 0, 3, 2, 1}, dst)
+	got := scheduler.LeastLoadedSet(v.Load, []topology.SiteID{5, 0, 3, 2, 1}, dst)
 	if !slices.Equal(got, []topology.SiteID{5, 3, 1}) {
 		t.Fatalf("LeastLoadedSet = %v, want [5 3 1] in candidate order", got)
 	}
 	if &got[0] != &dst[:1][0] {
 		t.Fatal("LeastLoadedSet did not reuse dst's storage")
 	}
-	if got := scheduler.LeastLoadedSet(v, nil, dst); len(got) != 0 {
+	if got := scheduler.LeastLoadedSet(v.Load, nil, dst); len(got) != 0 {
 		t.Fatalf("LeastLoadedSet(nil) = %v, want empty", got)
 	}
 }
