@@ -156,28 +156,18 @@ func TestOrderedFlowListConsistency(t *testing.T) {
 		delay := float64(i) * 2
 		eng.Schedule(delay, func() { handles = append(handles, n.Transfer(a, b, size, nil)) })
 	}
-	// Cancel some mid-run and check the map and ordered list agree.
-	check := func() {
-		if len(n.flows) != len(n.ordered) {
-			t.Fatalf("flows map %d != ordered %d", len(n.flows), len(n.ordered))
-		}
-		for _, f := range n.ordered {
-			if n.flows[f.ID] != f {
-				t.Fatal("ordered list references a non-active flow")
-			}
-		}
-	}
+	// Cancel some mid-run and check the bookkeeping after each step.
 	for i := 0; i < 30; i++ {
 		i := i
 		eng.Schedule(float64(i)*3+1, func() {
 			if i < len(handles) && i%3 == 0 {
 				n.Cancel(handles[i])
 			}
-			check()
+			checkInvariants(t, n)
 		})
 	}
 	eng.Run()
-	check()
+	checkInvariants(t, n)
 	if n.ActiveFlows() != 0 {
 		t.Fatalf("flows left active: %d", n.ActiveFlows())
 	}

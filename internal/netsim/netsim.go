@@ -70,12 +70,15 @@ type Flow struct {
 	remaining  float64
 	rate       float64 // bytes/sec at last update
 	path       []topology.LinkID
+	hopPos     []int32 // hopPos[k]: index of the flow in linkFlows[path[k]] while active
 	done       func(*Flow)
 	ev         desim.Event // pending startup-latency or local-delivery event
 	localFn    func()      // zero-hop/zero-size delivery closure
 	activateFn func()      // startup-latency expiry closure
 	ord        int         // index into Network.ordered while active
+	mark       uint64      // reflow epoch that last visited the flow
 	started    desim.Time
+	active     bool // admitted to the sharing pool, not yet removed
 	canceled   bool
 	pooled     bool // on the free list (double-release guard)
 }
@@ -104,11 +107,11 @@ type Network struct {
 	// degradations); -1 means "use the topology's nominal bandwidth".
 	bwOverride []float64
 
-	flows   map[int]*Flow
-	ordered []*Flow // active flows in admission order: deterministic iteration
-	onLink  []int   // active flow count per link
-	nextID  int
-	pool    []*Flow // recycled Flow structs with prebuilt closures
+	ordered   []*Flow   // active flows in admission order: deterministic iteration
+	onLink    []int     // active flow count per link
+	linkFlows [][]*Flow // active flows crossing each link, in no particular order
+	nextID    int
+	pool      []*Flow // recycled Flow structs with prebuilt closures
 
 	// The one pending completion event: next's finish, the earliest among
 	// running flows. Zero when no flow is running.
@@ -118,8 +121,7 @@ type Network struct {
 
 	// Reflow scratch state, reused across calls so the per-change-point
 	// hot path allocates nothing.
-	linkEpoch []uint64           // epoch mark per link: "touched by the current change"
-	epoch     uint64             // current reflow epoch (bumping it clears all marks)
+	epoch     uint64             // current reflow epoch (bumping it clears all flow marks)
 	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
 	lsBuf     []linkState        // maxMin per-link progressive-filling state
 	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
@@ -152,14 +154,13 @@ func (s *linkState) consume(rate float64) {
 // New creates a network simulator bound to an engine and topology.
 func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Network {
 	n := &Network{
-		eng:    eng,
-		topo:   topo,
-		policy: policy,
-		flows:  make(map[int]*Flow),
-		onLink: make([]int, topo.NumLinks()),
+		eng:       eng,
+		topo:      topo,
+		policy:    policy,
+		onLink:    make([]int, topo.NumLinks()),
+		linkFlows: make([][]*Flow, topo.NumLinks()),
 
 		bwOverride: make([]float64, topo.NumLinks()),
-		linkEpoch:  make([]uint64, topo.NumLinks()),
 		linkBusy:   make([]float64, topo.NumLinks()),
 		linkBytes:  make([]float64, topo.NumLinks()),
 	}
@@ -283,11 +284,14 @@ func (n *Network) activate(f *Flow) {
 	}
 	n.settle()
 	f.ev = desim.Event{} // any startup-latency event has fired by now
+	f.active = true
 	f.ord = len(n.ordered)
-	n.flows[f.ID] = f
 	n.ordered = append(n.ordered, f)
+	f.hopPos = f.hopPos[:0]
 	for _, l := range f.path {
 		n.onLink[l]++
+		f.hopPos = append(f.hopPos, int32(len(n.linkFlows[l])))
+		n.linkFlows[l] = append(n.linkFlows[l], f)
 	}
 	n.reflow(f.path)
 }
@@ -304,7 +308,7 @@ func (n *Network) Cancel(f *Flow) {
 	pending := !f.ev.IsZero()
 	n.eng.Cancel(f.ev)
 	f.ev = desim.Event{}
-	if _, ok := n.flows[f.ID]; !ok {
+	if !f.active {
 		if pending {
 			// Cancelled before activation (startup latency) or delivery
 			// (local transfer): the scheduled event will never fire, so
@@ -320,7 +324,7 @@ func (n *Network) Cancel(f *Flow) {
 }
 
 // ActiveFlows returns the number of in-flight (non-local) transfers.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
+func (n *Network) ActiveFlows() int { return len(n.ordered) }
 
 // BytesMoved returns total bytes delivered by completed transfers.
 func (n *Network) BytesMoved() float64 { return n.bytesMoved }
@@ -497,27 +501,20 @@ func (n *Network) reflow(changed []topology.LinkID) {
 	case EqualShare:
 		n.epoch++
 		for _, l := range changed {
-			n.linkEpoch[l] = n.epoch
-		}
-		for _, f := range n.ordered {
-			touched := false
-			for _, l := range f.path {
-				if n.linkEpoch[l] == n.epoch {
-					touched = true
-					break
+			for _, f := range n.linkFlows[l] {
+				if f.mark == n.epoch {
+					continue
 				}
-			}
-			if !touched {
-				continue
-			}
-			rate := math.Inf(1)
-			for _, l := range f.path {
-				share := n.linkBandwidth(l) / float64(n.onLink[l])
-				if share < rate {
-					rate = share
+				f.mark = n.epoch
+				rate := math.Inf(1)
+				for _, pl := range f.path {
+					share := n.linkBandwidth(pl) / float64(n.onLink[pl])
+					if share < rate {
+						rate = share
+					}
 				}
+				f.rate = rate
 			}
-			f.rate = rate
 		}
 	case MaxMinFair:
 		n.maxMin()
@@ -638,10 +635,10 @@ func (n *Network) finishLocal(f *Flow) {
 // remove takes an active flow out of the sharing pool and credits the
 // bytes it moved to every link on its path. Accounts must be settled.
 func (n *Network) remove(f *Flow) {
-	if _, ok := n.flows[f.ID]; !ok {
+	if !f.active {
 		return
 	}
-	delete(n.flows, f.ID)
+	f.active = false
 	i := f.ord
 	if i >= len(n.ordered) || n.ordered[i] != f {
 		panic("netsim: flow ordinal out of sync")
@@ -653,13 +650,32 @@ func (n *Network) remove(f *Flow) {
 	for ; i < last; i++ {
 		n.ordered[i].ord = i
 	}
-	for _, l := range f.path {
+	for k, l := range f.path {
 		n.linkBytes[l] += f.Size - f.remaining
 		n.onLink[l]--
 		if n.onLink[l] < 0 {
 			panic("netsim: negative link occupancy")
 		}
+		n.unlink(l, int(f.hopPos[k]))
 	}
+}
+
+// unlink swap-removes the flow at index p of linkFlows[l], repointing the
+// flow moved into the hole at its new position.
+func (n *Network) unlink(l topology.LinkID, p int) {
+	fl := n.linkFlows[l]
+	last := len(fl) - 1
+	if moved := fl[last]; p != last {
+		fl[p] = moved
+		for k, ml := range moved.path {
+			if ml == l {
+				moved.hopPos[k] = int32(p)
+				break
+			}
+		}
+	}
+	fl[last] = nil
+	n.linkFlows[l] = fl[:last]
 }
 
 func (n *Network) finish(f *Flow) {

@@ -245,24 +245,36 @@ type diffSide interface {
 	summary() (bytesMoved float64, transfers int, util, linkBytes []float64)
 }
 
+// netSide drives a Network and checks its invariants after every
+// operation and delivery.
 type netSide struct {
+	t     testing.TB
 	n     *Network
 	flows map[int]*Flow // started, neither delivered nor cancelled
 }
 
 func (s *netSide) transfer(i int, src, dst topology.SiteID, size float64, done func()) {
-	s.flows[i] = s.n.Transfer(src, dst, size, func(*Flow) { delete(s.flows, i); done() })
+	s.flows[i] = s.n.Transfer(src, dst, size, func(*Flow) {
+		checkInvariants(s.t, s.n)
+		delete(s.flows, i)
+		done()
+	})
+	checkInvariants(s.t, s.n)
 }
 
 func (s *netSide) cancel(i int) {
 	if f, ok := s.flows[i]; ok {
 		delete(s.flows, i)
 		s.n.Cancel(f)
+		checkInvariants(s.t, s.n)
 	}
 }
 
-func (s *netSide) setBandwidth(l topology.LinkID, bw float64) { s.n.SetLinkBandwidth(l, bw) }
-func (s *netSide) setLatency(sec float64)                     { s.n.SetLatencyPerHop(sec) }
+func (s *netSide) setBandwidth(l topology.LinkID, bw float64) {
+	s.n.SetLinkBandwidth(l, bw)
+	checkInvariants(s.t, s.n)
+}
+func (s *netSide) setLatency(sec float64) { s.n.SetLatencyPerHop(sec) }
 
 func (s *netSide) finishTimes() []desim.Time {
 	var out []desim.Time
@@ -430,7 +442,7 @@ func TestNetworkMatchesPerFlowEventReference(t *testing.T) {
 			ops := diffScript(seed, sites, links)
 
 			eng, refEng := desim.New(), desim.New()
-			side := &netSide{New(eng, topo, policy), map[int]*Flow{}}
+			side := &netSide{t, New(eng, topo, policy), map[int]*Flow{}}
 			ref := &refSide{newRefNet(refEng, topo, policy), map[int]*refFlow{}}
 			got, gotFired := runDiff(ops, sites, eng, side)
 			want, wantFired := runDiff(ops, sites, refEng, ref)

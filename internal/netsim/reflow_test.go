@@ -26,6 +26,7 @@ func TestIncrementalReflowMatchesFull(t *testing.T) {
 
 	check := func(step int) {
 		t.Helper()
+		checkInvariants(t, n)
 		for _, f := range n.ordered {
 			want := math.Inf(1)
 			for _, l := range f.path {
