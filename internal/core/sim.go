@@ -516,9 +516,8 @@ func (s *Simulation) wireFeedback(e scheduler.External) {
 }
 
 // telemetry assembles one feedback tracker sample from live state (not
-// the GIS snapshot). Strictly read-only: LinkBacklogBytes deliberately
-// avoids settling the network, so sampling perturbs nothing but the
-// engine's event count.
+// the GIS snapshot). Strictly read-only, so sampling perturbs nothing but
+// the engine's event count.
 func (s *Simulation) telemetry() feedback.Sample {
 	q := make([]int, len(s.sites))
 	for i, st := range s.sites {

@@ -147,27 +147,37 @@ func (e *Engine) At(t Time, fn func()) Event {
 }
 
 // Reschedule moves a pending event to fire after delay seconds of virtual
-// time, assigning it a fresh sequence number — exactly as if it had been
-// cancelled and scheduled anew, but without the queue churn. netsim leans
-// on the equivalence: it keeps one completion event per network and
-// Reschedules it at every change point, so the event sorts after
-// everything scheduled before that change point and before everything
-// scheduled after it, which is where a block of freshly scheduled
-// per-flow events would sort. Rescheduling an event that fired, was
-// cancelled, or whose node was recycled is a caller bug and panics.
+// time. See RescheduleAt.
 func (e *Engine) Reschedule(ev Event, delay Time) {
 	if math.IsNaN(delay) || delay < 0 {
 		panic(fmt.Sprintf("desim: Reschedule with invalid delay %v", delay))
+	}
+	e.RescheduleAt(ev, e.now+delay)
+}
+
+// RescheduleAt moves a pending event to fire at absolute virtual time t,
+// which must not be in the past, assigning it a fresh sequence number —
+// exactly as if it had been cancelled and scheduled anew with At, but
+// without the queue churn. netsim leans on the equivalence: it keeps one
+// completion event per network and reschedules it at every change point,
+// so the event sorts after everything scheduled before that change point
+// and before everything scheduled after it, which is where a block of
+// freshly scheduled per-flow events would sort. Rescheduling an event
+// that fired, was cancelled, or whose node was recycled is a caller bug
+// and panics.
+func (e *Engine) RescheduleAt(ev Event, t Time) {
+	if math.IsNaN(t) || t < e.now {
+		panic(fmt.Sprintf("desim: RescheduleAt with time %v before now %v", t, e.now))
 	}
 	n := ev.n
 	if n == nil || n.gen != ev.gen || n.canceled || n.fired || n.index < 0 {
 		panic("desim: Reschedule of a dead or stale event")
 	}
-	n.at = e.now + delay
+	n.at = t
 	n.seq = e.seq
 	e.seq++
 	// The new seq is the largest in the queue, so among equal times the
-	// node sinks to the back — the same slot a fresh Schedule would take.
+	// node sinks to the back — the same slot a fresh At would take.
 	if !e.siftDown(int(n.index)) {
 		e.siftUp(int(n.index))
 	}

@@ -1,6 +1,7 @@
 package desim
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -118,6 +119,33 @@ func TestReschedulePanicsOnDeadEvent(t *testing.T) {
 			fn(New())
 		}()
 	}
+}
+
+// TestRescheduleAtMatchesAt checks that RescheduleAt places an event where
+// At at the same instant would: behind every event already queued for
+// that time, ahead of every event scheduled afterwards. A time in the past
+// panics, as it does for At.
+func TestRescheduleAtMatchesAt(t *testing.T) {
+	e := New()
+	var order []string
+	a := e.At(9, func() { order = append(order, "a") })
+	e.At(4, func() { order = append(order, "b") })
+	e.Schedule(1, func() {
+		e.RescheduleAt(a, 4)
+		e.At(4, func() { order = append(order, "c") })
+	})
+	e.Run()
+	if want := "b a c"; strings.Join(order, " ") != want {
+		t.Fatalf("order = %v, want %s", order, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("RescheduleAt into the past did not panic")
+		}
+	}()
+	ev := e.Schedule(1, func() {})
+	e.RescheduleAt(ev, e.Now()-1)
 }
 
 // TestCompactionKeepsOrder drives the queue far past the dead-node

@@ -9,17 +9,24 @@
 // minimum share along its path. A max-min fair policy is provided as an
 // ablation (see DESIGN.md §6).
 //
-// Whenever any flow starts or finishes, all in-flight flows have their
-// transferred bytes advanced at the old rates and their finish times
-// re-derived at the new rates. The reflow is incremental: only flows
-// sharing a link with the change have their equal-share rate recomputed
-// (the others' shares are provably unchanged). A Network keeps a single
-// pending engine event, at the earliest finish among its running flows
-// (ties to the earliest admitted), so a change point costs one heap
-// fix-up however many flows are in flight. That fires completions in
-// exactly the (time, sequence) order that one event per flow, all
-// rescheduled in admission order at every change point, would — see
-// DESIGN.md §13 for why this keeps results byte-identical.
+// A change point is a flow start, finish or cancellation, or a link
+// bandwidth change. At each one only the flows crossing a changed link
+// have their equal-share rate recomputed (the others' shares are provably
+// unchanged); a per-link index of the active flows finds them without
+// walking any other route. Progress is tracked lazily: a flow keeps its
+// remaining bytes as of an anchor time, its rate, and its finish time
+// anchor + remaining/rate. Only a flow whose rate actually changes is
+// re-anchored, its remaining bytes advanced at the old rate to now, so
+// beyond one scan of a dense array a change point costs work in the flows
+// it touches, not in the flows in flight. The link statistics are pure
+// reads that project from the anchors.
+//
+// A Network keeps a single pending engine event, at the earliest finish
+// among its running flows (ties to the earliest admitted), found by a
+// scan of a dense finish-time array kept in admission order. The event is
+// rescheduled at every change point, so completions fire in exactly the
+// (time, sequence) order that one event per flow, all rescheduled in
+// admission order at every change point, would — see DESIGN.md §13.
 package netsim
 
 import (
@@ -66,9 +73,11 @@ func (p SharingPolicy) String() string {
 type Flow struct {
 	ID         int
 	Src, Dst   topology.SiteID
-	Size       float64 // total bytes
-	remaining  float64
-	rate       float64 // bytes/sec at last update
+	Size       float64    // total bytes
+	remaining  float64    // bytes not yet delivered as of anchor
+	anchor     desim.Time // the change point that last set rate
+	rate       float64    // bytes/sec since anchor
+	finish     desim.Time // anchor + remaining/rate; +Inf while stalled
 	path       []topology.LinkID
 	hopPos     []int32 // hopPos[k]: index of the flow in linkFlows[path[k]] while active
 	done       func(*Flow)
@@ -83,7 +92,8 @@ type Flow struct {
 	pooled     bool // on the free list (double-release guard)
 }
 
-// Remaining returns the bytes not yet delivered as of the last rate change.
+// Remaining returns the bytes not yet delivered as of the last change
+// point that altered the flow's rate.
 func (f *Flow) Remaining() float64 { return f.remaining }
 
 // Rate returns the current transfer rate in bytes/sec.
@@ -108,6 +118,7 @@ type Network struct {
 	bwOverride []float64
 
 	ordered   []*Flow   // active flows in admission order: deterministic iteration
+	finishAt  []float64 // finishAt[i] == ordered[i].finish, scanned for the next completion
 	onLink    []int     // active flow count per link
 	linkFlows [][]*Flow // active flows crossing each link, in no particular order
 	nextID    int
@@ -125,13 +136,14 @@ type Network struct {
 	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
 	lsBuf     []linkState        // maxMin per-link progressive-filling state
 	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
+	rateBuf   []float64          // maxMin new rates, indexed like ordered
 
 	// Accounting.
-	bytesMoved   float64   // bytes delivered by completed flows
-	transfers    int       // completed transfers
-	linkBusy     []float64 // integral of (active?1:0) dt per link
-	linkBytes    []float64 // bytes moved per link by flows no longer active
-	lastAccounts desim.Time
+	bytesMoved float64      // bytes delivered by completed flows
+	transfers  int          // completed transfers
+	linkBusy   []float64    // closed busy intervals per link, summed
+	busySince  []desim.Time // start of the open busy interval; -1 while the link is idle
+	linkBytes  []float64    // bytes moved per link by flows no longer active
 }
 
 // linkState is per-link progressive-filling bookkeeping for maxMin.
@@ -162,10 +174,12 @@ func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Netw
 
 		bwOverride: make([]float64, topo.NumLinks()),
 		linkBusy:   make([]float64, topo.NumLinks()),
+		busySince:  make([]desim.Time, topo.NumLinks()),
 		linkBytes:  make([]float64, topo.NumLinks()),
 	}
 	for i := range n.bwOverride {
 		n.bwOverride[i] = -1
+		n.busySince[i] = -1
 	}
 	n.completeFn = func() { n.complete(n.next) }
 	return n
@@ -204,7 +218,6 @@ func (n *Network) SetLinkBandwidth(l topology.LinkID, bytesPerSec float64) {
 	if math.IsNaN(bytesPerSec) {
 		panic("netsim: NaN bandwidth")
 	}
-	n.settle()
 	if bytesPerSec < 0 {
 		n.bwOverride[l] = -1
 	} else {
@@ -227,7 +240,9 @@ func (n *Network) Transfer(src, dst topology.SiteID, size float64, done func(*Fl
 	f.Src, f.Dst = src, dst
 	f.Size = size
 	f.remaining = size
+	f.anchor = n.eng.Now()
 	f.rate = 0
+	f.finish = math.Inf(1)
 	f.path = n.topo.Route(src, dst)
 	f.done = done
 	f.started = n.eng.Now()
@@ -282,13 +297,18 @@ func (n *Network) activate(f *Flow) {
 	if f.canceled {
 		return
 	}
-	n.settle()
+	now := n.eng.Now()
 	f.ev = desim.Event{} // any startup-latency event has fired by now
+	f.anchor = now
 	f.active = true
 	f.ord = len(n.ordered)
 	n.ordered = append(n.ordered, f)
+	n.finishAt = append(n.finishAt, f.finish)
 	f.hopPos = f.hopPos[:0]
 	for _, l := range f.path {
+		if n.onLink[l] == 0 {
+			n.busySince[l] = now
+		}
 		n.onLink[l]++
 		f.hopPos = append(f.hopPos, int32(len(n.linkFlows[l])))
 		n.linkFlows[l] = append(n.linkFlows[l], f)
@@ -317,7 +337,7 @@ func (n *Network) Cancel(f *Flow) {
 		}
 		return
 	}
-	n.settle()
+	f.remaining = f.remainingAt(n.eng.Now())
 	n.remove(f)
 	n.reflow(f.path)
 	n.release(f)
@@ -334,18 +354,18 @@ func (n *Network) BytesMoved() float64 { return n.bytesMoved }
 func (n *Network) CompletedTransfers() int { return n.transfers }
 
 // LinkUtilization returns, for every link, the fraction of [0, now] during
-// which at least one flow crossed it. It settles accounts to now, and
-// settling at an extra instant moves float rounding in later results, so
-// call it at the end of a run.
+// which at least one flow crossed it.
 func (n *Network) LinkUtilization() []float64 {
-	n.settle()
 	out := make([]float64, len(n.linkBusy))
 	now := n.eng.Now()
 	if now <= 0 {
 		return out
 	}
-	for i, b := range n.linkBusy {
-		out[i] = b / now
+	for l, b := range n.linkBusy {
+		if n.onLink[l] > 0 {
+			b += now - n.busySince[l]
+		}
+		out[l] = b / now
 	}
 	return out
 }
@@ -354,12 +374,13 @@ func (n *Network) LinkUtilization() []float64 {
 // by finished and cancelled flows plus, for flows still in flight, what
 // they have moved up to now.
 func (n *Network) LinkBytes() []float64 {
-	n.settle()
+	now := n.eng.Now()
 	out := make([]float64, len(n.linkBytes))
 	copy(out, n.linkBytes)
 	for _, f := range n.ordered {
+		moved := f.Size - f.remainingAt(now)
 		for _, l := range f.path {
-			out[l] += f.Size - f.remaining
+			out[l] += moved
 		}
 	}
 	return out
@@ -398,21 +419,12 @@ func (n *Network) LinkLoads() []float64 {
 
 // LinkBacklogBytes returns, per link, the bytes still to be delivered by
 // the flows crossing it (each flow's remaining bytes counted on every
-// link of its route), projected to the current virtual time. It is
-// strictly read-only — deliberately NOT calling settle(), whose
-// incremental float accounting would make results depend on when
-// monitoring sampled it.
+// link of its route), projected to the current virtual time.
 func (n *Network) LinkBacklogBytes() []float64 {
-	dt := n.eng.Now() - n.lastAccounts
+	now := n.eng.Now()
 	out := make([]float64, n.topo.NumLinks())
 	for _, f := range n.ordered {
-		rem := f.remaining
-		if dt > 0 {
-			rem -= f.rate * dt
-			if rem < 0 {
-				rem = 0
-			}
-		}
+		rem := f.remainingAt(now)
 		for _, l := range f.path {
 			out[l] += rem
 		}
@@ -454,49 +466,59 @@ func (n *Network) PredictTime(src, dst topology.SiteID, size float64) float64 {
 	return size/rate + n.latencyPerHop*float64(len(path))
 }
 
-// settle advances every active flow's remaining bytes to "now" at the rates
-// fixed at the previous change point, and accrues link busy-time integrals.
-func (n *Network) settle() {
-	now := n.eng.Now()
-	dt := now - n.lastAccounts
+// remainingAt projects the flow's remaining bytes from its anchor to now
+// at its current rate.
+func (f *Flow) remainingAt(now desim.Time) float64 {
+	dt := now - f.anchor
 	if dt < 0 {
 		panic("netsim: time went backwards")
 	}
-	if dt > 0 {
-		for _, f := range n.ordered {
-			f.remaining -= f.rate * dt
-			if f.remaining < 1e-9 {
-				f.remaining = 0
-			}
-		}
-		for l, c := range n.onLink {
-			if c > 0 {
-				n.linkBusy[l] += dt
-			}
-		}
+	if dt == 0 {
+		return f.remaining
 	}
-	n.lastAccounts = now
+	rem := f.remaining - f.rate*dt
+	if rem < 1e-9 {
+		rem = 0
+	}
+	return rem
+}
+
+// setRate gives f a new rate from now on. A flow whose rate is unchanged
+// keeps its anchor, so its remaining bytes and finish time are not
+// touched; otherwise it is re-anchored at now.
+func (n *Network) setRate(f *Flow, rate float64, now desim.Time) {
+	if rate == f.rate {
+		return
+	}
+	f.remaining = f.remainingAt(now)
+	f.anchor = now
+	f.rate = rate
+	f.finish = math.Inf(1)
+	if rate > 0 {
+		f.finish = now + f.remaining/rate
+	}
+	n.finishAt[f.ord] = f.finish
 }
 
 // reflow recomputes flow rates after a change to the links in changed — a
 // started, finished, or cancelled flow's path, or a link whose bandwidth
-// was overridden — and re-anchors the network's completion event at the
-// earliest finish. Must be called with settled accounts.
+// was overridden — re-anchors the flows whose rate changed, and moves the
+// network's completion event to the earliest finish.
 //
-// Byte-identity contract (the golden-hash and reference tests enforce
-// it): the outcome must equal a kernel that recomputes every rate and
-// gives every running flow its own completion event, scheduled afresh in
-// admission order at every change point. An equal-share rate whose path
-// saw no bandwidth or occupancy change is bit-identical, so skipping it
-// is exact. Finish times are still re-derived for every flow, because
-// remaining/rate at a new change point differs from the old target by
-// rounding. Those per-flow events would carry consecutive sequence
-// numbers in admission order, so the first to fire is the minimum finish
-// time with ties to the earliest admitted, and it sorts against every
-// other event where one event scheduled now does. The single event,
-// Rescheduled with that flow's remaining/rate, fires the same completion
-// at the same instant in the same order.
+// Contract (the golden-hash and reference tests enforce it): the outcome
+// equals a kernel that recomputes every rate at every change point,
+// re-anchors exactly the flows whose rate changed, and gives every running
+// flow its own completion event at anchor+remaining/rate, rescheduled
+// afresh in admission order at every change point. An equal-share rate
+// whose path saw no bandwidth or occupancy change is bit-identical, so
+// skipping it is exact. Those per-flow events would carry consecutive
+// sequence numbers in admission order, so the first to fire is the minimum
+// finish time with ties to the earliest admitted, and it sorts against
+// every other event where one event scheduled now does. The single event,
+// rescheduled to that flow's finish, fires the same completion at the
+// same instant in the same order.
 func (n *Network) reflow(changed []topology.LinkID) {
+	now := n.eng.Now()
 	switch n.policy {
 	case EqualShare:
 		n.epoch++
@@ -513,42 +535,38 @@ func (n *Network) reflow(changed []topology.LinkID) {
 						rate = share
 					}
 				}
-				f.rate = rate
+				n.setRate(f, rate, now)
 			}
 		}
 	case MaxMinFair:
-		n.maxMin()
+		n.maxMin(now)
 	default:
 		panic("netsim: unknown sharing policy")
 	}
-	now := n.eng.Now()
-	var next *Flow
-	var best, delay float64
-	for _, f := range n.ordered {
-		if f.rate <= 0 {
-			continue // stalled: a link on the path is down
-		}
-		d := f.remaining / f.rate
-		if at := now + d; next == nil || at < best {
-			next, best, delay = f, at, d
+	next, best := -1, math.Inf(1)
+	for i, at := range n.finishAt {
+		if at < best {
+			next, best = i, at
 		}
 	}
-	n.next = next
 	switch {
-	case next == nil:
+	case next < 0: // no flow running, or all stalled
+		n.next = nil
 		n.eng.Cancel(n.ev)
 		n.ev = desim.Event{}
 	case n.ev.IsZero():
-		n.ev = n.eng.Schedule(delay, n.completeFn)
+		n.next = n.ordered[next]
+		n.ev = n.eng.At(best, n.completeFn)
 	default:
-		n.eng.Reschedule(n.ev, delay)
+		n.next = n.ordered[next]
+		n.eng.RescheduleAt(n.ev, best)
 	}
 }
 
 // maxMin runs progressive filling: repeatedly saturate the link with the
 // smallest fair share among unfrozen flows, freeze its flows at that rate,
-// and redistribute.
-func (n *Network) maxMin() {
+// and redistribute. Then it re-anchors the flows whose rate changed.
+func (n *Network) maxMin(now desim.Time) {
 	numLinks := n.topo.NumLinks()
 	if cap(n.lsBuf) < numLinks {
 		n.lsBuf = make([]linkState, numLinks)
@@ -564,8 +582,12 @@ func (n *Network) maxMin() {
 	for i := range frozen {
 		frozen[i] = false
 	}
-	for _, f := range n.ordered {
-		f.rate = 0
+	if cap(n.rateBuf) < len(n.ordered) {
+		n.rateBuf = make([]float64, len(n.ordered))
+	}
+	rates := n.rateBuf[:len(n.ordered)]
+	for i, f := range n.ordered {
+		rates[i] = 0
 		for _, l := range f.path {
 			ls[l].count++
 		}
@@ -602,7 +624,7 @@ func (n *Network) maxMin() {
 			if !crosses {
 				continue
 			}
-			f.rate = best
+			rates[i] = best
 			frozen[i] = true
 			remaining--
 			for _, l := range f.path {
@@ -610,13 +632,15 @@ func (n *Network) maxMin() {
 			}
 		}
 	}
+	for i, f := range n.ordered {
+		n.setRate(f, rates[i], now)
+	}
 }
 
 // complete fires when the network's completion event triggers; f is the
 // flow it was anchored to.
 func (n *Network) complete(f *Flow) {
 	n.ev = desim.Event{}
-	n.settle()
 	f.remaining = 0
 	n.remove(f)
 	n.reflow(f.path)
@@ -633,7 +657,7 @@ func (n *Network) finishLocal(f *Flow) {
 }
 
 // remove takes an active flow out of the sharing pool and credits the
-// bytes it moved to every link on its path. Accounts must be settled.
+// bytes it moved to every link on its path; f.remaining must be current.
 func (n *Network) remove(f *Flow) {
 	if !f.active {
 		return
@@ -645,16 +669,23 @@ func (n *Network) remove(f *Flow) {
 	}
 	last := len(n.ordered) - 1
 	copy(n.ordered[i:], n.ordered[i+1:])
+	copy(n.finishAt[i:], n.finishAt[i+1:])
 	n.ordered[last] = nil
 	n.ordered = n.ordered[:last]
+	n.finishAt = n.finishAt[:last]
 	for ; i < last; i++ {
 		n.ordered[i].ord = i
 	}
+	now := n.eng.Now()
 	for k, l := range f.path {
 		n.linkBytes[l] += f.Size - f.remaining
 		n.onLink[l]--
-		if n.onLink[l] < 0 {
+		switch {
+		case n.onLink[l] < 0:
 			panic("netsim: negative link occupancy")
+		case n.onLink[l] == 0:
+			n.linkBusy[l] += now - n.busySince[l]
+			n.busySince[l] = -1
 		}
 		n.unlink(l, int(f.hopPos[k]))
 	}

@@ -9,39 +9,45 @@ import (
 	"chicsim/internal/topology"
 )
 
-// refNet is the reference kernel Network must match: every running flow
-// owns a completion event, and every change point recomputes every rate
-// from scratch, then re-anchors every flow's event in admission order.
-// settle accrues per-link bytes as Σ rate·dt along each route.
+// refNet is the reference kernel Network must match: every change point
+// recomputes every rate from scratch and re-anchors each flow whose rate
+// changed, and every running flow owns a completion event at
+// anchor+remaining/rate, rescheduled in admission order at every change
+// point. In eager mode it instead re-anchors every flow at every change
+// point, which is the arithmetic Network used before anchors were lazy.
+// Per-link bytes accrue at each re-anchor along the flow's route.
 type refNet struct {
 	eng           *desim.Engine
 	topo          *topology.Topology
 	policy        SharingPolicy
+	eager         bool
 	latencyPerHop float64
 	bwOverride    []float64
 	ordered       []*refFlow
 	onLink        []int
 	linkBusy      []float64
+	busySince     []desim.Time
 	linkBytes     []float64
-	lastAccounts  desim.Time
 	bytesMoved    float64
 	transfers     int
 }
 
 type refFlow struct {
 	size, remaining, rate float64
+	anchor                desim.Time
 	path                  []topology.LinkID
 	done                  func()
 	ev                    desim.Event // completion, startup-latency or local-delivery event
 	active, canceled      bool
 }
 
-func newRefNet(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *refNet {
+func newRefNet(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy, eager bool) *refNet {
 	r := &refNet{
-		eng: eng, topo: topo, policy: policy,
+		eng: eng, topo: topo, policy: policy, eager: eager,
 		bwOverride: make([]float64, topo.NumLinks()),
 		onLink:     make([]int, topo.NumLinks()),
 		linkBusy:   make([]float64, topo.NumLinks()),
+		busySince:  make([]desim.Time, topo.NumLinks()),
 		linkBytes:  make([]float64, topo.NumLinks()),
 	}
 	for i := range r.bwOverride {
@@ -74,11 +80,14 @@ func (r *refNet) activate(f *refFlow) {
 	if f.canceled {
 		return
 	}
-	r.settle()
 	f.ev = desim.Event{}
 	f.active = true
+	f.anchor = r.eng.Now()
 	r.ordered = append(r.ordered, f)
 	for _, l := range f.path {
+		if r.onLink[l] == 0 {
+			r.busySince[l] = r.eng.Now()
+		}
 		r.onLink[l]++
 	}
 	r.reflow()
@@ -94,13 +103,12 @@ func (r *refNet) cancel(f *refFlow) {
 	if !f.active {
 		return
 	}
-	r.settle()
+	r.reanchor(f)
 	r.remove(f)
 	r.reflow()
 }
 
 func (r *refNet) setBandwidth(l topology.LinkID, bw float64) {
-	r.settle()
 	if bw < 0 {
 		bw = -1
 	}
@@ -108,63 +116,70 @@ func (r *refNet) setBandwidth(l topology.LinkID, bw float64) {
 	r.reflow()
 }
 
-func (r *refNet) settle() {
-	now := r.eng.Now()
-	if dt := now - r.lastAccounts; dt > 0 {
-		for _, f := range r.ordered {
-			f.remaining -= f.rate * dt
-			if f.remaining < 1e-9 {
-				f.remaining = 0
-			}
-			for _, l := range f.path {
-				r.linkBytes[l] += f.rate * dt
-			}
-		}
-		for l, c := range r.onLink {
-			if c > 0 {
-				r.linkBusy[l] += dt
-			}
-		}
+// remainingAt projects f's remaining bytes from its anchor to now.
+func (f *refFlow) remainingAt(now desim.Time) float64 {
+	if now == f.anchor {
+		return f.remaining
 	}
-	r.lastAccounts = now
+	if rem := f.remaining - f.rate*(now-f.anchor); rem >= 1e-9 {
+		return rem
+	}
+	return 0
+}
+
+// reanchor advances f to now at its current rate, crediting the bytes
+// moved since its anchor to every link it crosses.
+func (r *refNet) reanchor(f *refFlow) {
+	now := r.eng.Now()
+	rem := f.remainingAt(now)
+	for _, l := range f.path {
+		r.linkBytes[l] += f.remaining - rem
+	}
+	f.remaining, f.anchor = rem, now
 }
 
 func (r *refNet) reflow() {
+	var rates []float64
 	if r.policy == EqualShare {
 		for _, f := range r.ordered {
-			f.rate = math.Inf(1)
+			rate := math.Inf(1)
 			for _, l := range f.path {
-				f.rate = math.Min(f.rate, r.bandwidth(l)/float64(r.onLink[l]))
+				rate = math.Min(rate, r.bandwidth(l)/float64(r.onLink[l]))
 			}
+			rates = append(rates, rate)
 		}
 	} else {
-		r.maxMin()
+		rates = r.maxMin()
 	}
-	for _, f := range r.ordered {
+	for i, f := range r.ordered {
+		if r.eager || rates[i] != f.rate {
+			r.reanchor(f)
+			f.rate = rates[i]
+		}
 		switch {
 		case f.rate <= 0:
 			r.eng.Cancel(f.ev)
 			f.ev = desim.Event{}
 		case f.ev.IsZero():
-			f.ev = r.eng.Schedule(f.remaining/f.rate, func() { r.complete(f) })
+			f.ev = r.eng.At(f.anchor+f.remaining/f.rate, func() { r.complete(f) })
 		default:
-			r.eng.Reschedule(f.ev, f.remaining/f.rate)
+			r.eng.RescheduleAt(f.ev, f.anchor+f.remaining/f.rate)
 		}
 	}
 }
 
 // maxMin is progressive filling: freeze the flows on the link with the
 // smallest fair share, book their rate out of every link they cross, and
-// repeat.
-func (r *refNet) maxMin() {
+// repeat. It returns the rates in admission order.
+func (r *refNet) maxMin() []float64 {
 	capLeft := make([]float64, r.topo.NumLinks())
 	count := make([]int, r.topo.NumLinks())
 	for l := range capLeft {
 		capLeft[l] = r.bandwidth(topology.LinkID(l))
 	}
+	rates := make([]float64, len(r.ordered))
 	frozen := make([]bool, len(r.ordered))
 	for _, f := range r.ordered {
-		f.rate = 0
 		for _, l := range f.path {
 			count[l]++
 		}
@@ -177,13 +192,13 @@ func (r *refNet) maxMin() {
 			}
 		}
 		if bottleneck < 0 {
-			return
+			return rates
 		}
 		for i, f := range r.ordered {
 			if frozen[i] || !crosses(f.path, topology.LinkID(bottleneck)) {
 				continue
 			}
-			f.rate, frozen[i] = best, true
+			rates[i], frozen[i] = best, true
 			for _, l := range f.path {
 				capLeft[l] = math.Max(capLeft[l]-best, 0)
 				count[l]--
@@ -202,7 +217,10 @@ func crosses(path []topology.LinkID, link topology.LinkID) bool {
 }
 
 func (r *refNet) complete(f *refFlow) {
-	r.settle()
+	r.reanchor(f)
+	for _, l := range f.path {
+		r.linkBytes[l] += f.remaining
+	}
 	f.remaining = 0
 	f.ev = desim.Event{}
 	r.remove(f)
@@ -220,6 +238,9 @@ func (r *refNet) remove(f *refFlow) {
 	}
 	for _, l := range f.path {
 		r.onLink[l]--
+		if r.onLink[l] == 0 {
+			r.linkBusy[l] += r.eng.Now() - r.busySince[l]
+		}
 	}
 }
 
@@ -274,13 +295,14 @@ func (s *netSide) setBandwidth(l topology.LinkID, bw float64) {
 	s.n.SetLinkBandwidth(l, bw)
 	checkInvariants(s.t, s.n)
 }
+
 func (s *netSide) setLatency(sec float64) { s.n.SetLatencyPerHop(sec) }
 
 func (s *netSide) finishTimes() []desim.Time {
 	var out []desim.Time
 	for _, f := range s.n.ordered {
 		if f.rate > 0 {
-			out = append(out, s.n.lastAccounts+f.remaining/f.rate)
+			out = append(out, f.finish)
 		}
 	}
 	return out
@@ -320,12 +342,21 @@ func (s *refSide) finishTimes() []desim.Time {
 }
 
 func (s *refSide) summary() (float64, int, []float64, []float64) {
-	s.r.settle()
+	now := s.r.eng.Now()
 	util := make([]float64, len(s.r.linkBusy))
 	for l, b := range s.r.linkBusy {
-		util[l] = b / s.r.eng.Now()
+		if s.r.onLink[l] > 0 {
+			b += now - s.r.busySince[l]
+		}
+		util[l] = b / now
 	}
-	return s.r.bytesMoved, s.r.transfers, util, s.r.linkBytes
+	linkBytes := append([]float64(nil), s.r.linkBytes...)
+	for _, f := range s.r.ordered {
+		for _, l := range f.path {
+			linkBytes[l] += f.remaining - f.remainingAt(now)
+		}
+	}
+	return s.r.bytesMoved, s.r.transfers, util, linkBytes
 }
 
 // diffOp is one scripted operation; the arguments are raw draws that each
@@ -345,22 +376,28 @@ type diffEvent struct {
 	at   desim.Time
 }
 
-// diffScript draws a random operation sequence. Times fall on a coarse
-// grid and sizes mostly come from a few values, so operations, deliveries
-// and foreign events keep landing on the same instants.
-func diffScript(seed uint64, sites, links int) []diffOp {
+// diffScript draws a random operation sequence. With ties, times fall on
+// a coarse grid and sizes mostly come from a few values, so operations,
+// deliveries and foreign events keep landing on the same instants.
+// Without, times and sizes are continuous draws, so two events share an
+// instant only when the same arithmetic produced both.
+func diffScript(seed uint64, sites, links int, ties bool) []diffOp {
 	src := rng.New(seed)
 	sizes := []float64{5e6, 10e6, 20e6, 40e6}
 	var ops []diffOp
 	at := 0.0
 	for i := 0; i < 150; i++ {
 		if src.Intn(3) == 0 {
-			at += float64(src.Intn(4)) * 0.5
+			if ties {
+				at += float64(src.Intn(4)) * 0.5
+			} else {
+				at += src.Range(0, 1.5)
+			}
 		}
 		op := diffOp{at: at, kind: src.Intn(10),
 			a: src.Intn(sites), b: src.Intn(sites), c: src.Intn(1 << 20), d: src.Intn(links)}
 		op.size = sizes[src.Intn(len(sizes))]
-		if src.Intn(4) == 0 {
+		if src.Intn(4) == 0 || !ties {
 			op.size = src.Range(1e5, 60e6)
 		}
 		ops = append(ops, op)
@@ -377,8 +414,9 @@ func diffScript(seed uint64, sites, links int) []diffOp {
 }
 
 // runDiff drives one side through the script on a fresh engine and
-// returns everything it observed.
-func runDiff(ops []diffOp, sites int, eng *desim.Engine, side diffSide) (log []diffEvent, fired uint64) {
+// returns everything it observed. With ties, some foreign events start a
+// transfer at the predicted finish they fire at.
+func runDiff(ops []diffOp, sites int, ties bool, eng *desim.Engine, side diffSide) (log []diffEvent, fired uint64) {
 	started, foreign := 0, 0
 	start := func(src, dst topology.SiteID, size float64) {
 		i := started
@@ -414,7 +452,7 @@ func runDiff(ops []diffOp, sites int, eng *desim.Engine, side diffSide) (log []d
 				foreign++
 				eng.At(t, func() {
 					log = append(log, diffEvent{'F', k, eng.Now()})
-					if k%16 == 0 {
+					if ties && k%16 == 0 {
 						start(topology.SiteID(k%sites), topology.SiteID((k+1)%sites), 10e6)
 					}
 				})
@@ -425,27 +463,33 @@ func runDiff(ops []diffOp, sites int, eng *desim.Engine, side diffSide) (log []d
 	return log, eng.Fired()
 }
 
+// diffCase builds the topology and script of one differential run:
+// stars on odd seeds, hierarchies on even ones.
+func diffCase(t *testing.T, seed uint64, ties bool) (*topology.Topology, []diffOp) {
+	topo := star(t, 6, 10e6)
+	if seed%2 == 0 {
+		topo = hier(t, 12, 3, 10e6)
+	}
+	return topo, diffScript(seed, topo.NumSites(), topo.NumLinks(), ties)
+}
+
 // TestNetworkMatchesPerFlowEventReference drives Network and the
 // per-flow-event reference kernel through the same random transfers
 // (with same-instant ties), cancels, outages, degradations, startup
 // latency and foreign events at predicted finish times, and requires the
 // same deliveries and foreign events in the same order at == instants,
-// the same engine event count, and the same accounting.
+// the same engine event count, and the same accounting. That pins the
+// per-link index, the finish scan and the single rescheduled event.
 func TestNetworkMatchesPerFlowEventReference(t *testing.T) {
 	for _, policy := range []SharingPolicy{EqualShare, MaxMinFair} {
 		for seed := uint64(1); seed <= 8; seed++ {
-			topo := star(t, 6, 10e6)
-			if seed%2 == 0 {
-				topo = hier(t, 12, 3, 10e6)
-			}
-			sites, links := topo.NumSites(), topo.NumLinks()
-			ops := diffScript(seed, sites, links)
-
+			topo, ops := diffCase(t, seed, true)
+			sites := topo.NumSites()
 			eng, refEng := desim.New(), desim.New()
 			side := &netSide{t, New(eng, topo, policy), map[int]*Flow{}}
-			ref := &refSide{newRefNet(refEng, topo, policy), map[int]*refFlow{}}
-			got, gotFired := runDiff(ops, sites, eng, side)
-			want, wantFired := runDiff(ops, sites, refEng, ref)
+			ref := &refSide{newRefNet(refEng, topo, policy, false), map[int]*refFlow{}}
+			got, gotFired := runDiff(ops, sites, true, eng, side)
+			want, wantFired := runDiff(ops, sites, true, refEng, ref)
 
 			name := policy.String()
 			if len(got) != len(want) {
@@ -483,10 +527,112 @@ func TestNetworkMatchesPerFlowEventReference(t *testing.T) {
 					t.Fatalf("%s seed %d: link %d utilization %v, reference %v", name, seed, l, util[l], wantUtil[l])
 				}
 				// Per-link bytes are summed in a different order: Size − remaining
-				// per flow instead of Σ rate·dt per change point.
+				// per flow instead of the bytes moved between re-anchors.
 				if math.Abs(linkBytes[l]-wantLinkBytes[l]) > 1e-6*wantLinkBytes[l]+1e-3 {
 					t.Fatalf("%s seed %d: link %d carried %v bytes, reference %v",
 						name, seed, l, linkBytes[l], wantLinkBytes[l])
+				}
+			}
+		}
+	}
+}
+
+// TestLazyAnchorsMatchEagerSettlement pins that lazy anchors change only
+// float rounding. The reference in eager mode re-anchors every flow at
+// every change point, as settling all flows did. Network must deliver the
+// same transfers, each within 1e-12 relative time, in the same order
+// except among deliveries that are within that tolerance of each other:
+// where exact arithmetic ties two finishes (max-min books the same rate
+// out in different filling rounds, for one), an ulp picks the first.
+//
+// The scripts are the tie-free kind, and no foreign event starts a
+// transfer. Where an operation is exactly simultaneous with a delivery,
+// or several foreign events land on one flow's predicted finish (equal
+// under lazy anchors, an ulp apart when settlement re-derives it), an
+// ulp decides what happens next, and the runs may legitimately part.
+func TestLazyAnchorsMatchEagerSettlement(t *testing.T) {
+	for _, policy := range []SharingPolicy{EqualShare, MaxMinFair} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			topo, ops := diffCase(t, seed, false)
+			sites := topo.NumSites()
+			eng, refEng := desim.New(), desim.New()
+			got, _ := runDiff(ops, sites, false, eng, &netSide{t, New(eng, topo, policy), map[int]*Flow{}})
+			want, _ := runDiff(ops, sites, false, refEng,
+				&refSide{newRefNet(refEng, topo, policy, true), map[int]*refFlow{}})
+			wantAt := map[int]desim.Time{}
+			for _, e := range want {
+				if e.kind == 'D' {
+					wantAt[e.id] = e.at
+				}
+			}
+			delivered, rounded, swapped := 0, 0, 0
+			latest := math.Inf(-1) // latest reference time among deliveries so far
+			for _, e := range got {
+				if e.kind != 'D' {
+					continue
+				}
+				delivered++
+				w, ok := wantAt[e.id]
+				if !ok {
+					t.Fatalf("%s seed %d: transfer %d delivered at %v, never by the eager reference",
+						policy, seed, e.id, e.at)
+				}
+				if math.Abs(e.at-w) > 1e-12*w {
+					t.Fatalf("%s seed %d: transfer %d delivered at %v, eager reference %v",
+						policy, seed, e.id, e.at, w)
+				}
+				if w < latest-1e-12*latest {
+					t.Fatalf("%s seed %d: transfer %d (reference %v) delivered after one the reference delivered at %v",
+						policy, seed, e.id, w, latest)
+				}
+				if e.at != w {
+					rounded++
+				}
+				if w < latest {
+					swapped++
+				}
+				latest = math.Max(latest, w)
+			}
+			if delivered != len(wantAt) {
+				t.Fatalf("%s seed %d: %d deliveries, eager reference %d", policy, seed, delivered, len(wantAt))
+			}
+			t.Logf("%s seed %d: %d deliveries, %d times differ in rounding, %d near-ties reordered",
+				policy, seed, delivered, rounded, swapped)
+		}
+	}
+}
+
+// TestLinkStatsDoNotPerturbDeliveries reads LinkUtilization, LinkBytes
+// and LinkBacklogBytes at random instants of the reference scripts and
+// requires the same events at == instants as a run that never reads
+// them: the stats are pure reads.
+func TestLinkStatsDoNotPerturbDeliveries(t *testing.T) {
+	for _, policy := range []SharingPolicy{EqualShare, MaxMinFair} {
+		for seed := uint64(1); seed <= 8; seed++ {
+			topo, ops := diffCase(t, seed, true)
+			sites := topo.NumSites()
+			eng := desim.New()
+			want, wantFired := runDiff(ops, sites, true, eng, &netSide{t, New(eng, topo, policy), map[int]*Flow{}})
+
+			eng = desim.New()
+			n := New(eng, topo, policy)
+			src := rng.New(seed)
+			const reads = 200
+			for i := 0; i < reads; i++ {
+				eng.At(src.Range(0, ops[len(ops)-1].at), func() {
+					n.LinkUtilization()
+					n.LinkBytes()
+					n.LinkBacklogBytes()
+				})
+			}
+			got, gotFired := runDiff(ops, sites, true, eng, &netSide{t, n, map[int]*Flow{}})
+			if len(got) != len(want) || gotFired != wantFired+reads {
+				t.Fatalf("%s seed %d: %d events (%d fired) with reads, %d (%d fired) without",
+					policy, seed, len(got), gotFired, len(want), wantFired)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s seed %d: event %d = %+v with reads, %+v without", policy, seed, i, got[i], want[i])
 				}
 			}
 		}
