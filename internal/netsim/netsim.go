@@ -136,7 +136,6 @@ type Network struct {
 	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
 	lsBuf     []linkState        // maxMin per-link progressive-filling state
 	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
-	rateBuf   []float64          // maxMin new rates, indexed like ordered
 
 	// Accounting.
 	bytesMoved float64      // bytes delivered by completed flows
@@ -487,17 +486,21 @@ func (f *Flow) remainingAt(now desim.Time) float64 {
 // keeps its anchor, so its remaining bytes and finish time are not
 // touched; otherwise it is re-anchored at now.
 func (n *Network) setRate(f *Flow, rate float64, now desim.Time) {
-	if rate == f.rate {
-		return
+	if rate != f.rate {
+		n.reanchor(f, rate, now)
 	}
-	f.remaining = f.remainingAt(now)
-	f.anchor = now
-	f.rate = rate
-	f.finish = math.Inf(1)
+}
+
+// reanchor advances f's remaining bytes to now at its old rate and
+// derives its finish time at the new one.
+func (n *Network) reanchor(f *Flow, rate float64, now desim.Time) {
+	rem := f.remainingAt(now)
+	finish := math.Inf(1)
 	if rate > 0 {
-		f.finish = now + f.remaining/rate
+		finish = now + rem/rate
 	}
-	n.finishAt[f.ord] = f.finish
+	f.remaining, f.anchor, f.rate, f.finish = rem, now, rate, finish
+	n.finishAt[f.ord] = finish
 }
 
 // reflow recomputes flow rates after a change to the links in changed — a
@@ -565,7 +568,11 @@ func (n *Network) reflow(changed []topology.LinkID) {
 
 // maxMin runs progressive filling: repeatedly saturate the link with the
 // smallest fair share among unfrozen flows, freeze its flows at that rate,
-// and redistribute. Then it re-anchors the flows whose rate changed.
+// and redistribute. A flow's rate is final once frozen, so it is set (and
+// the flow re-anchored if the rate changed) right there. The per-link
+// index supplies each bottleneck's flows; the order they freeze in within
+// a round does not matter, since each books the same rate out of its
+// links.
 func (n *Network) maxMin(now desim.Time) {
 	numLinks := n.topo.NumLinks()
 	if cap(n.lsBuf) < numLinks {
@@ -573,7 +580,7 @@ func (n *Network) maxMin(now desim.Time) {
 	}
 	ls := n.lsBuf[:numLinks]
 	for i := range ls {
-		ls[i] = linkState{cap: n.linkBandwidth(topology.LinkID(i))}
+		ls[i] = linkState{cap: n.linkBandwidth(topology.LinkID(i)), count: n.onLink[i]}
 	}
 	if cap(n.frozenBuf) < len(n.ordered) {
 		n.frozenBuf = make([]bool, len(n.ordered))
@@ -581,16 +588,6 @@ func (n *Network) maxMin(now desim.Time) {
 	frozen := n.frozenBuf[:len(n.ordered)]
 	for i := range frozen {
 		frozen[i] = false
-	}
-	if cap(n.rateBuf) < len(n.ordered) {
-		n.rateBuf = make([]float64, len(n.ordered))
-	}
-	rates := n.rateBuf[:len(n.ordered)]
-	for i, f := range n.ordered {
-		rates[i] = 0
-		for _, l := range f.path {
-			ls[l].count++
-		}
 	}
 	remaining := len(n.ordered)
 	for remaining > 0 {
@@ -608,32 +605,25 @@ func (n *Network) maxMin(now desim.Time) {
 		if bottleneck < 0 {
 			break
 		}
-		// Freeze all unfrozen flows crossing the bottleneck at `best`,
-		// in admission order for determinism.
-		for i, f := range n.ordered {
-			if frozen[i] {
+		// Freeze all unfrozen flows crossing the bottleneck at `best`.
+		for _, f := range n.linkFlows[bottleneck] {
+			if frozen[f.ord] {
 				continue
 			}
-			crosses := false
-			for _, l := range f.path {
-				if int(l) == bottleneck {
-					crosses = true
-					break
-				}
-			}
-			if !crosses {
-				continue
-			}
-			rates[i] = best
-			frozen[i] = true
+			n.setRate(f, best, now)
+			frozen[f.ord] = true
 			remaining--
 			for _, l := range f.path {
 				ls[l].consume(best)
 			}
 		}
 	}
-	for i, f := range n.ordered {
-		n.setRate(f, rates[i], now)
+	if remaining > 0 { // only reachable with a NaN or infinite share
+		for i, f := range n.ordered {
+			if !frozen[i] {
+				n.setRate(f, 0, now)
+			}
+		}
 	}
 }
 
