@@ -535,6 +535,13 @@ func BenchmarkSimScale(b *testing.B) {
 	}
 }
 
+// BenchmarkSimScaleRandom runs the same scenario with ES = JobRandom, so
+// most jobs move data and netsim reflow dominates (body shared with
+// cmd/kernelbench's SimScaleRandom tier).
+func BenchmarkSimScaleRandom(b *testing.B) {
+	b.Run("10k", kernelbench.SimScaleRandom(10_000))
+}
+
 // BenchmarkResultsMemory streams one million synthetic completed jobs
 // through the results pipeline in each mode (body shared with
 // cmd/resultsbench, which tracks it in BENCH_results_mem.json). Full

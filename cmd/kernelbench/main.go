@@ -87,6 +87,12 @@ func suite() []struct {
 			body func(*testing.B)
 		}{"SimScale/" + tier.name, kernelbench.SimScale(tier.jobs)})
 	}
+	// The data-moving tier: netsim carries it, where SimScale barely
+	// starts a transfer.
+	out = append(out, struct {
+		name string
+		body func(*testing.B)
+	}{"SimScaleRandom/10k", kernelbench.SimScaleRandom(10_000)})
 	return out
 }
 

@@ -148,9 +148,20 @@ func ScaleConfig(jobs int) core.Config {
 // steady-state loop allocation-free, mallocs/job is dominated by one-time
 // setup and falls toward zero as the tier grows; a flat or rising curve
 // across 10k→1M is a per-job allocation regression.
-func SimScale(jobs int) func(*testing.B) {
+func SimScale(jobs int) func(*testing.B) { return simScale(ScaleConfig(jobs)) }
+
+// SimScaleRandom returns a benchmark body running the ScaleConfig scenario
+// with ES = JobRandom. Jobs then land away from their inputs and most
+// start a transfer, so netsim's reflow dominates, where SimScale's
+// default ES starts almost none.
+func SimScaleRandom(jobs int) func(*testing.B) {
+	cfg := ScaleConfig(jobs)
+	cfg.ES = "JobRandom"
+	return simScale(cfg)
+}
+
+func simScale(cfg core.Config) func(*testing.B) {
 	return func(b *testing.B) {
-		cfg := ScaleConfig(jobs)
 		var events, mallocs uint64
 		var ms runtime.MemStats
 		for i := 0; i < b.N; i++ {
@@ -167,6 +178,6 @@ func SimScale(jobs int) func(*testing.B) {
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(float64(events)/s, "events/sec")
 		}
-		b.ReportMetric(float64(mallocs)/float64(b.N)/float64(jobs), "mallocs/job")
+		b.ReportMetric(float64(mallocs)/float64(b.N)/float64(cfg.TotalJobs), "mallocs/job")
 	}
 }
