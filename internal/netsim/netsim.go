@@ -239,9 +239,7 @@ func (n *Network) Transfer(src, dst topology.SiteID, size float64, done func(*Fl
 	f.Src, f.Dst = src, dst
 	f.Size = size
 	f.remaining = size
-	f.anchor = n.eng.Now()
 	f.rate = 0
-	f.finish = math.Inf(1)
 	f.path = n.topo.Route(src, dst)
 	f.done = done
 	f.started = n.eng.Now()
@@ -298,7 +296,7 @@ func (n *Network) activate(f *Flow) {
 	}
 	now := n.eng.Now()
 	f.ev = desim.Event{} // any startup-latency event has fired by now
-	f.anchor = now
+	f.anchor, f.finish = now, math.Inf(1)
 	f.active = true
 	f.ord = len(n.ordered)
 	n.ordered = append(n.ordered, f)
@@ -552,16 +550,16 @@ func (n *Network) reflow(changed []topology.LinkID) {
 			next, best = i, at
 		}
 	}
-	switch {
-	case next < 0: // no flow running, or all stalled
+	if next < 0 { // no flow running, or all stalled
 		n.next = nil
 		n.eng.Cancel(n.ev)
 		n.ev = desim.Event{}
-	case n.ev.IsZero():
-		n.next = n.ordered[next]
+		return
+	}
+	n.next = n.ordered[next]
+	if n.ev.IsZero() {
 		n.ev = n.eng.At(best, n.completeFn)
-	default:
-		n.next = n.ordered[next]
+	} else {
 		n.eng.RescheduleAt(n.ev, best)
 	}
 }
