@@ -16,10 +16,11 @@
 // walking any other route. Progress is tracked lazily: a flow keeps its
 // remaining bytes as of an anchor time, its rate, and its finish time
 // anchor + remaining/rate. Only a flow whose rate actually changes is
-// re-anchored, its remaining bytes advanced at the old rate to now, so
-// beyond one scan of a dense array a change point costs work in the flows
-// it touches, not in the flows in flight. The link statistics are pure
-// reads that project from the anchors.
+// re-anchored, its remaining bytes advanced at the old rate to now. Apart
+// from one scan of a dense array, and on a removal a shift of the
+// admission-ordered list, a change point costs work in the flows it
+// touches, not in the flows in flight. The link statistics are pure reads
+// that project from the anchors.
 //
 // A Network keeps a single pending engine event, at the earliest finish
 // among its running flows (ties to the earliest admitted), found by a
