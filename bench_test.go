@@ -544,7 +544,8 @@ func BenchmarkSimScaleRandom(b *testing.B) {
 
 // BenchmarkResultsMemory streams one million synthetic completed jobs
 // through the results pipeline in each mode (body shared with
-// cmd/resultsbench, which tracks it in BENCH_results_mem.json). Full
+// cmd/kernelbench's ResultsMemory rows, which CI tracks in
+// BENCH_results_mem.json via -only ResultsMemory). Full
 // mode's B/op and live-results-bytes grow linearly with jobs — one
 // JobRecord each — while bounded mode's stay flat, the O(1) claim of
 // DESIGN.md §17 as a measurement.

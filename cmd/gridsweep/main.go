@@ -6,6 +6,8 @@
 //
 //	gridsweep                  # full campaign, all figures
 //	gridsweep -fig 3a          # just one figure's table
+//	gridsweep -fig seeds -seeds 30 # seed-variance study, CI convergence per pair
+//	gridsweep -fig sensitivity # sweep the parameters Table 1 leaves unspecified
 //	gridsweep -csv             # machine-readable rows for plotting
 //	gridsweep -quick           # reduced workload for a fast shape check
 //	gridsweep -list            # print the Table 1 configuration and exit
@@ -41,7 +43,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, faults, feedback, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, faults, feedback, seeds, sensitivity, all")
 	siteMTBFs := flag.String("site-mtbf", "0,14400,7200,3600", "comma-separated site-crash MTBFs for -fig faults (s; 0 = failure-free control)")
 	faultMTTR := flag.Float64("fault-mttr", 600, "mean site repair time for -fig faults/feedback (s)")
 	fbStaleness := flag.Float64("feedback-staleness", 120, "GIS InfoStaleness for the -fig feedback contended scenario (s)")
@@ -137,6 +139,14 @@ func main() {
 		cells = experiments.PaperCells(10)
 	case "5":
 		cells = experiments.Figure5Cells()
+	case "seeds":
+		if len(seedList) < 2 {
+			fmt.Fprintln(os.Stderr, "gridsweep: -fig seeds needs -seeds 2 or more (and no -quick)")
+			os.Exit(2)
+		}
+		cells = experiments.PaperCells(10)
+	case "sensitivity":
+		cells = experiments.SensitivityCells()
 	case "faults":
 		base.Faults.SiteCrash.MTTR = *faultMTTR
 		base.Faults.RequeueOnRecovery = true
@@ -510,6 +520,15 @@ func writeFleetTrace(client *fabric.Client, path string) error {
 // render writes the requested report for results, whether they came from a
 // live campaign or a -from-jsonl stream.
 func render(results []experiments.CellResult, fig string, csv, md bool, mtbfs []float64) {
+	// The two studies have one output format each.
+	switch fig {
+	case "seeds":
+		report.SeedVariance(os.Stdout, results, experiments.PaperCells(10))
+		return
+	case "sensitivity":
+		report.SensitivityCSV(os.Stdout, results, experiments.SensitivityCells())
+		return
+	}
 	if csv {
 		report.CSV(os.Stdout, results)
 		return

@@ -1,13 +1,16 @@
-// Command kernelbench runs the simulation-kernel benchmark suite (the same
-// bodies `go test -bench` exercises in internal/desim, internal/netsim and
-// the repo root) through testing.Benchmark and writes BENCH_kernel.json,
-// so the kernel's performance trajectory is tracked across PRs without
-// parsing go-test output.
+// Command kernelbench runs the benchmark suite (the same bodies `go test
+// -bench` exercises in internal/desim, internal/netsim and the repo root:
+// the simulation kernel, the scale tiers and the results pipeline's
+// memory) through testing.Benchmark and writes BENCH_kernel.json, so the
+// performance trajectory is tracked across PRs without parsing go-test
+// output.
 //
 //	kernelbench -o BENCH_kernel.json          # run and record
 //	kernelbench -prev BENCH_kernel.json       # run, diff against a baseline
 //	kernelbench -prev ... -gate 15            # also fail on >15% ns/op regressions
-//	kernelbench -only SimScale                # run one sub-suite (substring match)
+//	kernelbench -only SimScale                # run one sub-suite (regexp match)
+//	kernelbench -skip 'SimScale|ResultsMemory' # everything else
+//	kernelbench -only ResultsMemory -prev bench/BENCH_results_mem_baseline.json
 //
 // With -prev, a benchstat-style delta table is printed and each result
 // carries baseline_ns_per_op/speedup fields, making regressions visible
@@ -22,10 +25,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"runtime"
-	"strings"
 	"testing"
 
+	"chicsim/internal/core"
 	"chicsim/internal/kernelbench"
 	"chicsim/internal/netsim"
 )
@@ -50,16 +54,16 @@ type report struct {
 	Results   []result `json:"results"`
 }
 
-// suite enumerates the kernel benchmarks in a fixed order. Flow counts
-// mirror the go-test wrappers so names line up across both harnesses.
-func suite() []struct {
+type bench struct {
 	name string
 	body func(*testing.B)
-} {
-	out := []struct {
-		name string
-		body func(*testing.B)
-	}{
+}
+
+// suite enumerates the kernel benchmarks in a fixed order. Flow and job
+// counts mirror the go-test wrappers so names line up across both
+// harnesses.
+func suite() []bench {
+	out := []bench{
 		{"EngineChurn", kernelbench.EngineChurn},
 		{"EngineStep", kernelbench.EngineStep},
 	}
@@ -68,42 +72,45 @@ func suite() []struct {
 		policy netsim.SharingPolicy
 	}{{"ReflowEqualShare", netsim.EqualShare}, {"ReflowMaxMin", netsim.MaxMinFair}} {
 		for _, flows := range []int{10, 100, 1000} {
-			out = append(out, struct {
-				name string
-				body func(*testing.B)
-			}{fmt.Sprintf("%s/flows=%d", p.label, flows), kernelbench.Reflow(p.policy, flows)})
+			out = append(out, bench{fmt.Sprintf("%s/flows=%d", p.label, flows), kernelbench.Reflow(p.policy, flows)})
 		}
 	}
-	out = append(out, struct {
-		name string
-		body func(*testing.B)
-	}{"Sim", kernelbench.Sim})
+	out = append(out, bench{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string
 		jobs int
 	}{{"10k", 10_000}, {"100k", 100_000}, {"1M", 1_000_000}} {
-		out = append(out, struct {
-			name string
-			body func(*testing.B)
-		}{"SimScale/" + tier.name, kernelbench.SimScale(tier.jobs)})
+		out = append(out, bench{"SimScale/" + tier.name, kernelbench.SimScale(tier.jobs)})
 	}
 	// The data-moving tier: netsim carries it, where SimScale barely
 	// starts a transfer.
-	out = append(out, struct {
-		name string
-		body func(*testing.B)
-	}{"SimScaleRandom/10k", kernelbench.SimScaleRandom(10_000)})
+	out = append(out, bench{"SimScaleRandom/10k", kernelbench.SimScaleRandom(10_000)})
+	// The results pipeline alone, a million synthetic jobs per mode: the
+	// live-results-bytes column is bounded mode's O(1)-memory claim.
+	for _, mode := range []string{core.ResultModeFull, core.ResultModeBounded} {
+		out = append(out, bench{"ResultsMemory/" + mode, kernelbench.ResultsMemory(mode, 1_000_000)})
+	}
 	return out
 }
 
 func main() {
 	outPath := flag.String("o", "BENCH_kernel.json", "output JSON path")
 	prevPath := flag.String("prev", "", "baseline BENCH_kernel.json to diff against")
-	skipSim := flag.Bool("skip-sim", false, "skip the end-to-end Sim benchmark")
-	only := flag.String("only", "", "run only benchmarks whose name contains this substring")
-	skip := flag.String("skip", "", "skip benchmarks whose name contains this substring")
+	only := flag.String("only", "", "run only benchmarks whose name matches this regular expression")
+	skip := flag.String("skip", "", "skip benchmarks whose name matches this regular expression")
 	gate := flag.Float64("gate", 0, "with -prev: exit 1 if any ns/op regresses more than this percent (0 disables)")
 	flag.Parse()
+
+	onlyRE, err := regexp.Compile(*only)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kernelbench: -only: %v\n", err)
+		os.Exit(2)
+	}
+	skipRE, err := regexp.Compile(*skip)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "kernelbench: -skip: %v\n", err)
+		os.Exit(2)
+	}
 
 	var baseline map[string]result
 	if *prevPath != "" {
@@ -125,13 +132,7 @@ func main() {
 
 	rep := report{Suite: "kernel", GoVersion: runtime.Version(), GOARCH: runtime.GOARCH}
 	for _, bm := range suite() {
-		if *skipSim && bm.name == "Sim" {
-			continue
-		}
-		if *only != "" && !strings.Contains(bm.name, *only) {
-			continue
-		}
-		if *skip != "" && strings.Contains(bm.name, *skip) {
+		if !onlyRE.MatchString(bm.name) || (*skip != "" && skipRE.MatchString(bm.name)) {
 			continue
 		}
 		br := testing.Benchmark(bm.body)

@@ -39,7 +39,7 @@ type node struct {
 }
 
 // Event is a handle to a scheduled callback. It can be cancelled before it
-// fires via Engine.Cancel, or moved via Engine.Reschedule. The zero Event
+// fires via Engine.Cancel, or moved via Engine.RescheduleAt. The zero Event
 // means "no event" and is safe to Cancel (a no-op).
 //
 // Handles stay valid after the event fires or is cancelled: Cancel remains
@@ -146,15 +146,6 @@ func (e *Engine) At(t Time, fn func()) Event {
 	return Event{n: n, gen: n.gen}
 }
 
-// Reschedule moves a pending event to fire after delay seconds of virtual
-// time. See RescheduleAt.
-func (e *Engine) Reschedule(ev Event, delay Time) {
-	if math.IsNaN(delay) || delay < 0 {
-		panic(fmt.Sprintf("desim: Reschedule with invalid delay %v", delay))
-	}
-	e.RescheduleAt(ev, e.now+delay)
-}
-
 // RescheduleAt moves a pending event to fire at absolute virtual time t,
 // which must not be in the past, assigning it a fresh sequence number —
 // exactly as if it had been cancelled and scheduled anew with At, but
@@ -171,7 +162,7 @@ func (e *Engine) RescheduleAt(ev Event, t Time) {
 	}
 	n := ev.n
 	if n == nil || n.gen != ev.gen || n.canceled || n.fired || n.index < 0 {
-		panic("desim: Reschedule of a dead or stale event")
+		panic("desim: RescheduleAt of a dead or stale event")
 	}
 	n.at = t
 	n.seq = e.seq

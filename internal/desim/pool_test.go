@@ -1,6 +1,7 @@
 package desim
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,7 +55,7 @@ func TestStaleHandleCancelIsNoOp(t *testing.T) {
 }
 
 // TestRescheduleMatchesCancelPlusSchedule pins the equivalence netsim's
-// single completion event relies on: Reschedule assigns a fresh sequence
+// single completion event relies on: RescheduleAt assigns a fresh sequence
 // number, so among equal-time events the rescheduled one sorts exactly
 // where a fresh Schedule would — after every event already queued.
 func TestRescheduleMatchesCancelPlusSchedule(t *testing.T) {
@@ -62,7 +63,7 @@ func TestRescheduleMatchesCancelPlusSchedule(t *testing.T) {
 	var order []string
 	a := e.Schedule(5, func() { order = append(order, "a") })
 	e.Schedule(5, func() { order = append(order, "b") })
-	e.Reschedule(a, 5) // same time, but now later seq than b
+	e.RescheduleAt(a, e.Now()+5) // same time, but now later seq than b
 	e.Run()
 	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
 		t.Fatalf("order = %v, want [b a]", order)
@@ -75,7 +76,7 @@ func TestRescheduleMovesTime(t *testing.T) {
 	late := e.Schedule(10, func() { order = append(order, "late") })
 	e.Schedule(2, func() {
 		order = append(order, "mid")
-		e.Reschedule(late, 1) // fires at 3, before the event at 5
+		e.RescheduleAt(late, e.Now()+1) // fires at 3, before the event at 5
 	})
 	e.Schedule(5, func() { order = append(order, "five") })
 	e.Run()
@@ -95,19 +96,23 @@ func TestReschedulePanicsOnDeadEvent(t *testing.T) {
 		"fired": func(e *Engine) {
 			ev := e.Schedule(1, func() {})
 			e.Run()
-			e.Reschedule(ev, 1)
+			e.RescheduleAt(ev, e.Now()+1)
 		},
 		"cancelled": func(e *Engine) {
 			ev := e.Schedule(1, func() {})
 			e.Cancel(ev)
-			e.Reschedule(ev, 1)
+			e.RescheduleAt(ev, e.Now()+1)
 		},
 		"zero handle": func(e *Engine) {
-			e.Reschedule(Event{}, 1)
+			e.RescheduleAt(Event{}, e.Now()+1)
 		},
 		"negative delay": func(e *Engine) {
 			ev := e.Schedule(1, func() {})
-			e.Reschedule(ev, -1)
+			e.RescheduleAt(ev, e.Now()-1)
+		},
+		"NaN time": func(e *Engine) {
+			ev := e.Schedule(1, func() {})
+			e.RescheduleAt(ev, math.NaN())
 		},
 	} {
 		func() {

@@ -28,18 +28,93 @@ import (
 // Cell identifies one (ES, DS, bandwidth) combination in the campaign.
 // SiteMTBF, when > 0, additionally subjects the cell to site-crash fault
 // injection at that mean time between failures (degraded-grid sweeps).
+// Param, when set, names a sensitivity parameter (see SensitivityCells)
+// that the cell sets to Value. Both are omitted from JSON when zero, so a
+// cell without a parameter keeps its wire form in streams, fabric
+// journals and campaign IDs.
 type Cell struct {
 	ES            string
 	DS            string
 	BandwidthMBps float64
 	SiteMTBF      float64
+	Param         string  `json:",omitempty"`
+	Value         float64 `json:",omitempty"`
 }
 
 func (c Cell) String() string {
+	s := fmt.Sprintf("%s+%s@%gMB/s", c.ES, c.DS, c.BandwidthMBps)
 	if c.SiteMTBF > 0 {
-		return fmt.Sprintf("%s+%s@%gMB/s/mtbf=%gs", c.ES, c.DS, c.BandwidthMBps, c.SiteMTBF)
+		s += fmt.Sprintf("/mtbf=%gs", c.SiteMTBF)
 	}
-	return fmt.Sprintf("%s+%s@%gMB/s", c.ES, c.DS, c.BandwidthMBps)
+	if c.Param != "" {
+		s += fmt.Sprintf("/%s=%g", c.Param, c.Value)
+	}
+	return s
+}
+
+// Validate rejects a Param no sweep defines. Cells arrive from outside
+// the process (fabric submissions, -from-jsonl files), so an unknown
+// name is an input error, not a bug.
+func (c Cell) Validate() error {
+	if c.Param != "" && paramSetter(c.Param) == nil {
+		return fmt.Errorf("experiments: cell %v: unknown parameter %q", c, c.Param)
+	}
+	return nil
+}
+
+// apply sets the cell's coordinates on cfg: ES, DS and bandwidth, site
+// crashes when SiteMTBF > 0, then Param last, so a bandwidth sweep point
+// overrides the cell's bandwidth. An unknown Param is reported, not run.
+func (c Cell) apply(cfg *core.Config) error {
+	cfg.ES, cfg.DS, cfg.BandwidthMBps = c.ES, c.DS, c.BandwidthMBps
+	if c.SiteMTBF > 0 {
+		cfg.Faults.SiteCrash.MTBF = c.SiteMTBF
+		if cfg.Faults.SiteCrash.MTTR == 0 {
+			cfg.Faults.SiteCrash.MTTR = 600
+		}
+	}
+	if c.Param == "" {
+		return nil
+	}
+	set := paramSetter(c.Param)
+	if set == nil {
+		return c.Validate()
+	}
+	set(cfg, c.Value)
+	return nil
+}
+
+// sensitivityParams is the calibration study behind the defaults in
+// DESIGN.md: each model parameter the paper's Table 1 leaves unspecified,
+// the Config field it sets, and the values swept.
+var sensitivityParams = []struct {
+	name   string
+	values []float64
+	set    func(*core.Config, float64)
+}{
+	{"storage", []float64{10, 15, 25, 50, 100, 0}, // GB; 0 = unlimited
+		func(c *core.Config, v float64) { c.StorageGB = v }},
+	{"geomp", []float64{0.02, 0.05, 0.1, 0.2, 0.4},
+		func(c *core.Config, v float64) { c.GeomP = v }},
+	{"ds-threshold", []float64{1, 3, 6, 12, 24},
+		func(c *core.Config, v float64) { c.DSThreshold = int(v) }},
+	{"ds-interval", []float64{60, 150, 300, 600, 1200},
+		func(c *core.Config, v float64) { c.DSInterval = v }},
+	{"staleness", []float64{0, 15, 30, 120, 600},
+		func(c *core.Config, v float64) { c.InfoStaleness = v }},
+	{"bandwidth", []float64{5, 10, 25, 50, 100},
+		func(c *core.Config, v float64) { c.BandwidthMBps = v }},
+}
+
+// paramSetter returns the Config setter for a sensitivity parameter, or
+// nil when no sweep defines name.
+func paramSetter(name string) func(*core.Config, float64) {
+	for _, p := range sensitivityParams {
+		if p.name == name {
+			return p.set
+		}
+	}
+	return nil
 }
 
 // CellResult aggregates one cell's seed replications.
@@ -233,6 +308,31 @@ func FeedbackSweepCells(bandwidthMBps float64, mtbfs []float64) []Cell {
 	return cells
 }
 
+// SensitivityCells returns the sensitivity study: every sweep point of
+// every parameter Table 1 leaves unspecified, each for the headline
+// comparison of decoupled JobDataPresent+DataLeastLoaded against the best
+// coupled baseline JobLocal+DataDoNothing. Cells carry the base
+// bandwidth (10 MB/s) except on the bandwidth sweep, where it is the
+// swept value.
+func SensitivityCells() []Cell {
+	var cells []Cell
+	for _, p := range sensitivityParams {
+		for _, v := range p.values {
+			bw := 10.0
+			if p.name == "bandwidth" {
+				bw = v
+			}
+			for _, pair := range []struct{ es, ds string }{
+				{"JobDataPresent", "DataLeastLoaded"},
+				{"JobLocal", "DataDoNothing"},
+			} {
+				cells = append(cells, Cell{ES: pair.es, DS: pair.ds, BandwidthMBps: bw, Param: p.name, Value: v})
+			}
+		}
+	}
+	return cells
+}
+
 // FullPaperCampaign returns all 72 experiments: 12 pairs × 2 bandwidths
 // (cells) × 3 seeds (replications).
 func FullPaperCampaign(base core.Config) Campaign {
@@ -272,16 +372,8 @@ func Run(c Campaign) []CellResult {
 			defer wg.Done()
 			for t := range tasks {
 				cfg := c.Base
-				cfg.ES = c.Cells[t.cell].ES
-				cfg.DS = c.Cells[t.cell].DS
-				cfg.BandwidthMBps = c.Cells[t.cell].BandwidthMBps
+				err := c.Cells[t.cell].apply(&cfg)
 				cfg.Seed = t.seed
-				if mtbf := c.Cells[t.cell].SiteMTBF; mtbf > 0 {
-					cfg.Faults.SiteCrash.MTBF = mtbf
-					if cfg.Faults.SiteCrash.MTTR == 0 {
-						cfg.Faults.SiteCrash.MTTR = 600
-					}
-				}
 				if c.ObsInterval > 0 {
 					cfg.ObsInterval = c.ObsInterval
 				}
@@ -299,13 +391,14 @@ func Run(c Campaign) []CellResult {
 				// can then attribute samples to a single campaign cell or
 				// seed when hunting kernel hot spots.
 				var res core.Results
-				var err error
-				pprof.Do(context.Background(), pprof.Labels(
-					"cell", c.Cells[t.cell].String(),
-					"seed", strconv.FormatUint(t.seed, 10),
-				), func(context.Context) {
-					res, err = core.RunConfig(cfg)
-				})
+				if err == nil {
+					pprof.Do(context.Background(), pprof.Labels(
+						"cell", c.Cells[t.cell].String(),
+						"seed", strconv.FormatUint(t.seed, 10),
+					), func(context.Context) {
+						res, err = core.RunConfig(cfg)
+					})
+				}
 				c.Progress.RunDone(fmt.Sprintf("%v seed=%d", c.Cells[t.cell], t.seed))
 				outcomes <- outcome{cell: t.cell, seed: t.seed, res: res, err: err}
 			}

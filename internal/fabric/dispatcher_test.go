@@ -1,7 +1,10 @@
 package fabric
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -370,6 +373,46 @@ func TestSubmitValidation(t *testing.T) {
 	spec.Seeds = nil
 	if _, err := d.Submit(spec); err == nil {
 		t.Fatal("seedless campaign accepted")
+	}
+}
+
+// TestSubmitRejectsUnknownParam checks that a cell naming a parameter no
+// sensitivity sweep defines fails submission over HTTP with 400 and a
+// one-line error, and never reaches the queue.
+func TestSubmitRejectsUnknownParam(t *testing.T) {
+	d, _ := mustDispatcher(t, Options{})
+	mux := http.NewServeMux()
+	for pat, h := range d.Handlers() {
+		mux.Handle(pat, h)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	spec := testSpec(2)
+	spec.Cells[1].Param, spec.Cells[1].Value = "no-such-param", 1
+	body, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(srv.URL+"/api/submit", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("status = %d, want 400", resp.StatusCode)
+	}
+	_, err = (&Client{BaseURL: srv.URL}).Submit(spec)
+	if err == nil || !strings.Contains(err.Error(), `unknown parameter "no-such-param"`) || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Submit error = %v, want one line naming the parameter", err)
+	}
+	if _, err := d.Campaign(); err == nil {
+		t.Fatal("rejected campaign was installed")
+	}
+
+	spec.Cells[1].Param = "storage"
+	if _, err := d.Submit(spec); err != nil {
+		t.Fatalf("known parameter rejected: %v", err)
 	}
 }
 

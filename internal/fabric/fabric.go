@@ -57,6 +57,11 @@ func (s *CampaignSpec) Validate() error {
 	if len(s.Seeds) == 0 {
 		return fmt.Errorf("fabric: campaign has no seeds")
 	}
+	for _, c := range s.Cells {
+		if err := c.Validate(); err != nil {
+			return fmt.Errorf("fabric: %w", err)
+		}
+	}
 	return nil
 }
 

@@ -101,6 +101,10 @@ func (d *Dispatcher) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &spec) {
 		return
 	}
+	if err := spec.Validate(); err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	resp, err := d.Submit(spec)
 	if err != nil {
 		httpError(w, http.StatusConflict, err)

@@ -10,6 +10,7 @@ import (
 	"chicsim/internal/core"
 	"chicsim/internal/experiments"
 	"chicsim/internal/metrics/stream"
+	"chicsim/internal/stats"
 )
 
 // Metric selects which measurement a figure-style table shows.
@@ -344,5 +345,64 @@ func ResponseHistogram(w io.Writer, counts []int, edges []float64, maxWidth int)
 	for i, c := range counts {
 		bar := c * maxWidth / peak
 		fmt.Fprintf(w, "%8.0f-%-8.0f %10d %s\n", edges[i], edges[i+1], c, strings.Repeat("#", bar))
+	}
+}
+
+// SensitivityCSV writes the sensitivity study (experiments.SensitivityCells)
+// as CSV, one row per cell of cells in that order: the swept parameter and
+// value, the scheduler pair, and its response, data, idle and site-load
+// Gini means over seeds. Failed or missing cells are skipped.
+func SensitivityCSV(w io.Writer, results []experiments.CellResult, cells []experiments.Cell) {
+	idx := experiments.ByCell(results)
+	fmt.Fprintln(w, "param,value,policy,avg_response_s,avg_data_mb_per_job,idle_pct,site_job_gini")
+	for _, c := range cells {
+		cr, ok := idx[c]
+		if !ok || cr.Err != nil || len(cr.Runs) == 0 {
+			continue
+		}
+		gini := 0.0
+		for _, run := range cr.Runs {
+			gini += run.SiteJobGini
+		}
+		gini /= float64(len(cr.Runs))
+		fmt.Fprintf(w, "%s,%g,%s+%s,%.1f,%.1f,%.1f,%.3f\n", c.Param, c.Value, c.ES, c.DS,
+			cr.AvgResponseSec, cr.AvgDataPerJobMB, 100*cr.AvgIdleFrac, gini)
+	}
+}
+
+// SeedVariance writes, for each of cells in that order, how the 95%
+// confidence interval of the mean response time converges as seeds
+// accumulate (at every fifth seed and the last), the final summary, and a
+// coefficient-of-variation verdict: the rigorous form of the paper's "we
+// found no significant variation" across seeds (§5.2). Failed or missing
+// cells are skipped.
+func SeedVariance(w io.Writer, results []experiments.CellResult, cells []experiments.Cell) {
+	idx := experiments.ByCell(results)
+	sep := ""
+	for _, c := range cells {
+		cr, ok := idx[c]
+		if !ok || cr.Err != nil || len(cr.Runs) == 0 {
+			continue
+		}
+		resps := cr.ResponseSamples()
+		// Results do not carry the configured job count; a run that
+		// finished accounts for every job as done or abandoned.
+		jobs := cr.Runs[0].JobsDone + cr.Runs[0].JobsFailed
+		fmt.Fprintf(w, "%s%s + %s @ %g MB/s, %d jobs/run, %d seeds\n\n", sep, c.ES, c.DS, c.BandwidthMBps, jobs, len(resps))
+		sep = "\n"
+		fmt.Fprintf(w, "%6s %14s %14s %12s\n", "seeds", "mean resp (s)", "95% CI ±", "CI/mean")
+		for n := 2; n <= len(resps); n++ {
+			if n%5 == 0 || n == len(resps) {
+				s := stats.Summarize(resps[:n])
+				fmt.Fprintf(w, "%6d %14.1f %14.1f %11.1f%%\n", n, s.Mean, s.CI95, 100*s.CI95/s.Mean)
+			}
+		}
+		fmt.Fprintf(w, "\nfinal: %s\n", stats.Summarize(resps))
+		cv := stats.CoefficientOfVariation(resps)
+		verdict := "substantial seed variation; consider more replications"
+		if cv < 0.15 {
+			verdict = "no significant seed variation (matches the paper's observation)"
+		}
+		fmt.Fprintf(w, "coefficient of variation: %.1f%% — %s\n", 100*cv, verdict)
 	}
 }
