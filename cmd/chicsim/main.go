@@ -82,7 +82,7 @@ func main() {
 	tracePath := flag.String("trace", "", "replay a workload trace file instead of generating")
 	listAlgos := flag.Bool("list", false, "list available algorithms and scenarios, then exit")
 	scenario := flag.String("scenario", "", "start from a named preset (see -list); model flags given before -scenario are ignored")
-	heatmap := flag.Bool("heatmap", false, "render a per-site occupancy heatmap of the run")
+	heatmap := flag.Bool("heatmap", false, "render a per-site occupancy heatmap of the run, sampled every -obs-interval")
 	hist := flag.Bool("hist", false, "render the response-time histogram of the run")
 	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text")
 	configPath := flag.String("config", "", "load the model configuration from a JSON file (model flags are then ignored)")
@@ -185,11 +185,12 @@ func main() {
 			cfg.Tiers = append(cfg.Tiers, n)
 		}
 	}
-	if *heatmap {
-		cfg.SampleInterval = 60
-	}
-	if obsFlags.SeriesPath != "" || obsFlags.StreamPath != "" {
+	if *heatmap || obsFlags.SeriesPath != "" || obsFlags.StreamPath != "" {
 		cfg.ObsInterval = obsFlags.SeriesInterval
+	}
+	if *heatmap && cfg.ObsInterval <= 0 {
+		fmt.Fprintln(os.Stderr, "chicsim: -heatmap draws the probe series and needs -obs-interval > 0")
+		os.Exit(2)
 	}
 
 	// Live control plane: a metrics registry when anything wants to read
@@ -365,7 +366,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "chicsim: wrote metrics snapshot to %s\n", obsFlags.MetricsPath)
 	}
 	if *jsonOut {
-		res.Samples = nil // keep the JSON compact
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
@@ -387,9 +387,9 @@ func main() {
 	}
 	if *heatmap {
 		fmt.Println()
-		report.Heatmap(os.Stdout, res.Samples, 100)
+		report.Heatmap(os.Stdout, res.Series, 100)
 		fmt.Println()
-		report.Timeline(os.Stdout, res.Samples, 100)
+		report.Timeline(os.Stdout, res.Series, 100)
 	}
 }
 

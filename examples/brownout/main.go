@@ -23,7 +23,7 @@ import (
 func main() {
 	base := core.DefaultConfig()
 	base.TotalJobs = 3000
-	base.SampleInterval = 120
+	base.ObsInterval = 120
 	brownout := core.Degradation{At: 3000, Duration: 7200, Multiplier: 0.05, BackboneOnly: true}
 
 	type row struct {
@@ -60,7 +60,7 @@ func main() {
 
 	fmt.Println("\ndecoupled grid during the brownout (occupancy barely dips —")
 	fmt.Println("jobs already run where their data lives):")
-	report.Timeline(os.Stdout, rows[1].hurt.Samples, 100)
+	report.Timeline(os.Stdout, rows[1].hurt.Series, 100)
 	fmt.Println("\ncoupled grid during the brownout (starves while transfers crawl):")
-	report.Timeline(os.Stdout, rows[0].hurt.Samples, 100)
+	report.Timeline(os.Stdout, rows[0].hurt.Series, 100)
 }

@@ -203,11 +203,6 @@ type Config struct {
 	// trace package. Recording a full Table 1 run emits ~30k events.
 	Recorder trace.Recorder `json:"-"`
 
-	// SampleInterval, when > 0, samples per-site processor occupancy,
-	// queue lengths, and in-flight transfers every so many virtual
-	// seconds into Results.Samples (feeds the utilization heatmap).
-	SampleInterval float64
-
 	// Faults configures deterministic fault injection (extension; see
 	// internal/faults and DESIGN.md §10): per-class MTBF/MTTR for site
 	// crashes, CE failures, link degradation/outage, transfer aborts, and
@@ -229,14 +224,17 @@ type Config struct {
 	// runs where the record slice would dominate memory.
 	ResultMode string `json:",omitempty"`
 
-	// ObsInterval, when > 0, attaches the observability probe registry
-	// (internal/obs): per-site gauges (queue length, CPU utilization,
-	// storage fill, replica count) and grid-wide gauges/counters
-	// (in-flight transfers, GIS staleness, dispatches, replications,
-	// evictions, deletions, jobs done) are sampled every so many virtual
-	// seconds into Results.Series. Sampling rides an ordinary recurring
-	// engine event, so the series is deterministic for a given seed; at 0
-	// (the default) no probes exist and the hot path is untouched.
+	// ObsInterval, when > 0, books the run's one recurring observation
+	// event every so many virtual seconds. Each tick samples the probe
+	// registry (internal/obs) into Results.Series — per-site gauges
+	// (queue length, CPU utilization, storage fill, replica count) and
+	// grid-wide gauges/counters (queued jobs, in-flight transfers, GIS
+	// staleness, dispatches, replications, evictions, deletions, jobs
+	// done), which report.Heatmap and report.Timeline render — then
+	// publishes to Metrics and runs the Watchdog when those are set. The
+	// tick is an ordinary engine event, so the series is deterministic
+	// for a given seed; at 0 (the default) no probes exist and the hot
+	// path is untouched.
 	ObsInterval float64
 
 	// ObsSink, when non-nil (and ObsInterval > 0), additionally streams
@@ -246,19 +244,22 @@ type Config struct {
 	ObsSink obs.Sink `json:"-"`
 
 	// Metrics, when non-nil, attaches the live metrics registry
-	// (internal/obs/registry): job/fault counters update inline at their
-	// hook points, gauges and per-site response histograms sync on the
-	// ObsInterval tick, and an HTTP monitor can scrape the registry while
-	// the run (or a whole campaign sharing one registry) is going.
-	// Requires ObsInterval > 0. Attaching never perturbs Results.
+	// (internal/obs/registry): the ObsInterval tick adds to the job,
+	// dispatch and replication counters what core's own tallies gained
+	// since the previous tick and sets the gauges; per-site response
+	// histograms and fault counters update inline at their hooks. An HTTP
+	// monitor can scrape the registry while the run (or a whole campaign
+	// sharing one registry) is going. Requires ObsInterval > 0. Attaching
+	// adds no event and never perturbs Results.
 	Metrics *registry.Registry `json:"-"`
 
-	// Watchdog, when not Off, runs online invariant checks every
-	// ObsInterval tick (internal/obs/watchdog): job conservation, replica
-	// vs. storage accounting, link capacity, virtual-time monotonicity.
-	// Warn logs violations into Results.WatchdogViolations; Fail stops
-	// the run at the first violating tick and Run returns the violation
-	// as its error. Requires ObsInterval > 0.
+	// Watchdog, when not Off, runs online invariant checks
+	// (internal/obs/watchdog) on every ObsInterval tick, after the probes
+	// and Metrics: job conservation, replica vs. storage accounting,
+	// link capacity, virtual-time monotonicity. Warn logs violations into
+	// Results.WatchdogViolations; Fail stops the run at the first
+	// violating tick and Run returns the violation as its error. Requires
+	// ObsInterval > 0; adds no event of its own.
 	Watchdog watchdog.Mode `json:"watchdog,omitempty"`
 
 	// OnViolation, when non-nil (and Watchdog enabled), observes every

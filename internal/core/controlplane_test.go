@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"chicsim/internal/faults"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 )
@@ -21,10 +22,11 @@ func controlPlaneCfg(seed uint64) Config {
 	return cfg
 }
 
-// TestControlPlaneDoesNotPerturbResults is the tentpole determinism
-// regression: attaching the registry and the watchdog must leave every
-// field of Results byte-identical to a bare run with the same
-// ObsInterval.
+// TestControlPlaneDoesNotPerturbResults is the control plane's
+// determinism regression: attaching the registry and the watchdog must
+// leave every field of Results, SimEvents and the probe series included,
+// identical to a bare run with the same ObsInterval — both fire the one
+// observation tick.
 func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		cfg := controlPlaneCfg(7)
@@ -49,13 +51,6 @@ func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 			t.Fatalf("faulted=%v wired: %v", faulted, err)
 		}
 
-		// Series pointers differ by construction. SimEvents counts every
-		// engine event fired, including the observer's own recurring tick
-		// — it is a meta-metric of engine activity (the baseline already
-		// includes the probe layer's ticks), not a simulation outcome, so
-		// it is excluded the same way.
-		bare.Series, wired.Series = nil, nil
-		bare.SimEvents, wired.SimEvents = 0, 0
 		if wired.WatchdogViolations != 0 {
 			t.Fatalf("faulted=%v: healthy run reported %d violations", faulted, wired.WatchdogViolations)
 		}
@@ -67,48 +62,75 @@ func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 	}
 }
 
-// TestRegistryPopulated checks the registry's totals against the run's
-// own Results after a healthy run.
+// TestRegistryPopulated checks the registry's totals, synced on the obs
+// tick from core's tallies, against the run's own Results after a healthy
+// and a faulted run.
 func TestRegistryPopulated(t *testing.T) {
-	cfg := controlPlaneCfg(3)
-	reg := registry.New()
-	cfg.Metrics = reg
-	r, err := RunConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := reg.Value("sim_jobs_total", "done"); !ok || int(v) != cfg.TotalJobs {
-		t.Errorf("sim_jobs_total{done} = %v, %v; want %d", v, ok, cfg.TotalJobs)
-	}
-	if v, ok := reg.Value("sim_jobs_total", "submitted"); !ok || int(v) != cfg.TotalJobs {
-		t.Errorf("sim_jobs_total{submitted} = %v, %v; want %d", v, ok, cfg.TotalJobs)
-	}
-	if v, ok := reg.Value("sim_replications_total"); !ok || int(v) != r.Replications {
-		t.Errorf("sim_replications_total = %v, %v; want %d", v, ok, r.Replications)
-	}
-	if v, ok := reg.Value("sim_virtual_time_seconds"); !ok || v != r.SimEndTime {
-		t.Errorf("sim_virtual_time_seconds = %v, %v; want %v", v, ok, r.SimEndTime)
-	}
-	// The per-site response histograms must jointly hold every job.
-	var total uint64
-	for _, fam := range reg.Gather() {
-		if fam.Name != "sim_response_seconds" {
-			continue
+	for _, faulted := range []bool{false, true} {
+		cfg := controlPlaneCfg(3)
+		if faulted {
+			cfg.Faults.SiteCrash = faults.Spec{MTBF: 1000, MTTR: 500}
+			cfg.Faults.CEFailure = faults.Spec{MTBF: 1000, MTTR: 600}
+			cfg.Faults.MaxRetries = 1
 		}
-		for _, smp := range fam.Samples {
-			total += smp.Hist.Count
+		reg := registry.New()
+		cfg.Metrics = reg
+		sim, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if total != uint64(cfg.TotalJobs) {
-		t.Errorf("response histogram holds %d observations, want %d", total, cfg.TotalJobs)
-	}
-	// And the whole thing must render as valid exposition text.
-	var sb strings.Builder
-	if err := registry.WritePrometheus(&sb, reg.Gather()); err != nil {
-		t.Fatal(err)
-	}
-	if err := registry.CheckText(strings.NewReader(sb.String())); err != nil {
-		t.Errorf("registry output not valid Prometheus text: %v", err)
+		r, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if faulted && (r.JobsRetried == 0 || r.JobsFailed == 0) {
+			t.Fatalf("faulted run retried %d and abandoned %d jobs; test exercises nothing", r.JobsRetried, r.JobsFailed)
+		}
+		totals := []struct {
+			name, label string
+			want        int
+		}{
+			{"sim_jobs_total", "submitted", cfg.TotalJobs},
+			{"sim_jobs_total", "done", r.JobsDone},
+			{"sim_jobs_total", "retried", r.JobsRetried},
+			{"sim_jobs_total", "abandoned", r.JobsFailed},
+			{"sim_dispatches_total", "", sim.dispatches},
+			{"sim_replications_total", "", r.Replications},
+		}
+		for _, tc := range totals {
+			var labels []string
+			if tc.label != "" {
+				labels = []string{tc.label}
+			}
+			if v, ok := reg.Value(tc.name, labels...); !ok || v != float64(tc.want) {
+				t.Errorf("faulted=%v: %s{%s} = %v, %v; want %d", faulted, tc.name, tc.label, v, ok, tc.want)
+			}
+		}
+		if v, ok := reg.Value("sim_virtual_time_seconds"); !ok || v != r.SimEndTime {
+			t.Errorf("faulted=%v: sim_virtual_time_seconds = %v, %v; want %v", faulted, v, ok, r.SimEndTime)
+		}
+		// The per-site response histograms must jointly hold every
+		// completed job.
+		var total uint64
+		for _, fam := range reg.Gather() {
+			if fam.Name != "sim_response_seconds" {
+				continue
+			}
+			for _, smp := range fam.Samples {
+				total += smp.Hist.Count
+			}
+		}
+		if total != uint64(r.JobsDone) {
+			t.Errorf("faulted=%v: response histogram holds %d observations, want %d", faulted, total, r.JobsDone)
+		}
+		// And the whole thing must render as valid exposition text.
+		var sb strings.Builder
+		if err := registry.WritePrometheus(&sb, reg.Gather()); err != nil {
+			t.Fatal(err)
+		}
+		if err := registry.CheckText(strings.NewReader(sb.String())); err != nil {
+			t.Errorf("faulted=%v: registry output not valid Prometheus text: %v", faulted, err)
+		}
 	}
 }
 

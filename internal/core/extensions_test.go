@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"chicsim/internal/trace"
@@ -437,30 +438,45 @@ func TestBatchRequiresWindow(t *testing.T) {
 	}
 }
 
+// TestSampling checks the columns report.Heatmap and report.Timeline
+// draw from: one sNN.cpu_util gauge per site plus jobs_queued and
+// inflight_transfers, one point per ObsInterval while the workload runs.
 func TestSampling(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TotalJobs = 300
-	cfg.SampleInterval = 120
+	cfg.ObsInterval = 120
 	res, err := RunConfig(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Samples) == 0 {
+	s := res.Series
+	if s == nil || len(s.Points) == 0 {
 		t.Fatal("no samples collected")
 	}
 	want := int(res.Makespan / 120)
-	if len(res.Samples) < want-2 || len(res.Samples) > want+2 {
-		t.Fatalf("samples = %d, expected ~%d", len(res.Samples), want)
+	if len(s.Points) < want-2 || len(s.Points) > want+2 {
+		t.Fatalf("samples = %d, expected ~%d", len(s.Points), want)
 	}
-	sawBusy := false
-	for i, smp := range res.Samples {
-		if len(smp.SiteBusy) != cfg.Sites {
-			t.Fatalf("sample %d has %d sites", i, len(smp.SiteBusy))
-		}
-		if i > 0 && smp.T <= res.Samples[i-1].T {
+	for i := 1; i < len(s.Points); i++ {
+		if s.Points[i].T <= s.Points[i-1].T {
 			t.Fatalf("sample times not increasing at %d", i)
 		}
-		for _, b := range smp.SiteBusy {
+	}
+	for _, name := range []string{"jobs_queued", "inflight_transfers"} {
+		if s.Column(name) == nil {
+			t.Fatalf("missing %s column", name)
+		}
+	}
+	if s.Column(fmt.Sprintf("s%02d.cpu_util", cfg.Sites)) != nil {
+		t.Fatalf("cpu_util column beyond the %d sites", cfg.Sites)
+	}
+	sawBusy := false
+	for site := 0; site < cfg.Sites; site++ {
+		busy := s.Column(fmt.Sprintf("s%02d.cpu_util", site))
+		if busy == nil {
+			t.Fatalf("site %d has no cpu_util column", site)
+		}
+		for _, b := range busy {
 			if b < 0 || b > 1 {
 				t.Fatalf("busy fraction %v out of range", b)
 			}

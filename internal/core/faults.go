@@ -181,41 +181,12 @@ func (s *Simulation) failJob(j *job.Job, at topology.SiteID) {
 		return
 	}
 	s.jobsRetried++
-	s.lm.jobsRetried.Inc()
 	s.retryPending++
 	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobRetried, Job: int(j.ID), Site: int(at)})
 	s.eng.Schedule(s.retry.Delay(j.Retries), func() {
 		s.retryPending--
-		s.redispatch(j)
+		s.route(j)
 	})
-}
-
-// redispatch re-places a failed job after its backoff. The wrapped ES
-// (es.AvoidFailed) guarantees the target differs from the failed site;
-// landing on a *different* down site is another placement failure and
-// burns another retry.
-func (s *Simulation) redispatch(j *job.Job) {
-	if s.batch != nil {
-		s.batchBuf = append(s.batchBuf, j)
-		return
-	}
-	placeView := s.view
-	if s.cfg.RegionalInfo {
-		placeView = view{s: s, viewer: s.wl.UserHome[j.User]}
-	}
-	target := s.esFor[j.User].Place(placeView, j)
-	if target < 0 || int(target) >= len(s.sites) {
-		panic(fmt.Sprintf("core: ES %s re-placed job %d at invalid site %d", s.cfg.ES, j.ID, target))
-	}
-	if s.sites[target].Down() {
-		s.failJob(j, target)
-		return
-	}
-	s.dispatches++
-	s.lm.dispatches.Inc()
-	s.fb.NoteDispatch(target)
-	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobDispatched, Job: int(j.ID), Site: int(target)})
-	s.sites[target].Enqueue(j)
 }
 
 // jobAbandoned retires a job that ran out of retries. The closed-loop
@@ -223,7 +194,6 @@ func (s *Simulation) redispatch(j *job.Job) {
 // their next one — and the job counts toward the finish condition.
 func (s *Simulation) jobAbandoned(j *job.Job) {
 	s.jobsFailed++
-	s.lm.jobsAbandoned.Inc()
 	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobAbandoned, Job: int(j.ID), User: int(j.User)})
 	user := j.User
 	s.jobs.Free(j)

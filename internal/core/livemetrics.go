@@ -9,34 +9,51 @@ import (
 	"chicsim/internal/topology"
 )
 
-// This file wires the live control plane (internal/obs/registry,
-// internal/obs/watchdog) into the simulation: counter hooks on the job
-// lifecycle, gauges synced on the ObsInterval tick, per-site response
-// histograms, and the online invariant checks.
+// This file owns the run's single recurring observation event, the
+// ObsInterval tick, and wires the live control plane
+// (internal/obs/registry, internal/obs/watchdog) into it. Each tick
+// samples the probes into Results.Series, publishes to the registry —
+// job counters advanced by the change in core's ledger ints since the
+// last tick, gauges set from live state — then runs the online invariant
+// checks. Only the per-site response histograms and the fault counters
+// update inline at their hooks.
 //
 // Determinism: every registry update is commutative arithmetic on values
-// the simulation already maintains; nothing here schedules extra events
-// beyond the single recurring obs tick, draws random numbers, or is read
-// back by scheduling code. The watchdog checks are read-only over
-// simulation state. A run with metrics + watchdog attached therefore
-// produces byte-identical Results to a run without them (regression
-// test: TestControlPlaneDoesNotPerturbResults).
+// the simulation already maintains; nothing here draws random numbers or
+// is read back by scheduling code, and the watchdog checks are read-only
+// over simulation state. The tick exists whenever ObsInterval > 0, with
+// or without a registry or watchdog, so a run with metrics + watchdog
+// attached fires the same events and produces byte-identical Results to
+// a run without them (regression test:
+// TestControlPlaneDoesNotPerturbResults).
 
 // respBuckets are the upper bounds (seconds) of the per-site response
 // histograms. Roughly geometric around the paper's ~300–600 s job scale.
 var respBuckets = []float64{60, 120, 300, 600, 1200, 2400, 4800, 9600, 19200, 38400, 76800}
+
+// ledgerCounter mirrors one of core's monotone ledger ints into a
+// registry counter: each sync adds the change since the previous one.
+// Adds commute, so a registry shared by a campaign's concurrent
+// simulations still ends at the exact total.
+type ledgerCounter struct {
+	c    registry.Counter
+	src  *int
+	sent int
+}
+
+func (lc *ledgerCounter) sync() {
+	if d := *lc.src - lc.sent; d > 0 {
+		lc.c.Add(float64(d))
+		lc.sent = *lc.src
+	}
+}
 
 // simMetrics holds the registry handles one simulation updates. All
 // handle types are no-ops in their zero value, so hook sites need no
 // enable checks; the per-site slices are nil when metrics are off and
 // guarded at their (few) call sites.
 type simMetrics struct {
-	jobsSubmitted registry.Counter
-	jobsDone      registry.Counter
-	jobsRetried   registry.Counter
-	jobsAbandoned registry.Counter
-	dispatches    registry.Counter
-	replications  registry.Counter
+	ledgers []ledgerCounter
 
 	jobsRunning     registry.Gauge
 	jobsQueued      registry.Gauge
@@ -65,14 +82,16 @@ type simMetrics struct {
 func (s *Simulation) registerMetrics(reg *registry.Registry) {
 	jobs := reg.Counter("sim_jobs_total",
 		"Job lifecycle transitions by state.", "state")
-	s.lm.jobsSubmitted = jobs.With("submitted")
-	s.lm.jobsDone = jobs.With("done")
-	s.lm.jobsRetried = jobs.With("retried")
-	s.lm.jobsAbandoned = jobs.With("abandoned")
-	s.lm.dispatches = reg.Counter("sim_dispatches_total",
-		"Jobs handed to a site by the external/batch scheduler.").With()
-	s.lm.replications = reg.Counter("sim_replications_total",
-		"Dataset-scheduler replica pushes issued.").With()
+	s.lm.ledgers = []ledgerCounter{
+		{c: jobs.With("submitted"), src: &s.jobsSubmitted},
+		{c: jobs.With("done"), src: &s.jobsDone},
+		{c: jobs.With("retried"), src: &s.jobsRetried},
+		{c: jobs.With("abandoned"), src: &s.jobsFailed},
+		{c: reg.Counter("sim_dispatches_total",
+			"Jobs handed to a site by the external/batch scheduler.").With(), src: &s.dispatches},
+		{c: reg.Counter("sim_replications_total",
+			"Dataset-scheduler replica pushes issued.").With(), src: &s.replications},
+	}
 
 	s.lm.jobsRunning = reg.Gauge("sim_jobs_running",
 		"Jobs occupying a compute element right now.").With()
@@ -116,10 +135,13 @@ func (s *Simulation) registerMetrics(reg *registry.Registry) {
 	}
 }
 
-// syncGauges publishes the current grid state into the registry. Runs on
-// the ObsInterval tick; all reads are the same accessors the probe layer
+// syncMetrics publishes the ledger counters and the current grid state
+// into the registry. All reads are the same accessors the probe layer
 // already uses.
-func (s *Simulation) syncGauges() {
+func (s *Simulation) syncMetrics() {
+	for i := range s.lm.ledgers {
+		s.lm.ledgers[i].sync()
+	}
 	running, queued, waiting, down := 0, 0, 0, 0
 	for i, st := range s.sites {
 		b, q := st.Busy(), st.QueueLen()
@@ -222,40 +244,41 @@ func (s *Simulation) registerWatchdog() {
 	})
 }
 
-// attachControlPlane books the single recurring obs tick that syncs
-// gauges and runs the watchdog. Called from Run when either is enabled.
-func (s *Simulation) attachControlPlane() {
+// attachObsTick books the run's one recurring observation event. Each
+// tick samples the probes into Series, then publishes to the registry and
+// runs the watchdog; the recurrence ends with the workload (or at a
+// Fail-mode violation), so the engine can drain.
+func (s *Simulation) attachObsTick() {
 	s.eng.Every(s.cfg.ObsInterval, func() bool {
 		if s.finished {
 			return false
 		}
-		if s.lmOn {
-			s.syncGauges()
-		}
-		if s.wd != nil {
-			if err := s.wd.Tick(float64(s.eng.Now())); err != nil {
-				s.wdErr = err
-				s.eng.Stop()
-				return false
-			}
-		}
-		return true
+		s.probes.Sample(s.eng.Now())
+		return s.publish()
 	})
 }
 
-// finishControlPlane runs one final gauge sync + watchdog pass at the end
-// of the run (the Every tick stops with the workload, so without this the
-// registry would be one interval stale) and records the violation count.
-func (s *Simulation) finishControlPlane(r *Results) {
+// publish syncs the registry and runs one watchdog pass. It reports
+// false once a Fail-mode violation has stopped the run.
+func (s *Simulation) publish() bool {
 	if s.lmOn {
-		s.syncGauges()
+		s.syncMetrics()
 	}
-	if s.wd != nil {
-		if s.wdErr == nil {
-			if err := s.wd.Tick(float64(s.eng.Now())); err != nil {
-				s.wdErr = err
-			}
+	if s.wd != nil && s.wdErr == nil {
+		if err := s.wd.Tick(float64(s.eng.Now())); err != nil {
+			s.wdErr = err
+			s.eng.Stop()
 		}
+	}
+	return s.wdErr == nil
+}
+
+// finishControlPlane publishes once more at the end of the run (the tick
+// stops with the workload, so without this the registry would be one
+// interval stale) and records the violation count.
+func (s *Simulation) finishControlPlane(r *Results) {
+	s.publish()
+	if s.wd != nil {
 		r.WatchdogViolations = s.wd.Count()
 	}
 }

@@ -60,13 +60,10 @@ type Results struct {
 	BackboneLinkUtil float64 // mean over root↔region links
 	AccessLinkUtil   float64 // mean over region↔site links
 
-	// Samples holds periodic grid snapshots when Config.SampleInterval
-	// is set (see report.Heatmap).
-	Samples []Sample
-
 	// Series holds the observability probe time series when
-	// Config.ObsInterval is set (see report.SeriesCSV). Excluded from
-	// JSON results; render it with the report package instead.
+	// Config.ObsInterval is set (see report.SeriesCSV, report.Heatmap).
+	// Excluded from JSON results; render it with the report package
+	// instead.
 	Series *obs.Series `json:"-"`
 
 	// WatchdogViolations counts online invariant violations observed by
@@ -82,14 +79,6 @@ type Results struct {
 	JobsFailed         int // jobs abandoned after exhausting retries
 	TransfersRestarted int // input fetches re-issued after an abort/crash
 	ReplicasRestored   int // DS re-replications of fault-lost popular files
-}
-
-// Sample is one periodic snapshot of grid state.
-type Sample struct {
-	T           float64   // virtual time
-	SiteBusy    []float64 // per-site fraction of compute elements busy
-	QueuedJobs  int       // jobs waiting across all sites
-	ActiveFlows int       // in-flight wide-area transfers
 }
 
 // Simulation is a fully assembled Data Grid ready to Run. Build with New;
@@ -168,7 +157,6 @@ type Simulation struct {
 	rec trace.Recorder
 
 	arrivalSrc *rng.Source // think-time / open-arrival draws
-	samples    []Sample
 
 	ran bool
 }
@@ -667,17 +655,8 @@ func (s *Simulation) Run() (Results, error) {
 			s.eng.Schedule(0, s.submitFns[u])
 		}
 	}
-	if s.cfg.SampleInterval > 0 {
-		s.eng.Every(s.cfg.SampleInterval, func() bool {
-			if s.finished {
-				return false
-			}
-			s.sample()
-			return true
-		})
-	}
 	if s.probes != nil {
-		s.probes.Attach(s.eng, s.cfg.ObsInterval, func() bool { return !s.finished })
+		s.attachObsTick()
 	}
 	if s.fb != nil {
 		// Prime the tracker at t = 0 (queues empty, links idle) so the
@@ -691,9 +670,6 @@ func (s *Simulation) Run() (Results, error) {
 			s.fb.Observe(s.telemetry())
 			return true
 		})
-	}
-	if s.lmOn || s.wd != nil {
-		s.attachControlPlane()
 	}
 	if s.batch != nil {
 		s.eng.Schedule(s.cfg.BatchWindow, s.flushBatch)
@@ -777,7 +753,6 @@ func (s *Simulation) Run() (Results, error) {
 	if g, err := stats.Gini(s.collector.SiteJobCounts(len(s.sites))); err == nil {
 		r.SiteJobGini = g
 	}
-	r.Samples = s.samples
 	if s.probes != nil {
 		r.Series = s.probes.Series()
 	}
@@ -834,28 +809,39 @@ func (s *Simulation) submitNext(u job.UserID) {
 	j := s.jobs.Alloc(spec.ID, u, s.wl.UserHome[u], spec.Inputs, spec.Compute)
 	j.Advance(job.Submitted, s.eng.Now())
 	s.jobsSubmitted++
-	s.lm.jobsSubmitted.Inc()
 	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobSubmitted, Job: int(j.ID), User: int(u)})
+	s.route(j)
+}
+
+// route hands a fresh or retried job to the external scheduling layer:
+// the batch buffer in batch mode, otherwise an immediate placement by the
+// user's ES. Retried jobs need no special case: on faulted runs the ES is
+// wrapped in es.AvoidFailed, so the target differs from the failed site.
+func (s *Simulation) route(j *job.Job) {
 	if s.batch != nil {
 		s.batchBuf = append(s.batchBuf, j)
 		return
 	}
 	placeView := s.view
 	if s.cfg.RegionalInfo {
-		placeView = view{s: s, viewer: s.wl.UserHome[u]}
+		placeView = view{s: s, viewer: s.wl.UserHome[j.User]}
 	}
-	target := s.esFor[u].Place(placeView, j)
+	target := s.esFor[j.User].Place(placeView, j)
 	if target < 0 || int(target) >= len(s.sites) {
 		panic(fmt.Sprintf("core: ES %s placed job %d at invalid site %d", s.cfg.ES, j.ID, target))
 	}
+	s.dispatch(j, target)
+}
+
+// dispatch enqueues j at target. The scheduler's information is
+// liveness-blind (like the GIS), so a down target is a placement failure
+// that burns a retry.
+func (s *Simulation) dispatch(j *job.Job, target topology.SiteID) {
 	if s.sites[target].Down() {
-		// The ES placed onto a dead site (its information is liveness-
-		// blind, like the GIS): a placement failure that burns a retry.
 		s.failJob(j, target)
 		return
 	}
 	s.dispatches++
-	s.lm.dispatches.Inc()
 	s.fb.NoteDispatch(target)
 	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobDispatched, Job: int(j.ID), Site: int(target)})
 	s.sites[target].Enqueue(j)
@@ -874,7 +860,6 @@ func (s *Simulation) jobDone(j *job.Job) {
 	s.rec.Record(trace.Event{T: j.EndTime, Kind: trace.JobCompleted, Job: int(j.ID), Site: int(j.Site), User: int(j.User)})
 	s.shipOutput(j)
 	s.jobsDone++
-	s.lm.jobsDone.Inc()
 	if s.lm.respBySite != nil {
 		s.lm.respBySite[j.Site].Observe(float64(j.ResponseTime()))
 	}
@@ -973,33 +958,10 @@ func (s *Simulation) flushBatch() {
 			if t < 0 || int(t) >= len(s.sites) {
 				panic(fmt.Sprintf("core: batch scheduler placed job %d at invalid site %d", j.ID, t))
 			}
-			if s.sites[t].Down() {
-				s.failJob(j, t)
-				continue
-			}
-			s.dispatches++
-			s.lm.dispatches.Inc()
-			s.fb.NoteDispatch(t)
-			s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.JobDispatched, Job: int(j.ID), Site: int(t)})
-			s.sites[t].Enqueue(j)
+			s.dispatch(j, t)
 		}
 	}
 	s.eng.Schedule(s.cfg.BatchWindow, s.flushBatch)
-}
-
-// sample records one grid snapshot (driven by a recurring engine event
-// while the workload runs).
-func (s *Simulation) sample() {
-	smp := Sample{
-		T:           s.eng.Now(),
-		SiteBusy:    make([]float64, len(s.sites)),
-		ActiveFlows: s.net.ActiveFlows(),
-	}
-	for i, st := range s.sites {
-		smp.SiteBusy[i] = float64(st.Busy()) / float64(st.CEs())
-		smp.QueuedJobs += st.QueueLen()
-	}
-	s.samples = append(s.samples, smp)
 }
 
 // dsWake runs one Dataset Scheduler cycle at site i and reschedules itself
@@ -1096,7 +1058,6 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 	}
 	s.pushesInFlight[key] = true
 	s.replications++
-	s.lm.replications.Inc()
 	s.rec.Record(trace.Event{
 		T: s.eng.Now(), Kind: trace.ReplPush,
 		File: int(rep.File), Src: int(from), Dst: int(rep.Target),

@@ -3,26 +3,26 @@ package obs_test
 import (
 	"fmt"
 
-	"chicsim/internal/desim"
 	"chicsim/internal/obs"
 )
 
-// A registry samples its probes on the virtual clock. Here a queue-depth
-// gauge and a completed-jobs counter are sampled every 10 virtual seconds
-// while a tiny "workload" (two state-changing events) plays out; sampling
-// stops once the clock passes 30 so the engine can drain.
+// A registry samples its probes whenever its host calls Sample; in the
+// simulator that is core's observation tick on the virtual clock. Here a
+// queue-depth gauge and a completed-jobs counter are sampled at three
+// ticks 10 virtual seconds apart while a tiny "workload" (two
+// state-changing events, at t=5 and t=25) plays out.
 func Example() {
-	eng := desim.New()
 	queue, done := 4, 0
 
 	reg := obs.NewRegistry()
 	reg.Gauge("queue_len", func() float64 { return float64(queue) })
 	reg.Counter("jobs_done", func() float64 { return float64(done) })
 
-	eng.Schedule(5, func() { queue, done = 2, 2 })
-	eng.Schedule(25, func() { queue, done = 0, 4 })
-	reg.Attach(eng, 10, func() bool { return eng.Now() < 40 })
-	eng.Run()
+	queue, done = 2, 2 // t=5
+	reg.Sample(10)
+	reg.Sample(20)
+	queue, done = 0, 4 // t=25
+	reg.Sample(30)
 
 	s := reg.Series()
 	fmt.Println("probes:", s.Names)

@@ -4,20 +4,20 @@
 // flag wiring for commands (Flags), and run manifests for provenance
 // (Manifest).
 //
-// The layer is strictly opt-in. A simulation with no registry attached
-// schedules no sampling events and allocates nothing here, so the hot
-// path is untouched when observability is off (bench_test.go's
-// BenchmarkObservability pair measures exactly that). When a registry is
-// attached, samples are taken by an ordinary recurring desim event, so
-// the resulting time series is part of the deterministic event order:
-// the same seed yields a bit-identical series regardless of how many
-// simulations run in parallel around it.
+// The layer is strictly opt-in. A simulation with no registry schedules
+// no sampling events and allocates nothing here, so the hot path is
+// untouched when observability is off (bench_test.go's
+// BenchmarkObservability pair measures exactly that). The registry owns
+// no clock: its host calls Sample. In the simulator that host is core's
+// one recurring observation event (Config.ObsInterval), an ordinary
+// desim event, so the resulting time series is part of the deterministic
+// event order: the same seed yields a bit-identical series regardless of
+// how many simulations run in parallel around it.
 package obs
 
 import (
 	"fmt"
 
-	"chicsim/internal/desim"
 	"chicsim/internal/metrics/stream"
 )
 
@@ -149,21 +149,6 @@ func (r *Registry) Sample(t float64) {
 			r.sinkErr = fmt.Errorf("obs: sink point: %w", err)
 		}
 	}
-}
-
-// Attach schedules sampling on eng every interval seconds of virtual
-// time. Before each tick samples, keepGoing is consulted (nil means
-// "always"); returning false ends the recurrence without taking a final
-// sample, so a finished workload stops producing points and the engine
-// can drain.
-func (r *Registry) Attach(eng *desim.Engine, interval float64, keepGoing func() bool) {
-	eng.Every(interval, func() bool {
-		if keepGoing != nil && !keepGoing() {
-			return false
-		}
-		r.Sample(eng.Now())
-		return true
-	})
 }
 
 // LimitPoints caps the in-memory series at roughly max points: samples

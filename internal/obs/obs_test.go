@@ -9,8 +9,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"chicsim/internal/desim"
 )
 
 func TestRegistrySamplesInRegistrationOrder(t *testing.T) {
@@ -50,28 +48,6 @@ func TestRegistryDuplicateProbePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("x", func() float64 { return 0 })
 	r.Counter("x", func() float64 { return 0 })
-}
-
-func TestAttachSamplesOnVirtualCadence(t *testing.T) {
-	eng := desim.New()
-	r := NewRegistry()
-	level := 0.0
-	r.Gauge("level", func() float64 { return level })
-	eng.Schedule(15, func() { level = 7 })
-	r.Attach(eng, 10, func() bool { return eng.Now() < 40 })
-	eng.Run()
-
-	s := r.Series()
-	var ts []float64
-	for _, p := range s.Points {
-		ts = append(ts, p.T)
-	}
-	if !reflect.DeepEqual(ts, []float64{10, 20, 30}) {
-		t.Fatalf("sampled at %v, want [10 20 30]", ts)
-	}
-	if got := s.Column("level"); !reflect.DeepEqual(got, []float64{0, 7, 7}) {
-		t.Fatalf("level series = %v", got)
-	}
 }
 
 func TestProgressReportsCountsAndOccupancy(t *testing.T) {

@@ -15,7 +15,7 @@ type Flags struct {
 	CPUProfile     string
 	MemProfile     string
 	SeriesPath     string  // -obs: CSV destination for the probe series
-	SeriesInterval float64 // -obs-interval: virtual seconds between samples
+	SeriesInterval float64 // -obs-interval: virtual seconds between observation ticks
 	StreamPath     string  // -obs-stream: incremental JSONL/CSV sample stream
 	ManifestPath   string  // -manifest: JSON run-manifest destination
 	TracePath      string  // -trace-out: DGE event-trace destination (.gz = gzip)
@@ -32,7 +32,7 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
 	fs.StringVar(&f.SeriesPath, "obs", "", "sample observability probes and write the time series to this CSV file")
-	fs.Float64Var(&f.SeriesInterval, "obs-interval", 60, "virtual-time probe sampling interval in seconds (with -obs)")
+	fs.Float64Var(&f.SeriesInterval, "obs-interval", 60, "virtual seconds between observation ticks: probe samples, metrics sync, watchdog checks")
 	fs.StringVar(&f.StreamPath, "obs-stream", "", "stream probe samples to this file as they are taken (.csv extension selects CSV, anything else JSON Lines)")
 	fs.StringVar(&f.ManifestPath, "manifest", "", "write a run manifest (config hash, seeds, git describe, timings) to this JSON file")
 	fs.StringVar(&f.TracePath, "trace-out", "", "record the DGE event trace to this JSONL file (.gz gzips; analyze with dgetrace)")

@@ -7,9 +7,9 @@ import (
 	"io"
 	"strings"
 
-	"chicsim/internal/core"
 	"chicsim/internal/experiments"
 	"chicsim/internal/metrics/stream"
+	"chicsim/internal/obs"
 	"chicsim/internal/stats"
 )
 
@@ -171,33 +171,56 @@ func DecompositionMarkdown(w io.Writer, results []experiments.CellResult, esName
 // heatChars maps busy fraction to display density.
 const heatChars = " .:-=+*#%@"
 
-// Heatmap renders per-site processor occupancy over time: one row per
-// site, one character column per (downsampled) snapshot, darker = busier.
-// It visualizes the paper's hotspot story at a glance — JobDataPresent
-// without replication shows a few dark rows on a pale field.
-func Heatmap(w io.Writer, samples []core.Sample, maxWidth int) {
-	if len(samples) == 0 {
-		fmt.Fprintln(w, "(no samples; set Config.SampleInterval)")
+// occupancy returns the value index of each site's sNN.cpu_util column
+// in a probe series, in site order, or nil when the series holds no
+// samples to draw.
+func occupancy(s *obs.Series) []int {
+	if s == nil || len(s.Points) == 0 {
+		return nil
+	}
+	idx := make(map[string]int, len(s.Names))
+	for i, n := range s.Names {
+		idx[n] = i
+	}
+	var cols []int
+	for site := 0; ; site++ {
+		i, ok := idx[fmt.Sprintf("s%02d.cpu_util", site)]
+		if !ok {
+			return cols
+		}
+		cols = append(cols, i)
+	}
+}
+
+// Heatmap renders per-site processor occupancy over time from a probe
+// series' sNN.cpu_util columns: one row per site, one character column
+// per (downsampled) sample, darker = busier. It visualizes the paper's
+// hotspot story at a glance — JobDataPresent without replication shows a
+// few dark rows on a pale field.
+func Heatmap(w io.Writer, s *obs.Series, maxWidth int) {
+	siteCols := occupancy(s)
+	if siteCols == nil {
+		fmt.Fprintln(w, "(no samples; set Config.ObsInterval)")
 		return
 	}
 	if maxWidth <= 0 {
 		maxWidth = 80
 	}
-	sites := len(samples[0].SiteBusy)
-	cols := len(samples)
+	pts := s.Points
+	cols := len(pts)
 	stride := 1
 	if cols > maxWidth {
 		stride = (cols + maxWidth - 1) / maxWidth
 	}
 	fmt.Fprintf(w, "site occupancy, %d sites × %d samples (t=%.0f..%.0f s), '%c'=idle '%c'=full\n",
-		sites, cols, samples[0].T, samples[cols-1].T, heatChars[0], heatChars[len(heatChars)-1])
-	for s := 0; s < sites; s++ {
-		fmt.Fprintf(w, "s%-3d |", s)
+		len(siteCols), cols, pts[0].T, pts[cols-1].T, heatChars[0], heatChars[len(heatChars)-1])
+	for site, vi := range siteCols {
+		fmt.Fprintf(w, "s%-3d |", site)
 		for c := 0; c < cols; c += stride {
 			// Average the bucket.
 			sum, n := 0.0, 0
 			for k := c; k < c+stride && k < cols; k++ {
-				sum += samples[k].SiteBusy[s]
+				sum += pts[k].Values[vi]
 				n++
 			}
 			frac := sum / float64(n)
@@ -214,27 +237,30 @@ func Heatmap(w io.Writer, samples []core.Sample, maxWidth int) {
 	}
 }
 
-// Timeline renders grid-wide aggregates per sample: mean occupancy, queued
-// jobs, and in-flight transfers.
-func Timeline(w io.Writer, samples []core.Sample, maxWidth int) {
-	if len(samples) == 0 {
-		fmt.Fprintln(w, "(no samples; set Config.SampleInterval)")
+// Timeline renders grid-wide aggregates of a probe series: mean occupancy
+// per sample, then the peaks of its jobs_queued and inflight_transfers
+// columns.
+func Timeline(w io.Writer, s *obs.Series, maxWidth int) {
+	siteCols := occupancy(s)
+	if siteCols == nil {
+		fmt.Fprintln(w, "(no samples; set Config.ObsInterval)")
 		return
 	}
 	if maxWidth <= 0 {
 		maxWidth = 80
 	}
+	pts := s.Points
 	stride := 1
-	if len(samples) > maxWidth {
-		stride = (len(samples) + maxWidth - 1) / maxWidth
+	if len(pts) > maxWidth {
+		stride = (len(pts) + maxWidth - 1) / maxWidth
 	}
 	fmt.Fprintln(w, "grid occupancy over time (each char = mean busy fraction):")
 	fmt.Fprint(w, "     |")
-	for c := 0; c < len(samples); c += stride {
+	for c := 0; c < len(pts); c += stride {
 		sum, n := 0.0, 0
-		for k := c; k < c+stride && k < len(samples); k++ {
-			for _, b := range samples[k].SiteBusy {
-				sum += b
+		for k := c; k < c+stride && k < len(pts); k++ {
+			for _, vi := range siteCols {
+				sum += pts[k].Values[vi]
 				n++
 			}
 		}
@@ -246,16 +272,14 @@ func Timeline(w io.Writer, samples []core.Sample, maxWidth int) {
 		fmt.Fprintf(w, "%c", heatChars[idx])
 	}
 	fmt.Fprintln(w, "|")
-	peakQ, peakF := 0, 0
-	for _, s := range samples {
-		if s.QueuedJobs > peakQ {
-			peakQ = s.QueuedJobs
-		}
-		if s.ActiveFlows > peakF {
-			peakF = s.ActiveFlows
-		}
+	peakQ, peakF := 0.0, 0.0
+	for _, q := range s.Column("jobs_queued") {
+		peakQ = max(peakQ, q)
 	}
-	fmt.Fprintf(w, "peak queued jobs: %d, peak concurrent transfers: %d\n", peakQ, peakF)
+	for _, f := range s.Column("inflight_transfers") {
+		peakF = max(peakF, f)
+	}
+	fmt.Fprintf(w, "peak queued jobs: %.0f, peak concurrent transfers: %.0f\n", peakQ, peakF)
 }
 
 // Significance prints the Welch t-test verdict on the response times of

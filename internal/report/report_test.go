@@ -1,12 +1,14 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"chicsim/internal/core"
 	"chicsim/internal/experiments"
 	"chicsim/internal/metrics"
+	"chicsim/internal/obs"
 )
 
 func fakeResults() []experiments.CellResult {
@@ -177,14 +179,31 @@ func TestGridSkipsErrorCells(t *testing.T) {
 	}
 }
 
-func TestHeatmapAndTimeline(t *testing.T) {
-	samples := []core.Sample{
-		{T: 60, SiteBusy: []float64{0, 1}, QueuedJobs: 3, ActiveFlows: 2},
-		{T: 120, SiteBusy: []float64{0.5, 1}, QueuedJobs: 7, ActiveFlows: 1},
+// occupancySeries builds a probe series shaped like core's: the
+// grid-wide jobs_queued and inflight_transfers gauges, then one
+// sNN.cpu_util gauge per site, with busy[k] the per-site values at t[k].
+func occupancySeries(t []float64, busy [][]float64, queued, flows []float64) *obs.Series {
+	s := &obs.Series{Names: []string{"jobs_queued", "inflight_transfers"}}
+	for i := range busy[0] {
+		s.Names = append(s.Names, fmt.Sprintf("s%02d.cpu_util", i))
 	}
+	s.Kinds = make([]obs.Kind, len(s.Names))
+	for k := range t {
+		vals := append([]float64{queued[k], flows[k]}, busy[k]...)
+		s.Points = append(s.Points, obs.Point{T: t[k], Values: vals})
+	}
+	return s
+}
+
+func TestHeatmapAndTimeline(t *testing.T) {
+	series := occupancySeries([]float64{60, 120},
+		[][]float64{{0, 1}, {0.5, 1}}, []float64{3, 7}, []float64{2, 1})
 	var sb strings.Builder
-	Heatmap(&sb, samples, 80)
+	Heatmap(&sb, series, 80)
 	got := sb.String()
+	if !strings.Contains(got, "2 sites × 2 samples (t=60..120 s)") {
+		t.Fatalf("header wrong:\n%s", got)
+	}
 	if !strings.Contains(got, "s0") || !strings.Contains(got, "s1") {
 		t.Fatalf("missing site rows:\n%s", got)
 	}
@@ -192,7 +211,7 @@ func TestHeatmapAndTimeline(t *testing.T) {
 		t.Fatalf("fully busy site not rendered dark:\n%s", got)
 	}
 	sb.Reset()
-	Timeline(&sb, samples, 80)
+	Timeline(&sb, series, 80)
 	if !strings.Contains(sb.String(), "peak queued jobs: 7") ||
 		!strings.Contains(sb.String(), "peak concurrent transfers: 2") {
 		t.Fatalf("timeline peaks wrong:\n%s", sb.String())
@@ -200,12 +219,15 @@ func TestHeatmapAndTimeline(t *testing.T) {
 }
 
 func TestHeatmapDownsamples(t *testing.T) {
-	var samples []core.Sample
+	var ts, zero []float64
+	var busy [][]float64
 	for i := 0; i < 500; i++ {
-		samples = append(samples, core.Sample{T: float64(i), SiteBusy: []float64{0.5}})
+		ts = append(ts, float64(i))
+		busy = append(busy, []float64{0.5})
+		zero = append(zero, 0)
 	}
 	var sb strings.Builder
-	Heatmap(&sb, samples, 50)
+	Heatmap(&sb, occupancySeries(ts, busy, zero, zero), 50)
 	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
 	row := lines[1]
 	if len(row) > 60 {
@@ -214,11 +236,13 @@ func TestHeatmapDownsamples(t *testing.T) {
 }
 
 func TestHeatmapEmpty(t *testing.T) {
-	var sb strings.Builder
-	Heatmap(&sb, nil, 80)
-	Timeline(&sb, nil, 80)
-	if !strings.Contains(sb.String(), "no samples") {
-		t.Fatalf("empty-sample hint missing: %q", sb.String())
+	for _, s := range []*obs.Series{nil, {}, {Names: []string{"jobs_queued"}, Points: []obs.Point{{T: 60, Values: []float64{1}}}}} {
+		var sb strings.Builder
+		Heatmap(&sb, s, 80)
+		Timeline(&sb, s, 80)
+		if strings.Count(sb.String(), "no samples") != 2 {
+			t.Fatalf("empty-sample hint missing for %+v: %q", s, sb.String())
+		}
 	}
 }
 
