@@ -152,7 +152,7 @@ func main() {
 		fmt.Printf("%-28s %12.1f ns/op %8d B/op %6d allocs/op", r.Name,
 			r.NsPerOp, r.BytesPerOp, r.AllocsPerOp)
 		for k, v := range r.Extra {
-			fmt.Printf("  %12.0f %s", v, k)
+			fmt.Printf("  %12.4g %s", v, k)
 		}
 		fmt.Println()
 	}

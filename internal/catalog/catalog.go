@@ -184,16 +184,21 @@ func (c *Catalog) CountAt(site topology.SiteID) int {
 	return n
 }
 
-// Closest returns the replica site nearest to `from` by hop count, with
-// ties broken by lowest site id. ok is false when no replica exists.
+// Closest returns the replica site nearest to `from` by hop count, ties to
+// the lowest site id; ok is false when no replica exists. No other site is
+// nearer than 2 hops, so the ascending scan stops at the first that close.
 func (c *Catalog) Closest(f storage.FileID, from topology.SiteID, topo *topology.Topology) (topology.SiteID, bool) {
-	best := topology.SiteID(-1)
-	bestHops := int(^uint(0) >> 1)
-	for _, s := range c.ReplicaList(f) {
-		h := topo.Hops(from, s)
-		if h < bestHops {
-			bestHops = h
-			best = s
+	lst := c.ReplicaList(f)
+	if _, ok := replicaIndex(lst, from); ok {
+		return from, true
+	}
+	best, bestHops := topology.SiteID(-1), int(^uint(0)>>1)
+	for _, s := range lst {
+		if h := topo.Hops(from, s); h < bestHops {
+			best, bestHops = s, h
+			if h == 2 {
+				break
+			}
 		}
 	}
 	return best, best >= 0

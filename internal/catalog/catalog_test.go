@@ -104,6 +104,47 @@ func TestClosestTieBreakDeterministic(t *testing.T) {
 	}
 }
 
+// TestClosestMatchesBruteForce checks the early-stopping Closest against a
+// full scan for the minimum hop count with ties to the lowest id, on
+// random catalogs over every topology constructor.
+func TestClosestMatchesBruteForce(t *testing.T) {
+	hier, err := topology.NewHierarchical(topology.Config{Sites: 37, RegionFanout: 5, Bandwidth: 1}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tiered, err := topology.NewTiered([]int{3, 2, 4}, []float64{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	star, err := topology.NewStar(9, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, topo := range map[string]*topology.Topology{"hierarchical": hier, "tiered": tiered, "star": star} {
+		src := rng.New(11)
+		n := topo.NumSites()
+		for trial := 0; trial < 200; trial++ {
+			c := New()
+			c.DefineFile(0, 1)
+			for k := src.Intn(6); k > 0; k-- {
+				c.Register(0, topology.SiteID(src.Intn(n)))
+			}
+			from := topology.SiteID(src.Intn(n))
+			want, wantHops := topology.SiteID(-1), 0
+			for _, s := range c.ReplicaList(0) {
+				if h := topo.Hops(from, s); want < 0 || h < wantHops {
+					want, wantHops = s, h
+				}
+			}
+			got, ok := c.Closest(0, from, topo)
+			if ok != (want >= 0) || (ok && got != want) {
+				t.Fatalf("%s trial %d: Closest(from %d, replicas %v) = %v %v, want %v",
+					name, trial, from, c.ReplicaList(0), got, ok, want)
+			}
+		}
+	}
+}
+
 // Property: after any register/deregister sequence, Replicas is sorted,
 // duplicate-free, and consistent with HasReplica.
 func TestQuickConsistency(t *testing.T) {

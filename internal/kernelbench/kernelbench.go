@@ -13,6 +13,7 @@ package kernelbench
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"chicsim/internal/core"
 	"chicsim/internal/desim"
@@ -147,7 +148,8 @@ func ScaleConfig(jobs int) core.Config {
 // store, pooled flow records, and scheduler scratch buffers make the
 // steady-state loop allocation-free, mallocs/job is dominated by one-time
 // setup and falls toward zero as the tier grows; a flat or rising curve
-// across 10k→1M is a per-job allocation regression.
+// across 10k→1M is a per-job allocation regression. ns/op is build plus
+// run; setup-s is core.New alone and run-ns/job the rest, per job.
 func SimScale(jobs int) func(*testing.B) { return simScale(ScaleConfig(jobs)) }
 
 // SimScaleRandom returns a benchmark body running the ScaleConfig scenario
@@ -163,11 +165,18 @@ func SimScaleRandom(jobs int) func(*testing.B) {
 func simScale(cfg core.Config) func(*testing.B) {
 	return func(b *testing.B) {
 		var events, mallocs uint64
+		var setup time.Duration
 		var ms runtime.MemStats
 		for i := 0; i < b.N; i++ {
 			runtime.ReadMemStats(&ms)
 			before := ms.Mallocs
-			res, err := core.RunConfig(cfg)
+			start := time.Now()
+			sim, err := core.New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			setup += time.Since(start)
+			res, err := sim.Run()
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -178,6 +187,8 @@ func simScale(cfg core.Config) func(*testing.B) {
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(float64(events)/s, "events/sec")
 		}
-		b.ReportMetric(float64(mallocs)/float64(b.N)/float64(cfg.TotalJobs), "mallocs/job")
+		b.ReportMetric(float64(mallocs)/float64(b.N*cfg.TotalJobs), "mallocs/job")
+		b.ReportMetric(setup.Seconds()/float64(b.N), "setup-s")
+		b.ReportMetric(float64((b.Elapsed()-setup).Nanoseconds())/float64(b.N*cfg.TotalJobs), "run-ns/job")
 	}
 }

@@ -52,3 +52,39 @@ func TestSteadyStateReflowDoesNotAllocate(t *testing.T) {
 		})
 	}
 }
+
+// TestSteadyStateTransferCompletionDoesNotAllocate pins the full transfer
+// cycle at zero allocations once the pool is warm: Transfer fills the
+// recycled flow's own route buffer, and the completion returns the flow
+// (buffer capacity kept) to the pool.
+func TestSteadyStateTransferCompletionDoesNotAllocate(t *testing.T) {
+	eng := desim.New()
+	topo, err := topology.NewTiered([]int{2, 3, 5}, []float64{100e6, 10e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := netsim.New(eng, topo, netsim.EqualShare)
+	sites := topo.NumSites()
+	for i := 0; i < 16; i++ {
+		n.Transfer(topology.SiteID(i%sites), topology.SiteID((i+11)%sites), 1e15, nil)
+	}
+	done := false
+	onDone := func(*netsim.Flow) { done = true }
+	i := 0
+	op := func() {
+		done = false
+		n.Transfer(topology.SiteID(i%sites), topology.SiteID((i*7+1)%sites), 1e6, onDone)
+		for !done && eng.Step() {
+		}
+		i++
+	}
+	for j := 0; j < 512; j++ {
+		op()
+	}
+	if !done {
+		t.Fatal("transfer never completed")
+	}
+	if allocs := testing.AllocsPerRun(1000, op); allocs != 0 {
+		t.Fatalf("steady-state transfer and completion allocate %v/op, want 0", allocs)
+	}
+}

@@ -103,7 +103,7 @@ func TestOutageStallsUnderMaxMin(t *testing.T) {
 	n.Transfer(1, 2, 100e6, func(*Flow) { t2 = eng.Now() })
 	// Kill site 0's access link at t=2; flow 1 then gets the full shared
 	// link to itself.
-	link0 := topo.Route(0, 2)[0]
+	link0 := topo.AppendRoute(nil, 0, 2)[0]
 	eng.Schedule(2, func() { n.SetLinkBandwidth(link0, 0) })
 	eng.Schedule(1000, func() { n.SetLinkBandwidth(link0, -1) })
 	eng.Run()

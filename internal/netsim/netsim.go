@@ -69,8 +69,8 @@ func (p SharingPolicy) String() string {
 // it (with a fresh ID). A *Flow handle is therefore only valid between
 // Transfer and the flow's completion or cancellation — exactly the window
 // the simulator uses them in. The two scheduling closures are built once
-// per struct, when it is first allocated, so the steady-state transfer
-// loop allocates nothing per flow.
+// per struct and its route buffer survives reuse, so the steady-state
+// transfer loop allocates nothing per flow.
 type Flow struct {
 	ID         int
 	Src, Dst   topology.SiteID
@@ -241,7 +241,7 @@ func (n *Network) Transfer(src, dst topology.SiteID, size float64, done func(*Fl
 	f.Size = size
 	f.remaining = size
 	f.rate = 0
-	f.path = n.topo.Route(src, dst)
+	f.path = n.topo.AppendRoute(f.path[:0], src, dst)
 	f.done = done
 	f.started = n.eng.Now()
 	n.nextID++
@@ -286,7 +286,7 @@ func (n *Network) release(f *Flow) {
 	}
 	f.pooled = true
 	f.done = nil
-	f.path = nil
+	f.path = f.path[:0]
 	n.pool = append(n.pool, f)
 }
 
@@ -434,8 +434,9 @@ func (n *Network) LinkBacklogBytes() []float64 {
 // route between two sites at its most loaded link. The adaptive scheduler
 // extension uses this as its congestion signal.
 func (n *Network) CongestionOn(src, dst topology.SiteID) int {
+	var buf [8]topology.LinkID
 	maxFlows := 0
-	for _, l := range n.topo.Route(src, dst) {
+	for _, l := range n.topo.AppendRoute(buf[:0], src, dst) {
 		if c := n.onLink[l]; c > maxFlows {
 			maxFlows = c
 		}
@@ -447,7 +448,8 @@ func (n *Network) CongestionOn(src, dst topology.SiteID) int {
 // move size bytes between the sites (∞-free: returns size/rate with at
 // least one competing slot assumed for the new flow itself).
 func (n *Network) PredictTime(src, dst topology.SiteID, size float64) float64 {
-	path := n.topo.Route(src, dst)
+	var buf [8]topology.LinkID
+	path := n.topo.AppendRoute(buf[:0], src, dst)
 	if len(path) == 0 {
 		return 0
 	}

@@ -298,7 +298,7 @@ func TestLinkUtilizationAndBytes(t *testing.T) {
 	eng = desim.New()
 	topo = star(t, 3, 10e6)
 	n = New(eng, topo, EqualShare)
-	access, to1, to2 := topo.Route(0, 1)[0], topo.Route(0, 1)[1], topo.Route(0, 2)[1]
+	access, to1, to2 := topo.AppendRoute(nil, 0, 1)[0], topo.AppendRoute(nil, 0, 1)[1], topo.AppendRoute(nil, 0, 2)[1]
 	n.Transfer(0, 1, 100e6, nil)
 	f2 := n.Transfer(0, 2, 100e6, nil)
 	check := func(when string, want map[topology.LinkID]float64) {

@@ -64,7 +64,7 @@ func (r *refNet) bandwidth(l topology.LinkID) float64 {
 }
 
 func (r *refNet) transfer(src, dst topology.SiteID, size float64, done func()) *refFlow {
-	f := &refFlow{size: size, remaining: size, path: r.topo.Route(src, dst), done: done}
+	f := &refFlow{size: size, remaining: size, path: r.topo.AppendRoute(nil, src, dst), done: done}
 	switch {
 	case len(f.path) == 0 || size == 0:
 		f.ev = r.eng.Schedule(0, func() { r.finish(f) })

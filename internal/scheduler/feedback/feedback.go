@@ -370,8 +370,9 @@ func (t *Tracker) RouteBacklogSeconds(a, b topology.SiteID) float64 {
 	if t == nil || t.samples == 0 || a == b {
 		return 0
 	}
+	var buf [8]topology.LinkID
 	worst := 0.0
-	for _, l := range t.topo.Route(a, b) {
+	for _, l := range t.topo.AppendRoute(buf[:0], a, b) {
 		if t.linkBacklog[l] > worst {
 			worst = t.linkBacklog[l]
 		}

@@ -4,12 +4,15 @@
 // The paper assumes "a hierarchical network topology much like that
 // envisioned by the GriPhyN project": a tree with a root hub, regional
 // centers beneath it, and leaf sites beneath the regions. Every edge is a
-// bidirectional link with a nominal bandwidth; the route between two sites
-// climbs to their lowest common ancestor and descends.
+// bidirectional link with a nominal bandwidth. All sites sit at one depth,
+// so the route between two sites, a climb to their lowest common ancestor
+// and back down, is derived from each node's parent when asked for: no
+// route is stored, and construction is linear in sites.
 package topology
 
 import (
 	"fmt"
+	"slices"
 
 	"chicsim/internal/rng"
 )
@@ -31,25 +34,16 @@ type Link struct {
 	Bandwidth float64 // bytes per second
 }
 
-// Node is a vertex of the hierarchy.
-type Node struct {
-	ID     NodeID
-	Parent NodeID // -1 for the root
-	Depth  int
-	Site   SiteID // >= 0 iff the node is a leaf site
-	up     LinkID // link to parent; -1 for root
-}
-
-// Topology is an immutable routed network. Build one with NewHierarchical
-// or NewStar and share it freely: all methods are read-only after
-// construction.
+// Topology is an immutable routed network. Build one with NewHierarchical,
+// NewTiered or NewStar and share it freely: all methods are read-only
+// after construction.
 type Topology struct {
-	nodes    []Node
 	links    []Link
-	siteNode []NodeID     // site -> leaf node
-	routes   [][][]LinkID // [srcSite][dstSite] -> ordered link path
-	hops     [][]int
-	siblings [][]SiteID // site -> same-parent sites, precomputed
+	parent   []NodeID   // node -> parent node; -1 for the root
+	up       []LinkID   // node -> link to its parent; -1 for the root
+	siteNode []NodeID   // site -> leaf node
+	depth    int        // depth of every leaf site
+	siblings [][]SiteID // site -> same-parent sites, ascending
 }
 
 // Config controls hierarchy construction.
@@ -83,12 +77,12 @@ func NewHierarchical(cfg Config, src *rng.Source) (*Topology, error) {
 		backbone = cfg.Bandwidth
 	}
 	t := &Topology{}
-	root := t.addNode(-1, -1, cfg.Bandwidth)
+	root := t.addNode(-1, cfg.Bandwidth)
 
 	regions := (cfg.Sites + cfg.RegionFanout - 1) / cfg.RegionFanout
 	regionNodes := make([]NodeID, regions)
 	for r := 0; r < regions; r++ {
-		regionNodes[r] = t.addNode(root, -1, backbone)
+		regionNodes[r] = t.addNode(root, backbone)
 	}
 
 	// Assign sites to regions round-robin over a shuffled site order.
@@ -101,10 +95,9 @@ func NewHierarchical(cfg Config, src *rng.Source) (*Topology, error) {
 	}
 	t.siteNode = make([]NodeID, cfg.Sites)
 	for i, site := range order {
-		region := regionNodes[i%regions]
-		t.siteNode[site] = t.addNode(region, SiteID(site), cfg.Bandwidth)
+		t.siteNode[site] = t.addNode(regionNodes[i%regions], cfg.Bandwidth)
 	}
-	t.computeRoutes()
+	t.indexSites()
 	return t, nil
 }
 
@@ -132,113 +125,71 @@ func NewTiered(fanouts []int, bandwidths []float64) (*Topology, error) {
 			return nil, fmt.Errorf("topology: tier %d bandwidth %v", i, b)
 		}
 	}
-	bwAt := func(depth int) float64 {
-		if depth < len(bandwidths) {
-			return bandwidths[depth]
-		}
-		return bandwidths[len(bandwidths)-1]
-	}
 	t := &Topology{}
-	frontier := []NodeID{t.addNode(-1, -1, 0)}
+	frontier := []NodeID{t.addNode(-1, 0)}
 	for depth, fanout := range fanouts {
-		leafTier := depth == len(fanouts)-1
+		bw := bandwidths[min(depth, len(bandwidths)-1)]
 		var next []NodeID
 		for _, parent := range frontier {
 			for c := 0; c < fanout; c++ {
-				site := SiteID(-1)
-				if leafTier {
-					site = SiteID(len(t.siteNode))
-				}
-				id := t.addNode(parent, site, bwAt(depth))
-				if leafTier {
-					t.siteNode = append(t.siteNode, id)
-				}
-				next = append(next, id)
+				next = append(next, t.addNode(parent, bw))
 			}
 		}
 		frontier = next
 	}
-	t.computeRoutes()
+	t.siteNode = frontier
+	t.indexSites()
 	return t, nil
 }
 
 // NewStar builds a degenerate hierarchy: every site hangs directly off one
-// hub. Useful for tests and for isolating contention at a single shared
-// point.
+// hub, as in NewTiered([]int{sites}, []float64{bandwidth}). Useful for
+// tests and for isolating contention at a single shared point.
 func NewStar(sites int, bandwidth float64) (*Topology, error) {
-	if sites <= 0 || bandwidth <= 0 {
-		return nil, fmt.Errorf("topology: invalid star parameters (sites=%d bw=%v)", sites, bandwidth)
-	}
-	t := &Topology{}
-	hub := t.addNode(-1, -1, bandwidth)
-	t.siteNode = make([]NodeID, sites)
-	for s := 0; s < sites; s++ {
-		t.siteNode[s] = t.addNode(hub, SiteID(s), bandwidth)
-	}
-	t.computeRoutes()
-	return t, nil
+	return NewTiered([]int{sites}, []float64{bandwidth})
 }
 
-func (t *Topology) addNode(parent NodeID, site SiteID, bw float64) NodeID {
-	id := NodeID(len(t.nodes))
-	n := Node{ID: id, Parent: parent, Site: site, up: -1}
+func (t *Topology) addNode(parent NodeID, bw float64) NodeID {
+	id := NodeID(len(t.parent))
+	up := LinkID(-1)
 	if parent >= 0 {
-		n.Depth = t.nodes[parent].Depth + 1
-		lid := LinkID(len(t.links))
-		t.links = append(t.links, Link{ID: lid, A: parent, B: id, Bandwidth: bw})
-		n.up = lid
+		up = LinkID(len(t.links))
+		t.links = append(t.links, Link{ID: up, A: parent, B: id, Bandwidth: bw})
 	}
-	t.nodes = append(t.nodes, n)
+	t.parent = append(t.parent, parent)
+	t.up = append(t.up, up)
 	return id
 }
 
-func (t *Topology) computeRoutes() {
-	n := len(t.siteNode)
-	t.routes = make([][][]LinkID, n)
-	t.hops = make([][]int, n)
-	for a := 0; a < n; a++ {
-		t.routes[a] = make([][]LinkID, n)
-		t.hops[a] = make([]int, n)
-		for b := 0; b < n; b++ {
-			path := t.route(t.siteNode[a], t.siteNode[b])
-			t.routes[a][b] = path
-			t.hops[a][b] = len(path)
+// indexSites checks that every site sits at one depth and builds the
+// sibling lists from each parent's children, in O(sites × fanout).
+func (t *Topology) indexSites() {
+	kids := make([][]SiteID, len(t.parent)) // node -> child sites, ascending
+	total := 0                              // Σ c·(c−1) over parents with c child sites
+	for s, nid := range t.siteNode {
+		d := 0
+		for x := nid; t.parent[x] >= 0; x = t.parent[x] {
+			d++
+		}
+		if s > 0 && d != t.depth {
+			panic(fmt.Sprintf("topology: site %d at depth %d, site 0 at %d", s, d, t.depth))
+		}
+		t.depth = d
+		p := t.parent[nid]
+		total += 2 * len(kids[p])
+		kids[p] = append(kids[p], SiteID(s))
+	}
+	// One backing array holds every list, each capped so that a caller's
+	// append cannot run into the next.
+	all := make([]SiteID, 0, total)
+	t.siblings = make([][]SiteID, len(t.siteNode))
+	for s, nid := range t.siteNode {
+		if k := kids[t.parent[nid]]; len(k) > 1 {
+			i, _ := slices.BinarySearch(k, SiteID(s))
+			all = append(append(all, k[:i]...), k[i+1:]...)
+			t.siblings[s] = all[len(all)-len(k)+1 : len(all) : len(all)]
 		}
 	}
-	t.siblings = make([][]SiteID, n)
-	for a := 0; a < n; a++ {
-		parent := t.nodes[t.siteNode[a]].Parent
-		var out []SiteID
-		for s, nid := range t.siteNode {
-			if s != a && t.nodes[nid].Parent == parent {
-				out = append(out, SiteID(s))
-			}
-		}
-		t.siblings[a] = out
-	}
-}
-
-// route climbs both endpoints to their lowest common ancestor, collecting
-// uplinks; the down-side links are appended in descent order.
-func (t *Topology) route(a, b NodeID) []LinkID {
-	if a == b {
-		return nil
-	}
-	var up, down []LinkID
-	x, y := a, b
-	for x != y {
-		if t.nodes[x].Depth >= t.nodes[y].Depth {
-			up = append(up, t.nodes[x].up)
-			x = t.nodes[x].Parent
-		} else {
-			down = append(down, t.nodes[y].up)
-			y = t.nodes[y].Parent
-		}
-	}
-	for i := len(down) - 1; i >= 0; i-- {
-		up = append(up, down[i])
-	}
-	return up
 }
 
 // NumSites returns the number of leaf sites.
@@ -253,25 +204,47 @@ func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 // Links returns all links (do not mutate).
 func (t *Topology) Links() []Link { return t.links }
 
-// Route returns the ordered list of links between two sites (empty when
-// src == dst). The returned slice is shared; callers must not mutate it.
-func (t *Topology) Route(src, dst SiteID) []LinkID { return t.routes[src][dst] }
-
-// Hops returns the number of links on the route between two sites.
-func (t *Topology) Hops(src, dst SiteID) int { return t.hops[src][dst] }
-
-// Siblings returns the sites that share src's regional parent, excluding
-// src itself. These are the "neighbors" used by the DataLeastLoaded dataset
-// scheduler. The returned slice is precomputed and shared; callers must
-// not mutate it.
-func (t *Topology) Siblings(src SiteID) []SiteID { return t.siblings[src] }
-
-// IsBackbone reports whether the link connects the root to a regional
-// center (the shared top-tier links of the hierarchy).
-func (t *Topology) IsBackbone(l LinkID) bool {
-	link := t.links[l]
-	return t.nodes[link.A].Parent == -1 || t.nodes[link.B].Parent == -1
+// AppendRoute appends the ordered links from src to dst to buf and
+// returns the extended slice: src's uplinks climbing to the lowest common
+// ancestor, then dst's uplinks in descent order. Nothing is appended when
+// src == dst. It allocates only when buf lacks the capacity.
+func (t *Topology) AppendRoute(buf []LinkID, src, dst SiteID) []LinkID {
+	k := t.Hops(src, dst) / 2
+	n := len(buf)
+	buf = slices.Grow(buf, 2*k)[:n+2*k]
+	x, y := t.siteNode[src], t.siteNode[dst]
+	for i := 0; i < k; i++ {
+		buf[n+i], buf[n+2*k-1-i] = t.up[x], t.up[y]
+		x, y = t.parent[x], t.parent[y]
+	}
+	return buf
 }
 
-// SiteDepth returns the tree depth of the site's leaf node.
-func (t *Topology) SiteDepth(s SiteID) int { return t.nodes[t.siteNode[s]].Depth }
+// Hops returns the number of links on the route between two sites: 0 for
+// a site to itself, at least 2 between distinct sites.
+func (t *Topology) Hops(src, dst SiteID) int {
+	x, y := t.siteNode[src], t.siteNode[dst]
+	h := 0
+	for x != y {
+		x, y = t.parent[x], t.parent[y]
+		h += 2
+	}
+	return h
+}
+
+// Siblings returns the sites that share src's regional parent, excluding
+// src itself, in ascending order. These are the "neighbors" used by the
+// DataLeastLoaded dataset scheduler. The returned slice is shared;
+// callers must not mutate it.
+func (t *Topology) Siblings(src SiteID) []SiteID { return t.siblings[src] }
+
+// IsBackbone reports whether the link connects the root to an interior
+// node (a regional center): the shared top-tier links of the hierarchy.
+// When the sites hang straight off the root, no link is backbone.
+func (t *Topology) IsBackbone(l LinkID) bool {
+	return t.parent[t.links[l].A] == -1 && t.depth > 1
+}
+
+// SiteDepth returns the tree depth of the site's leaf node, the same for
+// every site.
+func (t *Topology) SiteDepth(SiteID) int { return t.depth }

@@ -34,7 +34,7 @@ func TestHierarchicalShape(t *testing.T) {
 
 func TestRouteSelf(t *testing.T) {
 	topo := mustHier(t, 10, 3)
-	if len(topo.Route(4, 4)) != 0 {
+	if len(topo.AppendRoute(nil, 4, 4)) != 0 {
 		t.Fatal("self route should be empty")
 	}
 	if topo.Hops(4, 4) != 0 {
@@ -46,7 +46,7 @@ func TestRouteValidity(t *testing.T) {
 	topo := mustHier(t, 30, 6)
 	for a := 0; a < 30; a++ {
 		for b := 0; b < 30; b++ {
-			path := topo.Route(SiteID(a), SiteID(b))
+			path := topo.AppendRoute(nil, SiteID(a), SiteID(b))
 			if a == b {
 				continue
 			}
@@ -140,7 +140,7 @@ func TestNewTieredFourLevels(t *testing.T) {
 		t.Fatalf("sibling hops = %d", h)
 	}
 	// Tiered bandwidths land on the right links: leaf uplinks are 1 MB/s.
-	leafUp := topo.Route(0, sibs[0])[0]
+	leafUp := topo.AppendRoute(nil, 0, sibs[0])[0]
 	if topo.Link(leafUp).Bandwidth != 1e6 {
 		t.Fatalf("leaf uplink bw = %v", topo.Link(leafUp).Bandwidth)
 	}
@@ -165,7 +165,7 @@ func TestNewTieredMatchesHierarchicalShape(t *testing.T) {
 	// Route validity across the tree.
 	for a := 0; a < 30; a += 7 {
 		for b := 0; b < 30; b += 5 {
-			path := topo.Route(SiteID(a), SiteID(b))
+			path := topo.AppendRoute(nil, SiteID(a), SiteID(b))
 			if (a == b) != (len(path) == 0) {
 				t.Fatalf("route %d->%d length %d", a, b, len(path))
 			}
@@ -241,7 +241,7 @@ func TestSingleSite(t *testing.T) {
 	if topo.NumSites() != 1 {
 		t.Fatal("want 1 site")
 	}
-	if len(topo.Route(0, 0)) != 0 {
+	if len(topo.AppendRoute(nil, 0, 0)) != 0 {
 		t.Fatal("self route must be empty")
 	}
 }
@@ -294,7 +294,7 @@ func TestQuickRoutes(t *testing.T) {
 		}
 		for a := 0; a < sites; a++ {
 			for b := 0; b < sites; b++ {
-				path := topo.Route(SiteID(a), SiteID(b))
+				path := topo.AppendRoute(nil, SiteID(a), SiteID(b))
 				if (a == b) != (len(path) == 0) {
 					return false
 				}
