@@ -43,7 +43,16 @@ func checkInvariants(t testing.TB, n *Network) {
 			}
 		}
 	}
+	if next := n.scanNext(); n.rescan || n.next != next {
+		t.Fatalf("at %v: tracked next %v (rescan %v), scan picks %v", now, flowID(n.next), n.rescan, flowID(next))
+	}
+	if n.next != nil && (n.ev.IsZero() || n.ev.At() != n.next.finish) {
+		t.Fatalf("at %v: completion event does not sit at next's finish %v", now, n.next.finish)
+	}
 	for l, fl := range n.linkFlows {
+		if len(fl) > 0 && n.share[l] != n.linkBandwidth(topology.LinkID(l))/float64(len(fl)) {
+			t.Fatalf("link %d: cached share %v is stale", l, n.share[l])
+		}
 		if len(fl) != n.onLink[l] || len(fl) != want[l] {
 			t.Fatalf("link %d: %d indexed flows, onLink %d, %d admitted routes cross it",
 				l, len(fl), n.onLink[l], want[l])
@@ -57,4 +66,12 @@ func checkInvariants(t testing.TB, n *Network) {
 			t.Fatalf("link %d with %d flows: busy since %v at %v", l, len(fl), n.busySince[l], now)
 		}
 	}
+}
+
+// flowID names a flow in a failure message; -1 stands for none.
+func flowID(f *Flow) int {
+	if f == nil {
+		return -1
+	}
+	return f.ID
 }

@@ -16,18 +16,21 @@
 // walking any other route. Progress is tracked lazily: a flow keeps its
 // remaining bytes as of an anchor time, its rate, and its finish time
 // anchor + remaining/rate. Only a flow whose rate actually changes is
-// re-anchored, its remaining bytes advanced at the old rate to now. Apart
-// from one scan of a dense array, and on a removal a shift of the
-// admission-ordered list, a change point costs work in the flows it
-// touches, not in the flows in flight. The link statistics are pure reads
-// that project from the anchors.
+// re-anchored, its remaining bytes advanced at the old rate to now. Each
+// link caches its equal share, refreshed only when its occupancy or
+// bandwidth changes. Apart from a shift of the admission-ordered list on a
+// removal, and an occasional scan of a dense array (below), a change point
+// costs work in the flows it touches, not in the flows in flight. The link
+// statistics are pure reads that project from the anchors.
 //
 // A Network keeps a single pending engine event, at the earliest finish
-// among its running flows (ties to the earliest admitted), found by a
-// scan of a dense finish-time array kept in admission order. The event is
-// rescheduled at every change point, so completions fire in exactly the
-// (time, sequence) order that one event per flow, all rescheduled in
-// admission order at every change point, would — see DESIGN.md §13.
+// among its running flows (ties to the earliest admitted). That flow is
+// tracked as finish times change; only when its own finish rises or it
+// leaves is a dense finish-time array, kept in admission order, scanned
+// for the new minimum. The event is rescheduled at every change point, so
+// completions fire in exactly the (time, sequence) order that one event
+// per flow, all rescheduled in admission order at every change point,
+// would — see DESIGN.md §13.
 package netsim
 
 import (
@@ -121,14 +124,18 @@ type Network struct {
 	ordered   []*Flow   // active flows in admission order: deterministic iteration
 	finishAt  []float64 // finishAt[i] == ordered[i].finish, scanned for the next completion
 	onLink    []int     // active flow count per link
+	share     []float64 // share[l] == linkBandwidth(l)/onLink[l], refreshed when either changes
 	linkFlows [][]*Flow // active flows crossing each link, in no particular order
 	nextID    int
 	pool      []*Flow // recycled Flow structs with prebuilt closures
 
 	// The one pending completion event: next's finish, the earliest among
-	// running flows. Zero when no flow is running.
+	// running flows. Zero when no flow is running. next is kept up to date
+	// as finish times change; rescan marks it unknown (next's own finish
+	// rose, or next left), and the next reflow scans finishAt for it.
 	ev         desim.Event
 	next       *Flow
+	rescan     bool
 	completeFn func()
 
 	// Reflow scratch state, reused across calls so the per-change-point
@@ -170,6 +177,7 @@ func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Netw
 		topo:      topo,
 		policy:    policy,
 		onLink:    make([]int, topo.NumLinks()),
+		share:     make([]float64, topo.NumLinks()),
 		linkFlows: make([][]*Flow, topo.NumLinks()),
 
 		bwOverride: make([]float64, topo.NumLinks()),
@@ -210,6 +218,13 @@ func (n *Network) linkBandwidth(l topology.LinkID) float64 {
 	return n.topo.Link(l).Bandwidth
 }
 
+// updateShare refreshes the cached equal share of link l after its
+// bandwidth or occupancy changed. The expression is the one reflow used to
+// evaluate per hop, so the cached value is bit-identical to it.
+func (n *Network) updateShare(l topology.LinkID) {
+	n.share[l] = n.linkBandwidth(l) / float64(n.onLink[l])
+}
+
 // SetLinkBandwidth dynamically changes one link's bandwidth (degradation
 // or repair), immediately re-sharing all in-flight transfers. A bandwidth
 // of 0 stalls flows crossing the link until it recovers; negative restores
@@ -223,6 +238,7 @@ func (n *Network) SetLinkBandwidth(l topology.LinkID, bytesPerSec float64) {
 	} else {
 		n.bwOverride[l] = bytesPerSec
 	}
+	n.updateShare(l)
 	n.oneLink[0] = l
 	n.reflow(n.oneLink[:])
 }
@@ -308,6 +324,7 @@ func (n *Network) activate(f *Flow) {
 			n.busySince[l] = now
 		}
 		n.onLink[l]++
+		n.updateShare(l)
 		f.hopPos = append(f.hopPos, int32(len(n.linkFlows[l])))
 		n.linkFlows[l] = append(n.linkFlows[l], f)
 	}
@@ -493,15 +510,41 @@ func (n *Network) setRate(f *Flow, rate float64, now desim.Time) {
 }
 
 // reanchor advances f's remaining bytes to now at its old rate and
-// derives its finish time at the new one.
+// derives its finish time at the new one, keeping next current: a flow
+// that now finishes first (ties to the earliest admitted) becomes next,
+// and next finishing later than before leaves the minimum unknown.
 func (n *Network) reanchor(f *Flow, rate float64, now desim.Time) {
 	rem := f.remainingAt(now)
 	finish := math.Inf(1)
 	if rate > 0 {
 		finish = now + rem/rate
 	}
+	old := f.finish
 	f.remaining, f.anchor, f.rate, f.finish = rem, now, rate, finish
 	n.finishAt[f.ord] = finish
+	switch {
+	case n.rescan:
+	case f == n.next:
+		n.rescan = finish > old
+	case finish == math.Inf(1):
+	case n.next == nil || finish < n.next.finish || finish == n.next.finish && f.ord < n.next.ord:
+		n.next = f
+	}
+}
+
+// scanNext returns the running flow with the earliest finish, ties to the
+// earliest admitted, or nil when no flow is running.
+func (n *Network) scanNext() *Flow {
+	next, best := -1, math.Inf(1)
+	for i, at := range n.finishAt {
+		if at < best {
+			next, best = i, at
+		}
+	}
+	if next < 0 {
+		return nil
+	}
+	return n.ordered[next]
 }
 
 // reflow recomputes flow rates after a change to the links in changed — a
@@ -534,8 +577,7 @@ func (n *Network) reflow(changed []topology.LinkID) {
 				f.mark = n.epoch
 				rate := math.Inf(1)
 				for _, pl := range f.path {
-					share := n.linkBandwidth(pl) / float64(n.onLink[pl])
-					if share < rate {
+					if share := n.share[pl]; share < rate {
 						rate = share
 					}
 				}
@@ -547,23 +589,18 @@ func (n *Network) reflow(changed []topology.LinkID) {
 	default:
 		panic("netsim: unknown sharing policy")
 	}
-	next, best := -1, math.Inf(1)
-	for i, at := range n.finishAt {
-		if at < best {
-			next, best = i, at
-		}
+	if n.rescan {
+		n.next, n.rescan = n.scanNext(), false
 	}
-	if next < 0 { // no flow running, or all stalled
-		n.next = nil
+	if n.next == nil { // no flow running, or all stalled
 		n.eng.Cancel(n.ev)
 		n.ev = desim.Event{}
 		return
 	}
-	n.next = n.ordered[next]
 	if n.ev.IsZero() {
-		n.ev = n.eng.At(best, n.completeFn)
+		n.ev = n.eng.At(n.next.finish, n.completeFn)
 	} else {
-		n.eng.RescheduleAt(n.ev, best)
+		n.eng.RescheduleAt(n.ev, n.next.finish)
 	}
 }
 
@@ -654,6 +691,9 @@ func (n *Network) remove(f *Flow) {
 		return
 	}
 	f.active = false
+	if f == n.next {
+		n.next, n.rescan = nil, true
+	}
 	i := f.ord
 	if i >= len(n.ordered) || n.ordered[i] != f {
 		panic("netsim: flow ordinal out of sync")
@@ -671,6 +711,7 @@ func (n *Network) remove(f *Flow) {
 	for k, l := range f.path {
 		n.linkBytes[l] += f.Size - f.remaining
 		n.onLink[l]--
+		n.updateShare(l)
 		switch {
 		case n.onLink[l] < 0:
 			panic("netsim: negative link occupancy")
