@@ -135,23 +135,12 @@ func (c *Catalog) Deregister(f storage.FileID, site topology.SiteID) {
 
 // ReplicaList returns the sites holding f, sorted ascending, as the
 // catalog's internal list: valid only until the next Register/Deregister
-// for f, and must not be mutated or retained. Hot paths (fetch-source
-// selection, the GIS) read through this; everyone else should use
-// Replicas.
+// for f, and must not be mutated or retained.
 func (c *Catalog) ReplicaList(f storage.FileID) []topology.SiteID {
 	if f < 0 || int(f) >= len(c.repl) {
 		return nil
 	}
 	return c.repl[f]
-}
-
-// Replicas returns the sites holding f, sorted ascending. The slice is
-// freshly allocated and the caller owns it.
-func (c *Catalog) Replicas(f storage.FileID) []topology.SiteID {
-	lst := c.ReplicaList(f)
-	out := make([]topology.SiteID, len(lst))
-	copy(out, lst)
-	return out
 }
 
 // HasReplica reports whether site holds f.

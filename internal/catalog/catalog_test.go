@@ -37,9 +37,9 @@ func TestRegisterDeregister(t *testing.T) {
 	c.Register(7, 3)
 	c.Register(7, 1)
 	c.Register(7, 3) // idempotent
-	reps := c.Replicas(7)
+	reps := c.ReplicaList(7)
 	if len(reps) != 2 || reps[0] != 1 || reps[1] != 3 {
-		t.Fatalf("Replicas = %v", reps)
+		t.Fatalf("ReplicaList = %v", reps)
 	}
 	if !c.HasReplica(7, 3) || c.HasReplica(7, 9) {
 		t.Fatal("HasReplica wrong")
@@ -53,7 +53,7 @@ func TestRegisterDeregister(t *testing.T) {
 	if c.ReplicaCount(7) != 0 {
 		t.Fatal("replicas remain after full deregistration")
 	}
-	if len(c.Replicas(99)) != 0 {
+	if len(c.ReplicaList(99)) != 0 {
 		t.Fatal("unknown file has replicas")
 	}
 }
@@ -164,7 +164,7 @@ func TestQuickConsistency(t *testing.T) {
 			}
 		}
 		for i := 0; i < 10; i++ {
-			reps := c.Replicas(storage.FileID(i))
+			reps := c.ReplicaList(storage.FileID(i))
 			seen := map[topology.SiteID]bool{}
 			for j, s := range reps {
 				if seen[s] {

@@ -305,6 +305,7 @@ func (o faultOps) LoseReplica(pick *rng.Source) bool {
 	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.ReplicaLost, File: int(f), Site: int(sid)})
 	if s.fcfg.RestoreReplicas {
 		s.lostAt[sid] = append(s.lostAt[sid], scheduler.PopularFile{File: f, Count: count})
+		s.dsRearm(int(sid))
 	}
 	return true
 }

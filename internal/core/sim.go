@@ -46,7 +46,10 @@ type Results struct {
 	Replications   int // DS pushes actually issued
 	DSDeletions    int // DS-initiated replica deletions (DSDeleteAfter)
 	SimEvents      uint64
-	SimEndTime     float64 // virtual time when the engine drained
+	// SimEndTime is the virtual time when the engine drained, at the
+	// run's last event. Trailing idle DS wakes do not extend it: a DS with
+	// nothing to act on books no wake (see dsRebook).
+	SimEndTime float64
 
 	// SiteJobGini measures how unevenly completed jobs concentrated over
 	// sites (0 = even, →1 = one hotspot). High values under
@@ -109,6 +112,7 @@ type Simulation struct {
 	submitFns []func()    // per user: closed-loop submitNext
 	arriveFns []func()    // per user: open-model submit + rebook
 	dsWakeFns []func()    // per site: dsWake
+	dsIdleAt  []float64   // per site: time of the wake after which the DS went dormant; -1 while a wake is booked
 	fetchPool []*fetchRec // recycled mover fetch-completion records
 
 	nextJob      []int // per-user index of next job to submit
@@ -344,6 +348,7 @@ func New(cfg Config) (*Simulation, error) {
 	if err != nil {
 		return nil, err
 	}
+	rearmDS := func(sid topology.SiteID) { s.dsRearm(int(sid)) }
 	ceSrc := root.Derive("ces")
 	speedSrc := root.Derive("speeds")
 	s.sites = make([]*site.Site, cfg.Sites)
@@ -363,6 +368,7 @@ func New(cfg Config) (*Simulation, error) {
 			OnEvict: func(f storage.FileID) {
 				s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.Evicted, File: int(f), Site: int(sid)})
 			},
+			OnWindowOpen: rearmDS,
 		}, s.jobDone)
 		if err != nil {
 			return nil, err
@@ -468,9 +474,11 @@ func New(cfg Config) (*Simulation, error) {
 		s.arriveFns[u] = func() { s.submitNext(uid); s.scheduleArrival(uid) }
 	}
 	s.dsWakeFns = make([]func(), cfg.Sites)
+	s.dsIdleAt = make([]float64, cfg.Sites)
 	for i := range s.dsWakeFns {
 		i := i
 		s.dsWakeFns[i] = func() { s.dsWake(i) }
+		s.dsIdleAt[i] = -1
 	}
 	if cfg.ObsInterval > 0 {
 		s.probes = obs.NewRegistry()
@@ -974,7 +982,7 @@ func (s *Simulation) dsWake(i int) {
 	if st.Down() {
 		// The DS process is down with its site; it resumes (with an empty
 		// popularity window) at the first wake-up after recovery.
-		s.eng.Schedule(s.cfg.DSInterval, s.dsWakeFns[i])
+		s.dsRebook(i)
 		return
 	}
 	all := st.DrainPopularity()
@@ -999,7 +1007,43 @@ func (s *Simulation) dsWake(i int) {
 	if len(s.lostAt) > 0 && len(s.lostAt[i]) > 0 {
 		s.restoreReplicas(i)
 	}
+	s.dsRebook(i)
+}
+
+// dsRebook books site i's next DS wake one interval from now, unless the
+// next wake would have nothing to act on: an empty popularity window, no
+// lost replica to restore and no deletion role. Such a DS goes dormant
+// instead, and dsRearm wakes it when there is work again.
+func (s *Simulation) dsRebook(i int) {
+	if s.cfg.DSDeleteAfter == 0 && s.sites[i].WindowEmpty() && (len(s.lostAt) == 0 || len(s.lostAt[i]) == 0) {
+		s.dsIdleAt[i] = s.eng.Now()
+		return
+	}
 	s.eng.Schedule(s.cfg.DSInterval, s.dsWakeFns[i])
+}
+
+// dsRearm books a dormant DS's next wake where a DS that never slept
+// would have its next one: the first grid point after the wake it went
+// dormant at that is still to come, ordered among same-instant events as
+// if booked by the skipped wake one interval earlier. The grid is stepped
+// by repeated addition, the float sums one Schedule per interval would
+// have produced, so the wake lands at exactly that time. A finished run
+// never re-arms.
+func (s *Simulation) dsRearm(i int) {
+	prev := s.dsIdleAt[i]
+	if prev < 0 || s.finished {
+		return
+	}
+	s.dsIdleAt[i] = -1
+	now := s.eng.Now()
+	at := prev + s.cfg.DSInterval
+	for at < now {
+		prev, at = at, at+s.cfg.DSInterval
+	}
+	if _, ok := s.eng.AtAsOf(at, prev, s.dsWakeFns[i]); !ok {
+		// The skipped wake at this instant has already gone by, empty.
+		s.eng.AtAsOf(at+s.cfg.DSInterval, at, s.dsWakeFns[i])
+	}
 }
 
 // dsDelete ages cached replicas at site i and deletes those untouched for

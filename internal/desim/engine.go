@@ -9,7 +9,10 @@
 // # Kernel internals
 //
 // The queue is an inlined 4-ary heap of pooled event nodes ordered by
-// (time, sequence) — a strict deterministic total order. Cancellation is
+// (time, booking time, sequence) — a strict deterministic total order.
+// Sequence numbers rise with booking time, so for events booked at the
+// time they are scheduled from this is plain (time, sequence) order; the
+// booking time only places an event booked with AtAsOf. Cancellation is
 // lazy: Cancel marks the node and the queue drains it on pop (or in a
 // batched compaction once dead nodes dominate), so the cancel-heavy flow
 // matrix costs O(1) per cancel instead of an O(log n) removal. Nodes are
@@ -30,6 +33,7 @@ type Time = float64
 // stale Event handles can be detected.
 type node struct {
 	at       Time
+	booked   Time // virtual time the event counts as scheduled at
 	seq      uint64
 	gen      uint64
 	index    int32 // position in the heap; -1 once popped or pooled
@@ -94,8 +98,9 @@ func (ev Event) Fired() bool {
 // up, across independent simulations).
 type Engine struct {
 	now     Time
-	queue   []*node // 4-ary min-heap on (at, seq)
+	queue   []*node // 4-ary min-heap on (at, booked, seq)
 	seq     uint64
+	booked  Time // booking time of the event executing now
 	fired   uint64
 	live    int     // scheduled, neither cancelled nor fired
 	dead    int     // cancelled nodes still awaiting drain from the queue
@@ -130,6 +135,27 @@ func (e *Engine) Schedule(delay Time, fn func()) Event {
 // At registers fn to run at absolute virtual time t, which must not be in
 // the past.
 func (e *Engine) At(t Time, fn func()) Event {
+	return e.at(t, e.now, fn)
+}
+
+// AtAsOf registers fn at absolute time t, ordered among the events at t as
+// if it had been scheduled at the earlier virtual time asOf: after every
+// event scheduled at or before asOf, and before every event scheduled
+// later. A periodic activity that skipped its idle firings uses it to
+// rejoin its schedule in the slot the skipped firing would have booked.
+// When t is now and such an event would already have fired before the one
+// executing, it reports false and schedules nothing.
+func (e *Engine) AtAsOf(t, asOf Time, fn func()) (Event, bool) {
+	if math.IsNaN(asOf) || asOf > e.now {
+		panic(fmt.Sprintf("desim: AtAsOf booked at %v after now %v", asOf, e.now))
+	}
+	if t == e.now && e.booked > asOf {
+		return Event{}, false
+	}
+	return e.at(t, asOf, fn), true
+}
+
+func (e *Engine) at(t, booked Time, fn func()) Event {
 	if math.IsNaN(t) || t < e.now {
 		panic(fmt.Sprintf("desim: At with time %v before now %v", t, e.now))
 	}
@@ -138,6 +164,7 @@ func (e *Engine) At(t Time, fn func()) Event {
 	}
 	n := e.alloc()
 	n.at = t
+	n.booked = booked
 	n.seq = e.seq
 	n.fn = fn
 	e.seq++
@@ -165,6 +192,7 @@ func (e *Engine) RescheduleAt(ev Event, t Time) {
 		panic("desim: RescheduleAt of a dead or stale event")
 	}
 	n.at = t
+	n.booked = e.now
 	n.seq = e.seq
 	e.seq++
 	// The new seq is the largest in the queue, so among equal times the
@@ -215,7 +243,7 @@ func (e *Engine) Step() bool {
 			e.release(n)
 			continue
 		}
-		e.now = n.at
+		e.now, e.booked = n.at, n.booked
 		e.fired++
 		e.live--
 		n.fired = true
@@ -322,9 +350,13 @@ func (e *Engine) compact() {
 	}
 }
 
-// nodeLess orders nodes by (time, sequence), the deterministic total order.
+// nodeLess orders nodes by (time, booking time, sequence), the
+// deterministic total order.
 func nodeLess(a, b *node) bool {
-	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.booked < b.booked || (a.booked == b.booked && a.seq < b.seq)
 }
 
 func (e *Engine) push(n *node) {

@@ -3,6 +3,7 @@ package desim
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -274,4 +275,52 @@ func BenchmarkScheduleRun(b *testing.B) {
 		}
 		e.Run()
 	}
+}
+
+// AtAsOf places an event among same-time events by the time it counts as
+// booked at: after those booked at or before it, before those booked
+// later, and after the event now executing unless that one was booked
+// later, in which case it reports false.
+func TestAtAsOfOrdersByBookingTime(t *testing.T) {
+	e := New()
+	var got []string
+	mark := func(s string) func() { return func() { got = append(got, s) } }
+	e.At(10, mark("A")) // booked at 0
+	e.At(5, func() { e.At(10, mark("B")) })
+	e.At(7, func() {
+		e.At(10, mark("E"))
+		if _, ok := e.AtAsOf(10, 5, mark("C")); !ok {
+			t.Error("AtAsOf in the future refused")
+		}
+		if _, ok := e.AtAsOf(10, 3, mark("D")); !ok {
+			t.Error("AtAsOf in the future refused")
+		}
+	})
+	e.Run()
+	if want := "A D B C E"; strings.Join(got, " ") != want {
+		t.Fatalf("order %q, want %q", strings.Join(got, " "), want)
+	}
+
+	e = New()
+	e.At(4, func() {})
+	e.At(6, func() {
+		e.At(10, func() {
+			if _, ok := e.AtAsOf(10, 5, func() {}); ok {
+				t.Error("AtAsOf booked before the running event was accepted at its instant")
+			}
+			if _, ok := e.AtAsOf(10, 6, func() {}); !ok {
+				t.Error("AtAsOf booked with the running event was refused")
+			}
+		})
+	})
+	e.Run()
+	if e.Fired() != 4 {
+		t.Fatalf("fired %d events, want 4", e.Fired())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AtAsOf booked after now did not panic")
+		}
+	}()
+	e.AtAsOf(20, e.Now()+1, func() {})
 }

@@ -194,10 +194,13 @@ func (s *Service) Load(site topology.SiteID) int {
 }
 
 // Replicas returns the (possibly snapshotted) replica locations of f,
-// sorted by site id.
+// sorted by site id. The slice is shared and read-only: in oracle mode it
+// is the catalog's own list, valid until the next replica registration or
+// removal for f; under staleness it is the snapshot entry, valid until the
+// next refresh. Every scheduler consumes it within one decision.
 func (s *Service) Replicas(f storage.FileID) []topology.SiteID {
 	if s.stale <= 0 {
-		return s.cat.Replicas(f)
+		return s.cat.ReplicaList(f)
 	}
 	s.refresh()
 	if f < 0 || int(f) >= len(s.snapRep) {

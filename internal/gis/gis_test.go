@@ -48,6 +48,21 @@ func TestOracleMode(t *testing.T) {
 	}
 }
 
+// In oracle mode Replicas hands out the catalog's list without a copy.
+func TestOracleReplicasDoesNotAllocate(t *testing.T) {
+	_, cat, _, svc := fixture(t, 0)
+	cat.DefineFile(1, 5e8)
+	cat.Register(1, 2)
+	cat.Register(1, 0)
+	var reps []topology.SiteID
+	if allocs := testing.AllocsPerRun(100, func() { reps = svc.Replicas(1) }); allocs != 0 {
+		t.Fatalf("oracle Replicas allocates %v per call, want 0", allocs)
+	}
+	if len(reps) != 2 || reps[0] != 0 || reps[1] != 2 {
+		t.Fatalf("Replicas = %v, want [0 2]", reps)
+	}
+}
+
 func TestStaleSnapshots(t *testing.T) {
 	eng, cat, loads, svc := fixture(t, 60)
 	cat.DefineFile(1, 5e8)

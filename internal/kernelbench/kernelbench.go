@@ -150,6 +150,8 @@ func ScaleConfig(jobs int) core.Config {
 // setup and falls toward zero as the tier grows; a flat or rising curve
 // across 10k→1M is a per-job allocation regression. ns/op is build plus
 // run; setup-s is core.New alone and run-ns/job the rest, per job.
+// events/job is engine events per job, which should stay flat across the
+// tiers now that an idle DS books no wakes.
 func SimScale(jobs int) func(*testing.B) { return simScale(ScaleConfig(jobs)) }
 
 // SimScaleRandom returns a benchmark body running the ScaleConfig scenario
@@ -187,6 +189,7 @@ func simScale(cfg core.Config) func(*testing.B) {
 		if s := b.Elapsed().Seconds(); s > 0 {
 			b.ReportMetric(float64(events)/s, "events/sec")
 		}
+		b.ReportMetric(float64(events)/float64(b.N*cfg.TotalJobs), "events/job")
 		b.ReportMetric(float64(mallocs)/float64(b.N*cfg.TotalJobs), "mallocs/job")
 		b.ReportMetric(setup.Seconds()/float64(b.N), "setup-s")
 		b.ReportMetric(float64((b.Elapsed()-setup).Nanoseconds())/float64(b.N*cfg.TotalJobs), "run-ns/job")

@@ -38,6 +38,10 @@ type Config struct {
 	// Speed scales processor performance: a job's wall time is
 	// ComputeTime/Speed. <= 0 means 1.0 (the paper's homogeneous grid).
 	Speed float64
+	// OnWindowOpen, when non-nil, is called with the site's id when an
+	// access is recorded into an empty popularity window (the first since
+	// the last drain or crash), before the access is counted.
+	OnWindowOpen func(topology.SiteID)
 }
 
 // Site is a single grid site. All methods must be called from simulation
@@ -83,7 +87,8 @@ type Site struct {
 	lentReq    []map[topology.SiteID]int // ByRequester maps lent out until the next drain
 	reqPool    []map[topology.SiteID]int // cleared requester maps ready for reuse
 
-	onDone func(*job.Job)
+	onDone       func(*job.Job)
+	onWindowOpen func(topology.SiteID)
 
 	// Busy-time integral for the idle-time metric.
 	busyInt  float64
@@ -117,6 +122,8 @@ func New(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover
 		popularity: make(map[storage.FileID]int),
 		popByReq:   make(map[storage.FileID]map[topology.SiteID]int),
 		onDone:     onDone,
+
+		onWindowOpen: cfg.OnWindowOpen,
 	}
 	s.store = storage.New(cfg.Capacity, func(f storage.FileID) {
 		cat.Deregister(f, s.id)
@@ -451,6 +458,9 @@ func (s *Site) complete(j *job.Job) {
 // recordAccess counts one request for f at this site on behalf of
 // requester (a job's origin site or a remote fetching site).
 func (s *Site) recordAccess(f storage.FileID, requester topology.SiteID) {
+	if len(s.popularity) == 0 && s.onWindowOpen != nil {
+		s.onWindowOpen(s.id)
+	}
 	s.popularity[f]++
 	m := s.popByReq[f]
 	if m == nil {
@@ -495,6 +505,10 @@ func (s *Site) CachedIdleFiles() []storage.FileID {
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
+
+// WindowEmpty reports whether no access has been recorded since the last
+// DrainPopularity (or crash).
+func (s *Site) WindowEmpty() bool { return len(s.popularity) == 0 }
 
 // DrainPopularity returns and clears the per-file access counts recorded
 // since the previous drain, restricted to files locally resident (the DS

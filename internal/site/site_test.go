@@ -262,6 +262,13 @@ func TestPopularityDrain(t *testing.T) {
 	fx := newFixture(t, 2, 0, 10)
 	fx.defineFile(t, 1, 1e9, 0)
 	fx.defineFile(t, 2, 1e9, 0)
+	opened := 0
+	fx.site.onWindowOpen = func(id topology.SiteID) {
+		if id != 0 || !fx.site.WindowEmpty() {
+			t.Errorf("window-open hook for site %d with a non-empty window", id)
+		}
+		opened++
+	}
 	fx.submit([]storage.FileID{1}, 100)
 	fx.submit([]storage.FileID{1}, 100)
 	fx.submit([]storage.FileID{2}, 100)
@@ -277,8 +284,15 @@ func TestPopularityDrain(t *testing.T) {
 		t.Fatalf("ByRequester = %v", pops[0].ByRequester)
 	}
 	// Drained: second call is empty.
-	if got := fx.site.DrainPopularity(); len(got) != 0 {
+	if got := fx.site.DrainPopularity(); len(got) != 0 || !fx.site.WindowEmpty() {
 		t.Fatalf("second drain = %v", got)
+	}
+	// The hook fires on the first access of each window only, local or
+	// remote.
+	fx.site.RecordRemoteRequest(2, 1)
+	fx.site.RecordRemoteRequest(2, 1)
+	if opened != 2 || fx.site.WindowEmpty() {
+		t.Fatalf("window opened %d times, want 2", opened)
 	}
 }
 
