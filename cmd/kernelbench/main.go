@@ -75,6 +75,8 @@ func suite() []bench {
 			out = append(out, bench{fmt.Sprintf("%s/flows=%d", p.label, flows), kernelbench.Reflow(p.policy, flows)})
 		}
 	}
+	// Removals from the middle of a scale-sized flow population.
+	out = append(out, bench{"ReflowChurn/flows=1600", kernelbench.ReflowChurn(1600)})
 	out = append(out, bench{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string

@@ -11,9 +11,10 @@ import (
 // hot paths by running the real benchmark bodies and asserting their
 // measured allocs/op: steady-state engine stepping and — with the pooled
 // flow storage — both reflow policies at every flow tier the suite
-// tracks. One-time pool growth before the timer reset is excluded by
-// testing.Benchmark itself; growth after it amortizes to zero over the
-// benchmark's iteration count.
+// tracks, and the churn of removals from the middle. One-time pool
+// growth before the timer reset is excluded by testing.Benchmark itself;
+// growth after it amortizes to zero over the benchmark's iteration
+// count.
 func TestKernelBodiesRunAllocFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-driven assertions skipped in -short mode")
@@ -35,6 +36,10 @@ func TestKernelBodiesRunAllocFree(t *testing.T) {
 			}{fmt.Sprintf("%s/flows=%d", p.label, flows), Reflow(p.policy, flows)})
 		}
 	}
+	bodies = append(bodies, struct {
+		name string
+		body func(*testing.B)
+	}{"ReflowChurn/flows=1600", ReflowChurn(1600)})
 	for _, bm := range bodies {
 		t.Run(bm.name, func(t *testing.T) {
 			br := testing.Benchmark(bm.body)

@@ -110,6 +110,61 @@ func Reflow(policy netsim.SharingPolicy, flows int) func(*testing.B) {
 	}
 }
 
+// ReflowChurn returns a benchmark body for the churn a data-moving run
+// puts on netsim: `flows` background transfers of mixed finite sizes on
+// the 1000-site ScaleConfig grid, of which each op cancels a
+// pseudo-random one, from anywhere in the admission order, and admits a
+// replacement. Reflow only ever cancels the newest flow; this removes
+// from the middle, so the removal bookkeeping and the search for the next
+// finish are on its path too. EqualShare only: it is the paper's model.
+func ReflowChurn(flows int) func(*testing.B) {
+	return func(b *testing.B) {
+		cfg := ScaleConfig(0)
+		topo, err := topology.NewHierarchical(topology.Config{
+			Sites:        cfg.Sites,
+			RegionFanout: cfg.RegionFanout,
+			Bandwidth:    cfg.BandwidthMBps * 1e6,
+		}, rng.New(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := netsim.New(desim.New(), topo, netsim.EqualShare)
+		sites := uint64(cfg.Sites)
+		x := uint64(0x2545F4914F6CDD1D)
+		next := func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			return x
+		}
+		admit := func() *netsim.Flow {
+			r := next()
+			src := r % sites
+			dst := (src + 1 + (r>>20)%(sites-1)) % sites
+			size := float64(100+(r>>40)%900) * 1e6
+			return n.Transfer(topology.SiteID(src), topology.SiteID(dst), size, nil)
+		}
+		bg := make([]*netsim.Flow, flows)
+		for i := range bg {
+			bg[i] = admit()
+		}
+		churn := func() {
+			j := next() % uint64(flows)
+			n.Cancel(bg[j])
+			bg[j] = admit()
+		}
+		// Grow netsim's buffers to their high-water mark first.
+		for i := 0; i < 4*flows; i++ {
+			churn()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			churn()
+		}
+	}
+}
+
 // Sim is the end-to-end anchor: full default-scenario simulations,
 // reporting kernel throughput as events/sec.
 func Sim(b *testing.B) {

@@ -21,3 +21,8 @@ func benchReflow(b *testing.B, policy netsim.SharingPolicy) {
 func BenchmarkReflowEqualShare(b *testing.B) { benchReflow(b, netsim.EqualShare) }
 
 func BenchmarkReflowMaxMin(b *testing.B) { benchReflow(b, netsim.MaxMinFair) }
+
+// BenchmarkReflowChurn cancels pseudo-random flows from the middle of a
+// scale-sized population and admits replacements (body shared with
+// cmd/kernelbench).
+func BenchmarkReflowChurn(b *testing.B) { b.Run("flows=1600", kernelbench.ReflowChurn(1600)) }

@@ -212,7 +212,7 @@ func TestEqualShareRateFormula(t *testing.T) {
 	}
 	checks := 0
 	verify := func() {
-		for _, f := range n.ordered {
+		n.eachFlow(func(f *Flow) {
 			want := -1.0
 			for _, l := range f.path {
 				share := topo.Link(l).Bandwidth / float64(n.onLink[l])
@@ -224,7 +224,7 @@ func TestEqualShareRateFormula(t *testing.T) {
 				t.Fatalf("flow %d rate %v, want %v", f.ID, f.rate, want)
 			}
 			checks++
-		}
+		})
 	}
 	for i := 0; i < 60; i++ {
 		eng.Schedule(float64(i), verify)

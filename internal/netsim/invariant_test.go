@@ -10,15 +10,28 @@ import (
 // checkInvariants cross-checks the Network's redundant bookkeeping: the
 // per-link flow index against the routes of the admitted flows, every
 // stored back-pointer, the per-link occupancy counts, each flow's anchor
-// arithmetic and its copy in finishAt, and the open busy intervals.
+// arithmetic and its copy in finishAt, the holes and live count of the
+// admission list, the block minima, the tracked next completion against a
+// full scan, and the open busy intervals.
 func checkInvariants(t testing.TB, n *Network) {
 	t.Helper()
 	now := n.eng.Now()
 	if len(n.finishAt) != len(n.ordered) {
 		t.Fatalf("%d finish times for %d flows", len(n.finishAt), len(n.ordered))
 	}
+	if k := len(n.ordered); k > 0 && n.ordered[k-1] == nil {
+		t.Fatalf("trailing hole at ordered[%d]", k-1)
+	}
 	want := make([]int, len(n.onLink))
+	live := 0
 	for i, f := range n.ordered {
+		if f == nil {
+			if !math.IsInf(n.finishAt[i], 1) {
+				t.Fatalf("hole at ordered[%d] has finishAt %v, want +Inf", i, n.finishAt[i])
+			}
+			continue
+		}
+		live++
 		if !f.active || f.pooled {
 			t.Fatalf("ordered[%d] (flow %d) active=%v pooled=%v", i, f.ID, f.active, f.pooled)
 		}
@@ -43,8 +56,36 @@ func checkInvariants(t testing.TB, n *Network) {
 			}
 		}
 	}
-	if next := n.scanNext(); n.rescan || n.next != next {
-		t.Fatalf("at %v: tracked next %v (rescan %v), scan picks %v", now, flowID(n.next), n.rescan, flowID(next))
+	if live != n.live || live != n.ActiveFlows() {
+		t.Fatalf("%d live flows in ordered, live count %d", live, n.live)
+	}
+	if blocks := (len(n.ordered) + blockSize - 1) / blockSize; len(n.blockMin) != blocks {
+		t.Fatalf("%d block minima for %d positions", len(n.blockMin), len(n.ordered))
+	}
+	for b, h := range n.blockMin {
+		lo := b * blockSize
+		scan := lo
+		for i := lo + 1; i < len(n.finishAt) && i < lo+blockSize; i++ {
+			if n.finishAt[i] < n.finishAt[scan] {
+				scan = i
+			}
+		}
+		if h >= 0 && h != scan {
+			t.Fatalf("block %d: minimum at %d, scan finds %d", b, h, scan)
+		}
+	}
+	next, best := -1, math.Inf(1)
+	for i, at := range n.finishAt {
+		if at < best {
+			next, best = i, at
+		}
+	}
+	var scanned *Flow
+	if next >= 0 {
+		scanned = n.ordered[next]
+	}
+	if n.rescan || n.next != scanned {
+		t.Fatalf("at %v: tracked next %v (rescan %v), scan picks %v", now, flowID(n.next), n.rescan, flowID(scanned))
 	}
 	if n.next != nil && (n.ev.IsZero() || n.ev.At() != n.next.finish) {
 		t.Fatalf("at %v: completion event does not sit at next's finish %v", now, n.next.finish)

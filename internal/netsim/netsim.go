@@ -10,27 +10,29 @@
 // ablation (see DESIGN.md §6).
 //
 // A change point is a flow start, finish or cancellation, or a link
-// bandwidth change. At each one only the flows crossing a changed link
-// have their equal-share rate recomputed (the others' shares are provably
-// unchanged); a per-link index of the active flows finds them without
-// walking any other route. Progress is tracked lazily: a flow keeps its
-// remaining bytes as of an anchor time, its rate, and its finish time
-// anchor + remaining/rate. Only a flow whose rate actually changes is
-// re-anchored, its remaining bytes advanced at the old rate to now. Each
-// link caches its equal share, refreshed only when its occupancy or
-// bandwidth changes. Apart from a shift of the admission-ordered list on a
-// removal, and an occasional scan of a dense array (below), a change point
-// costs work in the flows it touches, not in the flows in flight. The link
+// bandwidth change. Each link caches its equal share, and a per-link index
+// of the active flows finds the flows on a changed link without walking
+// any other route. Under EqualShare a change point visits only the flows
+// it can re-rate: where a link's share fell, a flow's new rate is the
+// lower of its rate and that share; where it rose, only a flow whose rate
+// was that link's old share can speed up, and only such a flow walks its
+// route. Progress is tracked lazily: a flow keeps its remaining bytes as of
+// an anchor time, its rate, and its finish time anchor + remaining/rate,
+// and only a flow whose rate actually changes is re-anchored. The link
 // statistics are pure reads that project from the anchors.
 //
 // A Network keeps a single pending engine event, at the earliest finish
-// among its running flows (ties to the earliest admitted). That flow is
-// tracked as finish times change; only when its own finish rises or it
-// leaves is a dense finish-time array, kept in admission order, scanned
-// for the new minimum. The event is rescheduled at every change point, so
-// completions fire in exactly the (time, sequence) order that one event
-// per flow, all rescheduled in admission order at every change point,
-// would — see DESIGN.md §13.
+// among its running flows (ties to the earliest admitted). Active flows
+// sit in admission order in a list where a removal leaves a hole instead
+// of shifting its successors; holes are squeezed out once they outnumber
+// the live flows. The earliest finish is tracked as finish times change,
+// and each block of 64 positions keeps its own earliest finish, so when
+// the tracked flow's finish rises or it leaves, only the blocks whose
+// minimum left are rescanned before the block minima are compared. The
+// event is rescheduled at every change point, so completions fire in
+// exactly the (time, sequence) order that one event per flow, all
+// rescheduled in admission order at every change point, would — see
+// DESIGN.md §13.
 package netsim
 
 import (
@@ -72,28 +74,35 @@ func (p SharingPolicy) String() string {
 // it (with a fresh ID). A *Flow handle is therefore only valid between
 // Transfer and the flow's completion or cancellation — exactly the window
 // the simulator uses them in. The two scheduling closures are built once
-// per struct and its route buffer survives reuse, so the steady-state
+// per struct and its route buffers survive reuse, so the steady-state
 // transfer loop allocates nothing per flow.
 type Flow struct {
+	// What reflow touches comes first, filling one 64-byte cache line,
+	// and the inline route storage a route walk reads follows it. Routes
+	// on the hierarchical grids have at most 4 hops; deeper ones grow
+	// onto the heap.
+	path      []topology.LinkID
+	rate      float64    // bytes/sec since anchor
+	finish    desim.Time // anchor + remaining/rate; +Inf while stalled
+	remaining float64    // bytes not yet delivered as of anchor
+	anchor    desim.Time // the change point that last set rate
+	mark      uint64     // reflow epoch that last visited the flow
+	routeBuf  [4]topology.LinkID
+
+	ord        int // position in Network.ordered while active
 	ID         int
 	Src, Dst   topology.SiteID
-	Size       float64    // total bytes
-	remaining  float64    // bytes not yet delivered as of anchor
-	anchor     desim.Time // the change point that last set rate
-	rate       float64    // bytes/sec since anchor
-	finish     desim.Time // anchor + remaining/rate; +Inf while stalled
-	path       []topology.LinkID
+	Size       float64 // total bytes
 	hopPos     []int32 // hopPos[k]: index of the flow in linkFlows[path[k]] while active
 	done       func(*Flow)
 	ev         desim.Event // pending startup-latency or local-delivery event
 	localFn    func()      // zero-hop/zero-size delivery closure
 	activateFn func()      // startup-latency expiry closure
-	ord        int         // index into Network.ordered while active
-	mark       uint64      // reflow epoch that last visited the flow
 	started    desim.Time
 	active     bool // admitted to the sharing pool, not yet removed
 	canceled   bool
-	pooled     bool // on the free list (double-release guard)
+	pooled     bool     // on the free list (double-release guard)
+	hopBuf     [4]int32 // inline storage behind hopPos
 }
 
 // Remaining returns the bytes not yet delivered as of the last change
@@ -121,8 +130,13 @@ type Network struct {
 	// degradations); -1 means "use the topology's nominal bandwidth".
 	bwOverride []float64
 
-	ordered   []*Flow   // active flows in admission order: deterministic iteration
-	finishAt  []float64 // finishAt[i] == ordered[i].finish, scanned for the next completion
+	// Active flows in admission order. A removed flow leaves a hole (nil,
+	// with +Inf in finishAt) instead of shifting its successors. Trailing
+	// holes are trimmed at once; the rest are squeezed out, in order, when
+	// there are compactMin of them and they outnumber the live flows.
+	ordered   []*Flow
+	finishAt  []float64 // finishAt[i] == ordered[i].finish, +Inf at a hole
+	live      int       // active flows: len(ordered) less the holes
 	onLink    []int     // active flow count per link
 	share     []float64 // share[l] == linkBandwidth(l)/onLink[l], refreshed when either changes
 	linkFlows [][]*Flow // active flows crossing each link, in no particular order
@@ -132,18 +146,23 @@ type Network struct {
 	// The one pending completion event: next's finish, the earliest among
 	// running flows. Zero when no flow is running. next is kept up to date
 	// as finish times change; rescan marks it unknown (next's own finish
-	// rose, or next left), and the next reflow scans finishAt for it.
+	// rose, or next left), and the next reflow finds it from the block
+	// minima. blockMin[b] is the position of the earliest finish among
+	// finishAt's positions [b·blockSize, (b+1)·blockSize), ties to the
+	// lower position; -1 marks it unknown (its holder's finish rose, or
+	// the holder left) until a rescan recomputes it.
 	ev         desim.Event
 	next       *Flow
 	rescan     bool
+	blockMin   []int
 	completeFn func()
 
 	// Reflow scratch state, reused across calls so the per-change-point
 	// hot path allocates nothing.
-	epoch     uint64             // current reflow epoch (bumping it clears all flow marks)
-	oneLink   [1]topology.LinkID // changed-set buffer for single-link updates
-	lsBuf     []linkState        // maxMin per-link progressive-filling state
-	frozenBuf []bool             // maxMin frozen marks, indexed like ordered
+	epoch     uint64       // current reflow epoch (bumping it clears all flow marks)
+	changed   []linkChange // the change point's links that carry other flows
+	lsBuf     []linkState  // maxMin per-link progressive-filling state
+	frozenBuf []bool       // maxMin frozen marks, indexed like ordered
 
 	// Accounting.
 	bytesMoved float64      // bytes delivered by completed flows
@@ -151,6 +170,19 @@ type Network struct {
 	linkBusy   []float64    // closed busy intervals per link, summed
 	busySince  []desim.Time // start of the open busy interval; -1 while the link is idle
 	linkBytes  []float64    // bytes moved per link by flows no longer active
+}
+
+const (
+	blockShift = 6
+	blockSize  = 1 << blockShift // finishAt positions per block minimum
+	compactMin = 64              // fewer holes than this are never compacted
+)
+
+// linkChange records a link a change point touched, with the equal share
+// its flows were rated against before the change.
+type linkChange struct {
+	link topology.LinkID
+	old  float64
 }
 
 // linkState is per-link progressive-filling bookkeeping for maxMin.
@@ -238,9 +270,12 @@ func (n *Network) SetLinkBandwidth(l topology.LinkID, bytesPerSec float64) {
 	} else {
 		n.bwOverride[l] = bytesPerSec
 	}
+	n.changed = n.changed[:0]
+	if n.onLink[l] > 0 {
+		n.changed = append(n.changed, linkChange{l, n.share[l]})
+	}
 	n.updateShare(l)
-	n.oneLink[0] = l
-	n.reflow(n.oneLink[:])
+	n.reflow(nil)
 }
 
 // Transfer starts moving size bytes from src to dst and calls done when the
@@ -289,6 +324,7 @@ func (n *Network) newFlow() *Flow {
 		return f
 	}
 	f := &Flow{}
+	f.path, f.hopPos = f.routeBuf[:0], f.hopBuf[:0]
 	f.localFn = func() { n.finishLocal(f) }
 	f.activateFn = func() { n.activate(f) }
 	return f
@@ -316,19 +352,28 @@ func (n *Network) activate(f *Flow) {
 	f.anchor, f.finish = now, math.Inf(1)
 	f.active = true
 	f.ord = len(n.ordered)
+	if f.ord%blockSize == 0 {
+		// A new block; an existing one keeps its minimum, which is no
+		// later than f's +Inf and sits at a lower position.
+		n.blockMin = append(n.blockMin, f.ord)
+	}
 	n.ordered = append(n.ordered, f)
 	n.finishAt = append(n.finishAt, f.finish)
+	n.live++
 	f.hopPos = f.hopPos[:0]
+	n.changed = n.changed[:0]
 	for _, l := range f.path {
 		if n.onLink[l] == 0 {
 			n.busySince[l] = now
+		} else {
+			n.changed = append(n.changed, linkChange{l, n.share[l]})
 		}
 		n.onLink[l]++
 		n.updateShare(l)
 		f.hopPos = append(f.hopPos, int32(len(n.linkFlows[l])))
 		n.linkFlows[l] = append(n.linkFlows[l], f)
 	}
-	n.reflow(f.path)
+	n.reflow(f)
 }
 
 // Cancel aborts an in-flight transfer; its done callback never fires.
@@ -354,12 +399,22 @@ func (n *Network) Cancel(f *Flow) {
 	}
 	f.remaining = f.remainingAt(n.eng.Now())
 	n.remove(f)
-	n.reflow(f.path)
+	n.reflow(nil)
 	n.release(f)
 }
 
 // ActiveFlows returns the number of in-flight (non-local) transfers.
-func (n *Network) ActiveFlows() int { return len(n.ordered) }
+func (n *Network) ActiveFlows() int { return n.live }
+
+// eachFlow calls fn for every active flow in admission order, skipping
+// holes, so that sums over the flows keep one float order.
+func (n *Network) eachFlow(fn func(*Flow)) {
+	for _, f := range n.ordered {
+		if f != nil {
+			fn(f)
+		}
+	}
+}
 
 // BytesMoved returns total bytes delivered by completed transfers.
 func (n *Network) BytesMoved() float64 { return n.bytesMoved }
@@ -392,12 +447,12 @@ func (n *Network) LinkBytes() []float64 {
 	now := n.eng.Now()
 	out := make([]float64, len(n.linkBytes))
 	copy(out, n.linkBytes)
-	for _, f := range n.ordered {
+	n.eachFlow(func(f *Flow) {
 		moved := f.Size - f.remainingAt(now)
 		for _, l := range f.path {
 			out[l] += moved
 		}
-	}
+	})
 	return out
 }
 
@@ -424,11 +479,11 @@ func (n *Network) EffectiveBandwidths() []float64 {
 // invariant.
 func (n *Network) LinkLoads() []float64 {
 	out := make([]float64, n.topo.NumLinks())
-	for _, f := range n.ordered {
+	n.eachFlow(func(f *Flow) {
 		for _, l := range f.path {
 			out[l] += f.rate
 		}
-	}
+	})
 	return out
 }
 
@@ -438,12 +493,12 @@ func (n *Network) LinkLoads() []float64 {
 func (n *Network) LinkBacklogBytes() []float64 {
 	now := n.eng.Now()
 	out := make([]float64, n.topo.NumLinks())
-	for _, f := range n.ordered {
+	n.eachFlow(func(f *Flow) {
 		rem := f.remainingAt(now)
 		for _, l := range f.path {
 			out[l] += rem
 		}
-	}
+	})
 	return out
 }
 
@@ -509,10 +564,23 @@ func (n *Network) setRate(f *Flow, rate float64, now desim.Time) {
 	}
 }
 
+// pathRate returns f's equal-share rate: the least cached share on its
+// route.
+func (n *Network) pathRate(f *Flow) float64 {
+	rate := math.Inf(1)
+	for _, l := range f.path {
+		if share := n.share[l]; share < rate {
+			rate = share
+		}
+	}
+	return rate
+}
+
 // reanchor advances f's remaining bytes to now at its old rate and
-// derives its finish time at the new one, keeping next current: a flow
-// that now finishes first (ties to the earliest admitted) becomes next,
-// and next finishing later than before leaves the minimum unknown.
+// derives its finish time at the new one, keeping next and f's block
+// minimum current by one rule: a flow that now finishes first (ties to
+// the lower position) takes the minimum, and the holder finishing later
+// than before leaves the minimum unknown.
 func (n *Network) reanchor(f *Flow, rate float64, now desim.Time) {
 	rem := f.remainingAt(now)
 	finish := math.Inf(1)
@@ -521,24 +589,41 @@ func (n *Network) reanchor(f *Flow, rate float64, now desim.Time) {
 	}
 	old := f.finish
 	f.remaining, f.anchor, f.rate, f.finish = rem, now, rate, finish
-	n.finishAt[f.ord] = finish
+	p := f.ord
+	n.finishAt[p] = finish
+	if b := p >> blockShift; n.blockMin[b] >= 0 {
+		switch h := n.blockMin[b]; {
+		case h == p:
+			if finish > old {
+				n.blockMin[b] = -1
+			}
+		case finish < n.finishAt[h] || finish == n.finishAt[h] && p < h:
+			n.blockMin[b] = p
+		}
+	}
 	switch {
 	case n.rescan:
 	case f == n.next:
 		n.rescan = finish > old
 	case finish == math.Inf(1):
-	case n.next == nil || finish < n.next.finish || finish == n.next.finish && f.ord < n.next.ord:
+	case n.next == nil || finish < n.next.finish || finish == n.next.finish && p < n.next.ord:
 		n.next = f
 	}
 }
 
 // scanNext returns the running flow with the earliest finish, ties to the
-// earliest admitted, or nil when no flow is running.
+// earliest admitted, or nil when no flow is running. It recomputes the
+// unknown block minima and compares the blocks' minima, so it costs
+// blockSize per unknown block plus one per block.
 func (n *Network) scanNext() *Flow {
 	next, best := -1, math.Inf(1)
-	for i, at := range n.finishAt {
-		if at < best {
-			next, best = i, at
+	for b, h := range n.blockMin {
+		if h < 0 {
+			h = n.blockScan(b)
+			n.blockMin[b] = h
+		}
+		if at := n.finishAt[h]; at < best {
+			next, best = h, at
 		}
 	}
 	if next < 0 {
@@ -547,43 +632,43 @@ func (n *Network) scanNext() *Flow {
 	return n.ordered[next]
 }
 
-// reflow recomputes flow rates after a change to the links in changed — a
-// started, finished, or cancelled flow's path, or a link whose bandwidth
-// was overridden — re-anchors the flows whose rate changed, and moves the
-// network's completion event to the earliest finish.
+// blockScan returns the position of block b's earliest finish, ties to
+// the lower position (the block's first position when all are +Inf).
+func (n *Network) blockScan(b int) int {
+	lo := b << blockShift
+	block := n.finishAt[lo:min(lo+blockSize, len(n.finishAt))]
+	h, best := 0, block[0]
+	for i, at := range block {
+		if at < best {
+			h, best = i, at
+		}
+	}
+	return lo + h
+}
+
+// reflow recomputes flow rates after a change point — admitted's
+// admission (nil for any other change), a finished or cancelled flow's
+// removal, or a link whose bandwidth was overridden — re-anchors the
+// flows whose rate changed, and moves the network's completion event to
+// the earliest finish. The caller has recorded in n.changed each link
+// the change touched that carries other flows, with its old share.
 //
 // Contract (the golden-hash and reference tests enforce it): the outcome
 // equals a kernel that recomputes every rate at every change point,
 // re-anchors exactly the flows whose rate changed, and gives every running
 // flow its own completion event at anchor+remaining/rate, rescheduled
-// afresh in admission order at every change point. An equal-share rate
-// whose path saw no bandwidth or occupancy change is bit-identical, so
-// skipping it is exact. Those per-flow events would carry consecutive
-// sequence numbers in admission order, so the first to fire is the minimum
-// finish time with ties to the earliest admitted, and it sorts against
-// every other event where one event scheduled now does. The single event,
-// rescheduled to that flow's finish, fires the same completion at the
-// same instant in the same order.
-func (n *Network) reflow(changed []topology.LinkID) {
+// afresh in admission order at every change point. Those per-flow events
+// would carry consecutive sequence numbers in admission order, so the
+// first to fire is the minimum finish time with ties to the earliest
+// admitted, and it sorts against every other event where one event
+// scheduled now does. The single event, rescheduled to that flow's
+// finish, fires the same completion at the same instant in the same
+// order.
+func (n *Network) reflow(admitted *Flow) {
 	now := n.eng.Now()
 	switch n.policy {
 	case EqualShare:
-		n.epoch++
-		for _, l := range changed {
-			for _, f := range n.linkFlows[l] {
-				if f.mark == n.epoch {
-					continue
-				}
-				f.mark = n.epoch
-				rate := math.Inf(1)
-				for _, pl := range f.path {
-					if share := n.share[pl]; share < rate {
-						rate = share
-					}
-				}
-				n.setRate(f, rate, now)
-			}
-		}
+		n.equalShare(admitted, now)
 	case MaxMinFair:
 		n.maxMin(now)
 	default:
@@ -604,6 +689,59 @@ func (n *Network) reflow(changed []topology.LinkID) {
 	}
 }
 
+// equalShare re-rates the flows the links in n.changed can re-rate. A
+// flow's rate is the least share on its route, and min is exact, so a
+// flow none of whose links changed keeps a bit-identical rate, and for
+// the others one rule per link gives the full recompute bit for bit:
+//
+//   - Share fell (admission, or a bandwidth drop): the new rate is the
+//     lower of the old rate and the changed shares. The links are visited
+//     in ascending new share, so a flow's first visit is at its lowest
+//     changed share, and it is re-anchored there if that is below its
+//     rate. The admitted flow, not yet rated, walks its route first.
+//   - Share rose (removal, or a repair): only a flow whose rate was that
+//     link's old share can speed up, and only such a flow walks its
+//     route. A flow rated below it is held by another link.
+//   - Share equal: no flow on the link changes.
+//
+// One change point moves its links' shares one way, so the rules never
+// mix.
+func (n *Network) equalShare(admitted *Flow, now desim.Time) {
+	n.epoch++
+	epoch := n.epoch
+	if admitted != nil {
+		admitted.mark = epoch
+		n.setRate(admitted, n.pathRate(admitted), now)
+	}
+	chg := n.changed
+	for i := 1; i < len(chg); i++ {
+		for j := i; j > 0 && n.share[chg[j].link] < n.share[chg[j-1].link]; j-- {
+			chg[j], chg[j-1] = chg[j-1], chg[j]
+		}
+	}
+	for _, c := range chg {
+		share := n.share[c.link]
+		switch {
+		case share < c.old:
+			for _, f := range n.linkFlows[c.link] {
+				if f.mark != epoch {
+					f.mark = epoch
+					if share < f.rate {
+						n.reanchor(f, share, now)
+					}
+				}
+			}
+		case share > c.old:
+			for _, f := range n.linkFlows[c.link] {
+				if f.mark != epoch && f.rate == c.old {
+					f.mark = epoch
+					n.setRate(f, n.pathRate(f), now)
+				}
+			}
+		}
+	}
+}
+
 // maxMin runs progressive filling: repeatedly saturate the link with the
 // smallest fair share among unfrozen flows, freeze its flows at that rate,
 // and redistribute. A flow's rate is final once frozen, so it is set (and
@@ -621,13 +759,17 @@ func (n *Network) maxMin(now desim.Time) {
 		ls[i] = linkState{cap: n.linkBandwidth(topology.LinkID(i)), count: n.onLink[i]}
 	}
 	if cap(n.frozenBuf) < len(n.ordered) {
-		n.frozenBuf = make([]bool, len(n.ordered))
+		n.frozenBuf = make([]bool, cap(n.ordered))
 	}
 	frozen := n.frozenBuf[:len(n.ordered)]
-	for i := range frozen {
-		frozen[i] = false
+	clear(frozen)
+	// Filling re-rates nearly every flow, so one rescan at the end costs
+	// less than keeping next and the block minima current flow by flow.
+	for b := range n.blockMin {
+		n.blockMin[b] = -1
 	}
-	remaining := len(n.ordered)
+	n.next, n.rescan = nil, true
+	remaining := n.live
 	for remaining > 0 {
 		// Find bottleneck link: min cap/count over links with count > 0.
 		bottleneck := -1
@@ -657,11 +799,11 @@ func (n *Network) maxMin(now desim.Time) {
 		}
 	}
 	if remaining > 0 { // only reachable with a NaN or infinite share
-		for i, f := range n.ordered {
-			if !frozen[i] {
+		n.eachFlow(func(f *Flow) {
+			if !frozen[f.ord] {
 				n.setRate(f, 0, now)
 			}
-		}
+		})
 	}
 }
 
@@ -671,7 +813,7 @@ func (n *Network) complete(f *Flow) {
 	n.ev = desim.Event{}
 	f.remaining = 0
 	n.remove(f)
-	n.reflow(f.path)
+	n.reflow(nil)
 	n.finish(f)
 	n.release(f)
 }
@@ -684,8 +826,9 @@ func (n *Network) finishLocal(f *Flow) {
 	n.release(f)
 }
 
-// remove takes an active flow out of the sharing pool and credits the
-// bytes it moved to every link on its path; f.remaining must be current.
+// remove takes an active flow out of the sharing pool, records in
+// n.changed the links still carrying other flows, and credits the bytes
+// it moved to every link on its path; f.remaining must be current.
 func (n *Network) remove(f *Flow) {
 	if !f.active {
 		return
@@ -698,18 +841,17 @@ func (n *Network) remove(f *Flow) {
 	if i >= len(n.ordered) || n.ordered[i] != f {
 		panic("netsim: flow ordinal out of sync")
 	}
-	last := len(n.ordered) - 1
-	copy(n.ordered[i:], n.ordered[i+1:])
-	copy(n.finishAt[i:], n.finishAt[i+1:])
-	n.ordered[last] = nil
-	n.ordered = n.ordered[:last]
-	n.finishAt = n.finishAt[:last]
-	for ; i < last; i++ {
-		n.ordered[i].ord = i
+	n.ordered[i], n.finishAt[i] = nil, math.Inf(1)
+	n.live--
+	if b := i >> blockShift; n.blockMin[b] == i {
+		n.blockMin[b] = -1
 	}
+	n.trim()
 	now := n.eng.Now()
+	n.changed = n.changed[:0]
 	for k, l := range f.path {
 		n.linkBytes[l] += f.Size - f.remaining
+		old := n.share[l]
 		n.onLink[l]--
 		n.updateShare(l)
 		switch {
@@ -718,8 +860,47 @@ func (n *Network) remove(f *Flow) {
 		case n.onLink[l] == 0:
 			n.linkBusy[l] += now - n.busySince[l]
 			n.busySince[l] = -1
+		default:
+			n.changed = append(n.changed, linkChange{l, old})
 		}
 		n.unlink(l, int(f.hopPos[k]))
+	}
+}
+
+// trim drops trailing holes from ordered, and the blocks they emptied,
+// then compacts when the holes left reach compactMin and outnumber the
+// live flows. A clean block cut short still holds its minimum: a holder
+// among the trimmed holes would be at +Inf, so the block's first
+// position, and that block went whole.
+func (n *Network) trim() {
+	end := len(n.ordered)
+	for end > 0 && n.ordered[end-1] == nil {
+		end--
+	}
+	n.ordered, n.finishAt = n.ordered[:end], n.finishAt[:end]
+	n.blockMin = n.blockMin[:(end+blockSize-1)>>blockShift]
+	if holes := end - n.live; holes >= compactMin && holes > n.live {
+		n.compact()
+	}
+}
+
+// compact squeezes the holes out of ordered, keeping admission order, and
+// renumbers the flows' positions. Every block minimum becomes unknown;
+// the next rescan recomputes them.
+func (n *Network) compact() {
+	j := 0
+	for _, f := range n.ordered {
+		if f != nil {
+			f.ord = j
+			n.ordered[j], n.finishAt[j] = f, f.finish
+			j++
+		}
+	}
+	clear(n.ordered[j:])
+	n.ordered, n.finishAt = n.ordered[:j], n.finishAt[:j]
+	n.blockMin = n.blockMin[:(j+blockSize-1)>>blockShift]
+	for b := range n.blockMin {
+		n.blockMin[b] = -1
 	}
 }
 

@@ -170,16 +170,14 @@ func TestMaxMinRedistributes(t *testing.T) {
 	// Inspect rates right after start: settle via a zero-delay event.
 	var rates []float64
 	eng.Schedule(0, func() {
-		for _, f := range n.ordered {
-			rates = append(rates, f.rate)
-		}
+		n.eachFlow(func(f *Flow) { rates = append(rates, f.rate) })
 		// Link capacity invariant: per-link sum of rates <= bandwidth.
 		sum := make(map[topology.LinkID]float64)
-		for _, f := range n.ordered {
+		n.eachFlow(func(f *Flow) {
 			for _, l := range f.path {
 				sum[l] += f.rate
 			}
-		}
+		})
 		for l, s := range sum {
 			if s > 10e6+1e-6 {
 				t.Errorf("link %d oversubscribed: %v", l, s)
@@ -217,11 +215,11 @@ func TestEqualShareNeverOversubscribes(t *testing.T) {
 		ok := true
 		check := func() {
 			sum := make(map[topology.LinkID]float64)
-			for _, fl := range n.ordered {
+			n.eachFlow(func(fl *Flow) {
 				for _, l := range fl.path {
 					sum[l] += fl.rate
 				}
-			}
+			})
 			for l, s := range sum {
 				if s > topo.Link(l).Bandwidth+1e-6 {
 					ok = false

@@ -300,11 +300,11 @@ func (s *netSide) setLatency(sec float64) { s.n.SetLatencyPerHop(sec) }
 
 func (s *netSide) finishTimes() []desim.Time {
 	var out []desim.Time
-	for _, f := range s.n.ordered {
+	s.n.eachFlow(func(f *Flow) {
 		if f.rate > 0 {
 			out = append(out, f.finish)
 		}
-	}
+	})
 	return out
 }
 

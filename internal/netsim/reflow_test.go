@@ -27,7 +27,7 @@ func TestIncrementalReflowMatchesFull(t *testing.T) {
 	check := func(step int) {
 		t.Helper()
 		checkInvariants(t, n)
-		for _, f := range n.ordered {
+		n.eachFlow(func(f *Flow) {
 			want := math.Inf(1)
 			for _, l := range f.path {
 				share := n.linkBandwidth(l) / float64(n.onLink[l])
@@ -39,7 +39,7 @@ func TestIncrementalReflowMatchesFull(t *testing.T) {
 				t.Fatalf("step %d: flow %d rate %v != full recompute %v",
 					step, f.ID, f.rate, want)
 			}
-		}
+		})
 	}
 
 	var open []*Flow
@@ -163,5 +163,76 @@ func TestIncrementalNextMatchesScan(t *testing.T) {
 				t.Fatalf("active %d, completions %d, cancels of next %d", n.ActiveFlows(), completions, nextCancels)
 			}
 		})
+	}
+}
+
+// TestRisenShareWalksOnlyBottleneckedFlows pins the work claim of the
+// rose rule. After a cancellation or a repair raises link shares, exactly
+// the flows whose rate was the old share of a risen link on their route
+// walk their route again (and so carry the reflow's epoch mark); a flow
+// on a risen link that another link holds to a lower rate is not touched.
+func TestRisenShareWalksOnlyBottleneckedFlows(t *testing.T) {
+	eng := desim.New()
+	topo, err := topology.NewHierarchical(
+		topology.Config{Sites: 18, RegionFanout: 4, Bandwidth: 5e6}, rng.New(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := New(eng, topo, EqualShare)
+	r := rng.New(7)
+	walked, held := 0, 0
+	raise := func(change func()) {
+		t.Helper()
+		rate := make(map[*Flow]float64)
+		n.eachFlow(func(f *Flow) { rate[f] = f.rate })
+		old := append([]float64(nil), n.share...)
+		change()
+		checkInvariants(t, n)
+		n.eachFlow(func(f *Flow) {
+			onRisen, want := false, false
+			for _, l := range f.path {
+				if n.share[l] > old[l] {
+					onRisen = true
+					want = want || rate[f] == old[l]
+				}
+			}
+			if got := f.mark == n.epoch; got != want {
+				t.Fatalf("flow %d at rate %v: walked %v, want %v", f.ID, rate[f], got, want)
+			}
+			switch {
+			case want:
+				walked++
+			case onRisen:
+				held++
+			}
+		})
+	}
+	var open []*Flow
+	degraded := topology.LinkID(0)
+	for i := 0; i < 600; i++ {
+		switch r.Intn(4) {
+		case 0, 1:
+			// Distinct ends: a local transfer never enters the sharing pool.
+			src := topology.SiteID(r.Intn(18))
+			dst := (src + 1 + topology.SiteID(r.Intn(17))) % 18
+			open = append(open, n.Transfer(src, dst, 1e15, nil))
+		case 2:
+			if len(open) > 0 {
+				j := r.Intn(len(open))
+				f := open[j]
+				open = append(open[:j], open[j+1:]...)
+				raise(func() { n.Cancel(f) })
+			}
+		case 3:
+			if r.Intn(2) == 0 {
+				degraded = topology.LinkID(r.Intn(topo.NumLinks()))
+				n.SetLinkBandwidth(degraded, 1e6)
+			} else {
+				raise(func() { n.SetLinkBandwidth(degraded, -1) })
+			}
+		}
+	}
+	if walked == 0 || held == 0 {
+		t.Fatalf("rule never exercised: %d flows walked, %d held elsewhere", walked, held)
 	}
 }
