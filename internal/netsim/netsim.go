@@ -763,12 +763,11 @@ func (n *Network) maxMin(now desim.Time) {
 	}
 	frozen := n.frozenBuf[:len(n.ordered)]
 	clear(frozen)
-	// Filling re-rates nearly every flow, so one rescan at the end costs
-	// less than keeping next and the block minima current flow by flow.
+	// Filling re-rates nearly every flow, so the block minima are left
+	// unknown for the next rescan rather than kept current flow by flow.
 	for b := range n.blockMin {
 		n.blockMin[b] = -1
 	}
-	n.next, n.rescan = nil, true
 	remaining := n.live
 	for remaining > 0 {
 		// Find bottleneck link: min cap/count over links with count > 0.
