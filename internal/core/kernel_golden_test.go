@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"chicsim/internal/faults"
@@ -23,7 +24,10 @@ var updateKernelGolden = flag.Bool("update-kernel-golden", false,
 // (one per sharing policy) that exercise the flow-cancellation matrix and
 // the same-timestamp cancel-race semantics PR 2 pinned, plus the adaptive
 // feedback pair on a stale-GIS grid, a contended 60-site grid, and
-// JobDataPresent on a 60-site grid under the default GIS staleness.
+// JobDataPresent on a 60-site grid under the default GIS staleness, and
+// two storage-pressure runs on the contended grid that reach the DS's
+// best-client and cascade pushes, its deletion role, LRU eviction and
+// transient staging.
 func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	base := func() Config {
 		cfg := DefaultConfig()
@@ -96,6 +100,20 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	presentStale.ES, presentStale.DS = "JobDataPresent", "DataLeastLoaded"
 	cfgs["present-stale"] = presentStale
 
+	// Per-site storage far below the masters' footprint, on the contended
+	// grid's link outages and transfer aborts: caches evict, arrivals that
+	// cannot be cached are staged transiently for their waiting jobs, and
+	// the DS pushes and ages replicas. Pins the site's
+	// and store's file state: LRU order, pins, popularity windows and
+	// their requester breakdown, and idle aging.
+	for _, dsName := range []string{"DataBestClient", "DataCascade"} {
+		pressure := contended
+		pressure.DS = dsName
+		pressure.StorageGB = 5
+		pressure.DSDeleteAfter = 2
+		cfgs["pressure-"+strings.ToLower(strings.TrimPrefix(dsName, "Data"))] = pressure
+	}
+
 	for name := range cfgs {
 		names = append(names, name)
 	}
@@ -136,6 +154,12 @@ func TestKernelGolden(t *testing.T) {
 		if name == "faulted" || name == "faulted-maxmin" || name == "contended" {
 			if res.Faults.FaultsInjected == 0 {
 				t.Fatalf("%s: no faults injected; case exercises nothing", name)
+			}
+		}
+		if strings.HasPrefix(name, "pressure-") {
+			if res.Evictions == 0 || res.Replications == 0 || res.DSDeletions == 0 {
+				t.Fatalf("%s: evictions %d, replications %d, DS deletions %d; case exercises nothing",
+					name, res.Evictions, res.Replications, res.DSDeletions)
 			}
 		}
 		got[name] = hashResults(t, res)
