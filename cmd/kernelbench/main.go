@@ -77,6 +77,8 @@ func suite() []bench {
 	}
 	// Removals from the middle of a scale-sized flow population.
 	out = append(out, bench{"ReflowChurn/flows=1600", kernelbench.ReflowChurn(1600)})
+	// A site's per-file state: hits, fetches, LRU evictions, drains.
+	out = append(out, bench{"SiteAccess", kernelbench.SiteAccess})
 	out = append(out, bench{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string

@@ -127,8 +127,7 @@ type Simulation struct {
 	dsDeletions    int
 	dispatches     int // ES/batch dispatch hook-point counter
 
-	probes      *obs.Registry            // nil unless cfg.ObsInterval > 0
-	idleWindows []map[storage.FileID]int // per site: consecutive access-free DS windows
+	probes *obs.Registry // nil unless cfg.ObsInterval > 0
 
 	// Feedback-scheduling telemetry (see internal/scheduler/feedback).
 	// Nil unless a feedback policy is configured; all hooks are nil-safe.
@@ -1002,7 +1001,7 @@ func (s *Simulation) dsWake(i int) {
 		}
 	}
 	if s.cfg.DSDeleteAfter > 0 {
-		s.dsDelete(i, all)
+		s.dsDeletions += st.AgeIdleReplicas(all, s.cfg.DSDeleteAfter)
 	}
 	if len(s.lostAt) > 0 && len(s.lostAt[i]) > 0 {
 		s.restoreReplicas(i)
@@ -1043,36 +1042,6 @@ func (s *Simulation) dsRearm(i int) {
 	if _, ok := s.eng.AtAsOf(at, prev, s.dsWakeFns[i]); !ok {
 		// The skipped wake at this instant has already gone by, empty.
 		s.eng.AtAsOf(at+s.cfg.DSInterval, at, s.dsWakeFns[i])
-	}
-}
-
-// dsDelete ages cached replicas at site i and deletes those untouched for
-// DSDeleteAfter consecutive DS windows (the DS's "delete local files"
-// role).
-func (s *Simulation) dsDelete(i int, accessed []scheduler.PopularFile) {
-	if s.idleWindows == nil {
-		s.idleWindows = make([]map[storage.FileID]int, len(s.sites))
-	}
-	if s.idleWindows[i] == nil {
-		s.idleWindows[i] = make(map[storage.FileID]int)
-	}
-	windows := s.idleWindows[i]
-	touched := make(map[storage.FileID]bool, len(accessed))
-	for _, p := range accessed {
-		touched[p.File] = true
-		delete(windows, p.File)
-	}
-	for _, f := range s.sites[i].CachedIdleFiles() {
-		if touched[f] {
-			continue
-		}
-		windows[f]++
-		if windows[f] >= s.cfg.DSDeleteAfter {
-			if s.sites[i].DeleteReplica(f) {
-				s.dsDeletions++
-			}
-			delete(windows, f)
-		}
 	}
 }
 

@@ -60,6 +60,9 @@ func (s State) String() string {
 // lets the Store recycle its capacity with the job.
 type Hold struct {
 	File storage.FileID
+	// Slot is the file's record at the holding site's store, which the
+	// hold keeps alive.
+	Slot storage.Slot
 	// Transient marks a replica fetched for this job only (no cache
 	// admission): its refcount lives in the site's transient table, not
 	// the storage layer.

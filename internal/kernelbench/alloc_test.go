@@ -11,7 +11,8 @@ import (
 // hot paths by running the real benchmark bodies and asserting their
 // measured allocs/op: steady-state engine stepping and — with the pooled
 // flow storage — both reflow policies at every flow tier the suite
-// tracks, and the churn of removals from the middle. One-time pool
+// tracks, the churn of removals from the middle, and a site's per-file
+// data path under cache pressure. One-time pool
 // growth before the timer reset is excluded by testing.Benchmark itself;
 // growth after it amortizes to zero over the benchmark's iteration
 // count.
@@ -39,7 +40,10 @@ func TestKernelBodiesRunAllocFree(t *testing.T) {
 	bodies = append(bodies, struct {
 		name string
 		body func(*testing.B)
-	}{"ReflowChurn/flows=1600", ReflowChurn(1600)})
+	}{"ReflowChurn/flows=1600", ReflowChurn(1600)}, struct {
+		name string
+		body func(*testing.B)
+	}{"SiteAccess", SiteAccess})
 	for _, bm := range bodies {
 		t.Run(bm.name, func(t *testing.T) {
 			br := testing.Benchmark(bm.body)

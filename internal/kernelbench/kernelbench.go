@@ -4,10 +4,11 @@
 // testing.Benchmark and emits BENCH_kernel.json so the kernel's perf
 // trajectory is tracked across PRs.
 //
-// The two microbenchmarks target the hot paths ROADMAP calls out: the
-// event queue under schedule/cancel churn (the flow-cancellation matrix
-// cancels constantly) and netsim's reflow on every flow admission and
-// completion. Sim is the end-to-end anchor, reporting events/sec.
+// The microbenchmarks target the hot paths ROADMAP calls out: the event
+// queue under schedule/cancel churn (the flow-cancellation matrix cancels
+// constantly), netsim's reflow on every flow admission and completion,
+// and a site's per-file data path. Sim is the end-to-end anchor,
+// reporting events/sec.
 package kernelbench
 
 import (
@@ -15,10 +16,15 @@ import (
 	"testing"
 	"time"
 
+	"chicsim/internal/catalog"
 	"chicsim/internal/core"
 	"chicsim/internal/desim"
+	"chicsim/internal/job"
 	"chicsim/internal/netsim"
 	"chicsim/internal/rng"
+	"chicsim/internal/scheduler/ls"
+	"chicsim/internal/site"
+	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
 
@@ -162,6 +168,70 @@ func ReflowChurn(flows int) func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			churn()
 		}
+	}
+}
+
+// delayMover lands every fetch a fixed virtual delay after it starts.
+type delayMover struct{ eng *desim.Engine }
+
+func (m delayMover) Fetch(_ storage.FileID, _, _ topology.SiteID, _ job.ID, done func()) {
+	m.eng.Schedule(5, done)
+}
+
+// SiteAccess measures one site's per-file data path at steady state: each
+// op enqueues four jobs, each reading one of 40 files whose masters live
+// on another site, and runs the engine until they are done: hits pin a
+// cached copy, misses fetch it, arrivals cache it and evict from an LRU
+// with room for about 25 of the files, completions unpin. Every eighth op
+// drains the popularity window, as a DS wake would. No transfer model,
+// no ES: only the site, its store and the catalog are on the path.
+func SiteAccess(b *testing.B) {
+	eng := desim.New()
+	topo, err := topology.NewHierarchical(topology.Config{Sites: 4, RegionFanout: 2, Bandwidth: 10e6}, rng.New(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat := catalog.New()
+	const files = 40
+	inputs := make([][]storage.FileID, files)
+	for f := range inputs {
+		id := storage.FileID(f)
+		inputs[f] = []storage.FileID{id}
+		if err := cat.DefineFile(id, 1e9*(1+float64(f%7)/7)); err != nil {
+			b.Fatal(err)
+		}
+		cat.Register(id, 3)
+	}
+	jobs := job.NewStore()
+	st, err := site.New(eng, topo, cat, delayMover{eng}, ls.FIFO{}, site.Config{ID: 0, CEs: 4, Capacity: 25 * 1.43e9},
+		func(j *job.Job) { jobs.Free(j) })
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := uint64(0x2545F4914F6CDD1D)
+	op := func(i int) {
+		for k := 0; k < 4; k++ {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			j := jobs.Alloc(job.ID(i), 0, topology.SiteID(x%4), inputs[(x>>8)%files], 60)
+			j.Advance(job.Submitted, eng.Now())
+			st.Enqueue(j)
+		}
+		for eng.Step() {
+		}
+		if i%8 == 0 {
+			st.DrainPopularity()
+		}
+	}
+	// Fill the cache and grow every pool to its high-water mark first.
+	for i := 0; i < 512; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
 	}
 }
 

@@ -134,8 +134,8 @@ func (c *Cascade) Decide(g scheduler.GridView, self topology.SiteID, popular []s
 
 // BestClient replicates each popular dataset to the site that generated
 // the most requests for it (extension modeled on [23]'s Best Client
-// strategy). Falls back to doing nothing when the best client already
-// holds the file.
+// strategy), ties going to the lowest site id. Sites that already hold
+// the file are passed over; when every requester does, nothing is pushed.
 type BestClient struct{ Src *rng.Source }
 
 // Name implements scheduler.Dataset.
@@ -147,12 +147,12 @@ func (b BestClient) Decide(g scheduler.GridView, self topology.SiteID, popular [
 	for _, p := range popular {
 		best := topology.SiteID(-1)
 		bestCount := 0
-		for s := 0; s < g.NumSites(); s++ { // site order for determinism
-			sid := topology.SiteID(s)
-			n := p.ByRequester[sid]
-			if sid != self && n > bestCount && !g.HasReplica(p.File, sid) {
-				best = sid
-				bestCount = n
+		for _, rc := range p.ByRequester {
+			if rc.Site == self || rc.Count < bestCount || rc.Count == bestCount && rc.Site > best {
+				continue
+			}
+			if !g.HasReplica(p.File, rc.Site) {
+				best, bestCount = rc.Site, rc.Count
 			}
 		}
 		if best < 0 {

@@ -134,10 +134,10 @@ func TestBestClientFollowsRequesters(t *testing.T) {
 	p := []scheduler.PopularFile{{
 		File:  1,
 		Count: 10,
-		ByRequester: map[topology.SiteID]int{
-			2: 7,
-			3: 2,
-			0: 1, // self: must be ignored
+		ByRequester: []scheduler.RequesterCount{
+			{Site: 3, Count: 2},
+			{Site: 0, Count: 9}, // self: must be ignored
+			{Site: 2, Count: 7},
 		},
 	}}
 	reps := b.Decide(v, 0, p)
@@ -149,6 +149,43 @@ func TestBestClientFollowsRequesters(t *testing.T) {
 	reps = b.Decide(v, 0, p)
 	if len(reps) != 1 || reps[0].Target != 3 {
 		t.Fatalf("Decide = %v, want target 3", reps)
+	}
+}
+
+// TestBestClientTieGoesToLowestSite pins the choice the site-order scan
+// made before requesters became a first-request-order run: the highest
+// count wins, equal counts go to the lowest site id that lacks the file.
+func TestBestClientTieGoesToLowestSite(t *testing.T) {
+	v := schedtest.NewView(8)
+	b := BestClient{Src: rng.New(1)}
+	p := []scheduler.PopularFile{{
+		File:  1,
+		Count: 13,
+		ByRequester: []scheduler.RequesterCount{
+			{Site: 6, Count: 4},
+			{Site: 1, Count: 1},
+			{Site: 5, Count: 4},
+			{Site: 2, Count: 4},
+		},
+	}}
+	for _, tc := range []struct {
+		holders []topology.SiteID
+		want    topology.SiteID // -1: no push
+	}{
+		{nil, 2},
+		{[]topology.SiteID{2}, 5},
+		{[]topology.SiteID{2, 5}, 6},
+		{[]topology.SiteID{2, 5, 6}, 1},
+		{[]topology.SiteID{1, 2, 5, 6}, -1},
+	} {
+		v.Reps[1] = tc.holders
+		reps := b.Decide(v, 0, p)
+		switch {
+		case tc.want < 0 && len(reps) != 0:
+			t.Errorf("holders %v: Decide = %v, want no push", tc.holders, reps)
+		case tc.want >= 0 && (len(reps) != 1 || reps[0].Target != tc.want):
+			t.Errorf("holders %v: Decide = %v, want target %d", tc.holders, reps, tc.want)
+		}
 	}
 }
 

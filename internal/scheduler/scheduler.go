@@ -76,9 +76,16 @@ type PopularFile struct {
 	File  storage.FileID
 	Count int
 	// ByRequester breaks Count down by the site that triggered the
-	// access (the execution site of the job, or the site that fetched a
-	// copy from here). Used by the DataBestClient extension.
-	ByRequester map[topology.SiteID]int
+	// access (the origin site of the job, or the site that fetched a
+	// copy from here), one entry per site in first-request order. Used by
+	// the DataBestClient extension.
+	ByRequester []RequesterCount
+}
+
+// RequesterCount is one requesting site's share of a PopularFile's Count.
+type RequesterCount struct {
+	Site  topology.SiteID
+	Count int
 }
 
 // Replication is a DS decision: push File from the deciding site to Target.

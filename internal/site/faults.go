@@ -26,7 +26,12 @@ func (s *Site) AvailableCEs() int { return s.ces - s.failedCEs }
 
 // PopularityOf returns the access count recorded for f in the current
 // DS window (used to decide whether a lost replica is worth restoring).
-func (s *Site) PopularityOf(f storage.FileID) int { return s.popularity[f] }
+func (s *Site) PopularityOf(f storage.FileID) int {
+	if _, fs := s.lookup(f); fs != nil {
+		return int(fs.count)
+	}
+	return 0
+}
 
 // Crash takes the site down. Running jobs are killed (their completion
 // events cancelled) and returned in job-id order; queued jobs either
@@ -67,32 +72,31 @@ func (s *Site) Crash(keepQueued bool) (running, dropped []*job.Job) {
 		s.queue = nil
 	}
 
-	// In-flight fetch bookkeeping dies with the site; the core has
-	// already cancelled the underlying flows.
-	for f, w := range s.waiting {
-		s.waitPool = append(s.waitPool, w[:0])
-		delete(s.waiting, f)
-	}
-	clear(s.fetching)
-	clear(s.transient)
-
-	// The DS's popularity window is lost with the site. The requester
-	// maps are reclaimable immediately: nothing was lent out.
-	clear(s.popularity)
-	for f, m := range s.popByReq {
-		clear(m)
-		s.reqPool = append(s.reqPool, m)
-		delete(s.popByReq, f)
-	}
-
 	if s.holds != 0 {
 		panic(fmt.Sprintf("site %d: crash with %d data holds left", s.id, s.holds))
 	}
 
+	// In-flight fetch bookkeeping dies with the site (the core has
+	// already cancelled the underlying flows), and so does the DS's
+	// popularity window. Its requester arena is reclaimable at once:
+	// nothing of this window was lent out. Idle ages survive.
+	for slot := range s.files {
+		fs := &s.files[slot]
+		if !fs.fetching && len(fs.waiters) == 0 && fs.transient == 0 && fs.count == 0 {
+			continue // nothing to clear, or a free slot
+		}
+		if fs.waiters != nil {
+			s.waitPool = append(s.waitPool, fs.waiters[:0])
+		}
+		fs.waiters, fs.fetching, fs.transient = nil, false, 0
+		fs.count, fs.reqOff, fs.reqLen, fs.reqCap = 0, 0, 0, 0
+		s.settle(storage.Slot(slot))
+	}
+	s.touched = s.touched[:0]
+	s.reqs = s.reqs[:0]
+
 	// Scratch cache is gone: drop every cached (non-master) replica.
-	res := s.store.Resident()
-	sort.Slice(res, func(i, j int) bool { return res[i] < res[j] })
-	for _, f := range res {
+	for _, f := range s.store.Resident() {
 		if s.store.IsMaster(f) {
 			continue
 		}
@@ -161,7 +165,8 @@ func (s *Site) RecoverCE() {
 // surviving replica. No-op (false) if the site is down or no longer
 // expects the file.
 func (s *Site) RestartFetch(f storage.FileID) bool {
-	if s.down || !s.fetching[f] {
+	_, fs := s.lookup(f)
+	if s.down || fs == nil || !fs.fetching {
 		return false
 	}
 	src, ok := s.cat.Closest(f, s.id, s.topo)
@@ -171,8 +176,8 @@ func (s *Site) RestartFetch(f storage.FileID) bool {
 	// Credit the restart to the first job still waiting on the file; a
 	// restart with no waiters has no job to attribute.
 	requester := job.ID(-1)
-	if ws := s.waiting[f]; len(ws) > 0 {
-		requester = ws[0].ID
+	if len(fs.waiters) > 0 {
+		requester = fs.waiters[0].ID
 	}
 	size, _ := s.cat.Size(f)
 	s.mover.Fetch(f, src, s.id, requester, s.newArriveRec(f, size).fn)

@@ -7,7 +7,6 @@ package site
 
 import (
 	"fmt"
-	"sort"
 
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
@@ -57,18 +56,14 @@ type Site struct {
 	ls    scheduler.Local
 	store *storage.Store
 
-	queue    []*job.Job
-	busy     int
-	waiting  map[storage.FileID][]*job.Job // queued jobs missing this file
-	waitPool [][]*job.Job                  // recycled waiter slices (cap reuse)
-	fetching map[storage.FileID]bool
-	// transient holds files that arrived for waiting jobs but could not be
-	// cached (capacity exhausted by pinned data). They live in a staging
-	// area, usable by the jobs that needed them, refcounted and discarded
-	// afterwards; they are not registered as grid replicas.
-	transient map[storage.FileID]int
-	holds     int        // outstanding data holds across all jobs here (leak check)
-	running   []*job.Job // jobs on CEs; each job's RunEv/RunIdx index into this
+	queue []*job.Job
+	busy  int
+	// files is the site's half of its per-file records, indexed by the
+	// store's slots: one table lookup in the store reaches both halves.
+	files    []fileState
+	waitPool [][]*job.Job // emptied waiter lists (capacity reuse)
+	holds    int          // outstanding data holds across all jobs here (leak check)
+	running  []*job.Job   // jobs on CEs; each job's RunEv/RunIdx index into this
 
 	// Pooled completion/arrival records: the per-run and per-fetch
 	// callbacks are closures built once per record and recycled, so the
@@ -81,11 +76,14 @@ type Site struct {
 	down      bool
 	failedCEs int
 
-	popularity map[storage.FileID]int
-	popByReq   map[storage.FileID]map[topology.SiteID]int
-	popBuf     []scheduler.PopularFile   // DrainPopularity output, reused per drain
-	lentReq    []map[topology.SiteID]int // ByRequester maps lent out until the next drain
-	reqPool    []map[topology.SiteID]int // cleared requester maps ready for reuse
+	// The DS popularity window: the slots first accessed since the last
+	// drain, in first-access order, and the arena their requester runs
+	// live in. The previous window's arena is lent out with the drained
+	// slice until the next drain.
+	touched []storage.Slot
+	reqs    []scheduler.RequesterCount
+	lentReq []scheduler.RequesterCount
+	popBuf  []scheduler.PopularFile // DrainPopularity output, reused per drain
 
 	onDone       func(*job.Job)
 	onWindowOpen func(topology.SiteID)
@@ -95,6 +93,29 @@ type Site struct {
 	lastBusy desim.Time
 
 	fetchesStarted int
+}
+
+// fileState is the site's per-file state. A file with any of it set is
+// held in the store (storage.Store.Hold), so its slot outlives eviction;
+// settle releases the hold once everything is back to zero.
+type fileState struct {
+	// waiters are the queued jobs missing this file; nil when none.
+	waiters []*job.Job
+	// count is the accesses recorded in the current popularity window;
+	// non-zero exactly when the slot is on the touched list.
+	count int32
+	// The window's requester run: reqs[reqOff : reqOff+reqLen], with room
+	// for reqCap entries before the next run in the arena.
+	reqOff, reqLen, reqCap int32
+	// transient counts the holds on a copy that arrived for waiting jobs
+	// but could not be cached (capacity exhausted by pinned data). It lives
+	// in a staging area, usable by the jobs that needed it and discarded
+	// afterwards; it is not registered as a grid replica.
+	transient int32
+	// idle counts consecutive DS windows a cached replica went unaccessed
+	// (AgeIdleReplicas). It survives eviction and crashes.
+	idle     int32
+	fetching bool
 }
 
 // New creates a site. onDone fires after each job completes (used by the
@@ -108,20 +129,15 @@ func New(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover
 		speed = 1
 	}
 	s := &Site{
-		id:         cfg.ID,
-		ces:        cfg.CEs,
-		speed:      speed,
-		eng:        eng,
-		topo:       topo,
-		cat:        cat,
-		mover:      mover,
-		ls:         lsched,
-		waiting:    make(map[storage.FileID][]*job.Job),
-		fetching:   make(map[storage.FileID]bool),
-		transient:  make(map[storage.FileID]int),
-		popularity: make(map[storage.FileID]int),
-		popByReq:   make(map[storage.FileID]map[topology.SiteID]int),
-		onDone:     onDone,
+		id:     cfg.ID,
+		ces:    cfg.CEs,
+		speed:  speed,
+		eng:    eng,
+		topo:   topo,
+		cat:    cat,
+		mover:  mover,
+		ls:     lsched,
+		onDone: onDone,
 
 		onWindowOpen: cfg.OnWindowOpen,
 	}
@@ -155,7 +171,7 @@ func (s *Site) Busy() int { return s.busy }
 func (s *Site) DataWaitingJobs() int {
 	n := 0
 	for _, j := range s.queue {
-		if !s.jobReady(j) {
+		if !jobReady(j) {
 			n++
 		}
 	}
@@ -200,9 +216,37 @@ func (s *Site) setBusy(b int) {
 	s.busy = b
 }
 
-// present reports whether f is usable at this site right now.
-func (s *Site) present(f storage.FileID) bool {
-	return s.store.Peek(f) || s.transient[f] > 0
+// state returns the site's half of a slot's record.
+func (s *Site) state(slot storage.Slot) *fileState {
+	if int(slot) >= len(s.files) {
+		s.files = append(s.files, make([]fileState, s.store.Slots()-len(s.files))...)
+	}
+	return &s.files[slot]
+}
+
+// hold returns f's slot, keeping its record for the site's state.
+func (s *Site) hold(f storage.FileID) storage.Slot {
+	slot := s.store.Hold(f)
+	s.state(slot)
+	return slot
+}
+
+// settle releases a slot's record once the site keeps no state for it.
+// The slot must not be used after it.
+func (s *Site) settle(slot storage.Slot) {
+	fs := &s.files[slot]
+	if fs.count == 0 && fs.transient == 0 && fs.idle == 0 && !fs.fetching && len(fs.waiters) == 0 {
+		s.store.Release(slot)
+	}
+}
+
+// lookup returns f's slot and the site's state for it, or NoSlot and nil.
+func (s *Site) lookup(f storage.FileID) (storage.Slot, *fileState) {
+	slot := s.store.Lookup(f)
+	if slot == storage.NoSlot {
+		return slot, nil
+	}
+	return slot, s.state(slot)
 }
 
 // Enqueue places a dispatched job in the incoming queue, starts fetches for
@@ -225,27 +269,29 @@ func (s *Site) Enqueue(j *job.Job) {
 // is not requesting the data again, the site is restoring its own state).
 func (s *Site) arm(j *job.Job, record bool) {
 	for _, f := range j.Inputs {
+		slot := s.hold(f)
 		if record {
-			s.recordAccess(f, j.Origin)
+			s.recordAccess(slot, j.Origin)
 		}
-		if s.store.Contains(f) || s.transient[f] > 0 { // Contains also books the hit/miss
-			s.acquire(j, f)
+		if s.store.ContainsAt(slot) || s.files[slot].transient > 0 { // ContainsAt also books the hit/miss
+			s.acquire(j, f, slot)
+			s.settle(slot)
 			continue
 		}
-		w, ok := s.waiting[f]
-		if !ok {
+		fs := &s.files[slot]
+		if fs.waiters == nil {
 			if n := len(s.waitPool); n > 0 {
-				w = s.waitPool[n-1]
+				fs.waiters = s.waitPool[n-1]
 				s.waitPool[n-1] = nil
 				s.waitPool = s.waitPool[:n-1]
 			}
 		}
-		s.waiting[f] = append(w, j)
-		if !s.fetching[f] {
-			s.startFetch(f, j.ID)
+		fs.waiters = append(fs.waiters, j)
+		if !fs.fetching {
+			s.startFetch(slot, f, j.ID)
 		}
 	}
-	if s.jobReady(j) {
+	if jobReady(j) {
 		j.DataReady = s.eng.Now()
 	}
 }
@@ -255,14 +301,12 @@ func (s *Site) arm(j *job.Job, record bool) {
 // getting cached after being staged) cannot unbalance the accounting.
 // Holds live on the job itself (job.Hold), so the bookkeeping recycles
 // with the job instead of churning a per-site map.
-func (s *Site) acquire(j *job.Job, f storage.FileID) {
-	ref := job.Hold{File: f}
-	if s.store.Peek(f) {
-		if err := s.store.Pin(f); err != nil {
-			panic(err)
-		}
+func (s *Site) acquire(j *job.Job, f storage.FileID, slot storage.Slot) {
+	ref := job.Hold{File: f, Slot: slot}
+	if s.store.ResidentAt(slot) {
+		s.store.PinAt(slot)
 	} else {
-		s.transient[f]++
+		s.files[slot].transient++
 		ref.Transient = true
 	}
 	j.Holds = append(j.Holds, ref)
@@ -272,23 +316,25 @@ func (s *Site) acquire(j *job.Job, f storage.FileID) {
 func (s *Site) release(j *job.Job) {
 	for _, ref := range j.Holds {
 		if ref.Transient {
-			s.transient[ref.File]--
-			if s.transient[ref.File] <= 0 {
-				delete(s.transient, ref.File)
+			s.files[ref.Slot].transient--
+			if s.files[ref.Slot].transient == 0 {
+				s.settle(ref.Slot)
 			}
 			continue
 		}
-		if err := s.store.Unpin(ref.File); err != nil {
+		if err := s.store.UnpinAt(ref.Slot); err != nil {
 			panic(err)
 		}
-		s.store.Touch(ref.File) // refresh recency on use
+		s.store.TouchAt(ref.Slot) // refresh recency on use
 	}
 	s.holds -= len(j.Holds)
 	j.Holds = j.Holds[:0]
 }
 
-// jobReady reports whether all of j's inputs are locally usable.
-func (s *Site) jobReady(j *job.Job) bool {
+// jobReady reports whether all of j's inputs are locally usable. A plain
+// function, not a method: the method value handed to the local scheduler
+// would allocate a closure on every call.
+func jobReady(j *job.Job) bool {
 	return len(j.Holds) == len(j.Inputs)
 }
 
@@ -326,12 +372,12 @@ func (s *Site) newArriveRec(f storage.FileID, size float64) *arriveRec {
 
 // startFetch picks the closest replica source and asks the data mover to
 // bring the file here on behalf of the requesting job.
-func (s *Site) startFetch(f storage.FileID, requester job.ID) {
+func (s *Site) startFetch(slot storage.Slot, f storage.FileID, requester job.ID) {
 	src, ok := s.cat.Closest(f, s.id, s.topo)
 	if !ok {
 		panic(fmt.Sprintf("site %d: no replica of file %d anywhere", s.id, f))
 	}
-	s.fetching[f] = true
+	s.files[slot].fetching = true
 	s.fetchesStarted++
 	size, _ := s.cat.Size(f)
 	s.mover.Fetch(f, src, s.id, requester, s.newArriveRec(f, size).fn)
@@ -341,14 +387,15 @@ func (s *Site) startFetch(f storage.FileID, requester job.ID) {
 // if capacity allows, satisfies waiting jobs, and re-runs the local
 // scheduler.
 func (s *Site) fileArrived(f storage.FileID, size float64) {
-	delete(s.fetching, f)
-	waiters := s.waiting[f]
-	delete(s.waiting, f)
-	if s.store.AddReplica(f, size) {
+	slot := s.hold(f)
+	fs := &s.files[slot]
+	waiters := fs.waiters
+	fs.fetching, fs.waiters = false, nil
+	if s.store.AddReplicaAt(slot, size) {
 		s.cat.Register(f, s.id)
-	} else if len(waiters) == 0 {
+	} else if waiters == nil {
+		s.settle(slot)
 		return // nowhere to cache it and nobody needs it
-		// (non-nil waiter slices are never empty, so nothing to recycle)
 	}
 	// Otherwise stage transiently for the jobs that are waiting.
 	now := s.eng.Now()
@@ -356,14 +403,15 @@ func (s *Site) fileArrived(f storage.FileID, size float64) {
 		if j.State == job.Done {
 			continue
 		}
-		s.acquire(j, f)
-		if s.jobReady(j) && j.DataReady < 0 {
+		s.acquire(j, f, slot)
+		if jobReady(j) && j.DataReady < 0 {
 			j.DataReady = now
 		}
 	}
 	if waiters != nil {
 		s.waitPool = append(s.waitPool, waiters[:0])
 	}
+	s.settle(slot)
 	s.trySchedule()
 }
 
@@ -379,7 +427,7 @@ func (s *Site) trySchedule() {
 		return
 	}
 	for s.busy < s.ces-s.failedCEs {
-		idx := s.ls.Next(s.queue, s.jobReady)
+		idx := s.ls.Next(s.queue, jobReady)
 		if idx < 0 {
 			return
 		}
@@ -418,7 +466,7 @@ func (s *Site) newRunRec(j *job.Job) *runRec {
 }
 
 func (s *Site) run(j *job.Job) {
-	if !s.jobReady(j) {
+	if !jobReady(j) {
 		panic(fmt.Sprintf("site %d: scheduling job %d without its data", s.id, j.ID))
 	}
 	j.Advance(job.Running, s.eng.Now())
@@ -455,31 +503,48 @@ func (s *Site) complete(j *job.Job) {
 	s.trySchedule()
 }
 
-// recordAccess counts one request for f at this site on behalf of
-// requester (a job's origin site or a remote fetching site).
-func (s *Site) recordAccess(f storage.FileID, requester topology.SiteID) {
-	if len(s.popularity) == 0 && s.onWindowOpen != nil {
-		s.onWindowOpen(s.id)
-	}
-	s.popularity[f]++
-	m := s.popByReq[f]
-	if m == nil {
-		if n := len(s.reqPool); n > 0 {
-			m = s.reqPool[n-1]
-			s.reqPool[n-1] = nil
-			s.reqPool = s.reqPool[:n-1]
-		} else {
-			m = make(map[topology.SiteID]int)
+// recordAccess counts one request for a slot's file at this site on
+// behalf of requester (a job's origin site or a remote fetching site).
+// The slot must be held.
+func (s *Site) recordAccess(slot storage.Slot, requester topology.SiteID) {
+	if s.files[slot].count == 0 {
+		if len(s.touched) == 0 && s.onWindowOpen != nil {
+			s.onWindowOpen(s.id)
 		}
-		s.popByReq[f] = m
+		s.touched = append(s.touched, slot)
 	}
-	m[requester]++
+	fs := &s.files[slot]
+	fs.count++
+	run := s.reqs[fs.reqOff : fs.reqOff+fs.reqLen]
+	for k := range run {
+		if run[k].Site == requester {
+			run[k].Count++
+			return
+		}
+	}
+	if fs.reqLen == fs.reqCap {
+		// The run is full. At the arena's end it grows in place; anywhere
+		// else it moves to the end with room to double.
+		end := int32(len(s.reqs))
+		if fs.reqOff+fs.reqCap == end {
+			s.reqs = append(s.reqs, scheduler.RequesterCount{})
+			fs.reqCap++
+		} else {
+			s.reqs = append(s.reqs, run...)
+			fs.reqOff, fs.reqCap = end, max(2*fs.reqLen, 1)
+			for int32(len(s.reqs)) < end+fs.reqCap {
+				s.reqs = append(s.reqs, scheduler.RequesterCount{})
+			}
+		}
+	}
+	s.reqs[fs.reqOff+fs.reqLen] = scheduler.RequesterCount{Site: requester, Count: 1}
+	fs.reqLen++
 }
 
 // RecordRemoteRequest counts a remote site fetching f from here — a use of
 // this site's locally available copy.
 func (s *Site) RecordRemoteRequest(f storage.FileID, requester topology.SiteID) {
-	s.recordAccess(f, requester)
+	s.recordAccess(s.hold(f), requester)
 }
 
 // DeleteReplica removes a cached replica on behalf of the Dataset
@@ -487,54 +552,89 @@ func (s *Site) RecordRemoteRequest(f storage.FileID, requester topology.SiteID) 
 // local files", §3). Masters, pinned files, and files a fetch is still
 // racing toward are left alone. Reports whether a copy was deleted.
 func (s *Site) DeleteReplica(f storage.FileID) bool {
-	if s.fetching[f] || len(s.waiting[f]) > 0 {
+	slot, fs := s.lookup(f)
+	if fs == nil || fs.fetching || len(fs.waiters) > 0 {
 		return false
 	}
-	return s.store.RemoveReplica(f)
+	return s.store.RemoveReplicaAt(slot)
 }
 
 // CachedIdleFiles returns the resident non-master files that are neither
-// pinned nor being fetched — the candidates for DS-driven deletion.
+// pinned nor being fetched — the candidates for DS-driven deletion — in
+// ascending id order.
 func (s *Site) CachedIdleFiles() []storage.FileID {
 	var out []storage.FileID
 	for _, f := range s.store.Resident() {
-		if !s.store.IsMaster(f) && s.store.Pins(f) == 0 && !s.fetching[f] {
+		if _, fs := s.lookup(f); !s.store.IsMaster(f) && s.store.Pins(f) == 0 && !fs.fetching {
 			out = append(out, f)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// AgeIdleReplicas is the DS's deletion role at one wake. Each cached idle
+// replica (CachedIdleFiles) that is not among accessed, the window just
+// drained, counts one more idle window; at after windows it is deleted.
+// A file in accessed starts counting again from zero. Deletions go in
+// ascending id order; it returns how many replicas were deleted.
+func (s *Site) AgeIdleReplicas(accessed []scheduler.PopularFile, after int) int {
+	idle := s.CachedIdleFiles()
+	for _, f := range idle {
+		slot := s.hold(f)
+		s.files[slot].idle++
+	}
+	for _, p := range accessed {
+		if slot, fs := s.lookup(p.File); fs != nil && fs.idle != 0 {
+			fs.idle = 0
+			s.settle(slot)
+		}
+	}
+	deleted := 0
+	for _, f := range idle {
+		slot, fs := s.lookup(f)
+		if int(fs.idle) < after {
+			continue
+		}
+		if s.DeleteReplica(f) {
+			deleted++
+		}
+		fs.idle = 0
+		s.settle(slot)
+	}
+	return deleted
 }
 
 // WindowEmpty reports whether no access has been recorded since the last
 // DrainPopularity (or crash).
-func (s *Site) WindowEmpty() bool { return len(s.popularity) == 0 }
+func (s *Site) WindowEmpty() bool { return len(s.touched) == 0 }
 
 // DrainPopularity returns and clears the per-file access counts recorded
 // since the previous drain, restricted to files locally resident (the DS
 // "keeps track of the popularity of each dataset locally available"),
 // ordered most-popular first (ties by file id for determinism).
 //
-// The returned slice and the ByRequester maps inside it are reused
+// The returned slice and the ByRequester runs inside it are reused
 // backing storage: they are valid until the next DrainPopularity call —
 // the DS wake that drains them consumes them synchronously.
 func (s *Site) DrainPopularity() []scheduler.PopularFile {
-	// The previous drain's ByRequester maps have been consumed by now;
-	// reclaim them for reuse.
-	for i, m := range s.lentReq {
-		clear(m)
-		s.reqPool = append(s.reqPool, m)
-		s.lentReq[i] = nil
-	}
-	s.lentReq = s.lentReq[:0]
-
 	out := s.popBuf[:0]
-	for f, n := range s.popularity {
-		if !s.store.Peek(f) {
-			continue
+	for _, slot := range s.touched {
+		fs := &s.files[slot]
+		if s.store.ResidentAt(slot) {
+			end := fs.reqOff + fs.reqLen
+			out = append(out, scheduler.PopularFile{
+				File:        s.store.FileAt(slot),
+				Count:       int(fs.count),
+				ByRequester: s.reqs[fs.reqOff:end:end],
+			})
 		}
-		out = append(out, scheduler.PopularFile{File: f, Count: n, ByRequester: s.popByReq[f]})
+		fs.count, fs.reqOff, fs.reqLen, fs.reqCap = 0, 0, 0, 0
+		s.settle(slot)
 	}
+	s.touched = s.touched[:0]
+	// This window's runs are lent out with out; the previous window's
+	// arena, consumed by now, takes the next window's.
+	s.reqs, s.lentReq = s.lentReq[:0], s.reqs
 	// Insertion sort: file ids are unique, so (Count desc, File asc) is a
 	// total order and any sort yields the same result as sort.Slice did —
 	// without sort.Slice's per-call reflection allocations. Windows are
@@ -548,11 +648,6 @@ func (s *Site) DrainPopularity() []scheduler.PopularFile {
 			out[k-1], out[k] = b, a
 		}
 	}
-	for _, m := range s.popByReq {
-		s.lentReq = append(s.lentReq, m)
-	}
-	clear(s.popByReq)
-	clear(s.popularity)
 	s.popBuf = out
 	return out
 }

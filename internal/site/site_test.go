@@ -1,12 +1,14 @@
 package site
 
 import (
+	"slices"
 	"testing"
 
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
 	"chicsim/internal/job"
 	"chicsim/internal/rng"
+	"chicsim/internal/scheduler"
 	"chicsim/internal/scheduler/ls"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
@@ -280,8 +282,8 @@ func TestPopularityDrain(t *testing.T) {
 	if pops[0].File != 1 || pops[0].Count != 3 {
 		t.Fatalf("top = %+v, want file 1 count 3", pops[0])
 	}
-	if pops[0].ByRequester[3] != 1 || pops[0].ByRequester[0] != 2 {
-		t.Fatalf("ByRequester = %v", pops[0].ByRequester)
+	if want := []scheduler.RequesterCount{{Site: 0, Count: 2}, {Site: 3, Count: 1}}; !slices.Equal(pops[0].ByRequester, want) {
+		t.Fatalf("ByRequester = %v, want %v", pops[0].ByRequester, want)
 	}
 	// Drained: second call is empty.
 	if got := fx.site.DrainPopularity(); len(got) != 0 || !fx.site.WindowEmpty() {

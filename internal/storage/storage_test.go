@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,25 @@ func TestMastersNeverEvicted(t *testing.T) {
 	}
 	if !s.Peek(2) {
 		t.Fatal("failed AddReplica must not evict when it cannot fit anyway")
+	}
+}
+
+// A replica that fills the store to the byte once the LRU end is evicted
+// fits: the fit check stops at the first unpinned prefix of the LRU that
+// makes room, and equality is room.
+func TestAddReplicaExactFit(t *testing.T) {
+	s := New(100, nil)
+	if err := s.AddMaster(1, 40); err != nil {
+		t.Fatal(err)
+	}
+	s.AddReplica(2, 30)
+	s.AddReplica(3, 10)
+	s.Pin(3)
+	if !s.AddReplica(4, 50) {
+		t.Fatal("add should fit exactly after evicting replica 2")
+	}
+	if s.Peek(2) || !s.Peek(3) || s.Used() != 100 {
+		t.Fatalf("resident %v, used %v", s.Resident(), s.Used())
 	}
 }
 
@@ -151,12 +171,9 @@ func TestResident(t *testing.T) {
 	s := New(0, nil)
 	s.AddMaster(3, 1)
 	s.AddReplica(7, 1)
-	got := map[FileID]bool{}
-	for _, id := range s.Resident() {
-		got[id] = true
-	}
-	if !got[3] || !got[7] || len(got) != 2 {
-		t.Fatalf("Resident = %v", got)
+	s.AddReplica(5, 1)
+	if got := s.Resident(); !slices.Equal(got, []FileID{3, 5, 7}) {
+		t.Fatalf("Resident = %v, want [3 5 7]", got)
 	}
 	if !s.IsMaster(3) || s.IsMaster(7) || s.IsMaster(99) {
 		t.Fatal("IsMaster wrong")
