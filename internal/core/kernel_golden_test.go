@@ -103,9 +103,9 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	// Per-site storage far below the masters' footprint, on the contended
 	// grid's link outages and transfer aborts: caches evict, arrivals that
 	// cannot be cached are staged transiently for their waiting jobs, and
-	// the DS pushes and ages replicas. Pins the site's
-	// and store's file state: LRU order, pins, popularity windows and
-	// their requester breakdown, and idle aging.
+	// the DS pushes and ages replicas. Pins the site's and store's file
+	// state: LRU order, pins, popularity windows and their requester
+	// breakdown, and idle aging.
 	for _, dsName := range []string{"DataBestClient", "DataCascade"} {
 		pressure := contended
 		pressure.DS = dsName

@@ -59,13 +59,12 @@ func (s State) String() string {
 // the site package; keeping it on the job (instead of a per-site map)
 // lets the Store recycle its capacity with the job.
 type Hold struct {
-	File storage.FileID
 	// Slot is the file's record at the holding site's store, which the
 	// hold keeps alive.
 	Slot storage.Slot
 	// Transient marks a replica fetched for this job only (no cache
-	// admission): its refcount lives in the site's transient table, not
-	// the storage layer.
+	// admission): its refcount lives in the site's file record, not the
+	// storage layer.
 	Transient bool
 }
 

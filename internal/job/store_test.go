@@ -15,7 +15,7 @@ func TestStoreRecyclesSlotAfterFree(t *testing.T) {
 	j.Advance(Queued, 2)
 	j.Advance(Running, 3)
 	j.Advance(Done, 4)
-	j.Holds = append(j.Holds, Hold{File: 7})
+	j.Holds = append(j.Holds, Hold{Slot: 7})
 	j.RunIdx = 5
 	j.Retries = 2
 	s.Free(j)

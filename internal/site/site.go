@@ -274,7 +274,7 @@ func (s *Site) arm(j *job.Job, record bool) {
 			s.recordAccess(slot, j.Origin)
 		}
 		if s.store.ContainsAt(slot) || s.files[slot].transient > 0 { // ContainsAt also books the hit/miss
-			s.acquire(j, f, slot)
+			s.acquire(j, slot)
 			s.settle(slot)
 			continue
 		}
@@ -301,8 +301,8 @@ func (s *Site) arm(j *job.Job, record bool) {
 // getting cached after being staged) cannot unbalance the accounting.
 // Holds live on the job itself (job.Hold), so the bookkeeping recycles
 // with the job instead of churning a per-site map.
-func (s *Site) acquire(j *job.Job, f storage.FileID, slot storage.Slot) {
-	ref := job.Hold{File: f, Slot: slot}
+func (s *Site) acquire(j *job.Job, slot storage.Slot) {
+	ref := job.Hold{Slot: slot}
 	if s.store.ResidentAt(slot) {
 		s.store.PinAt(slot)
 	} else {
@@ -403,7 +403,7 @@ func (s *Site) fileArrived(f storage.FileID, size float64) {
 		if j.State == job.Done {
 			continue
 		}
-		s.acquire(j, f, slot)
+		s.acquire(j, slot)
 		if jobReady(j) && j.DataReady < 0 {
 			j.DataReady = now
 		}
@@ -523,19 +523,15 @@ func (s *Site) recordAccess(slot storage.Slot, requester topology.SiteID) {
 		}
 	}
 	if fs.reqLen == fs.reqCap {
-		// The run is full. At the arena's end it grows in place; anywhere
-		// else it moves to the end with room to double.
-		end := int32(len(s.reqs))
-		if fs.reqOff+fs.reqCap == end {
-			s.reqs = append(s.reqs, scheduler.RequesterCount{})
-			fs.reqCap++
-		} else {
+		// The run is full: move it to the arena's end unless it is there,
+		// and double its room.
+		if end := int32(len(s.reqs)); fs.reqOff+fs.reqCap != end {
 			s.reqs = append(s.reqs, run...)
-			fs.reqOff, fs.reqCap = end, max(2*fs.reqLen, 1)
-			for int32(len(s.reqs)) < end+fs.reqCap {
-				s.reqs = append(s.reqs, scheduler.RequesterCount{})
-			}
+			fs.reqOff = end
 		}
+		grow := max(fs.reqLen, 1)
+		s.reqs = append(s.reqs, make([]scheduler.RequesterCount, grow)...)
+		fs.reqCap = fs.reqLen + grow
 	}
 	s.reqs[fs.reqOff+fs.reqLen] = scheduler.RequesterCount{Site: requester, Count: 1}
 	fs.reqLen++

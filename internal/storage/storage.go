@@ -16,6 +16,7 @@ package storage
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -468,10 +469,7 @@ func (t *table) grow() {
 	for i := range t.ents {
 		t.ents[i].slot = NoSlot
 	}
-	t.shift = uint(64)
-	for s := size; s > 1; s >>= 1 {
-		t.shift--
-	}
+	t.shift = 64 - uint(bits.TrailingZeros(uint(size)))
 	for _, e := range old {
 		if e.slot != NoSlot {
 			t.place(e.id, e.slot)
