@@ -89,6 +89,8 @@ func suite() []bench {
 	// The data-moving tier: netsim carries it, where SimScale barely
 	// starts a transfer.
 	out = append(out, bench{"SimScaleRandom/10k", kernelbench.SimScaleRandom(10_000)})
+	// The ScaleConfig workload alone, generated as core.New generates it.
+	out = append(out, bench{"WorkloadGenerate/1M", kernelbench.WorkloadGenerate(1_000_000)})
 	// The results pipeline alone, a million synthetic jobs per mode: the
 	// live-results-bytes column is bounded mode's O(1)-memory claim.
 	for _, mode := range []string{core.ResultModeFull, core.ResultModeBounded} {

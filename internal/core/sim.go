@@ -807,12 +807,11 @@ func (s *Simulation) Run() (Results, error) {
 // submitNext submits user u's next job, if any.
 func (s *Simulation) submitNext(u job.UserID) {
 	idx := s.nextJob[u]
-	specs := s.wl.Jobs[u]
-	if idx >= len(specs) {
+	if idx >= s.wl.Count(int(u)) {
 		return
 	}
 	s.nextJob[u]++
-	spec := specs[idx]
+	spec := s.wl.Job(int(u), idx)
 	j := s.jobs.Alloc(spec.ID, u, s.wl.UserHome[u], spec.Inputs, spec.Compute)
 	j.Advance(job.Submitted, s.eng.Now())
 	s.jobsSubmitted++
@@ -940,7 +939,7 @@ func (s *Simulation) shipOutput(j *job.Job) {
 // scheduleArrival drives the open-model Poisson submission process for one
 // user: submit now, then book the next arrival.
 func (s *Simulation) scheduleArrival(u job.UserID) {
-	if s.nextJob[u] >= len(s.wl.Jobs[u]) {
+	if s.nextJob[u] >= s.wl.Count(int(u)) {
 		return
 	}
 	s.eng.Schedule(s.arrivalSrc.Exp(1/s.cfg.ArrivalRate), s.arriveFns[u])
@@ -1095,8 +1094,14 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 // in a larger experiment loop). Read-only use only.
 func (s *Simulation) Engine() *desim.Engine { return s.eng }
 
-// Workload returns the workload being executed.
-func (s *Simulation) Workload() *workload.Workload { return s.wl }
+// Workload returns the workload being executed, with Jobs filled in: a
+// generated workload is materialised on each call, so it is not for the
+// run path.
+func (s *Simulation) Workload() *workload.Workload {
+	w := *s.wl
+	w.Jobs = s.wl.Materialize()
+	return &w
+}
 
 // RunConfig builds and runs a simulation in one call.
 func RunConfig(cfg Config) (Results, error) {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -206,6 +207,42 @@ func TestTraceReplayMatchesSynthetic(t *testing.T) {
 	}
 	if synthetic.AvgResponseSec != replayed.AvgResponseSec {
 		t.Fatalf("replay diverged: %v vs %v", synthetic.AvgResponseSec, replayed.AvgResponseSec)
+	}
+}
+
+// A generated workload written to a trace file and read back replays the
+// synthetic run exactly: the file path carries IDs, inputs and compute
+// times that the flat in-memory form derives.
+func TestTraceFileReplayMatchesSynthetic(t *testing.T) {
+	cell := smallConfig()
+	cell.ES, cell.DS = "JobDataPresent", "DataLeastLoaded"
+	multi := smallConfig()
+	multi.InputsPerJob = 3
+	for name, cfg := range map[string]Config{"paper-cell": cell, "inputs=3": multi} {
+		t.Run(name, func(t *testing.T) {
+			synthetic, err := RunConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wl, err := workload.Generate(cfg.WorkloadSpec(), rng.New(cfg.Seed).Derive("workload"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := wl.WriteTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Trace, err = workload.ReadTrace(&buf); err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := RunConfig(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := hashResults(t, replayed), hashResults(t, synthetic); got != want {
+				t.Fatalf("replay from file: Results hash %s, synthetic %s", got, want)
+			}
+		})
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"chicsim/internal/site"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
+	"chicsim/internal/workload"
 )
 
 // EngineChurn measures the event queue under a schedule/cancel-heavy load:
@@ -287,6 +288,21 @@ func SimScaleRandom(jobs int) func(*testing.B) {
 	cfg := ScaleConfig(jobs)
 	cfg.ES = "JobRandom"
 	return simScale(cfg)
+}
+
+// WorkloadGenerate returns a benchmark body generating the ScaleConfig
+// workload at the given job count: the part of core.New that grows with
+// the job count. allocs/op must not grow with it.
+func WorkloadGenerate(jobs int) func(*testing.B) {
+	cfg := ScaleConfig(jobs)
+	spec := cfg.WorkloadSpec()
+	return func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := workload.Generate(spec, rng.New(uint64(i+1))); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 func simScale(cfg core.Config) func(*testing.B) {

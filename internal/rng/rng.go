@@ -95,19 +95,32 @@ func (s *Source) Exp(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Geometric returns a value in [0, n) from a truncated geometric
+// Geometric returns values in [0, n) from a truncated geometric
 // distribution with success probability p: P(k) ∝ (1-p)^k. This is the
 // dataset-popularity distribution of the paper's Figure 2.
-func (s *Source) Geometric(p float64, n int) int {
+type Geometric struct {
+	src   *Source
+	log1q float64 // log1p(-p), the divisor of every draw
+	n     int
+}
+
+// NewGeometric returns a sampler drawing from src. It panics unless
+// 0 < p < 1 and n > 0.
+func NewGeometric(src *Source, p float64, n int) *Geometric {
 	if p <= 0 || p >= 1 || n <= 0 {
 		panic("rng: Geometric requires 0 < p < 1 and n > 0")
 	}
+	return &Geometric{src: src, log1q: math.Log1p(-p), n: n}
+}
+
+// Draw samples a value in [0, n).
+func (g *Geometric) Draw() int {
 	for {
 		// Inverse-CDF sampling of the untruncated geometric, rejecting
 		// draws beyond the truncation point keeps the ∝(1-p)^k shape exact.
-		u := s.Float64()
-		k := int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
-		if k < n {
+		u := g.src.Float64()
+		k := int(math.Floor(math.Log1p(-u) / g.log1q))
+		if k < g.n {
 			return k
 		}
 	}

@@ -129,12 +129,12 @@ func TestExpMean(t *testing.T) {
 }
 
 func TestGeometricShape(t *testing.T) {
-	s := New(17)
 	const n, p = 200, 0.05
+	g := NewGeometric(New(17), p, n)
 	counts := make([]int, n)
 	const draws = 200000
 	for i := 0; i < draws; i++ {
-		counts[s.Geometric(p, n)]++
+		counts[g.Draw()]++
 	}
 	// Monotone non-increasing in expectation: compare coarse buckets.
 	b0 := counts[0] + counts[1] + counts[2] + counts[3] + counts[4]
@@ -161,9 +161,9 @@ func TestGeometricShape(t *testing.T) {
 
 func TestGeometricBounds(t *testing.T) {
 	f := func(seed uint64) bool {
-		s := New(seed)
+		g := NewGeometric(New(seed), 0.1, 30)
 		for i := 0; i < 100; i++ {
-			if k := s.Geometric(0.1, 30); k < 0 || k >= 30 {
+			if k := g.Draw(); k < 0 || k >= 30 {
 				return false
 			}
 		}
@@ -182,11 +182,42 @@ func TestGeometricPanics(t *testing.T) {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Errorf("Geometric(%v,%d): expected panic", c.p, c.n)
+					t.Errorf("NewGeometric(%v,%d): expected panic", c.p, c.n)
 				}
 			}()
-			New(1).Geometric(c.p, c.n)
+			NewGeometric(New(1), c.p, c.n)
 		}()
+	}
+}
+
+// The sampler divides by a log1p(-p) computed once; it must draw exactly
+// what the per-draw formula draws, rejections included (n = 3 rejects
+// about half the draws at p = 0.2, n = 1 most of them at p = 0.1). At
+// p = 1e-9, log(1-p) differs from log1p(-p) enough to move most draws.
+func TestGeometricMatchesInlineFormula(t *testing.T) {
+	inline := func(s *Source, p float64, n int) int {
+		for {
+			u := s.Float64()
+			k := int(math.Floor(math.Log1p(-u) / math.Log1p(-p)))
+			if k < n {
+				return k
+			}
+		}
+	}
+	for _, c := range []struct {
+		p float64
+		n int
+	}{{0.1, 200}, {0.05, 2000}, {0.1, 1}, {0.2, 3}, {0.5, 1}, {0.999, 1000}, {1e-9, 1 << 40}} {
+		ref, src := New(31), New(31)
+		g := NewGeometric(src, c.p, c.n)
+		for i := 0; i < 1_000_000; i++ {
+			if want, got := inline(ref, c.p, c.n), g.Draw(); got != want {
+				t.Fatalf("p=%v n=%d draw %d: sampler %d, formula %d", c.p, c.n, i, got, want)
+			}
+		}
+		if ref.Uint64() != src.Uint64() {
+			t.Fatalf("p=%v n=%d: streams consumed different draws", c.p, c.n)
+		}
 	}
 }
 

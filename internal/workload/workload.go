@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"chicsim/internal/job"
 	"chicsim/internal/rng"
@@ -95,6 +96,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: ZipfAlpha = %v", s.ZipfAlpha)
 	case s.InputsPerJob < 1:
 		return fmt.Errorf("workload: InputsPerJob = %d", s.InputsPerJob)
+	case s.InputsPerJob > s.Files:
+		// A job's inputs are distinct, so drawing them would never end.
+		return fmt.Errorf("workload: InputsPerJob = %d exceeds Files = %d", s.InputsPerJob, s.Files)
 	case s.UserFocus < 0 || s.UserFocus > 1:
 		return fmt.Errorf("workload: UserFocus = %v, must be in [0, 1]", s.UserFocus)
 	}
@@ -110,13 +114,21 @@ type JobSpec struct {
 }
 
 // Workload is a fully generated scenario: file metadata, master placement,
-// user homes, and each user's job sequence.
+// user homes, and each user's job sequence, read through Count and Job.
+//
+// A generated workload stores only its input ids, InputsPerJob per job in
+// global order, and derives the rest: job n belongs to user n mod Users
+// and has ID n, and its compute time follows from its inputs' sizes. A
+// trace's IDs, compute times and order are arbitrary, so ReadTrace keeps
+// them in Jobs.
 type Workload struct {
 	Spec       Spec              `json:"spec"`
 	FileSizes  []float64         `json:"file_sizes"`  // bytes, by FileID
 	MasterSite []topology.SiteID `json:"master_site"` // initial replica per file
 	UserHome   []topology.SiteID `json:"user_home"`   // by UserID
-	Jobs       [][]JobSpec       `json:"jobs"`        // [user][sequence]
+	Jobs       [][]JobSpec       `json:"jobs"`        // [user][sequence]: a trace's jobs; Generate leaves it nil
+
+	inputs []storage.FileID // generated: InputsPerJob file ids per job, by job ID
 }
 
 // Generate builds a workload from the spec using the given random stream.
@@ -131,7 +143,7 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 		FileSizes:  make([]float64, spec.Files),
 		MasterSite: make([]topology.SiteID, spec.Files),
 		UserHome:   make([]topology.SiteID, spec.Users),
-		Jobs:       make([][]JobSpec, spec.Users),
+		inputs:     make([]storage.FileID, 0, spec.TotalJobs*spec.InputsPerJob),
 	}
 	fileSrc := src.Derive("files")
 	for f := range w.FileSizes {
@@ -144,8 +156,12 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 
 	jobSrc := src.Derive("jobs")
 	var zipf *rng.Zipf
-	if spec.Popularity == Zipf {
+	var geom *rng.Geometric
+	switch spec.Popularity {
+	case Zipf:
 		zipf = rng.NewZipf(jobSrc.Derive("zipf"), spec.ZipfAlpha, spec.Files)
+	case Geometric:
+		geom = rng.NewGeometric(jobSrc, spec.GeomP, spec.Files)
 	}
 	// Per-user rank permutations for the UserFocus extension: a user's
 	// private working set reinterprets rank k as their own k-th favorite.
@@ -166,7 +182,7 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 		var rank int
 		switch spec.Popularity {
 		case Geometric:
-			rank = jobSrc.Geometric(spec.GeomP, spec.Files)
+			rank = geom.Draw()
 		case Zipf:
 			rank = zipf.Draw()
 		case Uniform:
@@ -180,39 +196,84 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 		return storage.FileID(rank)
 	}
 
-	id := job.ID(0)
 	for n := 0; n < spec.TotalJobs; n++ {
 		u := n % spec.Users // deal jobs round-robin so users get ±1 of each other
-		inputs := make([]storage.FileID, 0, spec.InputsPerJob)
-		seen := make(map[storage.FileID]bool, spec.InputsPerJob)
-		for len(inputs) < spec.InputsPerJob {
+		start := len(w.inputs)
+		for len(w.inputs)-start < spec.InputsPerJob {
 			f := draw(u)
-			if seen[f] {
+			if slices.Contains(w.inputs[start:], f) {
 				continue // distinct inputs per job
 			}
-			seen[f] = true
-			inputs = append(inputs, f)
+			w.inputs = append(w.inputs, f)
 		}
-		totalGB := 0.0
-		for _, f := range inputs {
-			totalGB += w.FileSizes[f] / 1e9
-		}
-		w.Jobs[u] = append(w.Jobs[u], JobSpec{
-			ID:      id,
-			User:    job.UserID(u),
-			Inputs:  inputs,
-			Compute: spec.ComputePerGB * totalGB,
-		})
-		id++
 	}
 	return w, nil
 }
 
-// TotalJobs returns the number of generated jobs.
+// users returns the number of job sequences the workload holds.
+func (w *Workload) users() int {
+	if w.inputs == nil {
+		return len(w.Jobs)
+	}
+	return w.Spec.Users
+}
+
+// Count returns the number of jobs user u submits.
+func (w *Workload) Count(u int) int {
+	if w.inputs == nil {
+		return len(w.Jobs[u])
+	}
+	n := w.Spec.TotalJobs / w.Spec.Users
+	if u < w.Spec.TotalJobs%w.Spec.Users {
+		n++
+	}
+	return n
+}
+
+// Job returns user u's k-th job, 0 ≤ k < Count(u). Its Inputs are shared
+// with the workload: read them, never write them.
+func (w *Workload) Job(u, k int) JobSpec {
+	if w.inputs == nil {
+		return w.Jobs[u][k]
+	}
+	n := k*w.Spec.Users + u
+	per := w.Spec.InputsPerJob
+	// Capped at its own length, so an append cannot reach the next job's.
+	inputs := w.inputs[n*per : (n+1)*per : (n+1)*per]
+	totalGB := 0.0
+	for _, f := range inputs {
+		totalGB += w.FileSizes[f] / 1e9
+	}
+	return JobSpec{
+		ID:      job.ID(n),
+		User:    job.UserID(u),
+		Inputs:  inputs,
+		Compute: w.Spec.ComputePerGB * totalGB,
+	}
+}
+
+// Materialize returns every job as [user][sequence], the form ReadTrace
+// fills Jobs with: a trace's Jobs itself, or for a generated workload a
+// new slice built on each call.
+func (w *Workload) Materialize() [][]JobSpec {
+	if w.inputs == nil {
+		return w.Jobs
+	}
+	jobs := make([][]JobSpec, w.users())
+	for u := range jobs {
+		jobs[u] = make([]JobSpec, w.Count(u))
+		for k := range jobs[u] {
+			jobs[u][k] = w.Job(u, k)
+		}
+	}
+	return jobs
+}
+
+// TotalJobs returns the number of jobs in the workload.
 func (w *Workload) TotalJobs() int {
 	n := 0
-	for _, js := range w.Jobs {
-		n += len(js)
+	for u := 0; u < w.users(); u++ {
+		n += w.Count(u)
 	}
 	return n
 }
@@ -221,9 +282,9 @@ func (w *Workload) TotalJobs() int {
 // workload — the reproduction of Figure 2.
 func (w *Workload) PopularityHistogram() []int {
 	h := make([]int, len(w.FileSizes))
-	for _, js := range w.Jobs {
-		for _, j := range js {
-			for _, f := range j.Inputs {
+	for u := 0; u < w.users(); u++ {
+		for k := 0; k < w.Count(u); k++ {
+			for _, f := range w.Job(u, k).Inputs {
 				h[f]++
 			}
 		}
@@ -232,9 +293,9 @@ func (w *Workload) PopularityHistogram() []int {
 }
 
 // WriteTrace serializes the workload as JSON-lines: a header line with the
-// scenario, then one line per job in global submission order. The format
-// is the hook for replaying real traces (the paper's planned Fermi
-// workloads) through the same pipeline.
+// scenario, then one line per job, user by user and each user's jobs in
+// submission order. The format is the hook for replaying real traces (the
+// paper's planned Fermi workloads) through the same pipeline.
 func (w *Workload) WriteTrace(out io.Writer) error {
 	bw := bufio.NewWriter(out)
 	enc := json.NewEncoder(bw)
@@ -247,8 +308,9 @@ func (w *Workload) WriteTrace(out io.Writer) error {
 	if err := enc.Encode(header); err != nil {
 		return fmt.Errorf("workload: writing header: %w", err)
 	}
-	for _, js := range w.Jobs {
-		for _, j := range js {
+	for u := 0; u < w.users(); u++ {
+		for k := 0; k < w.Count(u); k++ {
+			j := w.Job(u, k)
 			if err := enc.Encode(j); err != nil {
 				return fmt.Errorf("workload: writing job %d: %w", j.ID, err)
 			}

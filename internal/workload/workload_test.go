@@ -51,9 +51,9 @@ func TestGenerateBasics(t *testing.T) {
 		}
 	}
 	// Jobs dealt evenly: 600/12 = 50 each.
-	for u, js := range w.Jobs {
-		if len(js) != 50 {
-			t.Fatalf("user %d has %d jobs", u, len(js))
+	for u := 0; u < 12; u++ {
+		if n := w.Count(u); n != 50 {
+			t.Fatalf("user %d has %d jobs", u, n)
 		}
 	}
 }
@@ -63,7 +63,7 @@ func TestComputeTimeFollowsSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, js := range w.Jobs {
+	for _, js := range w.Materialize() {
 		for _, j := range js {
 			want := 300 * w.FileSizes[j.Inputs[0]] / 1e9
 			if math.Abs(j.Compute-want) > 1e-9 {
@@ -76,7 +76,7 @@ func TestComputeTimeFollowsSize(t *testing.T) {
 func TestUniqueSequentialIDs(t *testing.T) {
 	w, _ := Generate(baseSpec(), rng.New(3))
 	seen := make(map[int]bool)
-	for _, js := range w.Jobs {
+	for _, js := range w.Materialize() {
 		for _, j := range js {
 			if seen[int(j.ID)] {
 				t.Fatalf("duplicate job id %d", j.ID)
@@ -143,7 +143,7 @@ func TestMultiInputDistinct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, js := range w.Jobs {
+	for _, js := range w.Materialize() {
 		for _, j := range js {
 			if len(j.Inputs) != 3 {
 				t.Fatalf("job %d has %d inputs", j.ID, len(j.Inputs))
@@ -202,8 +202,8 @@ func TestUserFocusSpreadsDemand(t *testing.T) {
 	// Each user individually still concentrates on a small working set.
 	perUserTop := func(w *Workload, u int) float64 {
 		counts := map[storage.FileID]int{}
-		for _, j := range w.Jobs[u] {
-			counts[j.Inputs[0]]++
+		for k := 0; k < w.Count(u); k++ {
+			counts[w.Job(u, k).Inputs[0]]++
 		}
 		top, total := 0, 0
 		for _, c := range counts {
@@ -243,6 +243,7 @@ func TestValidation(t *testing.T) {
 		func(s *Spec) { s.GeomP = 0 },
 		func(s *Spec) { s.GeomP = 1 },
 		func(s *Spec) { s.InputsPerJob = 0 },
+		func(s *Spec) { s.InputsPerJob = s.Files + 1 },
 	}
 	for i, mutate := range bad {
 		spec := baseSpec()
@@ -253,23 +254,44 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// A generated workload is one slice of input ids sized up front: how
+// many allocations Generate makes must not depend on the job count.
+func TestGenerateAllocsIndependentOfJobs(t *testing.T) {
+	allocs := func(jobs int) float64 {
+		spec := baseSpec()
+		spec.TotalJobs = jobs
+		spec.InputsPerJob = 2
+		spec.UserFocus = 0.5
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Generate(spec, rng.New(1)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(10_000), allocs(100_000); small != large {
+		t.Fatalf("Generate allocates %v times at 10k jobs, %v at 100k", small, large)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
-	a, _ := Generate(baseSpec(), rng.New(9))
-	b, _ := Generate(baseSpec(), rng.New(9))
-	for u := range a.Jobs {
-		for i := range a.Jobs[u] {
-			if a.Jobs[u][i].Inputs[0] != b.Jobs[u][i].Inputs[0] {
+	wa, _ := Generate(baseSpec(), rng.New(9))
+	wb, _ := Generate(baseSpec(), rng.New(9))
+	a, b := wa.Materialize(), wb.Materialize()
+	for u := range a {
+		for i := range a[u] {
+			if a[u][i].Inputs[0] != b[u][i].Inputs[0] {
 				t.Fatal("generation not deterministic")
 			}
 		}
 	}
-	c, _ := Generate(baseSpec(), rng.New(10))
+	wc, _ := Generate(baseSpec(), rng.New(10))
+	c := wc.Materialize()
 	same := 0
 	total := 0
-	for u := range a.Jobs {
-		for i := range a.Jobs[u] {
+	for u := range a {
+		for i := range a[u] {
 			total++
-			if a.Jobs[u][i].Inputs[0] == c.Jobs[u][i].Inputs[0] {
+			if a[u][i].Inputs[0] == c[u][i].Inputs[0] {
 				same++
 			}
 		}
@@ -295,11 +317,10 @@ func TestTraceRoundTrip(t *testing.T) {
 	if len(w2.FileSizes) != len(w.FileSizes) {
 		t.Fatal("file metadata lost")
 	}
-	for u := range w.Jobs {
-		for i := range w.Jobs[u] {
-			if w.Jobs[u][i].ID != w2.Jobs[u][i].ID ||
-				w.Jobs[u][i].Inputs[0] != w2.Jobs[u][i].Inputs[0] ||
-				w.Jobs[u][i].Compute != w2.Jobs[u][i].Compute {
+	for u := 0; u < w.Spec.Users; u++ {
+		for i := 0; i < w.Count(u); i++ {
+			a, b := w.Job(u, i), w2.Job(u, i)
+			if a.ID != b.ID || a.Inputs[0] != b.Inputs[0] || a.Compute != b.Compute {
 				t.Fatalf("job mismatch at user %d index %d", u, i)
 			}
 		}
@@ -332,7 +353,7 @@ func TestQuickValidity(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, js := range w.Jobs {
+		for _, js := range w.Materialize() {
 			for _, j := range js {
 				for _, fid := range j.Inputs {
 					if int(fid) < 0 || int(fid) >= spec.Files {
