@@ -7,6 +7,7 @@ package site
 
 import (
 	"fmt"
+	"slices"
 
 	"chicsim/internal/catalog"
 	"chicsim/internal/desim"
@@ -530,7 +531,7 @@ func (s *Site) recordAccess(slot storage.Slot, requester topology.SiteID) {
 			fs.reqOff = end
 		}
 		grow := max(fs.reqLen, 1)
-		s.reqs = append(s.reqs, make([]scheduler.RequesterCount, grow)...)
+		s.reqs = slices.Grow(s.reqs, int(grow))[:len(s.reqs)+int(grow)]
 		fs.reqCap = fs.reqLen + grow
 	}
 	s.reqs[fs.reqOff+fs.reqLen] = scheduler.RequesterCount{Site: requester, Count: 1}
