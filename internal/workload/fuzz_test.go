@@ -27,6 +27,12 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(`{"spec":{}}`)
 	f.Add(`not json at all`)
 	f.Add(`{"spec":{"users":1},"file_sizes":[1]}` + "\n" + `{"id":0,"user":5,"inputs":[0],"compute_sec":1}`)
+	// Headers the simulation cannot be built from, rejected before
+	// anything is allocated for the users they claim.
+	f.Add(`{"spec":{"users":-1}}`)
+	f.Add(`{"spec":{"users":1,"sites":2},"user_home":[0],"file_sizes":[1e6],"master_site":[7]}`)
+	f.Add(`{"spec":{"users":3,"sites":2},"user_home":[0,1]}`)
+	f.Add(`{"spec":{"users":202000000,"sites":2},"user_home":[0,1]}`)
 	f.Fuzz(func(t *testing.T, input string) {
 		w, err := ReadTrace(strings.NewReader(input))
 		if err != nil {

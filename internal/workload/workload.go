@@ -299,12 +299,7 @@ func (w *Workload) PopularityHistogram() []int {
 func (w *Workload) WriteTrace(out io.Writer) error {
 	bw := bufio.NewWriter(out)
 	enc := json.NewEncoder(bw)
-	header := struct {
-		Spec       Spec              `json:"spec"`
-		FileSizes  []float64         `json:"file_sizes"`
-		MasterSite []topology.SiteID `json:"master_site"`
-		UserHome   []topology.SiteID `json:"user_home"`
-	}{w.Spec, w.FileSizes, w.MasterSite, w.UserHome}
+	header := traceHeader{w.Spec, w.FileSizes, w.MasterSite, w.UserHome}
 	if err := enc.Encode(header); err != nil {
 		return fmt.Errorf("workload: writing header: %w", err)
 	}
@@ -319,17 +314,53 @@ func (w *Workload) WriteTrace(out io.Writer) error {
 	return bw.Flush()
 }
 
+// traceHeader is the first line of a workload trace.
+type traceHeader struct {
+	Spec       Spec              `json:"spec"`
+	FileSizes  []float64         `json:"file_sizes"`
+	MasterSite []topology.SiteID `json:"master_site"`
+	UserHome   []topology.SiteID `json:"user_home"`
+}
+
+// check rejects a header the simulation cannot be built from: every
+// user needs a home site and every file a size and a master site, all
+// within the grid.
+func (h *traceHeader) check() error {
+	users, sites := h.Spec.Users, h.Spec.Sites
+	switch {
+	case users <= 0 || sites <= 0:
+		return fmt.Errorf("workload: trace header has %d users and %d sites, want both positive", users, sites)
+	case len(h.UserHome) != users:
+		return fmt.Errorf("workload: trace header has %d user_home entries for %d users", len(h.UserHome), users)
+	case len(h.MasterSite) != len(h.FileSizes):
+		return fmt.Errorf("workload: trace header has %d master_site entries for %d file_sizes",
+			len(h.MasterSite), len(h.FileSizes))
+	}
+	for u, home := range h.UserHome {
+		if home < 0 || int(home) >= sites {
+			return fmt.Errorf("workload: trace header puts user %d at site %d of %d", u, home, sites)
+		}
+	}
+	for f, size := range h.FileSizes {
+		if size <= 0 || math.IsInf(size, 1) || math.IsNaN(size) {
+			return fmt.Errorf("workload: trace header gives file %d size %v, want positive and finite", f, size)
+		}
+		if m := h.MasterSite[f]; m < 0 || int(m) >= sites {
+			return fmt.Errorf("workload: trace header puts file %d's master at site %d of %d", f, m, sites)
+		}
+	}
+	return nil
+}
+
 // ReadTrace parses a trace produced by WriteTrace.
 func ReadTrace(in io.Reader) (*Workload, error) {
 	dec := json.NewDecoder(in)
-	var header struct {
-		Spec       Spec              `json:"spec"`
-		FileSizes  []float64         `json:"file_sizes"`
-		MasterSite []topology.SiteID `json:"master_site"`
-		UserHome   []topology.SiteID `json:"user_home"`
-	}
+	var header traceHeader
 	if err := dec.Decode(&header); err != nil {
 		return nil, fmt.Errorf("workload: reading header: %w", err)
+	}
+	if err := header.check(); err != nil {
+		return nil, err
 	}
 	w := &Workload{
 		Spec:       header.Spec,

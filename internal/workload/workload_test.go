@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -339,6 +340,30 @@ func TestReadTraceErrors(t *testing.T) {
 	s = s[:len(s)-1] + "\n" + `{"id":9999,"user":999,"inputs":[1],"compute_sec":1}` + "\n"
 	if _, err := ReadTrace(bytes.NewBufferString(s)); err == nil {
 		t.Fatal("expected out-of-range user error")
+	}
+}
+
+func TestReadTraceHeaderErrors(t *testing.T) {
+	cases := []struct{ name, header, want string }{
+		{"negative users", `{"spec":{"users":-1}}`, "-1 users"},
+		{"no sites", `{"spec":{"users":1},"user_home":[0]}`, "0 sites"},
+		{"short user_home", `{"spec":{"users":3,"sites":2},"user_home":[0,1]}`, "2 user_home entries for 3 users"},
+		{"huge users", `{"spec":{"users":202000000,"sites":2},"user_home":[0,1]}`, "2 user_home entries for 202000000 users"},
+		{"master_site length", `{"spec":{"users":1,"sites":2},"user_home":[0],"file_sizes":[1,2],"master_site":[0]}`,
+			"1 master_site entries for 2 file_sizes"},
+		{"master out of range", `{"spec":{"users":1,"sites":2},"user_home":[0],"file_sizes":[1],"master_site":[7]}`,
+			"file 0's master at site 7 of 2"},
+		{"home out of range", `{"spec":{"users":2,"sites":2},"user_home":[0,-1]}`, "user 1 at site -1 of 2"},
+		{"zero file size", `{"spec":{"users":1,"sites":2},"user_home":[0],"file_sizes":[5,0],"master_site":[0,1]}`,
+			"file 1 size 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := ReadTrace(strings.NewReader(tc.header + "\n"))
+			if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+				t.Fatalf("err = %v, want one line containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
