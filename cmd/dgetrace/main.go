@@ -1,14 +1,15 @@
 // Command dgetrace records and analyzes Data Grid execution (DGE) traces.
 //
 // With -run it executes a simulation and writes the DGE trace; with a file
-// argument it loads a previously written trace, validates the DGE
-// invariants (complete job lifecycles, balanced transfers), and prints the
-// offline analysis. Trace files ending in .gz are gzipped transparently in
-// both directions.
+// argument it loads a previously written trace, replays it once
+// (trace.BuildSpans), which checks the lifecycle, transfer and
+// fault-injection invariants, and prints the offline analysis the mode
+// asks for. Trace files ending in .gz are gzipped transparently in both
+// directions.
 //
 //	dgetrace -run -o dge.jsonl.gz -es JobDataPresent -ds DataLeastLoaded
-//	dgetrace dge.jsonl.gz                  # summary + invariants
-//	dgetrace -validate dge.jsonl.gz        # lifecycle + fault invariants only
+//	dgetrace dge.jsonl.gz                  # summary
+//	dgetrace -validate dge.jsonl.gz        # the invariant check alone
 //	dgetrace -spans 17 dge.jsonl.gz        # span tree of job 17
 //	dgetrace -critpath dge.jsonl.gz        # whole-DGE critical path + decomposition
 //	dgetrace -chrome dge.json dge.jsonl.gz # Chrome trace-event JSON (Perfetto)
@@ -88,10 +89,7 @@ func main() {
 	}
 
 	if *validate {
-		if _, err := trace.Analyze(log); err != nil {
-			fatal(fmt.Errorf("trace INVALID: %w", err))
-		}
-		if err := trace.ValidateFaults(log); err != nil {
+		if _, err := trace.BuildSpans(log); err != nil {
 			fatal(fmt.Errorf("trace INVALID: %w", err))
 		}
 		fmt.Printf("trace OK: %d events, lifecycle + transfer + fault invariants hold\n", log.Len())

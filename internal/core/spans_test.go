@@ -109,12 +109,9 @@ func TestFaultedTraceSpansConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := trace.ValidateFaults(log); err != nil {
-		t.Fatalf("fault invariants: %v", err)
-	}
 	f, err := trace.BuildSpans(log)
 	if err != nil {
-		t.Fatalf("span reconstruction: %v", err)
+		t.Fatalf("span reconstruction and fault invariants: %v", err)
 	}
 	if len(f.Jobs) != res.JobsDone || len(f.Abandoned) != res.JobsFailed {
 		t.Fatalf("forest %d/%d vs results %d/%d",

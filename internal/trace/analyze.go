@@ -1,11 +1,6 @@
 package trace
 
-import (
-	"fmt"
-	"sort"
-
-	"chicsim/internal/stats"
-)
+import "chicsim/internal/stats"
 
 // JobTimeline is the reconstructed lifecycle of one job from a DGE trace.
 type JobTimeline struct {
@@ -73,181 +68,24 @@ func (a *Analysis) SiteLoadGini() float64 {
 	return g
 }
 
-// Analyze reconstructs per-job timelines and aggregate metrics from a
-// trace, validating DGE invariants as it goes:
-//
-//   - each job has exactly one submitted/dispatched/started/completed
-//     event, in non-decreasing timestamp order;
-//   - every fetch_start is matched by exactly one fetch_end (same src/dst/
-//     file) and likewise for replica pushes;
-//   - no event precedes time zero.
+// Analyze summarizes the span forest of a trace (BuildSpans, whose walk
+// checks the DGE invariants) as per-job timelines and aggregate metrics.
 func Analyze(l *Log) (*Analysis, error) {
-	type lifecycle struct {
-		submit, dispatch, dataReady, start, end float64
-		seen                                    map[Kind]int
-		user, site                              int
-		retries                                 int
-		abandoned                               bool
+	f, err := BuildSpans(l)
+	if err != nil {
+		return nil, err
 	}
-	jobs := make(map[int]*lifecycle)
-	get := func(id int) *lifecycle {
-		lc, ok := jobs[id]
-		if !ok {
-			lc = &lifecycle{seen: map[Kind]int{}, dataReady: -1}
-			jobs[id] = lc
-		}
-		return lc
-	}
-
-	a := &Analysis{
-		JobsPerSite:  make(map[int]int),
-		BytesPerFile: make(map[int]float64),
-	}
-	type flowKey struct {
-		file, src, dst int
-	}
-	openFetch := make(map[flowKey]int)
-	openPush := make(map[flowKey]int)
-	openOutput := make(map[flowKey]int)
-
-	for i, e := range l.Events() {
-		if e.T < 0 {
-			return nil, fmt.Errorf("trace: event %d at negative time %v", i, e.T)
-		}
-		if e.T > a.Makespan && isJobKind(e.Kind) {
-			a.Makespan = e.T
-		}
-		switch e.Kind {
-		case JobSubmitted:
-			lc := get(e.Job)
-			lc.submit = e.T
-			lc.user = e.User
-			lc.seen[JobSubmitted]++
-		case JobDispatched:
-			lc := get(e.Job)
-			lc.dispatch = e.T
-			lc.site = e.Site
-			lc.seen[JobDispatched]++
-		case JobDataReady:
-			get(e.Job).dataReady = e.T
-		case JobStarted:
-			lc := get(e.Job)
-			lc.start = e.T
-			lc.seen[JobStarted]++
-		case JobCompleted:
-			lc := get(e.Job)
-			lc.end = e.T
-			lc.seen[JobCompleted]++
-		case FetchStart:
-			openFetch[flowKey{e.File, e.Src, e.Dst}]++
-		case FetchEnd:
-			k := flowKey{e.File, e.Src, e.Dst}
-			if openFetch[k] == 0 {
-				return nil, fmt.Errorf("trace: fetch_end without start (file %d %d->%d)", e.File, e.Src, e.Dst)
-			}
-			openFetch[k]--
-			a.FetchBytes += e.Bytes
-			a.FetchCount++
-			a.BytesPerFile[e.File] += e.Bytes
-		case ReplPush:
-			a.PushCount++
-			openPush[flowKey{e.File, e.Src, e.Dst}]++
-		case ReplArrive:
-			k := flowKey{e.File, e.Src, e.Dst}
-			if openPush[k] == 0 {
-				return nil, fmt.Errorf("trace: repl_arrive without push (file %d %d->%d)", e.File, e.Src, e.Dst)
-			}
-			openPush[k]--
-			a.ReplBytes += e.Bytes
-			a.ReplCount++
-			a.BytesPerFile[e.File] += e.Bytes
-		case Evicted:
-			a.EvictCount++
-		case OutputStart:
-			openOutput[flowKey{e.Job, e.Src, e.Dst}]++
-		case OutputEnd:
-			k := flowKey{e.Job, e.Src, e.Dst}
-			if openOutput[k] == 0 {
-				return nil, fmt.Errorf("trace: output_end without start (job %d %d->%d)", e.Job, e.Src, e.Dst)
-			}
-			openOutput[k]--
-			a.OutputBytes += e.Bytes
-			a.OutputCount++
-		case SiteCrashed, CEFailed, LinkFault, TransferAbort, ReplicaLost:
-			a.FaultCount++
-		case SiteRecovered, CERecovered, LinkRepair:
-			a.RepairCount++
-		case JobRetried:
-			get(e.Job).retries++
-			a.RetryCount++
-		case JobAbandoned:
-			get(e.Job).abandoned = true
-			a.AbandonedCount++
-		default:
-			return nil, fmt.Errorf("trace: unknown event kind %q", e.Kind)
-		}
-	}
-
+	a := f.counts
+	a.Makespan = f.Makespan
+	a.JobsPerSite = make(map[int]int)
 	var responses, waits []float64
-	ids := make([]int, 0, len(jobs))
-	for id := range jobs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		lc := jobs[id]
-		if lc.seen[JobSubmitted] != 1 {
-			return nil, fmt.Errorf("trace: job %d has %d %s events, want 1", id, lc.seen[JobSubmitted], JobSubmitted)
-		}
-		if lc.abandoned {
-			// Out of retries: the job never completed, by definition. It
-			// contributes to no response-time statistics.
-			if lc.seen[JobCompleted] != 0 {
-				return nil, fmt.Errorf("trace: job %d both abandoned and completed", id)
-			}
-			continue
-		}
-		if lc.retries == 0 {
-			// Failure-free lifecycle: the strict DGE invariants hold.
-			for _, k := range []Kind{JobDispatched, JobStarted, JobCompleted} {
-				if lc.seen[k] != 1 {
-					return nil, fmt.Errorf("trace: job %d has %d %s events, want 1", id, lc.seen[k], k)
-				}
-			}
-		} else {
-			// Retried jobs repeat dispatch/start; each attempt count is
-			// bounded by retries+1 and exactly one attempt completes.
-			if lc.seen[JobCompleted] != 1 {
-				return nil, fmt.Errorf("trace: retried job %d has %d completions, want 1", id, lc.seen[JobCompleted])
-			}
-			if lc.seen[JobDispatched] < 1 || lc.seen[JobDispatched] > lc.retries+1 ||
-				lc.seen[JobStarted] > lc.retries+1 {
-				return nil, fmt.Errorf("trace: retried job %d has implausible attempt counts (%d dispatched, %d started, %d retries)",
-					id, lc.seen[JobDispatched], lc.seen[JobStarted], lc.retries)
-			}
-		}
-		if lc.submit > lc.dispatch || lc.dispatch > lc.start || lc.start > lc.end {
-			return nil, fmt.Errorf("trace: job %d lifecycle out of order (%v %v %v %v)",
-				id, lc.submit, lc.dispatch, lc.start, lc.end)
-		}
-		a.Jobs = append(a.Jobs, JobTimeline{
-			Job: id, User: lc.user, Site: lc.site,
-			Submit: lc.submit, Dispatch: lc.dispatch, DataReady: lc.dataReady,
-			Start: lc.start, End: lc.end,
-		})
-		a.JobsPerSite[lc.site]++
-		responses = append(responses, lc.end-lc.submit)
-		waits = append(waits, lc.start-lc.dispatch)
+	for _, t := range f.Jobs {
+		a.Jobs = append(a.Jobs, t.JobTimeline)
+		a.JobsPerSite[t.Site]++
+		responses = append(responses, t.Response())
+		waits = append(waits, t.Start-t.Dispatch)
 	}
 	a.Response = stats.Summarize(responses)
 	a.QueueWait = stats.Summarize(waits)
-	return a, nil
-}
-
-func isJobKind(k Kind) bool {
-	switch k {
-	case JobSubmitted, JobDispatched, JobDataReady, JobStarted, JobCompleted, JobAbandoned:
-		return true
-	}
-	return false
+	return &a, nil
 }

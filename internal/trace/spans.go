@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -69,18 +70,15 @@ type Decomposition struct {
 // Response returns the sum of the four phases.
 func (d Decomposition) Response() float64 { return d.Retry + d.Data + d.Queue + d.Exec }
 
-// JobTree is the reconstructed span tree of one completed job.
+// JobTree is the reconstructed span tree of one completed job. The
+// embedded timeline holds its milestones: submit, final dispatch, data
+// ready (-1 when the trace has none), start and end.
 type JobTree struct {
-	Job     int
-	User    int
-	Site    int // final execution site
+	JobTimeline
 	Retries int
 	Root    *Span // SpanJob covering [submit, end]
 	Decomp  Decomposition
 }
-
-// Response returns the job's measured response time (root duration).
-func (t *JobTree) Response() float64 { return t.Root.Duration() }
 
 // AbandonedJob records a job that ran out of retries: it has no span
 // tree (it never completed) but still occupies its user's closed-loop
@@ -106,62 +104,146 @@ type Forest struct {
 	Makespan float64
 
 	byJob map[int]*JobTree
+	// counts holds the per-kind tallies and the bytes by purpose and by
+	// file, summed in stream order; Analyze completes it from Jobs.
+	counts Analysis
 }
 
 // Job returns the span tree for one job id, or nil.
 func (f *Forest) Job(id int) *JobTree { return f.byJob[id] }
 
-// jobBuild accumulates one job's milestones during the event walk.
+// jobBuild accumulates one job's milestones during the event walk. The
+// timeline's Dispatch is the latest dispatch so far.
 type jobBuild struct {
-	job, user, site          int
-	submit, dataReady, start float64
-	end                      float64
-	haveSubmit, haveEnd      bool
-	haveReady, haveStart     bool
-	dispatches               []float64
-	attempts                 []*Span // closed failed attempts
-	fetches                  []*Span
-	outputs                  []*Span
-	retries                  int
-	abandoned                bool
-	abandonT                 float64
-	lastMilestone            float64 // start of the attempt in progress
+	JobTimeline
+	firstDispatch               float64
+	dispatches, starts, retries int
+	haveSubmit, haveEnd         bool
+	attempts, fetches, outputs  []*Span // attempts: closed failed attempts
+	abandoned                   bool
+	abandonT                    float64
+	lastMilestone               float64 // start of the attempt in progress
 }
 
-// flowKey identifies an in-flight transfer during reconstruction.
-type spanFlowKey struct{ file, src, dst int }
+// flowKey identifies one kind of in-flight transfer on a route: fetches
+// and pushes by file, outputs (file -1) by route alone.
+type flowKey struct {
+	kind           SpanKind
+	file, src, dst int
+}
 
-// BuildSpans reconstructs the span forest from a trace. The log is
-// sorted as a side effect (Events). Malformed traces — transfer ends
-// without starts, duplicate lifecycle events — return an error.
+// flows is the FIFO of a flowKey's open spans. live counts those not yet
+// delivered, aborted or killed by a crash of either endpoint; it never
+// exceeds len(spans). Crash-killed spans stay queued, so a later end or
+// abort on the route still takes the oldest span first.
+type flows struct {
+	spans []*Span
+	live  int
+}
+
+// siteFaults is one site's fault state during the walk.
+type siteFaults struct {
+	crashes   []float64 // ascending
+	down      bool      // since the last crash
+	failedCEs int
+}
+
+// BuildSpans reconstructs the span forest from a trace in one walk over
+// its events and checks the DGE invariants as it goes. The log is sorted
+// as a side effect (Events). It returns an error when any of these fail:
+//
+//   - no event precedes time zero and every kind is known;
+//   - each job is submitted exactly once and completes at most once; a
+//     completed job has k+1 or fewer dispatches and starts for its k
+//     retries (at least one of each), and its submit, final dispatch,
+//     data ready, start and end are in order;
+//   - an abandoned job was retried first and never completes; no job is
+//     retried or abandoned before its submission;
+//   - every fetch_end, repl_arrive and output_end closes an open
+//     transfer of the same file (outputs: job) and route, oldest first;
+//   - every transfer_abort matches a live transfer of its route — a
+//     fetch or push of its file, or with file -1 an output — not one a
+//     crash of either endpoint already killed;
+//   - site crash/recover and link fault/repair strictly alternate, a CE
+//     is never repaired before it failed, and no dispatch, CE failure or
+//     replica loss happens at a site that crashed strictly earlier and
+//     has not recovered (a crash and an event at the same instant are
+//     ordered arbitrarily in the stream).
+//
+// A transfer still open at the end of the trace was killed by a site
+// crash without an event (the core cancels it inline): it is closed at
+// the first crash of either endpoint after it began, or dropped when
+// there is none (a truncated trace).
 func BuildSpans(l *Log) (*Forest, error) {
 	jobs := make(map[int]*jobBuild)
 	get := func(id int) *jobBuild {
 		jb, ok := jobs[id]
 		if !ok {
-			jb = &jobBuild{job: id, user: -1, site: -1, dataReady: -1, lastMilestone: -1}
+			jb = &jobBuild{JobTimeline: JobTimeline{Job: id, User: -1, Site: -1, DataReady: -1}, lastMilestone: -1}
 			jobs[id] = jb
 		}
 		return jb
 	}
+	sites := make(map[int]*siteFaults)
+	site := func(id int) *siteFaults {
+		s, ok := sites[id]
+		if !ok {
+			s = &siteFaults{}
+			sites[id] = s
+		}
+		return s
+	}
+	linkDown := make(map[int]bool)
+	open := make(map[flowKey]*flows)
 
 	f := &Forest{byJob: make(map[int]*JobTree)}
-	openFetch := make(map[spanFlowKey][]*Span)
-	openPush := make(map[spanFlowKey][]*Span)
-	openOutput := make(map[[2]int][]*Span) // src,dst → FIFO of output spans
-	crashesAt := make(map[int][]float64)   // site → crash times, ascending
+	c := &f.counts
+	c.BytesPerFile = make(map[int]float64)
 
-	popFront := func(m map[spanFlowKey][]*Span, k spanFlowKey) *Span {
-		q := m[k]
-		if len(q) == 0 {
+	// checkUp rejects activity at a site that went down strictly before t.
+	checkUp := func(id int, t float64, what string, arg int) error {
+		if s := sites[id]; s != nil && s.down && s.crashes[len(s.crashes)-1] < t {
+			return fmt.Errorf("trace: %s %d at site %d which crashed at %v and has not recovered (t=%v)",
+				what, arg, id, s.crashes[len(s.crashes)-1], t)
+		}
+		return nil
+	}
+	begin := func(k flowKey, sp *Span) {
+		q := open[k]
+		if q == nil {
+			q = &flows{}
+			open[k] = q
+		}
+		q.spans = append(q.spans, sp)
+		q.live++
+	}
+	// take removes the i'th open span of k.
+	take := func(k flowKey, i int) *Span {
+		q := open[k]
+		sp := q.spans[i]
+		if q.spans = slices.Delete(q.spans, i, i+1); len(q.spans) == 0 {
+			delete(open, k)
+		}
+		return sp
+	}
+	// deliver closes the oldest open span of k (outputs: of e's job) with
+	// e's delivery, or returns nil when there is none.
+	deliver := func(k flowKey, e Event) *Span {
+		q := open[k]
+		if q == nil {
 			return nil
 		}
-		sp := q[0]
-		if len(q) == 1 {
-			delete(m, k)
-		} else {
-			m[k] = q[1:]
+		i := 0
+		if k.kind == SpanOutput {
+			if i = slices.IndexFunc(q.spans, func(sp *Span) bool { return sp.Job == e.Job }); i < 0 {
+				return nil
+			}
 		}
+		if q.live > 0 {
+			q.live--
+		}
+		sp := take(k, i)
+		sp.End, sp.Bytes = e.T, e.Bytes
 		return sp
 	}
 
@@ -179,163 +261,205 @@ func BuildSpans(l *Log) (*Forest, error) {
 				return nil, fmt.Errorf("trace: job %d submitted twice", e.Job)
 			}
 			jb.haveSubmit = true
-			jb.submit = e.T
-			jb.user = e.User
+			jb.Submit = e.T
+			jb.User = e.User
 			jb.lastMilestone = e.T
 		case JobDispatched:
+			if err := checkUp(e.Site, e.T, "job_dispatched", e.Job); err != nil {
+				return nil, err
+			}
 			jb := get(e.Job)
-			jb.dispatches = append(jb.dispatches, e.T)
-			jb.site = e.Site
+			if jb.dispatches == 0 {
+				jb.firstDispatch = e.T
+			}
+			jb.dispatches++
+			jb.Dispatch = e.T
+			jb.Site = e.Site
 			jb.lastMilestone = e.T
 		case JobDataReady:
-			jb := get(e.Job)
-			jb.haveReady = true
-			jb.dataReady = e.T
+			get(e.Job).DataReady = e.T
 		case JobStarted:
 			jb := get(e.Job)
-			jb.haveStart = true
-			jb.start = e.T
+			jb.starts++
+			jb.Start = e.T
 		case JobCompleted:
 			jb := get(e.Job)
 			if jb.haveEnd {
 				return nil, fmt.Errorf("trace: job %d completed twice", e.Job)
 			}
 			jb.haveEnd = true
-			jb.end = e.T
+			jb.End = e.T
 		case JobRetried:
+			c.RetryCount++
 			jb := get(e.Job)
-			start := jb.lastMilestone
-			if start < 0 {
-				start = e.T
+			if !jb.haveSubmit {
+				return nil, fmt.Errorf("trace: job %d retried before submission (t=%v)", e.Job, e.T)
 			}
 			jb.attempts = append(jb.attempts, &Span{
-				Kind: SpanAttempt, Start: start, End: e.T,
+				Kind: SpanAttempt, Start: jb.lastMilestone, End: e.T,
 				Job: e.Job, File: -1, Src: -1, Dst: -1, Site: e.Site,
 			})
 			jb.retries++
 			jb.lastMilestone = e.T // backoff runs from the failure
 		case JobAbandoned:
+			c.AbandonedCount++
 			jb := get(e.Job)
+			if jb.retries == 0 {
+				return nil, fmt.Errorf("trace: job %d abandoned without any retry (t=%v)", e.Job, e.T)
+			}
 			jb.abandoned = true
 			jb.abandonT = e.T
 		case FetchStart:
-			sp := &Span{
+			begin(flowKey{SpanFetch, e.File, e.Src, e.Dst}, &Span{
 				Kind: SpanFetch, Start: e.T, End: -1,
 				Job: e.Job, File: e.File, Src: e.Src, Dst: e.Dst, Site: e.Dst,
-			}
-			openFetch[spanFlowKey{e.File, e.Src, e.Dst}] = append(openFetch[spanFlowKey{e.File, e.Src, e.Dst}], sp)
+			})
 		case FetchEnd:
-			sp := popFront(openFetch, spanFlowKey{e.File, e.Src, e.Dst})
+			sp := deliver(flowKey{SpanFetch, e.File, e.Src, e.Dst}, e)
 			if sp == nil {
 				return nil, fmt.Errorf("trace: fetch_end without start (file %d %d->%d)", e.File, e.Src, e.Dst)
 			}
-			sp.End = e.T
-			sp.Bytes = e.Bytes
+			c.FetchBytes += e.Bytes
+			c.FetchCount++
+			c.BytesPerFile[e.File] += e.Bytes
 			if jb, ok := jobs[sp.Job]; ok && sp.Job >= 0 {
 				jb.fetches = append(jb.fetches, sp)
 			} else {
 				f.Loose = append(f.Loose, sp)
 			}
 		case ReplPush:
+			c.PushCount++
 			sp := &Span{
 				Kind: SpanRepl, Start: e.T, End: -1,
 				Job: -1, File: e.File, Src: e.Src, Dst: e.Dst, Site: e.Dst,
 			}
-			openPush[spanFlowKey{e.File, e.Src, e.Dst}] = append(openPush[spanFlowKey{e.File, e.Src, e.Dst}], sp)
+			begin(flowKey{SpanRepl, e.File, e.Src, e.Dst}, sp)
 			f.Repl = append(f.Repl, sp)
 		case ReplArrive:
-			sp := popFront(openPush, spanFlowKey{e.File, e.Src, e.Dst})
-			if sp == nil {
+			if deliver(flowKey{SpanRepl, e.File, e.Src, e.Dst}, e) == nil {
 				return nil, fmt.Errorf("trace: repl_arrive without push (file %d %d->%d)", e.File, e.Src, e.Dst)
 			}
-			sp.End = e.T
-			sp.Bytes = e.Bytes
+			c.ReplBytes += e.Bytes
+			c.ReplCount++
+			c.BytesPerFile[e.File] += e.Bytes
 		case OutputStart:
-			sp := &Span{
+			begin(flowKey{SpanOutput, -1, e.Src, e.Dst}, &Span{
 				Kind: SpanOutput, Start: e.T, End: -1,
 				Job: e.Job, File: -1, Src: e.Src, Dst: e.Dst, Site: e.Dst,
-			}
-			openOutput[[2]int{e.Src, e.Dst}] = append(openOutput[[2]int{e.Src, e.Dst}], sp)
+			})
 		case OutputEnd:
-			k := [2]int{e.Src, e.Dst}
-			q := openOutput[k]
-			// Outputs between the same pair are FIFO per job id; find the
-			// matching job (aborts may have holes).
-			idx := -1
-			for qi, sp := range q {
-				if sp.Job == e.Job {
-					idx = qi
-					break
-				}
-			}
-			if idx < 0 {
+			sp := deliver(flowKey{SpanOutput, -1, e.Src, e.Dst}, e)
+			if sp == nil {
 				return nil, fmt.Errorf("trace: output_end without start (job %d %d->%d)", e.Job, e.Src, e.Dst)
 			}
-			sp := q[idx]
-			openOutput[k] = append(q[:idx:idx], q[idx+1:]...)
-			sp.End = e.T
-			sp.Bytes = e.Bytes
+			c.OutputBytes += e.Bytes
+			c.OutputCount++
 			if jb, ok := jobs[sp.Job]; ok {
 				jb.outputs = append(jb.outputs, sp)
 			} else {
 				f.Loose = append(f.Loose, sp)
 			}
 		case TransferAbort:
-			// Close the matching in-flight transfer at the kill time.
-			var sp *Span
+			c.FaultCount++
+			// The abort must match a live transfer of its route (fetches
+			// before pushes); the span it closes is the route's oldest open
+			// one in the same order, which may be a crash-killed span.
+			keys := []flowKey{{SpanOutput, -1, e.Src, e.Dst}}
 			if e.File >= 0 {
-				k := spanFlowKey{e.File, e.Src, e.Dst}
-				if sp = popFront(openFetch, k); sp == nil {
-					sp = popFront(openPush, k)
-				}
-			} else if q := openOutput[[2]int{e.Src, e.Dst}]; len(q) > 0 {
-				sp = q[0]
-				openOutput[[2]int{e.Src, e.Dst}] = q[1:]
+				keys = []flowKey{{SpanFetch, e.File, e.Src, e.Dst}, {SpanRepl, e.File, e.Src, e.Dst}}
 			}
-			if sp != nil {
-				sp.End = e.T
-				sp.Aborted = true
-				if sp.Kind != SpanRepl {
-					f.Loose = append(f.Loose, sp)
+			var live *flows
+			victim := -1
+			for ki, k := range keys {
+				if q := open[k]; q != nil {
+					if live == nil && q.live > 0 {
+						live = q
+					}
+					if victim < 0 {
+						victim = ki
+					}
 				}
+			}
+			if live == nil {
+				return nil, fmt.Errorf("trace: transfer_abort of file %d %d->%d with no live transfer (t=%v)",
+					e.File, e.Src, e.Dst, e.T)
+			}
+			live.live--
+			sp := take(keys[victim], 0)
+			sp.End = e.T
+			sp.Aborted = true
+			if sp.Kind != SpanRepl {
+				f.Loose = append(f.Loose, sp)
 			}
 		case SiteCrashed:
-			crashesAt[e.Site] = append(crashesAt[e.Site], e.T)
-		case Evicted, SiteRecovered, CEFailed, CERecovered, LinkFault, LinkRepair, ReplicaLost:
-			// No span representation (instant markers; see chrome.go).
+			c.FaultCount++
+			s := site(e.Site)
+			if s.down {
+				return nil, fmt.Errorf("trace: site %d crashed twice without recovery (t=%v)", e.Site, e.T)
+			}
+			s.down = true
+			s.crashes = append(s.crashes, e.T)
+			for k, q := range open {
+				if k.src == e.Site || k.dst == e.Site {
+					q.live = 0
+				}
+			}
+		case SiteRecovered:
+			c.RepairCount++
+			s := site(e.Site)
+			if !s.down {
+				return nil, fmt.Errorf("trace: site %d recovered while up (t=%v)", e.Site, e.T)
+			}
+			s.down = false
+		case CEFailed:
+			c.FaultCount++
+			if err := checkUp(e.Site, e.T, "ce_failed", e.Site); err != nil {
+				return nil, err
+			}
+			site(e.Site).failedCEs++
+		case CERecovered:
+			c.RepairCount++
+			s := site(e.Site)
+			if s.failedCEs == 0 {
+				return nil, fmt.Errorf("trace: ce_recovered at site %d with no failed CE (t=%v)", e.Site, e.T)
+			}
+			s.failedCEs--
+		case LinkFault:
+			c.FaultCount++
+			if linkDown[e.Src] {
+				return nil, fmt.Errorf("trace: link %d faulted twice without repair (t=%v)", e.Src, e.T)
+			}
+			linkDown[e.Src] = true
+		case LinkRepair:
+			c.RepairCount++
+			if !linkDown[e.Src] {
+				return nil, fmt.Errorf("trace: link %d repaired while nominal (t=%v)", e.Src, e.T)
+			}
+			delete(linkDown, e.Src)
+		case ReplicaLost:
+			c.FaultCount++
+			if err := checkUp(e.Site, e.T, "replica_lost of file", e.File); err != nil {
+				return nil, err
+			}
+		case Evicted:
+			c.EvictCount++
 		default:
 			return nil, fmt.Errorf("trace: unknown event kind %q", e.Kind)
 		}
 	}
 
-	// Transfers still open at end-of-trace were killed by a site crash
-	// without an explicit abort event (the core cancels them inline).
-	// Close each at the first crash of either endpoint after it started;
-	// drop spans with no such crash (truncated trace).
-	closeOrphan := func(sp *Span) {
-		t, ok := firstCrashAfter(crashesAt, sp.Src, sp.Dst, sp.Start)
-		if !ok {
-			return
-		}
-		sp.End = t
-		sp.Aborted = true
-		if sp.Kind != SpanRepl {
-			f.Loose = append(f.Loose, sp)
-		}
-	}
-	for _, q := range openFetch {
-		for _, sp := range q {
-			closeOrphan(sp)
-		}
-	}
-	for _, q := range openPush {
-		for _, sp := range q {
-			closeOrphan(sp)
-		}
-	}
-	for _, q := range openOutput {
-		for _, sp := range q {
-			closeOrphan(sp)
+	// Close the transfers a crash killed silently (see above).
+	for _, q := range open {
+		for _, sp := range q.spans {
+			t, ok := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start)
+			if !ok {
+				continue
+			}
+			sp.End = t
+			sp.Aborted = true
+			if sp.Kind != SpanRepl {
+				f.Loose = append(f.Loose, sp)
+			}
 		}
 	}
 	// Replication spans that never closed and saw no crash are dropped.
@@ -362,19 +486,19 @@ func BuildSpans(l *Log) (*Forest, error) {
 				return nil, fmt.Errorf("trace: job %d both abandoned and completed", id)
 			}
 			f.Abandoned = append(f.Abandoned, AbandonedJob{
-				Job: id, User: jb.user, Submit: jb.submit,
+				Job: id, User: jb.User, Submit: jb.Submit,
 				Abandoned: jb.abandonT, Retries: jb.retries,
 			})
-			for _, sp := range jb.fetches {
-				f.Loose = append(f.Loose, sp)
-			}
-			for _, sp := range jb.outputs {
-				f.Loose = append(f.Loose, sp)
-			}
+			f.Loose = append(f.Loose, jb.fetches...)
+			f.Loose = append(f.Loose, jb.outputs...)
 			continue
 		}
-		if !jb.haveEnd || !jb.haveStart || len(jb.dispatches) == 0 {
+		if !jb.haveEnd || jb.starts == 0 || jb.dispatches == 0 {
 			return nil, fmt.Errorf("trace: job %d has an incomplete lifecycle", id)
+		}
+		if jb.dispatches > jb.retries+1 || jb.starts > jb.retries+1 {
+			return nil, fmt.Errorf("trace: job %d has %d dispatches and %d starts for %d retries",
+				id, jb.dispatches, jb.starts, jb.retries)
 		}
 		tree, err := jb.build()
 		if err != nil {
@@ -389,25 +513,25 @@ func BuildSpans(l *Log) (*Forest, error) {
 
 // build assembles the span tree for one completed job.
 func (jb *jobBuild) build() (*JobTree, error) {
-	finalDispatch := jb.dispatches[len(jb.dispatches)-1]
-	ready := jb.dataReady
-	if !jb.haveReady {
-		ready = jb.start // defensive: treat the wait as pure data wait
+	finalDispatch := jb.Dispatch
+	ready := jb.DataReady
+	if ready < 0 {
+		ready = jb.Start // defensive: treat the wait as pure data wait
 	}
-	if jb.submit > finalDispatch || finalDispatch > ready || ready > jb.start || jb.start > jb.end {
+	if jb.Submit > finalDispatch || finalDispatch > ready || ready > jb.Start || jb.Start > jb.End {
 		return nil, fmt.Errorf("trace: job %d lifecycle out of order (%v %v %v %v %v)",
-			jb.job, jb.submit, finalDispatch, ready, jb.start, jb.end)
+			jb.Job, jb.Submit, finalDispatch, ready, jb.Start, jb.End)
 	}
 	root := &Span{
-		Kind: SpanJob, Start: jb.submit, End: jb.end,
-		Job: jb.job, File: -1, Src: -1, Dst: -1, Site: jb.site,
+		Kind: SpanJob, Start: jb.Submit, End: jb.End,
+		Job: jb.Job, File: -1, Src: -1, Dst: -1, Site: jb.Site,
 	}
-	if len(jb.dispatches) > 0 && jb.dispatches[0] > jb.submit && jb.retries == 0 {
+	if jb.firstDispatch > jb.Submit && jb.retries == 0 {
 		// Pure placement wait (batch-window buffering). On retried jobs
 		// the attempt spans already cover [submit, finalDispatch].
 		root.Children = append(root.Children, &Span{
-			Kind: SpanDispatch, Start: jb.submit, End: jb.dispatches[0],
-			Job: jb.job, File: -1, Src: -1, Dst: -1, Site: -1,
+			Kind: SpanDispatch, Start: jb.Submit, End: jb.firstDispatch,
+			Job: jb.Job, File: -1, Src: -1, Dst: -1, Site: -1,
 		})
 	}
 	root.Children = append(root.Children, jb.attempts...)
@@ -415,45 +539,58 @@ func (jb *jobBuild) build() (*JobTree, error) {
 	if ready > finalDispatch {
 		root.Children = append(root.Children, &Span{
 			Kind: SpanData, Start: finalDispatch, End: ready,
-			Job: jb.job, File: -1, Src: -1, Dst: -1, Site: jb.site,
+			Job: jb.Job, File: -1, Src: -1, Dst: -1, Site: jb.Site,
 		})
 	}
-	if jb.start > ready {
+	if jb.Start > ready {
 		root.Children = append(root.Children, &Span{
-			Kind: SpanCPU, Start: ready, End: jb.start,
-			Job: jb.job, File: -1, Src: -1, Dst: -1, Site: jb.site,
+			Kind: SpanCPU, Start: ready, End: jb.Start,
+			Job: jb.Job, File: -1, Src: -1, Dst: -1, Site: jb.Site,
 		})
 	}
 	root.Children = append(root.Children, &Span{
-		Kind: SpanExec, Start: jb.start, End: jb.end,
-		Job: jb.job, File: -1, Src: -1, Dst: -1, Site: jb.site,
+		Kind: SpanExec, Start: jb.Start, End: jb.End,
+		Job: jb.Job, File: -1, Src: -1, Dst: -1, Site: jb.Site,
 	})
 	root.Children = append(root.Children, jb.outputs...)
 	sortSpans(root.Children)
 	return &JobTree{
-		Job: jb.job, User: jb.user, Site: jb.site, Retries: jb.retries,
-		Root: root,
+		JobTimeline: jb.JobTimeline,
+		Retries:     jb.retries,
+		Root:        root,
 		Decomp: Decomposition{
-			Retry: finalDispatch - jb.submit,
+			Retry: finalDispatch - jb.Submit,
 			Data:  ready - finalDispatch,
-			Queue: jb.start - ready,
-			Exec:  jb.end - jb.start,
+			Queue: jb.Start - ready,
+			Exec:  jb.End - jb.Start,
 		},
 	}, nil
 }
 
 // firstCrashAfter returns the earliest crash of either endpoint at or
 // after t.
-func firstCrashAfter(crashes map[int][]float64, src, dst int, t float64) (float64, bool) {
+func firstCrashAfter(sites map[int]*siteFaults, src, dst int, t float64) (float64, bool) {
 	best, ok := 0.0, false
-	for _, site := range [2]int{src, dst} {
-		for _, ct := range crashes[site] {
-			if ct >= t && (!ok || ct < best) {
-				best, ok = ct, true
+	for _, id := range [2]int{src, dst} {
+		if s := sites[id]; s != nil {
+			for _, ct := range s.crashes {
+				if ct >= t && (!ok || ct < best) {
+					best, ok = ct, true
+				}
 			}
 		}
 	}
 	return best, ok
+}
+
+// isJobKind reports whether k is a job lifecycle kind, the kinds that
+// set the makespan.
+func isJobKind(k Kind) bool {
+	switch k {
+	case JobSubmitted, JobDispatched, JobDataReady, JobStarted, JobCompleted, JobAbandoned:
+		return true
+	}
+	return false
 }
 
 // sortSpans orders spans by start time, breaking ties by kind then ids,

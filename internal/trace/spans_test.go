@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -255,56 +256,68 @@ func TestGzipRoundTrip(t *testing.T) {
 }
 
 func TestValidateFaultsAcceptsGoldenLog(t *testing.T) {
-	if err := ValidateFaults(goldenLog()); err != nil {
+	if _, err := BuildSpans(goldenLog()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestValidateFaultsRejections(t *testing.T) {
 	cases := []struct {
-		name string
-		evs  []Event
+		name, want string
+		evs        []Event
 	}{
-		{"double-crash", []Event{
+		{"double-crash", "crashed twice", []Event{
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 2, Kind: SiteCrashed, Site: 2},
 		}},
-		{"recover-while-up", []Event{
+		{"recover-while-up", "recovered while up", []Event{
 			{T: 1, Kind: SiteRecovered, Site: 2},
 		}},
-		{"dispatch-to-down-site", []Event{
+		{"dispatch-to-down-site", "has not recovered", []Event{
 			{T: 0, Kind: JobSubmitted, Job: 1},
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 5, Kind: JobDispatched, Job: 1, Site: 2},
 		}},
-		{"ce-recover-without-failure", []Event{
+		{"ce-recover-without-failure", "no failed CE", []Event{
 			{T: 1, Kind: CERecovered, Site: 3},
 		}},
-		{"link-repair-while-nominal", []Event{
+		{"link-repair-while-nominal", "repaired while nominal", []Event{
 			{T: 1, Kind: LinkRepair, Src: 4},
 		}},
-		{"abort-without-transfer", []Event{
+		{"abort-without-transfer", "no live transfer", []Event{
 			{T: 1, Kind: TransferAbort, File: 7, Src: 0, Dst: 1},
 		}},
-		{"output-abort-without-shipment", []Event{
+		{"output-abort-without-shipment", "no live transfer", []Event{
 			{T: 1, Kind: TransferAbort, File: -1, Src: 0, Dst: 1},
 		}},
-		{"replica-lost-at-down-site", []Event{
+		{"replica-lost-at-down-site", "has not recovered", []Event{
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 5, Kind: ReplicaLost, Site: 2, File: 3},
 		}},
-		{"retry-before-submit", []Event{
+		{"retry-before-submit", "retried before submission", []Event{
 			{T: 1, Kind: JobRetried, Job: 9, Site: 0},
 		}},
-		{"abandon-without-retry", []Event{
+		{"abandon-without-retry", "abandoned without any retry", []Event{
 			{T: 0, Kind: JobSubmitted, Job: 9},
 			{T: 5, Kind: JobAbandoned, Job: 9},
 		}},
-		{"complete-after-abandon", []Event{
+		{"complete-after-abandon", "both abandoned and completed", []Event{
 			{T: 0, Kind: JobSubmitted, Job: 9},
 			{T: 1, Kind: JobRetried, Job: 9, Site: 0},
 			{T: 2, Kind: JobAbandoned, Job: 9},
 			{T: 3, Kind: JobCompleted, Job: 9},
+		}},
+		{"abort-after-crash-kill", "no live transfer", []Event{
+			{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+			{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+		}},
+		{"redispatch-without-retry", "2 dispatches and 1 starts for 0 retries", []Event{
+			{T: 0, Kind: JobSubmitted, Job: 1},
+			{T: 0, Kind: JobDispatched, Job: 1, Site: 2},
+			{T: 1, Kind: JobDispatched, Job: 1, Site: 3},
+			{T: 2, Kind: JobStarted, Job: 1, Site: 3},
+			{T: 3, Kind: JobCompleted, Job: 1, Site: 3},
 		}},
 	}
 	for _, tc := range cases {
@@ -313,8 +326,9 @@ func TestValidateFaultsRejections(t *testing.T) {
 			for _, e := range tc.evs {
 				l.Record(e)
 			}
-			if err := ValidateFaults(l); err == nil {
-				t.Fatal("invalid fault stream accepted")
+			_, err := BuildSpans(l)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
 			}
 		})
 	}
@@ -327,13 +341,14 @@ func TestValidateFaultsAllowsBoundaryTimeEvents(t *testing.T) {
 	for _, e := range []Event{
 		{T: 0, Kind: JobSubmitted, Job: 1},
 		{T: 0, Kind: JobDispatched, Job: 1, Site: 2},
+		{T: 5, Kind: JobStarted, Job: 1, Site: 2},
 		{T: 10, Kind: SiteCrashed, Site: 2},
 		{T: 10, Kind: JobCompleted, Job: 1, Site: 2},
 		{T: 20, Kind: SiteRecovered, Site: 2},
 	} {
 		l.Record(e)
 	}
-	if err := ValidateFaults(l); err != nil {
+	if _, err := BuildSpans(l); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -348,7 +363,7 @@ func TestValidateFaultsMatchesAborts(t *testing.T) {
 	} {
 		l.Record(e)
 	}
-	if err := ValidateFaults(l); err != nil {
+	if _, err := BuildSpans(l); err != nil {
 		t.Fatal(err)
 	}
 }
