@@ -36,17 +36,18 @@ type managedFlow struct {
 	flow     *netsim.Flow
 	kind     flowKind
 	file     storage.FileID // -1 for output shipments
+	job      job.ID         // fetch requester or shipping job; -1 for pushes
 	src, dst topology.SiteID
 }
 
 // trackFlow registers an in-flight transfer for fault management. A
 // no-op on failure-free runs (liveFlows stays nil), keeping the hot path
 // identical to the pre-faults simulator.
-func (s *Simulation) trackFlow(fl *netsim.Flow, kind flowKind, f storage.FileID, src, dst topology.SiteID) {
+func (s *Simulation) trackFlow(fl *netsim.Flow, kind flowKind, f storage.FileID, j job.ID, src, dst topology.SiteID) {
 	if s.liveFlows == nil {
 		return
 	}
-	s.liveFlows[fl.ID] = &managedFlow{flow: fl, kind: kind, file: f, src: src, dst: dst}
+	s.liveFlows[fl.ID] = &managedFlow{flow: fl, kind: kind, file: f, job: j, src: src, dst: dst}
 }
 
 func (s *Simulation) untrackFlow(fl *netsim.Flow) {
@@ -276,10 +277,17 @@ func (o faultOps) AbortTransfer(pick *rng.Source) bool {
 	}
 	ids := s.sortedFlowIDs()
 	mf := s.liveFlows[ids[pick.Intn(len(ids))]]
-	s.rec.Record(trace.Event{
+	// The event names the flow the way its start event did, so a trace
+	// reader can tell a fetch from a push of the same file on the same
+	// route, and one output shipment from another.
+	e := trace.Event{
 		T: s.eng.Now(), Kind: trace.TransferAbort,
-		File: int(mf.file), Src: int(mf.src), Dst: int(mf.dst),
-	})
+		Job: int(mf.job), File: int(mf.file), Src: int(mf.src), Dst: int(mf.dst),
+	}
+	if mf.kind == pushFlow {
+		e.Kind, e.Job = trace.ReplAbort, 0
+	}
+	s.rec.Record(e)
 	if s.abortFlow(mf) && s.sites[mf.dst].RestartFetch(mf.file) {
 		s.transfersRestarted++
 	}

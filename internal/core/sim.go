@@ -186,7 +186,7 @@ func (m mover) Fetch(f storage.FileID, from, to topology.SiteID, requester job.I
 		})
 	}
 	fl := m.s.net.Transfer(from, to, size, m.s.newFetchRec(f, from, to, requester, size, done).fn)
-	m.s.trackFlow(fl, fetchFlow, f, from, to)
+	m.s.trackFlow(fl, fetchFlow, f, requester, from, to)
 }
 
 // fetchRec is a pooled fetch-completion record: it replaces the per-fetch
@@ -933,7 +933,7 @@ func (s *Simulation) shipOutput(j *job.Job) {
 		s.collector.Transfer(metrics.OutputTransfer, bytes)
 		s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.OutputEnd, Job: jobID, Src: src, Dst: dst, Bytes: bytes})
 	})
-	s.trackFlow(fl, outputFlow, -1, j.Site, j.Origin)
+	s.trackFlow(fl, outputFlow, -1, j.ID, j.Site, j.Origin)
 }
 
 // scheduleArrival drives the open-model Poisson submission process for one
@@ -1087,7 +1087,7 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 		})
 		s.sites[rep.Target].ReceiveReplica(rep.File, size)
 	})
-	s.trackFlow(fl, pushFlow, rep.File, from, rep.Target)
+	s.trackFlow(fl, pushFlow, rep.File, -1, from, rep.Target)
 }
 
 // Engine exposes the underlying engine (e.g. for embedding the simulation

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"chicsim/internal/faults"
 	"chicsim/internal/trace"
 )
 
@@ -149,6 +150,43 @@ func TestFaultedTraceSpansConsistent(t *testing.T) {
 	}
 	if !json.Valid(buf.Bytes()) {
 		t.Fatal("chrome export of faulted trace is not valid JSON")
+	}
+}
+
+// TestFaultHeavyTracesAccepted records fault-heavy runs whose traces the
+// reconstruction walk once rejected, and requires every mode's verdict
+// to accept them. Seed 2 aborts a fetch that outlived its source's
+// crash (it streamed a master copy); with outputs on, seed 7 aborts one
+// of two output shipments on a route and seed 6 aborts a push that ran
+// beside a fetch of the same file on the same route.
+func TestFaultHeavyTracesAccepted(t *testing.T) {
+	for _, tc := range []struct {
+		seed   uint64
+		output float64
+		events int
+	}{{2, 0, 2958}, {7, 0.5, 3666}, {6, 0.5, 3793}} {
+		cfg := DefaultConfig()
+		cfg.Seed, cfg.TotalJobs, cfg.ES, cfg.OutputFraction = tc.seed, 400, "JobRandom", tc.output
+		cfg.Faults = faults.Config{
+			SiteCrash:     faults.Spec{MTBF: 2000, MTTR: 600},
+			CEFailure:     faults.Spec{MTBF: 1500, MTTR: 300},
+			LinkDegrade:   faults.Spec{MTBF: 2500, MTTR: 600},
+			LinkOutage:    faults.Spec{MTBF: 4000, MTTR: 300},
+			TransferAbort: faults.Spec{MTBF: 300},
+			ReplicaLoss:   faults.Spec{MTBF: 800},
+			MaxRetries:    2,
+		}
+		log := trace.NewLog()
+		cfg.Recorder = log
+		if _, err := RunConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if log.Len() != tc.events {
+			t.Fatalf("seed %d: %d events, want %d (the run changed; re-pick the case)", tc.seed, log.Len(), tc.events)
+		}
+		if _, err := trace.Analyze(log); err != nil {
+			t.Errorf("seed %d, output %v: %v", tc.seed, tc.output, err)
+		}
 	}
 }
 

@@ -75,6 +75,12 @@ func Analyze(l *Log) (*Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
+	return f.summarize(), nil
+}
+
+// summarize completes the walk's tallies with the per-job timelines and
+// the response and queue-wait summaries.
+func (f *Forest) summarize() *Analysis {
 	a := f.counts
 	a.Makespan = f.Makespan
 	a.JobsPerSite = make(map[int]int)
@@ -87,5 +93,5 @@ func Analyze(l *Log) (*Analysis, error) {
 	}
 	a.Response = stats.Summarize(responses)
 	a.QueueWait = stats.Summarize(waits)
-	return &a, nil
+	return &a
 }

@@ -19,8 +19,10 @@ func FuzzReadJSONL(f *testing.F) {
 	f.Add(`garbage`)
 	f.Add(`{"kind":""}`)
 	// The fault paths of the walk: a crash that kills an in-flight fetch
-	// of a job rerun elsewhere; aborts of a fetch and of an output; a job
-	// retried then abandoned; crash/recover, CE and link fault/repair pairs.
+	// of a job rerun elsewhere; aborts of a fetch and of an output; a push
+	// and a fetch of one file on one route, the push aborted and the fetch
+	// aborted after its source's crash; a job retried then abandoned;
+	// crash/recover, CE and link fault/repair pairs.
 	f.Add(jsonl(
 		`{"t":0,"kind":"job_submitted","job":1,"user":2}`,
 		`{"t":0,"kind":"job_dispatched","job":1,"site":2}`,
@@ -43,7 +45,13 @@ func FuzzReadJSONL(f *testing.F) {
 		`{"t":5,"kind":"job_started","job":1,"site":2}`,
 		`{"t":8,"kind":"job_completed","job":1,"site":2}`,
 		`{"t":8,"kind":"output_start","job":1,"src":2,"dst":7}`,
-		`{"t":9,"kind":"transfer_abort","file":-1,"src":2,"dst":7}`))
+		`{"t":9,"kind":"transfer_abort","job":1,"file":-1,"src":2,"dst":7}`))
+	f.Add(jsonl(
+		`{"t":0,"kind":"fetch_start","job":2,"file":3,"src":7,"dst":2}`,
+		`{"t":1,"kind":"repl_push","file":3,"src":7,"dst":2}`,
+		`{"t":2,"kind":"repl_abort","file":3,"src":7,"dst":2}`,
+		`{"t":3,"kind":"site_crashed","site":7}`,
+		`{"t":4,"kind":"transfer_abort","job":2,"file":3,"src":7,"dst":2}`))
 	f.Add(jsonl(
 		`{"t":0,"kind":"job_submitted","job":4,"user":1}`,
 		`{"t":0,"kind":"job_dispatched","job":4,"site":1}`,
@@ -77,13 +85,11 @@ func FuzzReadJSONL(f *testing.F) {
 		if l2.Len() != l.Len() {
 			t.Fatalf("round trip changed event count: %d -> %d", l.Len(), l2.Len())
 		}
-		if _, err := Analyze(l); err != nil {
-			return
-		}
 		forest, err := BuildSpans(l)
 		if err != nil {
-			t.Fatalf("Analyze accepted what BuildSpans rejects: %v", err)
+			return
 		}
+		forest.summarize()
 		forest.CriticalPath()
 		forest.DecompStats()
 		if err := forest.WriteChrome(io.Discard, l); err != nil {

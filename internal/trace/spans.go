@@ -132,13 +132,19 @@ type flowKey struct {
 	file, src, dst int
 }
 
-// flows is the FIFO of a flowKey's open spans. live counts those not yet
-// delivered, aborted or killed by a crash of either endpoint; it never
-// exceeds len(spans). Crash-killed spans stay queued, so a later end or
-// abort on the route still takes the oldest span first.
-type flows struct {
-	spans []*Span
-	live  int
+// crashKills reports whether a crash of site surely kills the transfers
+// of k, as core.cancelFlowsAt does without an event: fetches into the
+// site, pushes at either end and outputs the site sends. A fetch the
+// site serves survives when it streams a master copy, which the trace
+// cannot tell from a cached one, and an output it receives keeps flowing.
+func crashKills(k flowKey, site int) bool {
+	switch k.kind {
+	case SpanFetch:
+		return k.dst == site
+	case SpanRepl:
+		return k.src == site || k.dst == site
+	}
+	return k.src == site
 }
 
 // siteFaults is one site's fault state during the walk.
@@ -161,19 +167,23 @@ type siteFaults struct {
 //     retried or abandoned before its submission;
 //   - every fetch_end, repl_arrive and output_end closes an open
 //     transfer of the same file (outputs: job) and route, oldest first;
-//   - every transfer_abort matches a live transfer of its route — a
-//     fetch or push of its file, or with file -1 an output — not one a
-//     crash of either endpoint already killed;
+//   - every repl_abort matches an open push of its file and route, and
+//     every transfer_abort an open fetch of its file (or push, in older
+//     traces) or with file -1 an output of its route — not one a site
+//     crash surely killed (see crashKills);
 //   - site crash/recover and link fault/repair strictly alternate, a CE
 //     is never repaired before it failed, and no dispatch, CE failure or
 //     replica loss happens at a site that crashed strictly earlier and
 //     has not recovered (a crash and an event at the same instant are
 //     ordered arbitrarily in the stream).
 //
-// A transfer still open at the end of the trace was killed by a site
-// crash without an event (the core cancels it inline): it is closed at
-// the first crash of either endpoint after it began, or dropped when
-// there is none (a truncated trace).
+// A site crash kills transfers without an event (the core cancels them
+// inline). The walk closes those it surely kills (crashKills) when the
+// crash arrives, and at the end of the trace those still open, such as a
+// fetch a crashed site served from a cached copy. Either is closed at the
+// first crash of either endpoint after it began: a fetch whose source
+// crashed before its destination most likely died with the source. A
+// span still open with no such crash is dropped (a truncated trace).
 func BuildSpans(l *Log) (*Forest, error) {
 	jobs := make(map[int]*jobBuild)
 	get := func(id int) *jobBuild {
@@ -194,7 +204,7 @@ func BuildSpans(l *Log) (*Forest, error) {
 		return s
 	}
 	linkDown := make(map[int]bool)
-	open := make(map[flowKey]*flows)
+	open := make(map[flowKey][]*Span) // each key's open spans, oldest first
 
 	f := &Forest{byJob: make(map[int]*JobTree)}
 	c := &f.counts
@@ -208,39 +218,34 @@ func BuildSpans(l *Log) (*Forest, error) {
 		}
 		return nil
 	}
-	begin := func(k flowKey, sp *Span) {
-		q := open[k]
-		if q == nil {
-			q = &flows{}
-			open[k] = q
-		}
-		q.spans = append(q.spans, sp)
-		q.live++
-	}
+	begin := func(k flowKey, sp *Span) { open[k] = append(open[k], sp) }
 	// take removes the i'th open span of k.
 	take := func(k flowKey, i int) *Span {
-		q := open[k]
-		sp := q.spans[i]
-		if q.spans = slices.Delete(q.spans, i, i+1); len(q.spans) == 0 {
+		sp := open[k][i]
+		if q := slices.Delete(open[k], i, i+1); len(q) > 0 {
+			open[k] = q
+		} else {
 			delete(open, k)
 		}
 		return sp
 	}
+	// kill closes sp as aborted at t.
+	kill := func(sp *Span, t float64) {
+		sp.End = t
+		sp.Aborted = true
+		if sp.Kind != SpanRepl {
+			f.Loose = append(f.Loose, sp)
+		}
+	}
 	// deliver closes the oldest open span of k (outputs: of e's job) with
 	// e's delivery, or returns nil when there is none.
 	deliver := func(k flowKey, e Event) *Span {
-		q := open[k]
-		if q == nil {
-			return nil
-		}
 		i := 0
 		if k.kind == SpanOutput {
-			if i = slices.IndexFunc(q.spans, func(sp *Span) bool { return sp.Job == e.Job }); i < 0 {
-				return nil
-			}
+			i = slices.IndexFunc(open[k], func(sp *Span) bool { return sp.Job == e.Job })
 		}
-		if q.live > 0 {
-			q.live--
+		if i < 0 || len(open[k]) == 0 {
+			return nil
 		}
 		sp := take(k, i)
 		sp.End, sp.Bytes = e.T, e.Bytes
@@ -359,38 +364,31 @@ func BuildSpans(l *Log) (*Forest, error) {
 			} else {
 				f.Loose = append(f.Loose, sp)
 			}
-		case TransferAbort:
+		case TransferAbort, ReplAbort:
 			c.FaultCount++
-			// The abort must match a live transfer of its route (fetches
-			// before pushes); the span it closes is the route's oldest open
-			// one in the same order, which may be a crash-killed span.
-			keys := []flowKey{{SpanOutput, -1, e.Src, e.Dst}}
-			if e.File >= 0 {
-				keys = []flowKey{{SpanFetch, e.File, e.Src, e.Dst}, {SpanRepl, e.File, e.Src, e.Dst}}
+			// An abort closes the oldest open span of its flow, as the
+			// delivery would have; an output abort names its job. Traces
+			// recorded before repl_abort existed abort pushes with
+			// transfer_abort and name no output job, so a transfer_abort of
+			// a file falls back to a push, and of an output to the oldest.
+			k := flowKey{SpanFetch, e.File, e.Src, e.Dst}
+			switch {
+			case e.Kind == ReplAbort:
+				k.kind = SpanRepl
+			case e.File < 0:
+				k.kind = SpanOutput
+			case len(open[k]) == 0:
+				k.kind = SpanRepl
 			}
-			var live *flows
-			victim := -1
-			for ki, k := range keys {
-				if q := open[k]; q != nil {
-					if live == nil && q.live > 0 {
-						live = q
-					}
-					if victim < 0 {
-						victim = ki
-					}
-				}
+			if len(open[k]) == 0 {
+				return nil, fmt.Errorf("trace: %s of file %d %d->%d with no live transfer (t=%v)",
+					e.Kind, e.File, e.Src, e.Dst, e.T)
 			}
-			if live == nil {
-				return nil, fmt.Errorf("trace: transfer_abort of file %d %d->%d with no live transfer (t=%v)",
-					e.File, e.Src, e.Dst, e.T)
+			i := 0
+			if k.kind == SpanOutput {
+				i = max(0, slices.IndexFunc(open[k], func(sp *Span) bool { return sp.Job == e.Job }))
 			}
-			live.live--
-			sp := take(keys[victim], 0)
-			sp.End = e.T
-			sp.Aborted = true
-			if sp.Kind != SpanRepl {
-				f.Loose = append(f.Loose, sp)
-			}
+			kill(take(k, i), e.T)
 		case SiteCrashed:
 			c.FaultCount++
 			s := site(e.Site)
@@ -400,8 +398,12 @@ func BuildSpans(l *Log) (*Forest, error) {
 			s.down = true
 			s.crashes = append(s.crashes, e.T)
 			for k, q := range open {
-				if k.src == e.Site || k.dst == e.Site {
-					q.live = 0
+				if crashKills(k, e.Site) {
+					for _, sp := range q {
+						t, _ := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start) // e.T at the latest
+						kill(sp, t)
+					}
+					delete(open, k)
 				}
 			}
 		case SiteRecovered:
@@ -448,17 +450,11 @@ func BuildSpans(l *Log) (*Forest, error) {
 		}
 	}
 
-	// Close the transfers a crash killed silently (see above).
+	// Close the transfers a crash may have killed silently (see above).
 	for _, q := range open {
-		for _, sp := range q.spans {
-			t, ok := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start)
-			if !ok {
-				continue
-			}
-			sp.End = t
-			sp.Aborted = true
-			if sp.Kind != SpanRepl {
-				f.Loose = append(f.Loose, sp)
+		for _, sp := range q {
+			if t, ok := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start); ok {
+				kill(sp, t)
 			}
 		}
 	}
@@ -594,7 +590,8 @@ func isJobKind(k Kind) bool {
 }
 
 // sortSpans orders spans by start time, breaking ties by kind then ids,
-// for deterministic output.
+// for deterministic output: spans that tie on all of them came from one
+// FIFO, in its order.
 func sortSpans(spans []*Span) {
 	sort.SliceStable(spans, func(i, j int) bool {
 		a, b := spans[i], spans[j]
@@ -607,6 +604,12 @@ func sortSpans(spans []*Span) {
 		if a.Job != b.Job {
 			return a.Job < b.Job
 		}
-		return a.File < b.File
+		if a.File != b.File {
+			return a.File < b.File
+		}
+		if a.Src != b.Src {
+			return a.Src < b.Src
+		}
+		return a.Dst < b.Dst
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -290,6 +291,10 @@ func TestValidateFaultsRejections(t *testing.T) {
 		{"output-abort-without-shipment", "no live transfer", []Event{
 			{T: 1, Kind: TransferAbort, File: -1, Src: 0, Dst: 1},
 		}},
+		{"repl-abort-of-a-fetch", "repl_abort of file 7 0->1 with no live transfer", []Event{
+			{T: 0, Kind: FetchStart, File: 7, Src: 0, Dst: 1},
+			{T: 1, Kind: ReplAbort, File: 7, Src: 0, Dst: 1},
+		}},
 		{"replica-lost-at-down-site", "has not recovered", []Event{
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 5, Kind: ReplicaLost, Site: 2, File: 3},
@@ -311,6 +316,21 @@ func TestValidateFaultsRejections(t *testing.T) {
 			{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+		}},
+		{"push-abort-after-source-crash", "no live transfer", []Event{
+			{T: 0, Kind: ReplPush, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 1},
+			{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+		}},
+		{"output-abort-after-source-crash", "no live transfer", []Event{
+			{T: 0, Kind: OutputStart, Job: 8, Src: 2, Dst: 1},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+			{T: 2, Kind: TransferAbort, File: -1, Src: 2, Dst: 1},
+		}},
+		{"fetch-end-after-crash-kill", "fetch_end without start", []Event{
+			{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+			{T: 2, Kind: FetchEnd, File: 5, Src: 1, Dst: 2},
 		}},
 		{"redispatch-without-retry", "2 dispatches and 1 starts for 0 retries", []Event{
 			{T: 0, Kind: JobSubmitted, Job: 1},
@@ -353,18 +373,111 @@ func TestValidateFaultsAllowsBoundaryTimeEvents(t *testing.T) {
 	}
 }
 
+// TestValidateFaultsMatchesAborts: each abort closes the transfer it
+// names, so the deliveries of the others on the same route still match.
 func TestValidateFaultsMatchesAborts(t *testing.T) {
 	l := NewLog()
 	for _, e := range []Event{
-		{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
-		{T: 3, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+		{T: 0, Kind: FetchStart, Job: 4, File: 5, Src: 1, Dst: 2},
+		{T: 1, Kind: ReplPush, File: 5, Src: 1, Dst: 2},
+		{T: 3, Kind: ReplAbort, File: 5, Src: 1, Dst: 2},
 		{T: 4, Kind: OutputStart, Job: 8, Src: 2, Dst: 1},
-		{T: 6, Kind: TransferAbort, File: -1, Src: 2, Dst: 1},
+		{T: 5, Kind: OutputStart, Job: 9, Src: 2, Dst: 1},
+		{T: 6, Kind: TransferAbort, Job: 9, File: -1, Src: 2, Dst: 1},
+		{T: 7, Kind: FetchEnd, Job: 4, File: 5, Src: 1, Dst: 2},
+		{T: 8, Kind: OutputEnd, Job: 8, Src: 2, Dst: 1},
+		// A trace recorded before repl_abort existed aborts a push with
+		// transfer_abort.
+		{T: 9, Kind: ReplPush, File: 6, Src: 1, Dst: 2},
+		{T: 10, Kind: TransferAbort, File: 6, Src: 1, Dst: 2},
+		{T: 11, Kind: FetchStart, Job: 4, File: 7, Src: 1, Dst: 2},
+		{T: 12, Kind: TransferAbort, Job: 4, File: 7, Src: 1, Dst: 2},
 	} {
 		l.Record(e)
 	}
-	if _, err := BuildSpans(l); err != nil {
+	f, err := BuildSpans(l)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if len(f.Repl) != 2 || !f.Repl[0].Aborted || f.Repl[0].End != 3 || !f.Repl[1].Aborted || f.Repl[1].End != 10 {
+		t.Fatalf("repl spans = %+v, want both aborted", f.Repl)
+	}
+	var aborted []int
+	for _, sp := range f.Loose {
+		if sp.Aborted {
+			aborted = append(aborted, sp.Job)
+		}
+	}
+	if !reflect.DeepEqual(aborted, []int{9, 4}) {
+		t.Fatalf("aborted loose spans of jobs %v, want [9 4]", aborted)
+	}
+}
+
+// TestBuildSpansCrashSparesSurvivingTransfers: a fetch served by the
+// crashed site may stream a master copy and an output shipped to it keeps
+// flowing, so a later abort of either still matches its transfer.
+func TestBuildSpansCrashSparesSurvivingTransfers(t *testing.T) {
+	l := NewLog()
+	for _, e := range []Event{
+		{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+		{T: 0, Kind: OutputStart, Job: 8, Src: 3, Dst: 1},
+		{T: 1, Kind: SiteCrashed, Site: 1},
+		{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+		{T: 3, Kind: TransferAbort, File: -1, Src: 3, Dst: 1},
+	} {
+		l.Record(e)
+	}
+	f, err := BuildSpans(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Loose) != 2 {
+		t.Fatalf("loose spans = %+v", f.Loose)
+	}
+	for i, want := range []struct {
+		kind SpanKind
+		end  float64
+	}{{SpanFetch, 2}, {SpanOutput, 3}} {
+		if sp := f.Loose[i]; sp.Kind != want.kind || sp.End != want.end || !sp.Aborted {
+			t.Fatalf("loose[%d] = %+v, want an aborted %s ending at %v", i, sp, want.kind, want.end)
+		}
+	}
+}
+
+// TestBuildSpansRefetchAfterCrash: once a crash kills a fetch, a later
+// fetch of the same file on the same route closes its own span, not the
+// dead one.
+func TestBuildSpansRefetchAfterCrash(t *testing.T) {
+	l := NewLog()
+	for _, e := range []Event{
+		{T: 0, Kind: FetchStart, Job: -1, File: 3, Src: 7, Dst: 2},
+		{T: 20, Kind: SiteCrashed, Site: 2},
+		{T: 30, Kind: SiteRecovered, Site: 2},
+		{T: 40, Kind: JobSubmitted, Job: 1},
+		{T: 40, Kind: JobDispatched, Job: 1, Site: 2},
+		{T: 40, Kind: FetchStart, Job: 1, File: 3, Src: 7, Dst: 2},
+		{T: 50, Kind: FetchEnd, Job: 1, File: 3, Src: 7, Dst: 2, Bytes: 1e9},
+		{T: 50, Kind: JobDataReady, Job: 1, Site: 2},
+		{T: 50, Kind: JobStarted, Job: 1, Site: 2},
+		{T: 60, Kind: JobCompleted, Job: 1, Site: 2},
+	} {
+		l.Record(e)
+	}
+	f, err := BuildSpans(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(f.Loose) != 1 || f.Loose[0].Start != 0 || f.Loose[0].End != 20 || !f.Loose[0].Aborted {
+		t.Fatalf("loose spans = %+v, want the dead fetch [0, 20]", f.Loose)
+	}
+	var fetches []*Span
+	for _, sp := range f.Job(1).Root.Children {
+		if sp.Kind == SpanFetch {
+			fetches = append(fetches, sp)
+		}
+	}
+	if len(fetches) != 1 || fetches[0].Start != 40 || fetches[0].End != 50 || fetches[0].Aborted {
+		t.Fatalf("job 1 fetches = %+v, want one [40, 50]", fetches)
 	}
 }
 

@@ -42,7 +42,8 @@ const (
 	CERecovered   Kind = "ce_recovered"   // one compute element repaired
 	LinkFault     Kind = "link_fault"     // link degraded or cut; Src holds link id
 	LinkRepair    Kind = "link_repair"    // link back to nominal bandwidth
-	TransferAbort Kind = "transfer_abort" // in-flight transfer killed
+	TransferAbort Kind = "transfer_abort" // in-flight fetch or output killed
+	ReplAbort     Kind = "repl_abort"     // in-flight replica push killed
 	ReplicaLost   Kind = "replica_lost"   // cached replica dropped by fault
 	JobRetried    Kind = "job_retried"    // failed job scheduled for resubmission
 	JobAbandoned  Kind = "job_abandoned"  // job out of retries, permanently failed
