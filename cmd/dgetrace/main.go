@@ -96,11 +96,15 @@ func main() {
 		return
 	}
 	if *chrome != "" {
+		forest, err := trace.BuildSpans(log)
+		if err != nil {
+			fatal(fmt.Errorf("trace INVALID: %w", err))
+		}
 		f, err := os.Create(*chrome)
 		if err != nil {
 			fatal(err)
 		}
-		if err := trace.WriteChromeTrace(f, log); err != nil {
+		if err := forest.WriteChrome(f, log); err != nil {
 			f.Close()
 			fatal(err)
 		}
@@ -136,11 +140,20 @@ func main() {
 		id int
 		v  float64
 	}
+	// Largest first; ties by id, since the maps range in random order.
+	byValue := func(kvs []kv) func(i, j int) bool {
+		return func(i, j int) bool {
+			if kvs[i].v != kvs[j].v {
+				return kvs[i].v > kvs[j].v
+			}
+			return kvs[i].id < kvs[j].id
+		}
+	}
 	var files []kv
 	for f, b := range a.BytesPerFile {
 		files = append(files, kv{f, b})
 	}
-	sort.Slice(files, func(i, j int) bool { return files[i].v > files[j].v })
+	sort.Slice(files, byValue(files))
 	fmt.Printf("hottest files by bytes moved:")
 	for i := 0; i < len(files) && i < *topN; i++ {
 		fmt.Printf(" f%d(%.1fGB)", files[i].id, files[i].v/1e9)
@@ -151,7 +164,7 @@ func main() {
 	for s, n := range a.JobsPerSite {
 		sites = append(sites, kv{s, float64(n)})
 	}
-	sort.Slice(sites, func(i, j int) bool { return sites[i].v > sites[j].v })
+	sort.Slice(sites, byValue(sites))
 	fmt.Printf("busiest sites by jobs:")
 	for i := 0; i < len(sites) && i < *topN; i++ {
 		fmt.Printf(" s%d(%d)", sites[i].id, int(sites[i].v))

@@ -12,7 +12,8 @@ import (
 )
 
 // TestErrorPaths builds dgetrace and feeds every analysis mode each bad
-// input: all must exit with status 1 and exactly one line on stderr.
+// input: all must exit with status 1 and exactly one line on stderr, and
+// -chrome must not create its output file.
 func TestErrorPaths(t *testing.T) {
 	dir := t.TempDir()
 	bin := filepath.Join(dir, "dgetrace")
@@ -67,6 +68,11 @@ func TestErrorPaths(t *testing.T) {
 				}
 				if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || lines[0] == "" {
 					t.Fatalf("stderr has %d lines, want one:\n%s", len(lines), stderr.String())
+				}
+				if mode != nil && mode[0] == "-chrome" {
+					if _, err := os.Stat(mode[1]); !errors.Is(err, os.ErrNotExist) {
+						t.Fatalf("a rejected trace left %s behind (stat: %v)", mode[1], err)
+					}
 				}
 			})
 		}
