@@ -79,6 +79,8 @@ func suite() []bench {
 	out = append(out, bench{"ReflowChurn/flows=1600", kernelbench.ReflowChurn(1600)})
 	// A site's per-file state: hits, fetches, LRU evictions, drains.
 	out = append(out, bench{"SiteAccess", kernelbench.SiteAccess})
+	// The stale GIS's snapshot refresh and least-loaded holders memo.
+	out = append(out, bench{"GISLeastLoaded", kernelbench.GISLeastLoaded})
 	out = append(out, bench{"Sim", kernelbench.Sim})
 	for _, tier := range []struct {
 		name string

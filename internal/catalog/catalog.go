@@ -12,6 +12,17 @@
 // incrementally on Register/Deregister. Hot readers (placement, fetch
 // source selection, the GIS snapshot) index straight into these arrays —
 // no map lookups, no per-query sorting, no per-query allocation.
+//
+// The catalog also keeps a change list for a snapshotting reader (the
+// stale GIS). The reader's first TakeChanges starts it; from then on every
+// file whose definition or replica list changes (a DefineFile, a Register
+// that adds a site, a Deregister that removes one) is appended once,
+// deduplicated by a per-file mark, until the next TakeChanges hands the
+// list over. The reader copies every list once when it starts the list,
+// then only the listed files' lists at each refresh. Registering a site
+// that already holds the file, or deregistering one that does not, is no
+// change and is not listed. A catalog nobody snapshots (the oracle GIS)
+// never starts the list and pays nothing for it.
 package catalog
 
 import (
@@ -29,6 +40,14 @@ type Catalog struct {
 	defined []bool              // by FileID
 	repl    [][]topology.SiteID // sorted replica sites per FileID
 	files   int                 // number of defined files
+
+	// changed lists, in first-change order, the files defined or whose
+	// replica list changed since the last TakeChanges; dirty[f] marks
+	// membership so each file is listed once. Nothing is listed until
+	// the first TakeChanges sets tracking.
+	changed  []storage.FileID
+	dirty    []bool
+	tracking bool
 }
 
 // New returns an empty catalog.
@@ -41,6 +60,40 @@ func (c *Catalog) growTo(f storage.FileID) {
 		c.sizes = append(c.sizes, 0)
 		c.defined = append(c.defined, false)
 	}
+}
+
+// markChanged appends f to the change list unless it is already on it or
+// no reader has started the list.
+func (c *Catalog) markChanged(f storage.FileID) {
+	if !c.tracking {
+		return
+	}
+	for int(f) >= len(c.dirty) {
+		c.dirty = append(c.dirty, false)
+	}
+	if !c.dirty[f] {
+		c.dirty[f] = true
+		c.changed = append(c.changed, f)
+	}
+}
+
+// TakeChanges returns the files defined or whose replica list changed
+// since the previous call, each once, in first-change order, and starts
+// a new list. The first call returns nothing and starts tracking: its
+// caller must read every list once. The slice is the catalog's own
+// buffer: it is valid until the next DefineFile, Register or Deregister,
+// and must not be mutated.
+func (c *Catalog) TakeChanges() []storage.FileID {
+	if !c.tracking {
+		c.tracking = true
+		c.dirty = make([]bool, len(c.defined))
+	}
+	out := c.changed
+	for _, f := range out {
+		c.dirty[f] = false
+	}
+	c.changed = c.changed[:0]
+	return out
 }
 
 // DefineFile registers a dataset's size. Must be called once per file
@@ -60,6 +113,7 @@ func (c *Catalog) DefineFile(f storage.FileID, size float64) error {
 	c.defined[f] = true
 	c.sizes[f] = size
 	c.files++
+	c.markChanged(f)
 	return nil
 }
 
@@ -119,6 +173,7 @@ func (c *Catalog) Register(f storage.FileID, site topology.SiteID) {
 	copy(lst[i+1:], lst[i:])
 	lst[i] = site
 	c.repl[f] = lst
+	c.markChanged(f)
 }
 
 // Deregister removes site from f's replica set (no-op if absent).
@@ -130,6 +185,7 @@ func (c *Catalog) Deregister(f storage.FileID, site topology.SiteID) {
 	if i, ok := replicaIndex(lst, site); ok {
 		copy(lst[i:], lst[i+1:])
 		c.repl[f] = lst[:len(lst)-1]
+		c.markChanged(f)
 	}
 }
 

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -186,5 +187,45 @@ func TestQuickConsistency(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTakeChanges checks the change list: nothing is listed before the
+// first TakeChanges; after it a definition, a Register that adds and a
+// Deregister that removes list their file once, in first-change order; a
+// Register of a present site or a Deregister of an absent one lists
+// nothing; and each TakeChanges starts a new list.
+func TestTakeChanges(t *testing.T) {
+	c := New()
+	c.DefineFile(3, 1e9)
+	c.Register(3, 1)
+	if got := c.TakeChanges(); len(got) != 0 {
+		t.Fatalf("first TakeChanges = %v, want empty", got)
+	}
+	c.DefineFile(4, 1e9)
+	c.DefineFile(2, 1e9)
+	c.Register(4, 1)
+	c.Register(4, 3)
+	c.Deregister(2, 5) // absent: no change, but 2 is listed by its definition
+	if got := c.TakeChanges(); !slices.Equal(got, []storage.FileID{4, 2}) {
+		t.Fatalf("TakeChanges = %v, want [4 2]", got)
+	}
+	if got := c.TakeChanges(); len(got) != 0 {
+		t.Fatalf("TakeChanges after no change = %v, want empty", got)
+	}
+	c.Register(4, 3)   // already present
+	c.Deregister(2, 0) // absent
+	c.Deregister(9, 0) // unknown file
+	if got := c.TakeChanges(); len(got) != 0 {
+		t.Fatalf("no-op changes listed: %v", got)
+	}
+	c.Register(2, 0)
+	c.Deregister(4, 1)
+	c.Deregister(2, 0) // back to empty: still a change since the last take
+	c.Register(3, 2)
+	c.DefineFile(7, 1e9)
+	c.Register(9, 1) // beyond every defined file
+	if got := c.TakeChanges(); !slices.Equal(got, []storage.FileID{2, 4, 3, 7, 9}) {
+		t.Fatalf("TakeChanges = %v, want [2 4 3 7 9]", got)
 	}
 }

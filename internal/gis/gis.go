@@ -10,10 +10,19 @@
 // snapshots instead, modelling MDS-style cached indexes (extension, see
 // DESIGN.md §6).
 //
+// A snapshot is a load per site and a holder list per file. The first
+// snapshot copies every file's list and starts the catalog's change list.
+// Each later refresh reads every site's load, but copies only the holder
+// lists of the files that list names (defined, or a holder added or
+// removed, since the previous refresh); every other entry already equals
+// the catalog's list. A refresh therefore costs O(sites + changed files),
+// not O(files + replicas).
+//
 // Within one snapshot neither a file's holders nor their loads change, so
 // the least-loaded holders of a file (what JobDataPresent asks for) are
 // computed once per file per snapshot and memoized; a refresh bumps the
-// snapshot generation, which invalidates every memo entry at once
+// snapshot generation, which invalidates every memo entry at once. A
+// recompute reads the snapshot loads as a flat slice indexed by site id
 // (DESIGN.md §13).
 package gis
 
@@ -42,10 +51,11 @@ type Service struct {
 	snapTime desim.Time
 	snapLoad []int
 	// snapRep holds the snapshotted replica lists, indexed by file id
-	// (nil for undefined files). The per-file buffers are reused across
-	// refreshes — each refresh overwrites their contents wholesale, which
-	// is indistinguishable from the historical fresh-copy-per-refresh
-	// because no caller retains a returned slice across events.
+	// (nil for undefined files). A refresh overwrites the buffer of each
+	// file the catalog reports changed and leaves the rest, which still
+	// equal the catalog's lists; reusing buffers is indistinguishable from
+	// a fresh copy per refresh because no caller retains a returned slice
+	// across events.
 	snapRep [][]topology.SiteID
 	// gen numbers the snapshots; refresh bumps it. memo[f] caches
 	// LeastLoadedHolders(f) for snapshot memo[f].gen, so it is stale
@@ -145,7 +155,8 @@ func (s *Service) refresh() {
 		return
 	}
 	now := s.eng.Now()
-	if s.snapTime >= 0 && now-s.snapTime < s.stale {
+	first := s.snapTime < 0
+	if !first && now-s.snapTime < s.stale {
 		return
 	}
 	s.snapTime = now
@@ -163,14 +174,25 @@ func (s *Service) refresh() {
 		s.snapRep = append(s.snapRep, nil)
 		s.memo = append(s.memo, holdersMemo{})
 	}
-	for f := 0; f < bound; f++ {
-		id := storage.FileID(f)
-		if _, ok := s.cat.Size(id); !ok {
-			s.snapRep[f] = nil
-			continue
+	if first {
+		s.cat.TakeChanges() // starts the change list
+		for f := 0; f < bound; f++ {
+			s.copyHolders(storage.FileID(f))
 		}
-		s.snapRep[f] = append(s.snapRep[f][:0], s.cat.ReplicaList(id)...)
+		return
 	}
+	for _, f := range s.cat.TakeChanges() {
+		s.copyHolders(f)
+	}
+}
+
+// copyHolders snapshots f's replica list from the catalog.
+func (s *Service) copyHolders(f storage.FileID) {
+	if _, ok := s.cat.Size(f); !ok {
+		s.snapRep[f] = nil
+		return
+	}
+	s.snapRep[f] = append(s.snapRep[f][:0], s.cat.ReplicaList(f)...)
 }
 
 // SnapshotAge returns how old (in virtual seconds) the snapshot backing
@@ -242,14 +264,11 @@ func (s *Service) LeastLoadedHolders(f storage.FileID) []topology.SiteID {
 	}
 	m := &s.memo[f]
 	if m.gen != s.gen {
-		m.sites = scheduler.LeastLoadedSet(s.snapLoadOf, s.snapRep[f], m.sites)
+		m.sites = scheduler.LeastLoadedSetFlat(s.snapLoad, s.snapRep[f], m.sites)
 		m.gen = s.gen
 	}
 	return nonEmpty(m.sites)
 }
-
-// snapLoadOf reads a site's load from the current snapshot.
-func (s *Service) snapLoadOf(site topology.SiteID) int { return s.snapLoad[site] }
 
 // nonEmpty maps an empty set to nil.
 func nonEmpty(sites []topology.SiteID) []topology.SiteID {

@@ -12,7 +12,8 @@ import (
 // measured allocs/op: steady-state engine stepping and — with the pooled
 // flow storage — both reflow policies at every flow tier the suite
 // tracks, the churn of removals from the middle, and a site's per-file
-// data path under cache pressure. One-time pool
+// data path under cache pressure, and the stale GIS's least-loaded
+// holders across snapshot refreshes. One-time pool
 // growth before the timer reset is excluded by testing.Benchmark itself;
 // growth after it amortizes to zero over the benchmark's iteration
 // count.
@@ -43,7 +44,10 @@ func TestKernelBodiesRunAllocFree(t *testing.T) {
 	}{"ReflowChurn/flows=1600", ReflowChurn(1600)}, struct {
 		name string
 		body func(*testing.B)
-	}{"SiteAccess", SiteAccess})
+	}{"SiteAccess", SiteAccess}, struct {
+		name string
+		body func(*testing.B)
+	}{"GISLeastLoaded", GISLeastLoaded})
 	for _, bm := range bodies {
 		t.Run(bm.name, func(t *testing.T) {
 			br := testing.Benchmark(bm.body)

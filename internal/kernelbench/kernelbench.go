@@ -19,6 +19,7 @@ import (
 	"chicsim/internal/catalog"
 	"chicsim/internal/core"
 	"chicsim/internal/desim"
+	"chicsim/internal/gis"
 	"chicsim/internal/job"
 	"chicsim/internal/netsim"
 	"chicsim/internal/rng"
@@ -227,6 +228,81 @@ func SiteAccess(b *testing.B) {
 	}
 	// Fill the cache and grow every pool to its high-water mark first.
 	for i := 0; i < 512; i++ {
+		op(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op(i)
+	}
+}
+
+// GISLeastLoaded measures the stale GIS as JobDataPresent uses it: each op
+// asks LeastLoadedHolders for one of 2000 files on a 1000-site grid where
+// each file has about 160 holders, most of them tied at the lowest load.
+// Every 120th op moves the clock past the 30 s staleness, after changing
+// 80 site loads and moving four replicas, so the next query refreshes the
+// snapshot and the memo recomputes. Refresh and recompute are both on the
+// path; no scheduler, no engine work besides the clock.
+func GISLeastLoaded(b *testing.B) {
+	const sites, files, holders, window = 1000, 2000, 160, 120
+	topo, err := topology.NewStar(sites, 10e6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	eng := desim.New()
+	cat := catalog.New()
+	x := uint64(0x2545F4914F6CDD1D)
+	next := func() uint64 {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	// Seven loads in ten are the idle minimum, so a file's tie set is
+	// about 110 of its 160 holders.
+	loads := make([]int, sites)
+	load := func() int {
+		if r := next() % 10; r >= 7 {
+			return int(r - 6)
+		}
+		return 0
+	}
+	for s := range loads {
+		loads[s] = load()
+	}
+	for f := 0; f < files; f++ {
+		id := storage.FileID(f)
+		if err := cat.DefineFile(id, 1e9); err != nil {
+			b.Fatal(err)
+		}
+		for cat.ReplicaCount(id) < holders {
+			cat.Register(id, topology.SiteID(next()%sites))
+		}
+	}
+	svc := gis.New(eng, cat, topo, func(s topology.SiteID) int { return loads[s] }, 30)
+	tick := func() {}
+	op := func(i int) {
+		if i%window == 0 {
+			for k := 0; k < 80; k++ {
+				loads[next()%sites] = load()
+			}
+			// Move a replica: the deregister leaves room for the register.
+			for k := 0; k < 4; k++ {
+				f := storage.FileID(next() % files)
+				lst := cat.ReplicaList(f)
+				cat.Deregister(f, lst[next()%uint64(len(lst))])
+				cat.Register(f, topology.SiteID(next()%sites))
+			}
+			eng.At(eng.Now()+30, tick)
+			eng.Step()
+		}
+		if len(svc.LeastLoadedHolders(storage.FileID(next()%files))) == 0 {
+			b.Fatal("a file lost every holder")
+		}
+	}
+	// Grow the snapshot, memo and change-list buffers first.
+	for i := 0; i < 50*window; i++ {
 		op(i)
 	}
 	b.ReportAllocs()

@@ -39,13 +39,7 @@ func (Random) Name() string { return "DataRandom" }
 func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	var out []scheduler.Replication
 	for _, p := range popular {
-		var cands []topology.SiteID
-		for s := 0; s < g.NumSites(); s++ {
-			sid := topology.SiteID(s)
-			if sid != self && !g.HasReplica(p.File, sid) {
-				cands = append(cands, sid)
-			}
-		}
+		cands := NonHolders(g, p.File, self, nil)
 		if len(cands) == 0 {
 			continue
 		}
@@ -91,18 +85,27 @@ func (l *LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular
 func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
 	cands := WithoutReplica(g, f, g.Topology().Siblings(self), self)
 	if len(cands) == 0 {
-		// Widen to the whole grid, filtering site ids directly — same
-		// order as materializing 0..NumSites-1 first, without the
-		// intermediate slice — into one allocation sized for the grid.
-		cands = make([]topology.SiteID, 0, g.NumSites())
-		for s := 0; s < g.NumSites(); s++ {
-			sid := topology.SiteID(s)
-			if sid != self && !g.HasReplica(f, sid) {
-				cands = append(cands, sid)
-			}
-		}
+		cands = NonHolders(g, f, self, make([]topology.SiteID, 0, g.NumSites()))
 	}
 	return cands
+}
+
+// NonHolders appends to dst every site other than self that does not hold
+// f, in site-id order: the whole grid's replication targets for f. It
+// walks the sites 0..NumSites-1 against the sorted g.Replicas(f) once,
+// with no HasReplica query per site.
+func NonHolders(g scheduler.GridView, f storage.FileID, self topology.SiteID, dst []topology.SiteID) []topology.SiteID {
+	reps := g.Replicas(f)
+	for s, n := 0, g.NumSites(); s < n; s++ {
+		sid := topology.SiteID(s)
+		for len(reps) > 0 && reps[0] < sid {
+			reps = reps[1:]
+		}
+		if sid != self && (len(reps) == 0 || reps[0] != sid) {
+			dst = append(dst, sid)
+		}
+	}
+	return dst
 }
 
 // Cascade replicates popular data down the hierarchy toward clients: it

@@ -1,6 +1,7 @@
 package ds
 
 import (
+	"slices"
 	"testing"
 
 	"chicsim/internal/rng"
@@ -202,5 +203,82 @@ func TestMultiplePopularFiles(t *testing.T) {
 	}
 	if len(seen) != 3 {
 		t.Fatalf("files covered: %v", seen)
+	}
+}
+
+// hasReplicaNonHolders is the reference for NonHolders: every site other
+// than self, filtered with one HasReplica query per site.
+func hasReplicaNonHolders(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
+	var out []topology.SiteID
+	for s := 0; s < g.NumSites(); s++ {
+		if sid := topology.SiteID(s); sid != self && !g.HasReplica(f, sid) {
+			out = append(out, sid)
+		}
+	}
+	return out
+}
+
+// TestCandidateTargetsMatchesHasReplicaFilter compares CandidateTargets,
+// NonHolders and DataRandom's pick with the HasReplica filter they
+// replaced, on random sorted holder lists: no holders, every site, every
+// sibling of self (which forces the grid-wide widening), and random
+// subsets, each with self holding the file and not.
+func TestCandidateTargetsMatchesHasReplicaFilter(t *testing.T) {
+	const f = storage.FileID(1)
+	src := rng.New(17)
+	for _, shape := range [][2]int{{9, 3}, {30, 5}, {100, 10}} {
+		v := schedtest.NewHierView(shape[0], shape[1])
+		n := v.NumSites()
+		for trial := 0; trial < 300; trial++ {
+			self := topology.SiteID(src.Intn(n))
+			hold := make([]bool, n)
+			switch trial % 4 {
+			case 0: // no holders
+			case 1:
+				for s := range hold {
+					hold[s] = true
+				}
+			case 2:
+				for _, s := range v.Topo.Siblings(self) {
+					hold[s] = true
+				}
+			default:
+				p := 1 + src.Intn(9)
+				for s := range hold {
+					hold[s] = src.Intn(10) < p
+				}
+			}
+			hold[self] = trial%8 < 4
+			var reps []topology.SiteID
+			for s, h := range hold {
+				if h {
+					reps = append(reps, topology.SiteID(s))
+				}
+			}
+			v.Reps[f] = reps
+
+			want := WithoutReplica(v, f, v.Topo.Siblings(self), self)
+			if len(want) == 0 {
+				want = hasReplicaNonHolders(v, f, self)
+			}
+			if got := CandidateTargets(v, f, self); !slices.Equal(got, want) {
+				t.Fatalf("%d sites, self %d, holders %v: CandidateTargets = %v, HasReplica filter %v", n, self, reps, got, want)
+			}
+			all := hasReplicaNonHolders(v, f, self)
+			if got := NonHolders(v, f, self, nil); !slices.Equal(got, all) {
+				t.Fatalf("%d sites, self %d, holders %v: NonHolders = %v, HasReplica filter %v", n, self, reps, got, all)
+			}
+			seed := uint64(trial + 1)
+			got := Random{Src: rng.New(seed)}.Decide(v, self, pops(f))
+			if len(all) == 0 {
+				if len(got) != 0 {
+					t.Fatalf("DataRandom pushed %v with every other site holding the file", got)
+				}
+				continue
+			}
+			if wantT := rng.Pick(rng.New(seed), all); len(got) != 1 || got[0].Target != wantT {
+				t.Fatalf("DataRandom = %v, HasReplica filter picks %d", got, wantT)
+			}
+		}
 	}
 }

@@ -53,11 +53,7 @@ func (d *DS) targets(g scheduler.GridView, p scheduler.PopularFile, self topolog
 	case 1: // siblings only: cascading stays in-region, never widens
 		return ds.WithoutReplica(g, p.File, g.Topology().Siblings(self), self)
 	case 2: // whole grid from the start
-		all := make([]topology.SiteID, 0, g.NumSites())
-		for s := 0; s < g.NumSites(); s++ {
-			all = append(all, topology.SiteID(s))
-		}
-		return ds.WithoutReplica(g, p.File, all, self)
+		return ds.NonHolders(g, p.File, self, nil)
 	default:
 		return ds.CandidateTargets(g, p.File, self)
 	}

@@ -1,6 +1,8 @@
 package scheduler
 
 import (
+	"slices"
+
 	"chicsim/internal/rng"
 	"chicsim/internal/topology"
 )
@@ -8,7 +10,8 @@ import (
 // LeastLoadedSet returns the candidates with the minimum load, in
 // candidate order, reusing dst's storage; with a nil dst and no
 // candidates it returns nil. It never writes into cands, so cands may be a
-// slice the GridView owns (a GIS snapshot entry).
+// slice the GridView owns (a GIS snapshot entry). This is the least-load
+// tie rule; LeastLoadedSetFlat is its form for loads held in a slice.
 func LeastLoadedSet(load func(topology.SiteID) int, cands, dst []topology.SiteID) []topology.SiteID {
 	dst = dst[:0]
 	best := 0
@@ -23,6 +26,32 @@ func LeastLoadedSet(load func(topology.SiteID) int, cands, dst []topology.SiteID
 		}
 	}
 	return dst
+}
+
+// LeastLoadedSetFlat returns what LeastLoadedSet returns when each
+// candidate c's load is loads[c] (TestLeastLoadedSetFlatMatches pins the
+// two together). A caller that holds the loads as one slice, such as a
+// GIS snapshot, pays no call per candidate, and the set is collected
+// without a branch per candidate: one pass finds the minimum, a second
+// writes every candidate and keeps those that have it. dst's storage
+// grows to len(cands).
+func LeastLoadedSetFlat(loads []int, cands, dst []topology.SiteID) []topology.SiteID {
+	if len(cands) == 0 {
+		return dst[:0]
+	}
+	best := loads[cands[0]]
+	for _, c := range cands[1:] {
+		best = min(best, loads[c])
+	}
+	dst = slices.Grow(dst[:0], len(cands))[:len(cands)]
+	n := 0
+	for _, c := range cands {
+		dst[n] = c
+		if loads[c] == best {
+			n++
+		}
+	}
+	return dst[:n]
 }
 
 // PickLeastLoaded returns the least-loaded candidate. Ties are broken

@@ -91,3 +91,40 @@ func TestLeastLoadedSetOrderAndReuse(t *testing.T) {
 		t.Fatalf("LeastLoadedSet(nil) = %v, want empty", got)
 	}
 }
+
+// TestLeastLoadedSetFlatMatches pins LeastLoadedSetFlat to LeastLoadedSet
+// on random candidate lists (any order, repeats allowed) over few load
+// values, so most lists hold ties: same sites in the same order, nil for a
+// nil dst and no candidates, and dst's storage reused when it has room.
+func TestLeastLoadedSetFlatMatches(t *testing.T) {
+	src := rng.New(5)
+	loads := make([]int, 40)
+	load := func(s topology.SiteID) int { return loads[s] }
+	var dst []topology.SiteID
+	for trial := 0; trial < 2000; trial++ {
+		for s := range loads {
+			loads[s] = src.Intn(1 + trial%4)
+		}
+		cands := make([]topology.SiteID, src.Intn(len(loads)))
+		for i := range cands {
+			cands[i] = topology.SiteID(src.Intn(len(loads)))
+		}
+		orig := slices.Clone(cands)
+		want := scheduler.LeastLoadedSet(load, cands, nil)
+		dst = scheduler.LeastLoadedSetFlat(loads, cands, dst)
+		if !slices.Equal(dst, want) {
+			t.Fatalf("trial %d: LeastLoadedSetFlat(%v) = %v, LeastLoadedSet = %v", trial, cands, dst, want)
+		}
+		if !slices.Equal(cands, orig) {
+			t.Fatalf("trial %d: cands %v rewritten to %v", trial, orig, cands)
+		}
+	}
+	if got := scheduler.LeastLoadedSetFlat(loads, nil, nil); got != nil {
+		t.Fatalf("LeastLoadedSetFlat(nil, nil) = %#v, want nil", got)
+	}
+	buf := make([]topology.SiteID, 0, 8)
+	got := scheduler.LeastLoadedSetFlat(loads, []topology.SiteID{1, 2, 3}, buf)
+	if len(got) == 0 || &got[0] != &buf[:1][0] {
+		t.Fatal("LeastLoadedSetFlat did not reuse dst's storage")
+	}
+}
