@@ -192,6 +192,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chicsim: -heatmap draws the probe series and needs -obs-interval > 0")
 		os.Exit(2)
 	}
+	if obsFlags.SeriesInterval < 0 {
+		fmt.Fprintf(os.Stderr, "chicsim: -obs-interval = %v, want >= 0\n", obsFlags.SeriesInterval)
+		os.Exit(2)
+	}
 
 	// Live control plane: a metrics registry when anything wants to read
 	// it, a watchdog when asked for. Both need the obs tick.

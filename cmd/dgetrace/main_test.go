@@ -27,6 +27,8 @@ func TestErrorPaths(t *testing.T) {
 		{"fetch_end without start", `{"t":5,"kind":"fetch_end","file":1,"src":0,"dst":1,"bytes":1}`},
 		{"site crashes twice", `{"t":1,"kind":"site_crashed","site":2}` + "\n" +
 			`{"t":2,"kind":"site_crashed","site":2}`},
+		{"crash with an open fetch into the site", `{"t":0,"kind":"fetch_start","job":1,"file":5,"src":1,"dst":2}` + "\n" +
+			`{"t":1,"kind":"site_crashed","site":2}`},
 		{"job abandoned and completed", strings.Join([]string{
 			`{"t":0,"kind":"job_submitted","job":1}`,
 			`{"t":0,"kind":"job_dispatched","job":1,"site":2}`,

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"chicsim/internal/job"
-	"chicsim/internal/netsim"
 	"chicsim/internal/rng"
 	"chicsim/internal/scheduler"
 	"chicsim/internal/scheduler/ds"
@@ -15,68 +13,10 @@ import (
 )
 
 // This file wires internal/faults into the simulation: the Actions
-// adapter the injector drives, in-flight transfer tracking (so crashes
-// and aborts can kill flows deterministically and repair the bookkeeping
-// their completion callbacks would have done), and the recovery paths —
-// ES retry with capped exponential backoff, LS requeue on site recovery,
-// DS re-replication of lost popular files.
-
-// flowKind classifies a tracked transfer by what its completion callback
-// maintains, which is exactly what an abort must clean up instead.
-type flowKind uint8
-
-const (
-	fetchFlow  flowKind = iota // job-driven input fetch
-	pushFlow                   // DS replica push (source copy pinned)
-	outputFlow                 // job-output shipment
-)
-
-// managedFlow is one in-flight transfer under fault management.
-type managedFlow struct {
-	flow     *netsim.Flow
-	kind     flowKind
-	file     storage.FileID // -1 for output shipments
-	job      job.ID         // fetch requester or shipping job; -1 for pushes
-	src, dst topology.SiteID
-}
-
-// trackFlow registers an in-flight transfer for fault management. A
-// no-op on failure-free runs (liveFlows stays nil), keeping the hot path
-// identical to the pre-faults simulator.
-func (s *Simulation) trackFlow(fl *netsim.Flow, kind flowKind, f storage.FileID, j job.ID, src, dst topology.SiteID) {
-	if s.liveFlows == nil {
-		return
-	}
-	s.liveFlows[fl.ID] = &managedFlow{flow: fl, kind: kind, file: f, job: j, src: src, dst: dst}
-}
-
-func (s *Simulation) untrackFlow(fl *netsim.Flow) {
-	if s.liveFlows != nil {
-		delete(s.liveFlows, fl.ID)
-	}
-}
-
-// abortFlow cancels an in-flight managed transfer and repairs the
-// bookkeeping its completion callback would have handled: a killed DS
-// push unpins the source copy and clears the in-flight marker. Reports
-// whether the aborted flow was an input fetch the destination site may
-// want to restart from another replica.
-func (s *Simulation) abortFlow(mf *managedFlow) bool {
-	s.net.Cancel(mf.flow)
-	delete(s.liveFlows, mf.flow.ID)
-	switch mf.kind {
-	case fetchFlow:
-		return true
-	case pushFlow:
-		delete(s.pushesInFlight, pushKey{mf.file, mf.dst})
-		if err := s.sites[mf.src].Store().Unpin(mf.file); err != nil {
-			panic(fmt.Sprintf("core: aborting push of file %d from site %d: %v", mf.file, mf.src, err))
-		}
-	case outputFlow:
-		// The user already has their answer; the bytes are simply lost.
-	}
-	return false
-}
+// adapter the injector drives, the choice of transfers a crash or abort
+// kills (transfer.go repairs what their completions would have done),
+// and the recovery paths — ES retry with capped exponential backoff, LS
+// requeue on site recovery, DS re-replication of lost popular files.
 
 // sortedFlowIDs returns the live flow ids in ascending order, fixing the
 // iteration order faults see (map order would break determinism).
@@ -97,34 +37,33 @@ type fetchRestart struct {
 }
 
 // cancelFlowsAt kills the in-flight transfers a crash of site sid
-// invalidates: everything inbound (the site's cache and jobs are gone),
-// outbound DS pushes and output shipments (sourced from the dying
+// invalidates: inbound fetches and pushes (the site's cache and jobs are
+// gone), outbound DS pushes and output shipments (sourced from the dying
 // scratch space), and outbound fetches serving a *cached* copy. Fetches
 // streaming a master copy keep flowing — masters live on the site's
-// mass-storage system, which survives the compute front-end's crash.
-// Returns the fetches other sites must restart from a surviving replica.
+// mass-storage system, which survives the compute front-end's crash —
+// and so do outputs shipped to the site. Each kill logs its abort, ahead
+// of the crash event at the same instant. Returns the fetches other
+// sites must restart from a surviving replica.
 func (s *Simulation) cancelFlowsAt(sid topology.SiteID) []fetchRestart {
 	var restarts []fetchRestart
 	for _, id := range s.sortedFlowIDs() {
-		mf, ok := s.liveFlows[id]
-		if !ok {
-			continue
-		}
-		switch mf.kind {
+		t := s.liveFlows[id]
+		switch t.kind {
 		case fetchFlow:
-			if mf.dst == sid {
-				s.abortFlow(mf)
-			} else if mf.src == sid && !s.sites[sid].Store().IsMaster(mf.file) {
-				s.abortFlow(mf)
-				restarts = append(restarts, fetchRestart{file: mf.file, dst: mf.dst})
+			if t.dst == sid {
+				t.abort()
+			} else if t.src == sid && !s.sites[sid].Store().IsMaster(t.file) {
+				restarts = append(restarts, fetchRestart{file: t.file, dst: t.dst})
+				t.abort()
 			}
 		case pushFlow:
-			if mf.src == sid || mf.dst == sid {
-				s.abortFlow(mf)
+			if t.src == sid || t.dst == sid {
+				t.abort()
 			}
 		case outputFlow:
-			if mf.src == sid {
-				s.abortFlow(mf)
+			if t.src == sid {
+				t.abort()
 			}
 		}
 	}
@@ -276,19 +215,10 @@ func (o faultOps) AbortTransfer(pick *rng.Source) bool {
 		return false
 	}
 	ids := s.sortedFlowIDs()
-	mf := s.liveFlows[ids[pick.Intn(len(ids))]]
-	// The event names the flow the way its start event did, so a trace
-	// reader can tell a fetch from a push of the same file on the same
-	// route, and one output shipment from another.
-	e := trace.Event{
-		T: s.eng.Now(), Kind: trace.TransferAbort,
-		Job: int(mf.job), File: int(mf.file), Src: int(mf.src), Dst: int(mf.dst),
-	}
-	if mf.kind == pushFlow {
-		e.Kind, e.Job = trace.ReplAbort, 0
-	}
-	s.rec.Record(e)
-	if s.abortFlow(mf) && s.sites[mf.dst].RestartFetch(mf.file) {
+	t := s.liveFlows[ids[pick.Intn(len(ids))]]
+	kind, f, dst := t.kind, t.file, t.dst
+	t.abort()
+	if kind == fetchFlow && s.sites[dst].RestartFetch(f) {
 		s.transfersRestarted++
 	}
 	return true

@@ -109,11 +109,11 @@ type Simulation struct {
 
 	// Prebuilt callbacks for the recurring engine events, so the steady
 	// state schedules without allocating a closure per event.
-	submitFns []func()    // per user: closed-loop submitNext
-	arriveFns []func()    // per user: open-model submit + rebook
-	dsWakeFns []func()    // per site: dsWake
-	dsIdleAt  []float64   // per site: time of the wake after which the DS went dormant; -1 while a wake is booked
-	fetchPool []*fetchRec // recycled mover fetch-completion records
+	submitFns    []func()    // per user: closed-loop submitNext
+	arriveFns    []func()    // per user: open-model submit + rebook
+	dsWakeFns    []func()    // per site: dsWake
+	dsIdleAt     []float64   // per site: time of the wake after which the DS went dormant; -1 while a wake is booked
+	transferPool []*transfer // recycled transfer records
 
 	nextJob      []int // per-user index of next job to submit
 	jobsDone     int
@@ -150,7 +150,7 @@ type Simulation struct {
 	retry              faults.RetryPolicy
 	faultRoot          *rng.Source
 	injector           *faults.Injector
-	liveFlows          map[int]*managedFlow      // in-flight transfers, by flow id
+	liveFlows          map[int]*transfer         // in-flight transfers, by flow id
 	lostAt             [][]scheduler.PopularFile // per site: popular replicas lost to faults
 	jobsFailed         int
 	jobsRetried        int
@@ -180,58 +180,8 @@ func (m mover) Fetch(f storage.FileID, from, to topology.SiteID, requester job.I
 	}
 	if from != to {
 		m.s.sites[from].RecordRemoteRequest(f, to)
-		m.s.rec.Record(trace.Event{
-			T: m.s.eng.Now(), Kind: trace.FetchStart,
-			Job: int(requester), File: int(f), Src: int(from), Dst: int(to),
-		})
 	}
-	fl := m.s.net.Transfer(from, to, size, m.s.newFetchRec(f, from, to, requester, size, done).fn)
-	m.s.trackFlow(fl, fetchFlow, f, requester, from, to)
-}
-
-// fetchRec is a pooled fetch-completion record: it replaces the per-fetch
-// closure mover.Fetch used to allocate. The fn closure is built once per
-// record and captures only the record, which self-releases to the pool
-// before running the completion logic (so cascading fetches can reuse it).
-// Records on flows that get cancelled are simply dropped to the GC — the
-// same cost the old closure paid.
-type fetchRec struct {
-	s         *Simulation
-	f         storage.FileID
-	from, to  topology.SiteID
-	requester job.ID
-	size      float64
-	done      func()
-	fn        func(*netsim.Flow)
-}
-
-func (s *Simulation) newFetchRec(f storage.FileID, from, to topology.SiteID, requester job.ID, size float64, done func()) *fetchRec {
-	var r *fetchRec
-	if n := len(s.fetchPool); n > 0 {
-		r = s.fetchPool[n-1]
-		s.fetchPool[n-1] = nil
-		s.fetchPool = s.fetchPool[:n-1]
-	} else {
-		r = &fetchRec{s: s}
-		r.fn = func(fl *netsim.Flow) { r.finish(fl) }
-	}
-	r.f, r.from, r.to, r.requester, r.size, r.done = f, from, to, requester, size, done
-	return r
-}
-
-func (r *fetchRec) finish(fl *netsim.Flow) {
-	s, f, from, to, requester, size, done := r.s, r.f, r.from, r.to, r.requester, r.size, r.done
-	r.done = nil
-	s.fetchPool = append(s.fetchPool, r)
-	s.untrackFlow(fl)
-	if from != to {
-		s.collector.Transfer(metrics.FetchTransfer, size)
-		s.rec.Record(trace.Event{
-			T: s.eng.Now(), Kind: trace.FetchEnd,
-			Job: int(requester), File: int(f), Src: int(from), Dst: int(to), Bytes: size,
-		})
-	}
-	done()
+	m.s.startTransfer(fetchFlow, f, requester, from, to, size, done)
 }
 
 // view adapts the GIS + network to the scheduler.GridView interface. When
@@ -450,7 +400,7 @@ func New(cfg Config) (*Simulation, error) {
 	s.retry = cfg.Faults.Retry()
 	if s.fcfg.Enabled() {
 		s.faultRoot = root.Derive("faults")
-		s.liveFlows = make(map[int]*managedFlow)
+		s.liveFlows = make(map[int]*transfer)
 		s.lostAt = make([][]scheduler.PopularFile, cfg.Sites)
 		// Every ES gains the retry contract: never re-place a job on the
 		// site it just failed on. Fresh jobs pass through untouched, and
@@ -926,14 +876,7 @@ func (s *Simulation) shipOutput(j *job.Job) {
 	if bytes <= 0 {
 		return
 	}
-	jobID, src, dst := int(j.ID), int(j.Site), int(j.Origin)
-	s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.OutputStart, Job: jobID, Src: src, Dst: dst})
-	fl := s.net.Transfer(j.Site, j.Origin, bytes, func(fl *netsim.Flow) {
-		s.untrackFlow(fl)
-		s.collector.Transfer(metrics.OutputTransfer, bytes)
-		s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.OutputEnd, Job: jobID, Src: src, Dst: dst, Bytes: bytes})
-	})
-	s.trackFlow(fl, outputFlow, -1, j.ID, j.Site, j.Origin)
+	s.startTransfer(outputFlow, -1, j.ID, j.Site, j.Origin, bytes, nil)
 }
 
 // scheduleArrival drives the open-model Poisson submission process for one
@@ -1070,24 +1013,7 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 	}
 	s.pushesInFlight[key] = true
 	s.replications++
-	s.rec.Record(trace.Event{
-		T: s.eng.Now(), Kind: trace.ReplPush,
-		File: int(rep.File), Src: int(from), Dst: int(rep.Target),
-	})
-	fl := s.net.Transfer(from, rep.Target, size, func(fl *netsim.Flow) {
-		s.untrackFlow(fl)
-		delete(s.pushesInFlight, key)
-		if err := s.sites[from].Store().Unpin(rep.File); err == nil {
-			s.sites[from].Store().Touch(rep.File)
-		}
-		s.collector.Transfer(metrics.ReplicationTransfer, size)
-		s.rec.Record(trace.Event{
-			T: s.eng.Now(), Kind: trace.ReplArrive,
-			File: int(rep.File), Src: int(from), Dst: int(rep.Target), Bytes: size,
-		})
-		s.sites[rep.Target].ReceiveReplica(rep.File, size)
-	})
-	s.trackFlow(fl, pushFlow, rep.File, -1, from, rep.Target)
+	s.startTransfer(pushFlow, rep.File, -1, from, rep.Target, size, nil)
 }
 
 // Engine exposes the underlying engine (e.g. for embedding the simulation

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"math/rand/v2"
 	"reflect"
 	"testing"
 
@@ -153,18 +154,18 @@ func TestFaultedTraceSpansConsistent(t *testing.T) {
 	}
 }
 
-// TestFaultHeavyTracesAccepted records fault-heavy runs whose traces the
-// reconstruction walk once rejected, and requires every mode's verdict
-// to accept them. Seed 2 aborts a fetch that outlived its source's
-// crash (it streamed a master copy); with outputs on, seed 7 aborts one
-// of two output shipments on a route and seed 6 aborts a push that ran
-// beside a fetch of the same file on the same route.
+// TestFaultHeavyTracesAccepted records fault-heavy runs and requires
+// every mode's verdict to accept them. Seed 2 aborts a fetch that
+// outlived its source's crash (it streamed a master copy); with outputs
+// on, seed 7 aborts one of two output shipments on a route and seed 6 a
+// push that ran beside a fetch of the same file on the same route. The
+// event counts pin the runs, crash-killed transfers' aborts included.
 func TestFaultHeavyTracesAccepted(t *testing.T) {
 	for _, tc := range []struct {
 		seed   uint64
 		output float64
 		events int
-	}{{2, 0, 2958}, {7, 0.5, 3666}, {6, 0.5, 3793}} {
+	}{{2, 0, 2991}, {7, 0.5, 3678}, {6, 0.5, 3854}} {
 		cfg := DefaultConfig()
 		cfg.Seed, cfg.TotalJobs, cfg.ES, cfg.OutputFraction = tc.seed, 400, "JobRandom", tc.output
 		cfg.Faults = faults.Config{
@@ -187,6 +188,63 @@ func TestFaultHeavyTracesAccepted(t *testing.T) {
 		if _, err := trace.Analyze(log); err != nil {
 			t.Errorf("seed %d, output %v: %v", tc.seed, tc.output, err)
 		}
+	}
+}
+
+// TestFaultedTracesLogEveryAbort runs random faulted configs and checks
+// that the walk accepts every trace and that each Aborted span has its
+// own transfer_abort or repl_abort event, crash kills included.
+func TestFaultedTracesLogEveryAbort(t *testing.T) {
+	r := rand.New(rand.NewPCG(25, 1))
+	crashKills := 0 // over all runs, abort instants at which a site crashed
+	for i := range 40 {
+		cfg := faultTestConfig(uint64(i + 1))
+		cfg.ObsInterval = 0
+		cfg.Faults.SiteCrash.MTBF = 1000 + 3000*r.Float64()
+		cfg.Faults.TransferAbort.MTBF = 300 + 1200*r.Float64()
+		cfg.Faults.RestoreReplicas = r.IntN(2) == 0
+		cfg.Faults.RequeueOnRecovery = r.IntN(2) == 0
+		cfg.OutputFraction = float64(r.IntN(2)) * 0.5
+		cfg.LatencyMsPerHop = float64(r.IntN(2)) * 20
+		log := trace.NewLog()
+		cfg.Recorder = log
+		if _, err := RunConfig(cfg); err != nil {
+			t.Fatal(err)
+		}
+		aborts := 0
+		abortAt, crashAt := make(map[float64]bool), make(map[float64]bool)
+		for _, e := range log.Events() {
+			switch e.Kind {
+			case trace.TransferAbort, trace.ReplAbort:
+				aborts++
+				abortAt[e.T] = true
+			case trace.SiteCrashed:
+				crashAt[e.T] = true
+			}
+		}
+		for at := range abortAt {
+			if crashAt[at] {
+				crashKills++
+			}
+		}
+		f, err := trace.BuildSpans(log)
+		if err != nil {
+			t.Fatalf("config %d (%+v): %v", i, cfg.Faults, err)
+		}
+		aborted := 0
+		for _, spans := range [][]*trace.Span{f.Loose, f.Repl} {
+			for _, sp := range spans {
+				if sp.Aborted {
+					aborted++
+				}
+			}
+		}
+		if aborted != aborts {
+			t.Fatalf("config %d: %d aborted spans for %d abort events", i, aborted, aborts)
+		}
+	}
+	if crashKills == 0 {
+		t.Fatal("no run aborted a transfer at a site crash")
 	}
 }
 

@@ -57,7 +57,7 @@ func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []sch
 type LeastLoaded struct {
 	Src *rng.Source
 
-	ties []topology.SiteID // reused tie-set scratch
+	cands, ties []topology.SiteID // reused candidate and tie-set scratch
 }
 
 // Name implements scheduler.Dataset.
@@ -67,11 +67,11 @@ func (*LeastLoaded) Name() string { return "DataLeastLoaded" }
 func (l *LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	var out []scheduler.Replication
 	for _, p := range popular {
-		cands := CandidateTargets(g, p.File, self)
-		if len(cands) == 0 {
+		l.cands = AppendCandidateTargets(l.cands[:0], g, p.File, self)
+		if len(l.cands) == 0 {
 			continue
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, cands, l.Src, &l.ties)})
+		out = append(out, scheduler.Replication{File: p.File, Target: scheduler.PickLeastLoaded(g, l.cands, l.Src, &l.ties)})
 	}
 	return out
 }
@@ -83,11 +83,19 @@ func (l *LeastLoaded) Decide(g scheduler.GridView, self topology.SiteID, popular
 // telemetry-driven extensions can rank exactly the baseline's candidate
 // set with richer scores.
 func CandidateTargets(g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
-	cands := WithoutReplica(g, f, g.Topology().Siblings(self), self)
-	if len(cands) == 0 {
-		cands = NonHolders(g, f, self, make([]topology.SiteID, 0, g.NumSites()))
+	return AppendCandidateTargets(nil, g, f, self)
+}
+
+// AppendCandidateTargets appends CandidateTargets' set to dst, so a
+// policy that keeps a scratch slice widens to the grid without
+// allocating.
+func AppendCandidateTargets(dst []topology.SiteID, g scheduler.GridView, f storage.FileID, self topology.SiteID) []topology.SiteID {
+	n := len(dst)
+	dst = AppendWithoutReplica(dst, g, f, g.Topology().Siblings(self), self)
+	if len(dst) == n {
+		dst = NonHolders(g, f, self, dst)
 	}
-	return cands
+	return dst
 }
 
 // NonHolders appends to dst every site other than self that does not hold
@@ -168,11 +176,15 @@ func (b BestClient) Decide(g scheduler.GridView, self topology.SiteID, popular [
 
 // WithoutReplica filters sites down to those not holding f, excluding self.
 func WithoutReplica(g scheduler.GridView, f storage.FileID, sites []topology.SiteID, self topology.SiteID) []topology.SiteID {
-	var out []topology.SiteID
+	return AppendWithoutReplica(nil, g, f, sites, self)
+}
+
+// AppendWithoutReplica appends WithoutReplica's sites to dst.
+func AppendWithoutReplica(dst []topology.SiteID, g scheduler.GridView, f storage.FileID, sites []topology.SiteID, self topology.SiteID) []topology.SiteID {
 	for _, s := range sites {
 		if s != self && !g.HasReplica(f, s) {
-			out = append(out, s)
+			dst = append(dst, s)
 		}
 	}
-	return out
+	return dst
 }

@@ -20,7 +20,7 @@ type DS struct {
 	Tracker *Tracker
 	Params  Params
 
-	ties []topology.SiteID // reused tie-set scratch
+	cands, ties []topology.SiteID // reused candidate and tie-set scratch
 }
 
 // Name implements scheduler.Dataset.
@@ -37,25 +37,26 @@ func (d *DS) Decide(g scheduler.GridView, self topology.SiteID, popular []schedu
 		if float64(p.Count) < gate {
 			continue
 		}
-		cands := d.targets(g, p, self)
-		if len(cands) == 0 {
+		d.cands = d.targets(g, p, self)
+		if len(d.cands) == 0 {
 			continue
 		}
-		out = append(out, scheduler.Replication{File: p.File, Target: d.rank(g, self, p, cands)})
+		out = append(out, scheduler.Replication{File: p.File, Target: d.rank(g, self, p, d.cands)})
 	}
 	return out
 }
 
-// targets selects the candidate set per the DSNeighborhood knob. The
-// default (0) is the baseline's siblings-then-whole-grid widening.
+// targets selects the candidate set per the DSNeighborhood knob, into
+// the reused scratch. The default (0) is the baseline's
+// siblings-then-whole-grid widening.
 func (d *DS) targets(g scheduler.GridView, p scheduler.PopularFile, self topology.SiteID) []topology.SiteID {
 	switch d.Params.DSNeighborhood {
 	case 1: // siblings only: cascading stays in-region, never widens
-		return ds.WithoutReplica(g, p.File, g.Topology().Siblings(self), self)
+		return ds.AppendWithoutReplica(d.cands[:0], g, p.File, g.Topology().Siblings(self), self)
 	case 2: // whole grid from the start
-		return ds.NonHolders(g, p.File, self, nil)
+		return ds.NonHolders(g, p.File, self, d.cands[:0])
 	default:
-		return ds.CandidateTargets(g, p.File, self)
+		return ds.AppendCandidateTargets(d.cands[:0], g, p.File, self)
 	}
 }
 

@@ -41,8 +41,8 @@ type Span struct {
 	Src, Dst   int // transfer route endpoints; -1 for non-transfer spans
 	Site       int // site the span happened at; -1 when not site-bound
 	Bytes      float64
-	// Aborted marks a transfer killed by a fault (explicit abort or a
-	// site crash); End is then the kill time, not a delivery.
+	// Aborted marks a transfer its abort event closed (an explicit abort
+	// fault or a site crash); End is then the kill time, not a delivery.
 	Aborted  bool
 	Children []*Span
 }
@@ -132,11 +132,11 @@ type flowKey struct {
 	file, src, dst int
 }
 
-// crashKills reports whether a crash of site surely kills the transfers
-// of k, as core.cancelFlowsAt does without an event: fetches into the
-// site, pushes at either end and outputs the site sends. A fetch the
-// site serves survives when it streams a master copy, which the trace
-// cannot tell from a cached one, and an output it receives keeps flowing.
+// crashKills reports whether a crash of site always kills the transfers
+// of k, whose abort events then come before the crash: fetches into the
+// site, pushes at either end and outputs the site sends. A fetch the site
+// serves survives when it streams a master copy (its abort names it when
+// it serves a cached one), and an output it receives keeps flowing.
 func crashKills(k flowKey, site int) bool {
 	switch k.kind {
 	case SpanFetch:
@@ -149,8 +149,8 @@ func crashKills(k flowKey, site int) bool {
 
 // siteFaults is one site's fault state during the walk.
 type siteFaults struct {
-	crashes   []float64 // ascending
-	down      bool      // since the last crash
+	lastCrash float64
+	down      bool // since lastCrash
 	failedCEs int
 }
 
@@ -168,22 +168,19 @@ type siteFaults struct {
 //   - every fetch_end, repl_arrive and output_end closes an open
 //     transfer of the same file (outputs: job) and route, oldest first;
 //   - every repl_abort matches an open push of its file and route, and
-//     every transfer_abort an open fetch of its file (or push, in older
-//     traces) or with file -1 an output of its route — not one a site
-//     crash surely killed (see crashKills);
+//     every transfer_abort an open fetch of its file or, with file -1,
+//     an output of its job and route;
+//   - a site crash finds no transfer open that it always kills (see
+//     crashKills): the abort of each comes first;
 //   - site crash/recover and link fault/repair strictly alternate, a CE
 //     is never repaired before it failed, and no dispatch, CE failure or
 //     replica loss happens at a site that crashed strictly earlier and
 //     has not recovered (a crash and an event at the same instant are
 //     ordered arbitrarily in the stream).
 //
-// A site crash kills transfers without an event (the core cancels them
-// inline). The walk closes those it surely kills (crashKills) when the
-// crash arrives, and at the end of the trace those still open, such as a
-// fetch a crashed site served from a cached copy. Either is closed at the
-// first crash of either endpoint after it began: a fetch whose source
-// crashed before its destination most likely died with the source. A
-// span still open with no such crash is dropped (a truncated trace).
+// Every killed transfer has its abort event, so the walk closes spans
+// only on events. A span still open at the end of the trace is dropped,
+// as a truncated trace.
 func BuildSpans(l *Log) (*Forest, error) {
 	jobs := make(map[int]*jobBuild)
 	get := func(id int) *jobBuild {
@@ -212,34 +209,16 @@ func BuildSpans(l *Log) (*Forest, error) {
 
 	// checkUp rejects activity at a site that went down strictly before t.
 	checkUp := func(id int, t float64, what string, arg int) error {
-		if s := sites[id]; s != nil && s.down && s.crashes[len(s.crashes)-1] < t {
+		if s := sites[id]; s != nil && s.down && s.lastCrash < t {
 			return fmt.Errorf("trace: %s %d at site %d which crashed at %v and has not recovered (t=%v)",
-				what, arg, id, s.crashes[len(s.crashes)-1], t)
+				what, arg, id, s.lastCrash, t)
 		}
 		return nil
 	}
 	begin := func(k flowKey, sp *Span) { open[k] = append(open[k], sp) }
-	// take removes the i'th open span of k.
-	take := func(k flowKey, i int) *Span {
-		sp := open[k][i]
-		if q := slices.Delete(open[k], i, i+1); len(q) > 0 {
-			open[k] = q
-		} else {
-			delete(open, k)
-		}
-		return sp
-	}
-	// kill closes sp as aborted at t.
-	kill := func(sp *Span, t float64) {
-		sp.End = t
-		sp.Aborted = true
-		if sp.Kind != SpanRepl {
-			f.Loose = append(f.Loose, sp)
-		}
-	}
-	// deliver closes the oldest open span of k (outputs: of e's job) with
-	// e's delivery, or returns nil when there is none.
-	deliver := func(k flowKey, e Event) *Span {
+	// end closes the oldest open span of k (outputs: of e's job) at e
+	// and removes it, or returns nil when there is none.
+	end := func(k flowKey, e Event) *Span {
 		i := 0
 		if k.kind == SpanOutput {
 			i = slices.IndexFunc(open[k], func(sp *Span) bool { return sp.Job == e.Job })
@@ -247,7 +226,12 @@ func BuildSpans(l *Log) (*Forest, error) {
 		if i < 0 || len(open[k]) == 0 {
 			return nil
 		}
-		sp := take(k, i)
+		sp := open[k][i]
+		if q := slices.Delete(open[k], i, i+1); len(q) > 0 {
+			open[k] = q
+		} else {
+			delete(open, k)
+		}
 		sp.End, sp.Bytes = e.T, e.Bytes
 		return sp
 	}
@@ -320,7 +304,7 @@ func BuildSpans(l *Log) (*Forest, error) {
 				Job: e.Job, File: e.File, Src: e.Src, Dst: e.Dst, Site: e.Dst,
 			})
 		case FetchEnd:
-			sp := deliver(flowKey{SpanFetch, e.File, e.Src, e.Dst}, e)
+			sp := end(flowKey{SpanFetch, e.File, e.Src, e.Dst}, e)
 			if sp == nil {
 				return nil, fmt.Errorf("trace: fetch_end without start (file %d %d->%d)", e.File, e.Src, e.Dst)
 			}
@@ -341,7 +325,7 @@ func BuildSpans(l *Log) (*Forest, error) {
 			begin(flowKey{SpanRepl, e.File, e.Src, e.Dst}, sp)
 			f.Repl = append(f.Repl, sp)
 		case ReplArrive:
-			if deliver(flowKey{SpanRepl, e.File, e.Src, e.Dst}, e) == nil {
+			if end(flowKey{SpanRepl, e.File, e.Src, e.Dst}, e) == nil {
 				return nil, fmt.Errorf("trace: repl_arrive without push (file %d %d->%d)", e.File, e.Src, e.Dst)
 			}
 			c.ReplBytes += e.Bytes
@@ -353,7 +337,7 @@ func BuildSpans(l *Log) (*Forest, error) {
 				Job: e.Job, File: -1, Src: e.Src, Dst: e.Dst, Site: e.Dst,
 			})
 		case OutputEnd:
-			sp := deliver(flowKey{SpanOutput, -1, e.Src, e.Dst}, e)
+			sp := end(flowKey{SpanOutput, -1, e.Src, e.Dst}, e)
 			if sp == nil {
 				return nil, fmt.Errorf("trace: output_end without start (job %d %d->%d)", e.Job, e.Src, e.Dst)
 			}
@@ -366,45 +350,40 @@ func BuildSpans(l *Log) (*Forest, error) {
 			}
 		case TransferAbort, ReplAbort:
 			c.FaultCount++
-			// An abort closes the oldest open span of its flow, as the
-			// delivery would have; an output abort names its job. Traces
-			// recorded before repl_abort existed abort pushes with
-			// transfer_abort and name no output job, so a transfer_abort of
-			// a file falls back to a push, and of an output to the oldest.
+			// An abort closes its flow's span as the delivery would have.
 			k := flowKey{SpanFetch, e.File, e.Src, e.Dst}
-			switch {
-			case e.Kind == ReplAbort:
+			if e.Kind == ReplAbort {
 				k.kind = SpanRepl
-			case e.File < 0:
+			} else if e.File < 0 {
 				k.kind = SpanOutput
-			case len(open[k]) == 0:
-				k.kind = SpanRepl
 			}
-			if len(open[k]) == 0 {
+			sp := end(k, e)
+			if sp == nil {
 				return nil, fmt.Errorf("trace: %s of file %d %d->%d with no live transfer (t=%v)",
 					e.Kind, e.File, e.Src, e.Dst, e.T)
 			}
-			i := 0
-			if k.kind == SpanOutput {
-				i = max(0, slices.IndexFunc(open[k], func(sp *Span) bool { return sp.Job == e.Job }))
+			sp.Aborted = true
+			if sp.Kind != SpanRepl {
+				f.Loose = append(f.Loose, sp)
 			}
-			kill(take(k, i), e.T)
 		case SiteCrashed:
 			c.FaultCount++
 			s := site(e.Site)
 			if s.down {
 				return nil, fmt.Errorf("trace: site %d crashed twice without recovery (t=%v)", e.Site, e.T)
 			}
-			s.down = true
-			s.crashes = append(s.crashes, e.T)
+			s.down, s.lastCrash = true, e.T
+			var missed []*Span
 			for k, q := range open {
 				if crashKills(k, e.Site) {
-					for _, sp := range q {
-						t, _ := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start) // e.T at the latest
-						kill(sp, t)
-					}
-					delete(open, k)
+					missed = append(missed, q...)
 				}
+			}
+			if len(missed) > 0 {
+				sortSpans(missed)
+				sp := missed[0]
+				return nil, fmt.Errorf("trace: site %d crashed while a transfer it kills was open with no abort (%s of job %d, file %d %d->%d, started %v; t=%v)",
+					e.Site, sp.Kind, sp.Job, sp.File, sp.Src, sp.Dst, sp.Start, e.T)
 			}
 		case SiteRecovered:
 			c.RepairCount++
@@ -450,15 +429,7 @@ func BuildSpans(l *Log) (*Forest, error) {
 		}
 	}
 
-	// Close the transfers a crash may have killed silently (see above).
-	for _, q := range open {
-		for _, sp := range q {
-			if t, ok := firstCrashAfter(sites, sp.Src, sp.Dst, sp.Start); ok {
-				kill(sp, t)
-			}
-		}
-	}
-	// Replication spans that never closed and saw no crash are dropped.
+	// Replication spans that never closed are dropped.
 	kept := f.Repl[:0]
 	for _, sp := range f.Repl {
 		if sp.End >= 0 {
@@ -561,22 +532,6 @@ func (jb *jobBuild) build() (*JobTree, error) {
 			Exec:  jb.End - jb.Start,
 		},
 	}, nil
-}
-
-// firstCrashAfter returns the earliest crash of either endpoint at or
-// after t.
-func firstCrashAfter(sites map[int]*siteFaults, src, dst int, t float64) (float64, bool) {
-	best, ok := 0.0, false
-	for _, id := range [2]int{src, dst} {
-		if s := sites[id]; s != nil {
-			for _, ct := range s.crashes {
-				if ct >= t && (!ok || ct < best) {
-					best, ok = ct, true
-				}
-			}
-		}
-	}
-	return best, ok
 }
 
 // isJobKind reports whether k is a job lifecycle kind, the kinds that

@@ -112,7 +112,8 @@ func TestBuildSpansClosesCrashKilledTransfers(t *testing.T) {
 		{T: 0, Kind: JobSubmitted, Job: 1, User: 0},
 		{T: 0, Kind: JobDispatched, Job: 1, Site: 2},
 		{T: 5, Kind: FetchStart, Job: 1, File: 3, Src: 7, Dst: 2},
-		// Site 2 crashes; the fetch dies silently (no fetch_end).
+		// Site 2 crashes; the fetch into it logs its abort first.
+		{T: 20, Kind: TransferAbort, Job: 1, File: 3, Src: 7, Dst: 2},
 		{T: 20, Kind: SiteCrashed, Site: 2},
 		{T: 20, Kind: JobRetried, Job: 1, Site: 2},
 		{T: 30, Kind: JobDispatched, Job: 1, Site: 4},
@@ -312,23 +313,51 @@ func TestValidateFaultsRejections(t *testing.T) {
 			{T: 2, Kind: JobAbandoned, Job: 9},
 			{T: 3, Kind: JobCompleted, Job: 9},
 		}},
+		{"transfer-abort-of-a-push", "transfer_abort of file 7 0->1 with no live transfer", []Event{
+			{T: 0, Kind: ReplPush, File: 7, Src: 0, Dst: 1},
+			{T: 1, Kind: TransferAbort, File: 7, Src: 0, Dst: 1},
+		}},
+		{"output-abort-of-another-job", "no live transfer", []Event{
+			{T: 0, Kind: OutputStart, Job: 8, Src: 0, Dst: 1},
+			{T: 1, Kind: TransferAbort, Job: 9, File: -1, Src: 0, Dst: 1},
+		}},
+		{"crash-with-open-fetch-into-site", "site 2 crashed while a transfer it kills was open with no abort (fetch of job 4", []Event{
+			{T: 0, Kind: FetchStart, Job: 4, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+		}},
+		{"crash-with-open-push-from-site", "site 1 crashed while a transfer it kills was open with no abort (repl", []Event{
+			{T: 0, Kind: ReplPush, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 1},
+		}},
+		{"crash-with-open-push-into-site", "site 2 crashed while a transfer it kills was open with no abort (repl", []Event{
+			{T: 0, Kind: ReplPush, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+		}},
+		{"crash-with-open-output-from-site", "site 2 crashed while a transfer it kills was open with no abort (output of job 8", []Event{
+			{T: 0, Kind: OutputStart, Job: 8, Src: 2, Dst: 1},
+			{T: 1, Kind: SiteCrashed, Site: 2},
+		}},
 		{"abort-after-crash-kill", "no live transfer", []Event{
 			{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
 		}},
 		{"push-abort-after-source-crash", "no live transfer", []Event{
 			{T: 0, Kind: ReplPush, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: ReplAbort, File: 5, Src: 1, Dst: 2},
 			{T: 1, Kind: SiteCrashed, Site: 1},
-			{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
+			{T: 2, Kind: ReplAbort, File: 5, Src: 1, Dst: 2},
 		}},
 		{"output-abort-after-source-crash", "no live transfer", []Event{
 			{T: 0, Kind: OutputStart, Job: 8, Src: 2, Dst: 1},
+			{T: 1, Kind: TransferAbort, Job: 8, File: -1, Src: 2, Dst: 1},
 			{T: 1, Kind: SiteCrashed, Site: 2},
-			{T: 2, Kind: TransferAbort, File: -1, Src: 2, Dst: 1},
+			{T: 2, Kind: TransferAbort, Job: 8, File: -1, Src: 2, Dst: 1},
 		}},
 		{"fetch-end-after-crash-kill", "fetch_end without start", []Event{
 			{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+			{T: 1, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
 			{T: 1, Kind: SiteCrashed, Site: 2},
 			{T: 2, Kind: FetchEnd, File: 5, Src: 1, Dst: 2},
 		}},
@@ -386,10 +415,6 @@ func TestValidateFaultsMatchesAborts(t *testing.T) {
 		{T: 6, Kind: TransferAbort, Job: 9, File: -1, Src: 2, Dst: 1},
 		{T: 7, Kind: FetchEnd, Job: 4, File: 5, Src: 1, Dst: 2},
 		{T: 8, Kind: OutputEnd, Job: 8, Src: 2, Dst: 1},
-		// A trace recorded before repl_abort existed aborts a push with
-		// transfer_abort.
-		{T: 9, Kind: ReplPush, File: 6, Src: 1, Dst: 2},
-		{T: 10, Kind: TransferAbort, File: 6, Src: 1, Dst: 2},
 		{T: 11, Kind: FetchStart, Job: 4, File: 7, Src: 1, Dst: 2},
 		{T: 12, Kind: TransferAbort, Job: 4, File: 7, Src: 1, Dst: 2},
 	} {
@@ -399,8 +424,8 @@ func TestValidateFaultsMatchesAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Repl) != 2 || !f.Repl[0].Aborted || f.Repl[0].End != 3 || !f.Repl[1].Aborted || f.Repl[1].End != 10 {
-		t.Fatalf("repl spans = %+v, want both aborted", f.Repl)
+	if len(f.Repl) != 1 || !f.Repl[0].Aborted || f.Repl[0].End != 3 {
+		t.Fatalf("repl spans = %+v, want one aborted at 3", f.Repl)
 	}
 	var aborted []int
 	for _, sp := range f.Loose {
@@ -413,17 +438,20 @@ func TestValidateFaultsMatchesAborts(t *testing.T) {
 	}
 }
 
-// TestBuildSpansCrashSparesSurvivingTransfers: a fetch served by the
-// crashed site may stream a master copy and an output shipped to it keeps
-// flowing, so a later abort of either still matches its transfer.
+// TestBuildSpansCrashSparesSurvivingTransfers: a crash kills only the
+// transfers whose aborts precede it. A fetch the crashed site serves from
+// a master copy and an output shipped to it keep flowing and deliver; a
+// fetch it serves from a cached copy dies with its abort.
 func TestBuildSpansCrashSparesSurvivingTransfers(t *testing.T) {
 	l := NewLog()
 	for _, e := range []Event{
 		{T: 0, Kind: FetchStart, File: 5, Src: 1, Dst: 2},
+		{T: 0, Kind: FetchStart, File: 6, Src: 1, Dst: 4},
 		{T: 0, Kind: OutputStart, Job: 8, Src: 3, Dst: 1},
+		{T: 1, Kind: TransferAbort, File: 6, Src: 1, Dst: 4},
 		{T: 1, Kind: SiteCrashed, Site: 1},
-		{T: 2, Kind: TransferAbort, File: 5, Src: 1, Dst: 2},
-		{T: 3, Kind: TransferAbort, File: -1, Src: 3, Dst: 1},
+		{T: 2, Kind: FetchEnd, File: 5, Src: 1, Dst: 2, Bytes: 1e9},
+		{T: 3, Kind: OutputEnd, Job: 8, Src: 3, Dst: 1, Bytes: 1e8},
 	} {
 		l.Record(e)
 	}
@@ -431,15 +459,18 @@ func TestBuildSpansCrashSparesSurvivingTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(f.Loose) != 2 {
+	if len(f.Loose) != 3 {
 		t.Fatalf("loose spans = %+v", f.Loose)
 	}
 	for i, want := range []struct {
-		kind SpanKind
-		end  float64
-	}{{SpanFetch, 2}, {SpanOutput, 3}} {
-		if sp := f.Loose[i]; sp.Kind != want.kind || sp.End != want.end || !sp.Aborted {
-			t.Fatalf("loose[%d] = %+v, want an aborted %s ending at %v", i, sp, want.kind, want.end)
+		kind    SpanKind
+		file    int
+		end     float64
+		aborted bool
+	}{{SpanFetch, 5, 2, false}, {SpanFetch, 6, 1, true}, {SpanOutput, -1, 3, false}} {
+		if sp := f.Loose[i]; sp.Kind != want.kind || sp.File != want.file || sp.End != want.end || sp.Aborted != want.aborted {
+			t.Fatalf("loose[%d] = %+v, want a %s of file %d ending at %v, aborted %v",
+				i, sp, want.kind, want.file, want.end, want.aborted)
 		}
 	}
 }
@@ -451,6 +482,7 @@ func TestBuildSpansRefetchAfterCrash(t *testing.T) {
 	l := NewLog()
 	for _, e := range []Event{
 		{T: 0, Kind: FetchStart, Job: -1, File: 3, Src: 7, Dst: 2},
+		{T: 20, Kind: TransferAbort, Job: -1, File: 3, Src: 7, Dst: 2},
 		{T: 20, Kind: SiteCrashed, Site: 2},
 		{T: 30, Kind: SiteRecovered, Site: 2},
 		{T: 40, Kind: JobSubmitted, Job: 1},
