@@ -3,20 +3,24 @@ package core
 import (
 	"fmt"
 	"math"
+	"strconv"
 
+	"chicsim/internal/faults"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/topology"
 )
 
 // This file owns the run's single recurring observation event, the
-// ObsInterval tick, and wires the live control plane
-// (internal/obs/registry, internal/obs/watchdog) into it. Each tick
-// samples the probes into Results.Series, publishes to the registry —
-// job counters advanced by the change in core's ledger ints since the
-// last tick, gauges set from live state — then runs the online invariant
-// checks. Only the per-site response histograms and the fault counters
-// update inline at their hooks.
+// ObsInterval tick. Each tick runs one observation pass (observe), which
+// reads every observed quantity once and writes the probe series row
+// from that read and, when Config.Metrics is set, the live registry
+// (internal/obs/registry) from the same value: gauges are set, counters
+// advance by the change since the previous publish. Then the watchdog
+// (internal/obs/watchdog) runs the online invariant checks. Only the
+// per-site response histograms and the fault counters update inline at
+// their hooks.
 //
 // Determinism: every registry update is commutative arithmetic on values
 // the simulation already maintains; nothing here draws random numbers or
@@ -31,152 +35,232 @@ import (
 // histograms. Roughly geometric around the paper's ~300–600 s job scale.
 var respBuckets = []float64{60, 120, 300, 600, 1200, 2400, 4800, 9600, 19200, 38400, 76800}
 
-// ledgerCounter mirrors one of core's monotone ledger ints into a
-// registry counter: each sync adds the change since the previous one.
-// Adds commute, so a registry shared by a campaign's concurrent
-// simulations still ends at the exact total.
-type ledgerCounter struct {
-	c    registry.Counter
-	src  *int
-	sent int
-}
+// family is one registry metric family: its name, help string and label
+// name ("" for none).
+type family struct{ name, help, label string }
 
-func (lc *ledgerCounter) sync() {
-	if d := *lc.src - lc.sent; d > 0 {
-		lc.c.Add(float64(d))
-		lc.sent = *lc.src
+// labels returns f's label names and the label values lv fills them with.
+func (f family) labels(lv string) (names, values []string) {
+	if f.label == "" {
+		return nil, nil
 	}
+	return []string{f.label}, []string{lv}
 }
 
-// simMetrics holds the registry handles one simulation updates. All
-// handle types are no-ops in their zero value, so hook sites need no
-// enable checks; the per-site slices are nil when metrics are off and
-// guarded at their (few) call sites.
-type simMetrics struct {
-	ledgers []ledgerCounter
+// obsPass carries one observation pass's values to the probe series and
+// the registry. The first pass, at construction, declares: it records
+// each series column's name and kind and registers each metric family,
+// so column and family order follow the order of the calls in observe.
+// Later passes write values only.
+type obsPass struct {
+	declaring bool
+	names     []string
+	kinds     []obs.Kind
+	row       []float64 // this pass's series row
 
-	jobsRunning     registry.Gauge
-	jobsQueued      registry.Gauge
-	jobsDataWaiting registry.Gauge
-	inflightFlows   registry.Gauge
-	sitesDown       registry.Gauge
-	virtualTime     registry.Gauge
-	linkLoadMax     registry.Gauge
-	linkBacklog     registry.Gauge
+	reg      *registry.Registry // nil unless Config.Metrics is set
+	gauges   []registry.Gauge   // in call order
+	counters []registry.Counter // in call order
+	sent     []float64          // per counter: the running total last published
+	g, c     int                // this pass's next gauge and counter
 
-	faultsByClass *registry.CounterVec
-
-	queueDepth  []registry.Gauge     // per site
-	busyCEs     []registry.Gauge     // per site
-	storageUsed []registry.Gauge     // per site
-	replicas    []registry.Gauge     // per site
-	respBySite  []registry.Histogram // per site
+	queue, busy []int // per site: this pass's reads, for the sums and the site columns
 }
 
-// registerMetrics registers (idempotently) the standard metric families
-// on cfg.Metrics and binds this simulation's handles. Under a campaign,
-// many concurrent simulations share one registry: counters and
-// histograms merge deterministically (the updates commute); gauges are
-// last-write-wins across workers and meaningful mainly for single-run
-// monitoring.
-func (s *Simulation) registerMetrics(reg *registry.Registry) {
-	jobs := reg.Counter("sim_jobs_total",
-		"Job lifecycle transitions by state.", "state")
-	s.lm.ledgers = []ledgerCounter{
-		{c: jobs.With("submitted"), src: &s.jobsSubmitted},
-		{c: jobs.With("done"), src: &s.jobsDone},
-		{c: jobs.With("retried"), src: &s.jobsRetried},
-		{c: jobs.With("abandoned"), src: &s.jobsFailed},
-		{c: reg.Counter("sim_dispatches_total",
-			"Jobs handed to a site by the external/batch scheduler.").With(), src: &s.dispatches},
-		{c: reg.Counter("sim_replications_total",
-			"Dataset-scheduler replica pushes issued.").With(), src: &s.replications},
+// column writes one series column.
+func (o *obsPass) column(name string, kind obs.Kind, v float64) {
+	if o.declaring {
+		o.names = append(o.names, name)
+		o.kinds = append(o.kinds, kind)
 	}
+	o.row = append(o.row, v)
+}
 
-	s.lm.jobsRunning = reg.Gauge("sim_jobs_running",
-		"Jobs occupying a compute element right now.").With()
-	s.lm.jobsQueued = reg.Gauge("sim_jobs_queued",
-		"Jobs waiting in site queues.").With()
-	s.lm.jobsDataWaiting = reg.Gauge("sim_jobs_data_waiting",
-		"Queued jobs still waiting on at least one input transfer.").With()
-	s.lm.inflightFlows = reg.Gauge("sim_inflight_transfers",
-		"Wide-area transfers currently moving bytes.").With()
-	s.lm.sitesDown = reg.Gauge("sim_sites_down",
-		"Sites currently crashed.").With()
-	s.lm.virtualTime = reg.Gauge("sim_virtual_time_seconds",
-		"Current virtual time of the simulation.").With()
-	s.lm.linkLoadMax = reg.Gauge("sim_link_load_max_frac",
-		"Most loaded link: sum of flow rates over effective bandwidth.").With()
-	s.lm.linkBacklog = reg.Gauge("sim_link_backlog_bytes",
-		"Bytes still to deliver, summed over links crossed.").With()
+// gauge sets the series of gauge family f with label value lv to v.
+func (o *obsPass) gauge(f family, lv string, v float64) {
+	if o.reg == nil {
+		return
+	}
+	if o.declaring {
+		names, values := f.labels(lv)
+		o.gauges = append(o.gauges, o.reg.Gauge(f.name, f.help, names...).With(values...))
+		return
+	}
+	o.gauges[o.g].Set(v)
+	o.g++
+}
 
-	s.lm.faultsByClass = reg.Counter("sim_faults_total",
-		"Faults applied and repairs completed, by class.", "class")
+// counter advances the series of counter family f with label value lv by
+// the change in the running total v since the previous publish. Adds
+// commute, so a registry shared by a campaign's concurrent simulations
+// still ends at the exact total.
+func (o *obsPass) counter(f family, lv string, v float64) {
+	if o.reg == nil {
+		return
+	}
+	if o.declaring {
+		names, values := f.labels(lv)
+		o.counters = append(o.counters, o.reg.Counter(f.name, f.help, names...).With(values...))
+		o.sent = append(o.sent, 0)
+		return
+	}
+	if d := v - o.sent[o.c]; d > 0 {
+		o.counters[o.c].Add(d)
+		o.sent[o.c] = v
+	}
+	o.c++
+}
 
-	qd := reg.Gauge("sim_queue_depth", "Jobs queued at the site.", "site")
-	bc := reg.Gauge("sim_busy_ces", "Busy compute elements at the site.", "site")
-	su := reg.Gauge("sim_storage_used_bytes", "Bytes resident at the site.", "site")
-	rc := reg.Gauge("sim_replicas", "Files resident at the site.", "site")
-	rh := reg.Histogram("sim_response_seconds",
-		"Job response time (submit to completion).", respBuckets, "site")
+// attachObservation declares the observed quantities with a first pass
+// and builds the probe registry from its columns. Under a campaign, many
+// concurrent simulations share one metrics registry: registration is
+// idempotent, counters and histograms merge deterministically (the
+// updates commute), and gauges are last-write-wins across workers,
+// meaningful mainly for single-run monitoring.
+func (s *Simulation) attachObservation() {
 	n := len(s.sites)
-	s.lm.queueDepth = make([]registry.Gauge, n)
-	s.lm.busyCEs = make([]registry.Gauge, n)
-	s.lm.storageUsed = make([]registry.Gauge, n)
-	s.lm.replicas = make([]registry.Gauge, n)
-	s.lm.respBySite = make([]registry.Histogram, n)
-	for i := 0; i < n; i++ {
-		sv := fmt.Sprintf("%d", i)
-		s.lm.queueDepth[i] = qd.With(sv)
-		s.lm.busyCEs[i] = bc.With(sv)
-		s.lm.storageUsed[i] = su.With(sv)
-		s.lm.replicas[i] = rc.With(sv)
-		s.lm.respBySite[i] = rh.With(sv)
+	s.pass = &obsPass{declaring: true, reg: s.cfg.Metrics, queue: make([]int, n), busy: make([]int, n)}
+	s.observe(s.pass)
+	s.pass.declaring = false
+	s.probes = obs.NewRegistry(s.pass.names, s.pass.kinds)
+	s.probes.StreamTo(s.cfg.ObsSink)
+	if s.cfg.ResultMode == ResultModeBounded {
+		// Bounded results extend to the probe series: cap it at a fixed
+		// point budget via the stride-doubling window. A sink still
+		// streams every raw sample.
+		s.probes.LimitPoints(maxBoundedSeriesPoints)
 	}
 }
 
-// syncMetrics publishes the ledger counters and the current grid state
-// into the registry. All reads are the same accessors the probe layer
-// already uses.
-func (s *Simulation) syncMetrics() {
-	for i := range s.lm.ledgers {
-		s.lm.ledgers[i].sync()
-	}
-	running, queued, waiting, down := 0, 0, 0, 0
+// observe runs one observation pass: it reads every observed quantity
+// once and hands it to o as a series column, a registry gauge or
+// counter, or both. The series holds nine grid-wide columns, nine more
+// on faulted runs, then four per site; fixed call order keeps its
+// columns stable across runs, so the output is byte-comparable.
+// Quantities only the registry exports are read only when it is set.
+func (s *Simulation) observe(o *obsPass) {
+	prom, faulted := o.reg != nil, s.fcfg.Enabled()
+	o.row, o.g, o.c = make([]float64, 0, len(o.names)), 0, 0
+
+	running, queued, waiting, down, failedCEs, evictions := 0, 0, 0, 0, 0, 0
 	for i, st := range s.sites {
-		b, q := st.Busy(), st.QueueLen()
-		running += b
-		queued += q
-		waiting += st.DataWaitingJobs()
-		if st.Down() {
+		o.queue[i], o.busy[i] = st.QueueLen(), st.Busy()
+		queued += o.queue[i]
+		running += o.busy[i]
+		evictions += st.Store().Evictions()
+		if prom {
+			waiting += st.DataWaitingJobs()
+		}
+		if (prom || faulted) && st.Down() {
 			down++
 		}
-		s.lm.queueDepth[i].Set(float64(q))
-		s.lm.busyCEs[i].Set(float64(b))
-		s.lm.storageUsed[i].Set(st.Store().Used())
-		s.lm.replicas[i].Set(float64(st.Store().Len()))
-	}
-	s.lm.jobsRunning.Set(float64(running))
-	s.lm.jobsQueued.Set(float64(queued))
-	s.lm.jobsDataWaiting.Set(float64(waiting))
-	s.lm.inflightFlows.Set(float64(s.net.ActiveFlows()))
-	s.lm.sitesDown.Set(float64(down))
-	s.lm.virtualTime.Set(float64(s.eng.Now()))
-
-	loads := s.net.LinkLoads()
-	maxFrac, backlog := 0.0, 0.0
-	for l, load := range loads {
-		if bw := s.net.EffectiveBandwidth(topology.LinkID(l)); bw > 0 {
-			if frac := load / bw; frac > maxFrac {
-				maxFrac = frac
-			}
+		if faulted {
+			failedCEs += st.CEs() - st.AvailableCEs()
 		}
 	}
-	for _, b := range s.net.LinkBacklogBytes() {
-		backlog += b
+
+	jobs := family{"sim_jobs_total", "Job lifecycle transitions by state.", "state"}
+	done, retried, failed := float64(s.jobsDone), float64(s.jobsRetried), float64(s.jobsFailed)
+	o.column("jobs_done", obs.CounterKind, done)
+	o.counter(jobs, "done", done)
+	if prom {
+		o.counter(jobs, "submitted", float64(s.jobsSubmitted))
 	}
-	s.lm.linkLoadMax.Set(maxFrac)
-	s.lm.linkBacklog.Set(backlog)
+	o.counter(jobs, "retried", retried)
+	o.counter(jobs, "abandoned", failed)
+	o.column("dispatches", obs.CounterKind, float64(s.dispatches))
+	o.counter(family{"sim_dispatches_total",
+		"Jobs handed to a site by the external/batch scheduler.", ""}, "", float64(s.dispatches))
+	o.column("replications", obs.CounterKind, float64(s.replications))
+	o.counter(family{"sim_replications_total",
+		"Dataset-scheduler replica pushes issued.", ""}, "", float64(s.replications))
+	o.column("ds_deletions", obs.CounterKind, float64(s.dsDeletions))
+	o.column("evictions", obs.CounterKind, float64(evictions))
+	o.column("jobs_running", obs.GaugeKind, float64(running))
+	o.gauge(family{"sim_jobs_running", "Jobs occupying a compute element right now.", ""}, "", float64(running))
+	o.column("jobs_queued", obs.GaugeKind, float64(queued))
+	o.gauge(family{"sim_jobs_queued", "Jobs waiting in site queues.", ""}, "", float64(queued))
+	o.gauge(family{"sim_jobs_data_waiting",
+		"Queued jobs still waiting on at least one input transfer.", ""}, "", float64(waiting))
+	flows := float64(s.net.ActiveFlows())
+	o.column("inflight_transfers", obs.GaugeKind, flows)
+	o.gauge(family{"sim_inflight_transfers", "Wide-area transfers currently moving bytes.", ""}, "", flows)
+	o.column("gis_staleness_s", obs.GaugeKind, s.gis.SnapshotAge())
+	if faulted {
+		// Fault columns exist only on faulted runs, keeping the default
+		// column set (and its regression tests) untouched. The injector
+		// is attached in Run, after the declaring pass.
+		var fs faults.Stats
+		if s.injector != nil {
+			fs = s.injector.Stats()
+		}
+		o.column("faults_injected", obs.CounterKind, float64(fs.FaultsInjected))
+		o.column("faults_repaired", obs.CounterKind, float64(fs.Repairs))
+		o.column("jobs_retried", obs.CounterKind, retried)
+		o.column("jobs_failed", obs.CounterKind, failed)
+		o.column("transfers_restarted", obs.CounterKind, float64(s.transfersRestarted))
+		o.column("replicas_lost", obs.CounterKind, float64(fs.ReplicasLost))
+		o.column("replicas_restored", obs.CounterKind, float64(s.replicasRestored))
+		o.column("sites_down", obs.GaugeKind, float64(down))
+	}
+	o.gauge(family{"sim_sites_down", "Sites currently crashed.", ""}, "", float64(down))
+	if faulted {
+		o.column("ces_failed", obs.GaugeKind, float64(failedCEs))
+	}
+	if prom {
+		o.gauge(family{"sim_virtual_time_seconds",
+			"Current virtual time of the simulation.", ""}, "", float64(s.eng.Now()))
+		maxFrac, backlog := 0.0, 0.0
+		for l, load := range s.net.LinkLoads() {
+			if bw := s.net.EffectiveBandwidth(topology.LinkID(l)); bw > 0 {
+				if frac := load / bw; frac > maxFrac {
+					maxFrac = frac
+				}
+			}
+		}
+		for _, b := range s.net.LinkBacklogBytes() {
+			backlog += b
+		}
+		o.gauge(family{"sim_link_load_max_frac",
+			"Most loaded link: sum of flow rates over effective bandwidth.", ""}, "", maxFrac)
+		o.gauge(family{"sim_link_backlog_bytes",
+			"Bytes still to deliver, summed over links crossed.", ""}, "", backlog)
+	}
+	if o.declaring && prom {
+		// Updated inline at the fault hooks; registered here to keep the
+		// family order.
+		s.faultsByClass = o.reg.Counter("sim_faults_total",
+			"Faults applied and repairs completed, by class.", "class")
+	}
+
+	queueDepth := family{"sim_queue_depth", "Jobs queued at the site.", "site"}
+	busyCEs := family{"sim_busy_ces", "Busy compute elements at the site.", "site"}
+	storageUsed := family{"sim_storage_used_bytes", "Bytes resident at the site.", "site"}
+	replicas := family{"sim_replicas", "Files resident at the site.", "site"}
+	for i, st := range s.sites {
+		var col, lv string // site i's column prefix and label value, only the declaring pass names them
+		if o.declaring {
+			col, lv = fmt.Sprintf("s%02d.", i), strconv.Itoa(i)
+		}
+		used, files := st.Store().Used(), float64(st.Store().Len())
+		o.column(col+"queue_len", obs.GaugeKind, float64(o.queue[i]))
+		o.gauge(queueDepth, lv, float64(o.queue[i]))
+		o.column(col+"cpu_util", obs.GaugeKind, float64(o.busy[i])/float64(st.CEs()))
+		o.gauge(busyCEs, lv, float64(o.busy[i]))
+		o.column(col+"storage_gb", obs.GaugeKind, used/1e9)
+		o.gauge(storageUsed, lv, used)
+		o.column(col+"replicas", obs.GaugeKind, files)
+		o.gauge(replicas, lv, files)
+	}
+	if o.declaring && prom {
+		// Observed inline at job completion.
+		rh := o.reg.Histogram("sim_response_seconds",
+			"Job response time (submit to completion).", respBuckets, "site")
+		s.respBySite = make([]registry.Histogram, len(s.sites))
+		for i := range s.respBySite {
+			s.respBySite[i] = rh.With(strconv.Itoa(i))
+		}
+	}
 }
 
 // registerWatchdog installs the invariant checks on s.wd. Every check is
@@ -245,25 +329,23 @@ func (s *Simulation) registerWatchdog() {
 }
 
 // attachObsTick books the run's one recurring observation event. Each
-// tick samples the probes into Series, then publishes to the registry and
-// runs the watchdog; the recurrence ends with the workload (or at a
-// Fail-mode violation), so the engine can drain.
+// tick runs the observation pass, samples its row into Series and runs
+// the watchdog; the recurrence ends with the workload (or at a Fail-mode
+// violation), so the engine can drain.
 func (s *Simulation) attachObsTick() {
 	s.eng.Every(s.cfg.ObsInterval, func() bool {
 		if s.finished {
 			return false
 		}
-		s.probes.Sample(s.eng.Now())
-		return s.publish()
+		s.observe(s.pass)
+		s.probes.Sample(s.eng.Now(), s.pass.row)
+		return s.checkInvariants()
 	})
 }
 
-// publish syncs the registry and runs one watchdog pass. It reports
-// false once a Fail-mode violation has stopped the run.
-func (s *Simulation) publish() bool {
-	if s.lmOn {
-		s.syncMetrics()
-	}
+// checkInvariants runs one watchdog pass. It reports false once a
+// Fail-mode violation has stopped the run.
+func (s *Simulation) checkInvariants() bool {
 	if s.wd != nil && s.wdErr == nil {
 		if err := s.wd.Tick(float64(s.eng.Now())); err != nil {
 			s.wdErr = err
@@ -275,9 +357,13 @@ func (s *Simulation) publish() bool {
 
 // finishControlPlane publishes once more at the end of the run (the tick
 // stops with the workload, so without this the registry would be one
-// interval stale) and records the violation count.
+// interval stale), runs the watchdog a last time and records the
+// violation count.
 func (s *Simulation) finishControlPlane(r *Results) {
-	s.publish()
+	if s.cfg.Metrics != nil {
+		s.observe(s.pass)
+	}
+	s.checkInvariants()
 	if s.wd != nil {
 		r.WatchdogViolations = s.wd.Count()
 	}

@@ -11,6 +11,7 @@ import (
 	"chicsim/internal/metrics"
 	"chicsim/internal/netsim"
 	"chicsim/internal/obs"
+	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/rng"
 	"chicsim/internal/scheduler"
@@ -128,16 +129,18 @@ type Simulation struct {
 	dispatches     int // ES/batch dispatch hook-point counter
 
 	probes *obs.Registry // nil unless cfg.ObsInterval > 0
+	pass   *obsPass      // the observation pass's state; nil unless cfg.ObsInterval > 0
 
 	// Feedback-scheduling telemetry (see internal/scheduler/feedback).
 	// Nil unless a feedback policy is configured; all hooks are nil-safe.
 	fb       *feedback.Tracker
 	fbParams feedback.Params
 
-	// Live control plane (see livemetrics.go). lm's handles are no-ops
-	// when lmOn is false; wd is nil when the watchdog is off.
-	lm            simMetrics
-	lmOn          bool
+	// Live control plane (see livemetrics.go): the metric families
+	// updated inline, nil unless cfg.Metrics is set; wd is nil when the
+	// watchdog is off.
+	faultsByClass *registry.CounterVec
+	respBySite    []registry.Histogram // per site
 	wd            *watchdog.Watchdog
 	wdErr         error
 	jobsSubmitted int // jobs entered into the system (the conservation ledger's left side)
@@ -430,19 +433,7 @@ func New(cfg Config) (*Simulation, error) {
 		s.dsIdleAt[i] = -1
 	}
 	if cfg.ObsInterval > 0 {
-		s.probes = obs.NewRegistry()
-		s.registerProbes()
-		s.probes.StreamTo(cfg.ObsSink)
-		if cfg.ResultMode == ResultModeBounded {
-			// Bounded results extend to the probe series: cap it at a
-			// fixed point budget via the stride-doubling window. A sink
-			// still streams every raw sample.
-			s.probes.LimitPoints(maxBoundedSeriesPoints)
-		}
-	}
-	if cfg.Metrics != nil {
-		s.lmOn = true
-		s.registerMetrics(cfg.Metrics)
+		s.attachObservation()
 	}
 	if s.wd = newWatchdog(cfg); s.wd != nil {
 		s.registerWatchdog()
@@ -478,92 +469,6 @@ func (s *Simulation) telemetry() feedback.Sample {
 	}
 }
 
-// registerProbes installs the standard probe set. Registration order is
-// fixed (grid-wide first, then per-site) so series columns are stable
-// across runs and the output is byte-comparable.
-func (s *Simulation) registerProbes() {
-	r := s.probes
-	r.Counter("jobs_done", func() float64 { return float64(s.jobsDone) })
-	r.Counter("dispatches", func() float64 { return float64(s.dispatches) })
-	r.Counter("replications", func() float64 { return float64(s.replications) })
-	r.Counter("ds_deletions", func() float64 { return float64(s.dsDeletions) })
-	r.Counter("evictions", func() float64 {
-		n := 0
-		for _, st := range s.sites {
-			n += st.Store().Evictions()
-		}
-		return float64(n)
-	})
-	r.Gauge("jobs_running", func() float64 {
-		n := 0
-		for _, st := range s.sites {
-			n += st.Busy()
-		}
-		return float64(n)
-	})
-	r.Gauge("jobs_queued", func() float64 {
-		n := 0
-		for _, st := range s.sites {
-			n += st.QueueLen()
-		}
-		return float64(n)
-	})
-	r.Gauge("inflight_transfers", func() float64 { return float64(s.net.ActiveFlows()) })
-	r.Gauge("gis_staleness_s", func() float64 { return s.gis.SnapshotAge() })
-	if s.fcfg.Enabled() {
-		// Fault probes register only on faulted runs, keeping the default
-		// column set (and its regression tests) untouched. The injector is
-		// attached in Run, before the first sample can fire.
-		r.Counter("faults_injected", func() float64 {
-			if s.injector == nil {
-				return 0
-			}
-			return float64(s.injector.Stats().FaultsInjected)
-		})
-		r.Counter("faults_repaired", func() float64 {
-			if s.injector == nil {
-				return 0
-			}
-			return float64(s.injector.Stats().Repairs)
-		})
-		r.Counter("jobs_retried", func() float64 { return float64(s.jobsRetried) })
-		r.Counter("jobs_failed", func() float64 { return float64(s.jobsFailed) })
-		r.Counter("transfers_restarted", func() float64 { return float64(s.transfersRestarted) })
-		r.Counter("replicas_lost", func() float64 {
-			if s.injector == nil {
-				return 0
-			}
-			return float64(s.injector.Stats().ReplicasLost)
-		})
-		r.Counter("replicas_restored", func() float64 { return float64(s.replicasRestored) })
-		r.Gauge("sites_down", func() float64 {
-			n := 0
-			for _, st := range s.sites {
-				if st.Down() {
-					n++
-				}
-			}
-			return float64(n)
-		})
-		r.Gauge("ces_failed", func() float64 {
-			n := 0
-			for _, st := range s.sites {
-				n += st.CEs() - st.AvailableCEs()
-			}
-			return float64(n)
-		})
-	}
-	for i, st := range s.sites {
-		st := st
-		r.Gauge(fmt.Sprintf("s%02d.queue_len", i), func() float64 { return float64(st.QueueLen()) })
-		r.Gauge(fmt.Sprintf("s%02d.cpu_util", i), func() float64 {
-			return float64(st.Busy()) / float64(st.CEs())
-		})
-		r.Gauge(fmt.Sprintf("s%02d.storage_gb", i), func() float64 { return st.Store().Used() / 1e9 })
-		r.Gauge(fmt.Sprintf("s%02d.replicas", i), func() float64 { return float64(st.Store().Len()) })
-	}
-}
-
 // hostedES reinterprets "local" as the scheduler's host site, used for the
 // central-ES mapping: a job "runs locally" at the central scheduler's own
 // site rather than the user's.
@@ -592,9 +497,9 @@ func (s *Simulation) Run() (Results, error) {
 	if s.fcfg.Enabled() {
 		s.injector = faults.Attach(s.eng, s.fcfg, s.faultRoot, faultOps{s},
 			func() bool { return !s.finished })
-		if s.lmOn {
+		if s.faultsByClass != nil {
 			s.injector.SetObserver(func(class string) {
-				s.lm.faultsByClass.With(class).Inc()
+				s.faultsByClass.With(class).Inc()
 			})
 		}
 	}
@@ -816,8 +721,8 @@ func (s *Simulation) jobDone(j *job.Job) {
 	s.rec.Record(trace.Event{T: j.EndTime, Kind: trace.JobCompleted, Job: int(j.ID), Site: int(j.Site), User: int(j.User)})
 	s.shipOutput(j)
 	s.jobsDone++
-	if s.lm.respBySite != nil {
-		s.lm.respBySite[j.Site].Observe(float64(j.ResponseTime()))
+	if s.respBySite != nil {
+		s.respBySite[j.Site].Observe(float64(j.ResponseTime()))
 	}
 	// Everything that needed the job has read it (the collector and trace
 	// copy what they keep): recycle the slot before driving the next

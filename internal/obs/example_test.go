@@ -6,23 +6,23 @@ import (
 	"chicsim/internal/obs"
 )
 
-// A registry samples its probes whenever its host calls Sample; in the
-// simulator that is core's observation tick on the virtual clock. Here a
-// queue-depth gauge and a completed-jobs counter are sampled at three
-// ticks 10 virtual seconds apart while a tiny "workload" (two
-// state-changing events, at t=5 and t=25) plays out.
+// A registry records one row of probe values whenever its host reads the
+// probes and calls Sample; in the simulator that is core's observation
+// tick on the virtual clock. Here a queue-depth gauge and a
+// completed-jobs counter are sampled at three ticks 10 virtual seconds
+// apart while a tiny "workload" (two state-changing events, at t=5 and
+// t=25) plays out.
 func Example() {
 	queue, done := 4, 0
-
-	reg := obs.NewRegistry()
-	reg.Gauge("queue_len", func() float64 { return float64(queue) })
-	reg.Counter("jobs_done", func() float64 { return float64(done) })
+	reg := obs.NewRegistry([]string{"queue_len", "jobs_done"},
+		[]obs.Kind{obs.GaugeKind, obs.CounterKind})
+	sample := func(t float64) { reg.Sample(t, []float64{float64(queue), float64(done)}) }
 
 	queue, done = 2, 2 // t=5
-	reg.Sample(10)
-	reg.Sample(20)
+	sample(10)
+	sample(20)
 	queue, done = 0, 4 // t=25
-	reg.Sample(30)
+	sample(30)
 
 	s := reg.Series()
 	fmt.Println("probes:", s.Names)

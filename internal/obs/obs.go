@@ -1,5 +1,5 @@
-// Package obs is the live observability layer of the simulator: named
-// probes sampled on the virtual clock (Registry), wall-clock progress
+// Package obs is the live observability layer of the simulator: a probe
+// series sampled on the virtual clock (Registry), wall-clock progress
 // telemetry for experiment sweeps (Progress), shared profiling/series
 // flag wiring for commands (Flags), and run manifests for provenance
 // (Manifest).
@@ -8,7 +8,8 @@
 // no sampling events and allocates nothing here, so the hot path is
 // untouched when observability is off (bench_test.go's
 // BenchmarkObservability pair measures exactly that). The registry owns
-// no clock: its host calls Sample. In the simulator that host is core's
+// no clock and reads no state: its host reads the probes and hands Sample
+// one row. In the simulator that host is core's
 // one recurring observation event (Config.ObsInterval), an ordinary
 // desim event, so the resulting time series is part of the deterministic
 // event order: the same seed yields a bit-identical series regardless of
@@ -45,7 +46,7 @@ func (k Kind) String() string {
 }
 
 // Point is one sampling instant: the virtual time and the value of every
-// registered probe, in registration order.
+// probe, in column order.
 type Point struct {
 	T      float64
 	Values []float64
@@ -59,8 +60,8 @@ type Series struct {
 	Points []Point
 }
 
-// Column returns the time series of the named probe, or nil if no such
-// probe was registered.
+// Column returns the time series of the named probe, or nil if the
+// series has no such probe.
 func (s *Series) Column(name string) []float64 {
 	if s == nil {
 		return nil
@@ -78,14 +79,12 @@ func (s *Series) Column(name string) []float64 {
 	return nil
 }
 
-// Registry holds named probes and accumulates their sampled series. It is
-// bound to a single simulation and, like the engine it samples on, is not
-// safe for concurrent use.
+// Registry accumulates the sampled series of a fixed set of probe
+// columns. It is bound to a single simulation and, like the engine it
+// samples on, is not safe for concurrent use.
 type Registry struct {
-	names  []string
-	kinds  []Kind
-	fns    []func() float64
-	byName map[string]bool
+	names []string
+	kinds []Kind
 
 	points []Point
 	window *stream.Window // non-nil once LimitPoints caps the series
@@ -95,42 +94,20 @@ type Registry struct {
 	sinkErr error
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]bool)}
+// NewRegistry returns a registry for the given probe columns; their order
+// is the column order of every row Sample takes and of the series.
+func NewRegistry(names []string, kinds []Kind) *Registry {
+	return &Registry{names: names, kinds: kinds}
 }
 
-func (r *Registry) register(name string, kind Kind, fn func() float64) {
-	if fn == nil {
-		panic(fmt.Sprintf("obs: probe %q with nil function", name))
+// Sample appends the row values, one per column, as the Point at virtual
+// time t. The registry keeps values: the caller must not modify it
+// afterwards.
+func (r *Registry) Sample(t float64, values []float64) {
+	if len(values) != len(r.names) {
+		panic(fmt.Sprintf("obs: sample of %d values for %d probes", len(values), len(r.names)))
 	}
-	if r.byName[name] {
-		panic(fmt.Sprintf("obs: duplicate probe %q", name))
-	}
-	r.byName[name] = true
-	r.names = append(r.names, name)
-	r.kinds = append(r.kinds, kind)
-	r.fns = append(r.fns, fn)
-}
-
-// Gauge registers an instantaneous-level probe. Names must be unique
-// within the registry; registration order fixes the column order of the
-// resulting series.
-func (r *Registry) Gauge(name string, fn func() float64) { r.register(name, GaugeKind, fn) }
-
-// Counter registers a monotone running-total probe.
-func (r *Registry) Counter(name string, fn func() float64) { r.register(name, CounterKind, fn) }
-
-// Len returns the number of registered probes.
-func (r *Registry) Len() int { return len(r.fns) }
-
-// Sample evaluates every probe once and appends a Point at virtual time t.
-func (r *Registry) Sample(t float64) {
-	vals := make([]float64, len(r.fns))
-	for i, fn := range r.fns {
-		vals[i] = fn()
-	}
-	p := Point{T: t, Values: vals}
+	p := Point{T: t, Values: values}
 	if r.maxPts > 0 {
 		if r.window == nil {
 			isCounter := make([]bool, len(r.kinds))
@@ -156,9 +133,8 @@ func (r *Registry) Sample(t float64) {
 // (metrics/stream.Window) instead of an unbounded slice, so memory stays
 // O(max) however long the run. Gauge columns average over each merged
 // window and counter columns keep the window-end value. Call before the
-// first Sample; probes registered later still work, but a window built on
-// first Sample fixes the column count. A streaming sink (StreamTo) is
-// unaffected — it still receives every raw sample.
+// first Sample. A streaming sink (StreamTo) is unaffected — it still
+// receives every raw sample.
 func (r *Registry) LimitPoints(max int) {
 	if len(r.points) > 0 || r.window != nil {
 		panic("obs: LimitPoints after sampling started")

@@ -12,13 +12,9 @@ import (
 )
 
 func TestRegistrySamplesInRegistrationOrder(t *testing.T) {
-	r := NewRegistry()
-	a, b := 1.0, 10.0
-	r.Gauge("a", func() float64 { return a })
-	r.Counter("b", func() float64 { return b })
-	r.Sample(5)
-	a, b = 2, 20
-	r.Sample(6)
+	r := NewRegistry([]string{"a", "b"}, []Kind{GaugeKind, CounterKind})
+	r.Sample(5, []float64{1, 10})
+	r.Sample(6, []float64{2, 20})
 
 	s := r.Series()
 	if !reflect.DeepEqual(s.Names, []string{"a", "b"}) {
@@ -37,17 +33,6 @@ func TestRegistrySamplesInRegistrationOrder(t *testing.T) {
 	if s.Column("missing") != nil {
 		t.Fatal("Column on unknown probe should be nil")
 	}
-}
-
-func TestRegistryDuplicateProbePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate probe name did not panic")
-		}
-	}()
-	r := NewRegistry()
-	r.Gauge("x", func() float64 { return 0 })
-	r.Counter("x", func() float64 { return 0 })
 }
 
 func TestProgressReportsCountsAndOccupancy(t *testing.T) {

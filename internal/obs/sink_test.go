@@ -9,15 +9,11 @@ import (
 )
 
 func sampledRegistry() (*Registry, func(t float64)) {
-	r := NewRegistry()
-	level := 0.0
+	r := NewRegistry([]string{"queue", "dispatches"}, []Kind{GaugeKind, CounterKind})
 	total := 0.0
-	r.Gauge("queue", func() float64 { return level })
-	r.Counter("dispatches", func() float64 { return total })
 	return r, func(t float64) {
-		level = t / 2
-		total += 1
-		r.Sample(t)
+		total++
+		r.Sample(t, []float64{t / 2, total})
 	}
 }
 
