@@ -27,8 +27,8 @@ type Mode int
 const (
 	// Off disables the watchdog entirely.
 	Off Mode = iota
-	// Warn reports violations (observer callback + violation log) and
-	// lets the run continue.
+	// Warn reports violations (observer callback and count) and lets
+	// the run continue.
 	Warn
 	// Fail stops the run at the first violating tick: Tick returns an
 	// error the simulation must treat as fatal.
@@ -80,9 +80,6 @@ type Config struct {
 	// (monitor event streams, logs). Called from the simulation
 	// goroutine.
 	OnViolation func(Violation)
-	// MaxLog caps the retained violation log (default 100); the total
-	// count keeps growing past the cap.
-	MaxLog int
 }
 
 // Watchdog evaluates registered invariant checks. Not safe for concurrent
@@ -90,15 +87,12 @@ type Config struct {
 type Watchdog struct {
 	mode        Mode
 	onViolation func(Violation)
-	maxLog      int
 
 	checks []check
 
-	lastT   float64
-	ticked  bool
-	count   int
-	logged  []Violation
-	tripped bool
+	lastT  float64
+	ticked bool
+	count  int
 }
 
 type check struct {
@@ -109,11 +103,7 @@ type check struct {
 // New builds a watchdog; a Config with Mode Off returns a watchdog whose
 // Tick is a cheap no-op, so call sites need no nil guards.
 func New(cfg Config) *Watchdog {
-	maxLog := cfg.MaxLog
-	if maxLog <= 0 {
-		maxLog = 100
-	}
-	return &Watchdog{mode: cfg.Mode, onViolation: cfg.OnViolation, maxLog: maxLog}
+	return &Watchdog{mode: cfg.Mode, onViolation: cfg.OnViolation}
 }
 
 // Register adds an invariant. fn returns "" while the invariant holds and
@@ -147,15 +137,11 @@ func (w *Watchdog) Tick(t float64) error {
 	}
 	for _, v := range fired {
 		w.count++
-		if len(w.logged) < w.maxLog {
-			w.logged = append(w.logged, v)
-		}
 		if w.onViolation != nil {
 			w.onViolation(v)
 		}
 	}
 	if len(fired) > 0 && w.mode == Fail {
-		w.tripped = true
 		details := make([]string, len(fired))
 		for i, v := range fired {
 			details[i] = v.String()
@@ -166,12 +152,5 @@ func (w *Watchdog) Tick(t float64) error {
 	return nil
 }
 
-// Count returns the total violations seen (including any beyond the log
-// cap).
+// Count returns the total violations seen.
 func (w *Watchdog) Count() int { return w.count }
-
-// Tripped reports whether a Fail-mode tick returned an error.
-func (w *Watchdog) Tripped() bool { return w.tripped }
-
-// Violations returns the retained violation log (read-only).
-func (w *Watchdog) Violations() []Violation { return w.logged }

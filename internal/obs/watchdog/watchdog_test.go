@@ -61,9 +61,6 @@ func TestWarnModeLogsAndContinues(t *testing.T) {
 	if v.T != 2 || v.Check != "flaky" || v.Detail != "call 2 broke" {
 		t.Fatalf("violation = %+v", v)
 	}
-	if w.Tripped() {
-		t.Fatal("Warn mode should never trip")
-	}
 }
 
 func TestFailModeStopsAtFirstViolation(t *testing.T) {
@@ -75,9 +72,6 @@ func TestFailModeStopsAtFirstViolation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "conservation") || !strings.Contains(err.Error(), "submitted 10 != accounted 9") {
 		t.Fatalf("error lacks detail: %v", err)
-	}
-	if !w.Tripped() {
-		t.Fatal("Tripped should be true")
 	}
 }
 
@@ -92,22 +86,6 @@ func TestTimeMonotonicity(t *testing.T) {
 	err := w.Tick(9)
 	if err == nil || !strings.Contains(err.Error(), "time_monotonic") {
 		t.Fatalf("backwards tick should trip monotonicity: %v", err)
-	}
-}
-
-func TestMaxLogCapsRetainedNotCount(t *testing.T) {
-	w := New(Config{Mode: Warn, MaxLog: 2})
-	w.Register("bad", func() string { return "x" })
-	for i := 0; i < 5; i++ {
-		if err := w.Tick(float64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if w.Count() != 5 {
-		t.Fatalf("count = %d, want 5", w.Count())
-	}
-	if len(w.Violations()) != 2 {
-		t.Fatalf("retained = %d, want 2", len(w.Violations()))
 	}
 }
 

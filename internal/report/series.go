@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"chicsim/internal/metrics"
 	"chicsim/internal/obs"
 )
 
@@ -27,26 +26,5 @@ func SeriesCSV(w io.Writer, s *obs.Series) {
 		if sink.Point(p) != nil {
 			return
 		}
-	}
-}
-
-// SeriesMarkdown writes a per-probe summary table (min/mean/max/last, and
-// average rate for counters) in GitHub-flavored markdown — the compact
-// companion to the full SeriesCSV dump.
-func SeriesMarkdown(w io.Writer, s *obs.Series) {
-	stats := metrics.SeriesStats(s)
-	if len(stats) == 0 {
-		fmt.Fprintln(w, "(no series; set Config.ObsInterval)")
-		return
-	}
-	fmt.Fprintln(w, "| probe | kind | min | mean | max | last | rate/s |")
-	fmt.Fprintln(w, "|---|---|---|---|---|---|---|")
-	for _, st := range stats {
-		rate := "–"
-		if st.Kind == obs.CounterKind {
-			rate = fmt.Sprintf("%.3g", st.Rate)
-		}
-		fmt.Fprintf(w, "| %s | %s | %.3g | %.3g | %.3g | %.3g | %s |\n",
-			st.Name, st.Kind, st.Min, st.Mean, st.Max, st.Last, rate)
 	}
 }

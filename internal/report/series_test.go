@@ -33,44 +33,6 @@ func TestSeriesCSV(t *testing.T) {
 	}
 }
 
-func TestSeriesMarkdown(t *testing.T) {
-	var sb strings.Builder
-	SeriesMarkdown(&sb, sampleSeries())
-	out := sb.String()
-	for _, want := range []string{"| probe |", "| queue | gauge |", "| done | counter |"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("markdown missing %q:\n%s", want, out)
-		}
-	}
-	// Gauges have no rate; counters do: (6−0)/(120−60) = 0.1.
-	if !strings.Contains(out, "0.1 |") {
-		t.Fatalf("counter rate missing:\n%s", out)
-	}
-	if !strings.Contains(out, "| – |") {
-		t.Fatalf("gauge rate placeholder missing:\n%s", out)
-	}
-}
-
-// TestSeriesMarkdownGolden pins the exact rendering, so report formatting
-// changes are deliberate rather than accidental.
-func TestSeriesMarkdownGolden(t *testing.T) {
-	var sb strings.Builder
-	SeriesMarkdown(&sb, sampleSeries())
-	want := "| probe | kind | min | mean | max | last | rate/s |\n" +
-		"|---|---|---|---|---|---|---|\n" +
-		"| queue | gauge | 1.5 | 2.75 | 4 | 1.5 | – |\n" +
-		"| done | counter | 0 | 3 | 6 | 6 | 0.1 |\n"
-	if sb.String() != want {
-		t.Fatalf("markdown golden mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), want)
-	}
-
-	sb.Reset()
-	SeriesMarkdown(&sb, nil)
-	if !strings.Contains(sb.String(), "no series") {
-		t.Fatalf("nil series markdown = %q", sb.String())
-	}
-}
-
 // TestResponseHistogramGolden pins the run-level response histogram
 // rendering used by `chicsim -hist`.
 func TestResponseHistogramGolden(t *testing.T) {
