@@ -159,13 +159,15 @@ func TestFaultedTraceSpansConsistent(t *testing.T) {
 // outlived its source's crash (it streamed a master copy); with outputs
 // on, seed 7 aborts one of two output shipments on a route and seed 6 a
 // push that ran beside a fetch of the same file on the same route. The
-// event counts pin the runs, crash-killed transfers' aborts included.
+// event counts pin the runs, crash-killed transfers' aborts included;
+// seed 7's run is also the one where the DS chose a crashed site as a
+// push target, which it must refuse.
 func TestFaultHeavyTracesAccepted(t *testing.T) {
 	for _, tc := range []struct {
 		seed   uint64
 		output float64
 		events int
-	}{{2, 0, 2991}, {7, 0.5, 3678}, {6, 0.5, 3854}} {
+	}{{2, 0, 2991}, {7, 0.5, 3616}, {6, 0.5, 3854}} {
 		cfg := DefaultConfig()
 		cfg.Seed, cfg.TotalJobs, cfg.ES, cfg.OutputFraction = tc.seed, 400, "JobRandom", tc.output
 		cfg.Faults = faults.Config{
@@ -187,6 +189,30 @@ func TestFaultHeavyTracesAccepted(t *testing.T) {
 		}
 		if _, err := trace.Analyze(log); err != nil {
 			t.Errorf("seed %d, output %v: %v", tc.seed, tc.output, err)
+		}
+		// The DS never pushes to a crashed site; every case runs with
+		// outputs on aborts a job-output shipment (file -1).
+		down := make(map[int]bool)
+		outputAborts := 0
+		for _, e := range log.Events() {
+			switch e.Kind {
+			case trace.SiteCrashed:
+				down[e.Site] = true
+			case trace.SiteRecovered:
+				down[e.Site] = false
+			case trace.ReplPush:
+				if down[e.Dst] {
+					t.Errorf("seed %d: t=%v repl_push of file %d from site %d to site %d, which is down",
+						tc.seed, e.T, e.File, e.Src, e.Dst)
+				}
+			case trace.TransferAbort:
+				if e.File == -1 {
+					outputAborts++
+				}
+			}
+		}
+		if tc.output > 0 && outputAborts == 0 {
+			t.Errorf("seed %d: no job-output shipment aborted; re-pick the case", tc.seed)
 		}
 	}
 }
