@@ -899,9 +899,6 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 	if rep.Target == from || int(rep.Target) < 0 || int(rep.Target) >= len(s.sites) {
 		return
 	}
-	if s.sites[rep.Target].Down() {
-		return // a push landing before recovery would cache onto a crashed site
-	}
 	if !s.sites[from].Store().Peek(rep.File) {
 		return // no longer resident here
 	}
@@ -915,6 +912,9 @@ func (s *Simulation) pushReplica(from topology.SiteID, rep scheduler.Replication
 	size, ok := s.cat.Size(rep.File)
 	if !ok {
 		return
+	}
+	if s.sites[rep.Target].Down() {
+		return // a push landing before recovery would cache onto a crashed site
 	}
 	if err := s.sites[from].Store().Pin(rep.File); err != nil {
 		return
