@@ -202,11 +202,9 @@ func (s *Simulation) observe(o *obsPass) {
 		o.column("replicas_lost", obs.CounterKind, float64(fs.ReplicasLost))
 		o.column("replicas_restored", obs.CounterKind, float64(s.replicasRestored))
 		o.column("sites_down", obs.GaugeKind, float64(down))
-	}
-	o.gauge(family{"sim_sites_down", "Sites currently crashed.", ""}, "", float64(down))
-	if faulted {
 		o.column("ces_failed", obs.GaugeKind, float64(failedCEs))
 	}
+	o.gauge(family{"sim_sites_down", "Sites currently crashed.", ""}, "", float64(down))
 	if prom {
 		o.gauge(family{"sim_virtual_time_seconds",
 			"Current virtual time of the simulation.", ""}, "", float64(s.eng.Now()))
