@@ -9,11 +9,11 @@
 // untouched when observability is off (bench_test.go's
 // BenchmarkObservability pair measures exactly that). The registry owns
 // no clock and reads no state: its host reads the probes and hands Sample
-// one row. In the simulator that host is core's
-// one recurring observation event (Config.ObsInterval), an ordinary
-// desim event, so the resulting time series is part of the deterministic
-// event order: the same seed yields a bit-identical series regardless of
-// how many simulations run in parallel around it.
+// one row. In the simulator that host is core's one recurring
+// observation event (Config.ObsInterval), an ordinary desim event, so the
+// resulting time series is part of the deterministic event order: the
+// same seed yields a bit-identical series regardless of how many
+// simulations run in parallel around it.
 package obs
 
 import (
