@@ -8,6 +8,7 @@
 //	gridsweep -fig 3a          # just one figure's table
 //	gridsweep -fig seeds -seeds 30 # seed-variance study, CI convergence per pair
 //	gridsweep -fig sensitivity # sweep the parameters Table 1 leaves unspecified
+//	gridsweep -fig ablations -seeds 10 # seed-paired deltas of the design-choice studies
 //	gridsweep -csv             # machine-readable rows for plotting
 //	gridsweep -quick           # reduced workload for a fast shape check
 //	gridsweep -list            # print the Table 1 configuration and exit
@@ -43,7 +44,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, faults, feedback, seeds, sensitivity, all")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, faults, feedback, seeds, sensitivity, ablations, all")
 	siteMTBFs := flag.String("site-mtbf", "0,14400,7200,3600", "comma-separated site-crash MTBFs for -fig faults (s; 0 = failure-free control)")
 	faultMTTR := flag.Float64("fault-mttr", 600, "mean site repair time for -fig faults/feedback (s)")
 	fbStaleness := flag.Float64("feedback-staleness", 120, "GIS InfoStaleness for the -fig feedback contended scenario (s)")
@@ -139,12 +140,15 @@ func main() {
 		cells = experiments.PaperCells(10)
 	case "5":
 		cells = experiments.Figure5Cells()
-	case "seeds":
+	case "seeds", "ablations":
 		if len(seedList) < 2 {
-			fmt.Fprintln(os.Stderr, "gridsweep: -fig seeds needs -seeds 2 or more (and no -quick)")
+			fmt.Fprintf(os.Stderr, "gridsweep: -fig %s needs -seeds 2 or more (and no -quick)\n", *fig)
 			os.Exit(2)
 		}
 		cells = experiments.PaperCells(10)
+		if *fig == "ablations" {
+			cells = experiments.AblationCells()
+		}
 	case "sensitivity":
 		cells = experiments.SensitivityCells()
 	case "faults":
@@ -297,8 +301,6 @@ func main() {
 		Seeds:    seedList,
 		Workers:  *workers,
 		Progress: progress,
-		Metrics:  reg,
-		Watchdog: wdMode,
 		OnRunDone: func(cell experiments.Cell, seed uint64, rerr error) {
 			stateMu.Lock()
 			cs := cellStates[cell.String()]
@@ -336,11 +338,11 @@ func main() {
 			}
 		}
 	}
-	if obsFlags.SeriesPath != "" {
-		campaign.ObsInterval = obsFlags.SeriesInterval
-	}
-	if (reg != nil || wdMode != watchdog.Off) && campaign.ObsInterval == 0 && base.ObsInterval == 0 {
-		campaign.ObsInterval = obsFlags.SeriesInterval
+	// The manifest keeps base as the user configured it; the runs also
+	// observe, when any flag asks for it.
+	campaign.Base.Metrics, campaign.Base.Watchdog = reg, wdMode
+	if obsFlags.SeriesPath != "" || reg != nil || wdMode != watchdog.Off {
+		campaign.Base.ObsInterval = obsFlags.SeriesInterval
 	}
 	results := experiments.Run(campaign)
 	progress.Finish()
@@ -520,13 +522,16 @@ func writeFleetTrace(client *fabric.Client, path string) error {
 // render writes the requested report for results, whether they came from a
 // live campaign or a -from-jsonl stream.
 func render(results []experiments.CellResult, fig string, csv, md bool, mtbfs []float64) {
-	// The two studies have one output format each.
+	// The three studies have one output format each.
 	switch fig {
 	case "seeds":
 		report.SeedVariance(os.Stdout, results, experiments.PaperCells(10))
 		return
 	case "sensitivity":
 		report.SensitivityCSV(os.Stdout, results, experiments.SensitivityCells())
+		return
+	case "ablations":
+		report.Ablations(os.Stdout, results, experiments.Ablations())
 		return
 	}
 	if csv {
@@ -611,22 +616,27 @@ func writeMetricsSnapshot(reg *registry.Registry, path string) error {
 	return werr
 }
 
-// printFaultTable renders the degraded-grid sweep: one row per scheduler
-// pair, one column per site-crash MTBF, cell value = mean response time
-// over seeds (with the abandoned-job count when any jobs were lost).
-func printFaultTable(results []experiments.CellResult, mtbfs []float64) {
-	byCell := make(map[experiments.Cell]*experiments.CellResult, len(results))
+// schedulerPairs indexes results by cell and lists their distinct
+// (ES, DS, bandwidth) pairs in first-seen order: the rows of the MTBF
+// sweep tables.
+func schedulerPairs(results []experiments.CellResult) (map[experiments.Cell]*experiments.CellResult, []experiments.Cell) {
 	var pairs []experiments.Cell
 	seen := make(map[experiments.Cell]bool)
-	for i := range results {
-		byCell[results[i].Cell] = &results[i]
-		key := experiments.Cell{ES: results[i].Cell.ES, DS: results[i].Cell.DS,
-			BandwidthMBps: results[i].Cell.BandwidthMBps}
+	for _, cr := range results {
+		key := experiments.Cell{ES: cr.Cell.ES, DS: cr.Cell.DS, BandwidthMBps: cr.Cell.BandwidthMBps}
 		if !seen[key] {
 			seen[key] = true
 			pairs = append(pairs, key)
 		}
 	}
+	return experiments.ByCell(results), pairs
+}
+
+// printFaultTable renders the degraded-grid sweep: one row per scheduler
+// pair, one column per site-crash MTBF, cell value = mean response time
+// over seeds (with the abandoned-job count when any jobs were lost).
+func printFaultTable(results []experiments.CellResult, mtbfs []float64) {
+	byCell, pairs := schedulerPairs(results)
 	fmt.Println("Degraded grid: avg response time (s) vs site-crash MTBF")
 	fmt.Printf("%-34s", "ES+DS")
 	for _, m := range mtbfs {
@@ -666,18 +676,7 @@ func printFaultTable(results []experiments.CellResult, mtbfs []float64) {
 // scheduler pair, a contended column (stale GIS, no faults) and, when
 // requested, a degraded column (site crashes on top).
 func printFeedbackTable(results []experiments.CellResult, mtbfs []float64) {
-	byCell := make(map[experiments.Cell]*experiments.CellResult, len(results))
-	var pairs []experiments.Cell
-	seen := make(map[experiments.Cell]bool)
-	for i := range results {
-		byCell[results[i].Cell] = &results[i]
-		key := experiments.Cell{ES: results[i].Cell.ES, DS: results[i].Cell.DS,
-			BandwidthMBps: results[i].Cell.BandwidthMBps}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
+	byCell, pairs := schedulerPairs(results)
 	fmt.Println("Feedback sweep: avg response time (s), contended grid (stale GIS)")
 	fmt.Printf("%-34s", "ES+DS")
 	for _, m := range mtbfs {

@@ -85,16 +85,14 @@ func TestMonitorMidCampaign(t *testing.T) {
 			{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10},
 			{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10},
 		},
-		Seeds:    []uint64{1, 2, 3},
-		Workers:  2,
-		Metrics:  reg,
-		Watchdog: watchdog.Fail,
+		Seeds:   []uint64{1, 2, 3},
+		Workers: 2,
 		OnRunDone: func(c Cell, seed uint64, err error) {
 			done.Add(1)
 			srv.Publish("run_done", map[string]any{"cell": c.String(), "seed": seed})
 		},
 	}
-	camp.Base.ObsInterval = 500
+	camp.Base.ObsInterval, camp.Base.Metrics, camp.Base.Watchdog = 500, reg, watchdog.Fail
 	results := Run(camp)
 	close(stop)
 	wg.Wait()
@@ -137,9 +135,8 @@ func TestCampaignSharedRegistryDeterministic(t *testing.T) {
 			},
 			Seeds:   []uint64{1, 2},
 			Workers: workers,
-			Metrics: reg,
 		}
-		camp.Base.ObsInterval = 500
+		camp.Base.ObsInterval, camp.Base.Metrics = 500, reg
 		for _, cr := range Run(camp) {
 			if cr.Err != nil {
 				t.Fatalf("cell %v: %v", cr.Cell, cr.Err)

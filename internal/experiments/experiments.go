@@ -19,6 +19,7 @@ import (
 	"sync"
 
 	"chicsim/internal/core"
+	"chicsim/internal/netsim"
 	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
@@ -28,10 +29,10 @@ import (
 // Cell identifies one (ES, DS, bandwidth) combination in the campaign.
 // SiteMTBF, when > 0, additionally subjects the cell to site-crash fault
 // injection at that mean time between failures (degraded-grid sweeps).
-// Param, when set, names a sensitivity parameter (see SensitivityCells)
-// that the cell sets to Value. Both are omitted from JSON when zero, so a
-// cell without a parameter keeps its wire form in streams, fabric
-// journals and campaign IDs.
+// Param, when set, names a parameter of the params table that the cell
+// sets to Value, or to Level when the parameter is categorical. All three
+// are omitted from JSON when zero, so a cell without a parameter keeps
+// its wire form in streams, fabric journals and campaign IDs.
 type Cell struct {
 	ES            string
 	DS            string
@@ -39,6 +40,7 @@ type Cell struct {
 	SiteMTBF      float64
 	Param         string  `json:",omitempty"`
 	Value         float64 `json:",omitempty"`
+	Level         string  `json:",omitempty"`
 }
 
 func (c Cell) String() string {
@@ -46,25 +48,35 @@ func (c Cell) String() string {
 	if c.SiteMTBF > 0 {
 		s += fmt.Sprintf("/mtbf=%gs", c.SiteMTBF)
 	}
-	if c.Param != "" {
+	if c.Level != "" {
+		s += fmt.Sprintf("/%s=%s", c.Param, c.Level)
+	} else if c.Param != "" {
 		s += fmt.Sprintf("/%s=%g", c.Param, c.Value)
 	}
 	return s
 }
 
-// Validate rejects a Param no sweep defines. Cells arrive from outside
-// the process (fabric submissions, -from-jsonl files), so an unknown
-// name is an input error, not a bug.
+// Validate rejects a Param no sweep defines, and a Level its parameter
+// does not have. Cells arrive from outside the process (fabric
+// submissions, -from-jsonl files), so an unknown name is an input error,
+// not a bug.
 func (c Cell) Validate() error {
-	if c.Param != "" && paramSetter(c.Param) == nil {
+	if c.Param == "" && c.Level == "" {
+		return nil
+	}
+	p := lookupParam(c.Param)
+	if p == nil {
 		return fmt.Errorf("experiments: cell %v: unknown parameter %q", c, c.Param)
+	}
+	if (p.levels == nil && c.Level != "") || (p.levels != nil && p.levels[c.Level] == nil) {
+		return fmt.Errorf("experiments: cell %v: unknown level %q of parameter %q", c, c.Level, c.Param)
 	}
 	return nil
 }
 
 // apply sets the cell's coordinates on cfg: ES, DS and bandwidth, site
 // crashes when SiteMTBF > 0, then Param last, so a bandwidth sweep point
-// overrides the cell's bandwidth. An unknown Param is reported, not run.
+// overrides the cell's bandwidth. An invalid cell is reported, not run.
 func (c Cell) apply(cfg *core.Config) error {
 	cfg.ES, cfg.DS, cfg.BandwidthMBps = c.ES, c.DS, c.BandwidthMBps
 	if c.SiteMTBF > 0 {
@@ -73,45 +85,87 @@ func (c Cell) apply(cfg *core.Config) error {
 			cfg.Faults.SiteCrash.MTTR = 600
 		}
 	}
-	if c.Param == "" {
-		return nil
+	if err := c.Validate(); err != nil || c.Param == "" {
+		return err
 	}
-	set := paramSetter(c.Param)
-	if set == nil {
-		return c.Validate()
+	if p := lookupParam(c.Param); p.levels != nil {
+		p.levels[c.Level](cfg)
+	} else {
+		p.set(cfg, c.Value)
 	}
-	set(cfg, c.Value)
 	return nil
 }
 
-// sensitivityParams is the calibration study behind the defaults in
-// DESIGN.md: each model parameter the paper's Table 1 leaves unspecified,
-// the Config field it sets, and the values swept.
-var sensitivityParams = []struct {
+// param is one Config knob a cell can set: numeric ones through set,
+// categorical ones through the setter of a named level.
+type param struct {
 	name   string
-	values []float64
+	values []float64 // the sensitivity sweep; nil for an ablation-only knob
 	set    func(*core.Config, float64)
-}{
-	{"storage", []float64{10, 15, 25, 50, 100, 0}, // GB; 0 = unlimited
-		func(c *core.Config, v float64) { c.StorageGB = v }},
-	{"geomp", []float64{0.02, 0.05, 0.1, 0.2, 0.4},
-		func(c *core.Config, v float64) { c.GeomP = v }},
-	{"ds-threshold", []float64{1, 3, 6, 12, 24},
-		func(c *core.Config, v float64) { c.DSThreshold = int(v) }},
-	{"ds-interval", []float64{60, 150, 300, 600, 1200},
-		func(c *core.Config, v float64) { c.DSInterval = v }},
-	{"staleness", []float64{0, 15, 30, 120, 600},
-		func(c *core.Config, v float64) { c.InfoStaleness = v }},
-	{"bandwidth", []float64{5, 10, 25, 50, 100},
-		func(c *core.Config, v float64) { c.BandwidthMBps = v }},
+	levels map[string]func(*core.Config)
 }
 
-// paramSetter returns the Config setter for a sensitivity parameter, or
-// nil when no sweep defines name.
-func paramSetter(name string) func(*core.Config, float64) {
-	for _, p := range sensitivityParams {
-		if p.name == name {
-			return p.set
+// params lists every knob a Cell can name. The first six are the
+// calibration study behind the defaults in DESIGN.md: each model
+// parameter the paper's Table 1 leaves unspecified, with the values
+// swept. The rest are the extension choices Ablations varies; a setter
+// also applies the companion settings its ablation holds on every arm,
+// the control included.
+var params = []param{
+	{name: "storage", values: []float64{10, 15, 25, 50, 100, 0}, // GB; 0 = unlimited
+		set: func(c *core.Config, v float64) { c.StorageGB = v }},
+	{name: "geomp", values: []float64{0.02, 0.05, 0.1, 0.2, 0.4},
+		set: func(c *core.Config, v float64) { c.GeomP = v }},
+	{name: "ds-threshold", values: []float64{1, 3, 6, 12, 24},
+		set: func(c *core.Config, v float64) { c.DSThreshold = int(v) }},
+	{name: "ds-interval", values: []float64{60, 150, 300, 600, 1200},
+		set: func(c *core.Config, v float64) { c.DSInterval = v }},
+	{name: "staleness", values: []float64{0, 15, 30, 120, 600},
+		set: func(c *core.Config, v float64) { c.InfoStaleness = v }},
+	{name: "bandwidth", values: []float64{5, 10, 25, 50, 100},
+		set: func(c *core.Config, v float64) { c.BandwidthMBps = v }},
+	// Heavier jobs at half the jobs, so the total work stays comparable.
+	{name: "inputs", set: func(c *core.Config, v float64) { c.InputsPerJob, c.TotalJobs = int(v), 3000 }},
+	// Deletion only matters once storage is under pressure.
+	{name: "ds-delete-after", set: func(c *core.Config, v float64) { c.DSDeleteAfter, c.StorageGB = int(v), 15 }},
+	{name: "user-focus", set: func(c *core.Config, v float64) { c.UserFocus = v }},
+	{name: "cpu-spread", set: func(c *core.Config, v float64) { c.CPUSpreadFrac = v }},
+	{name: "output", set: func(c *core.Config, v float64) { c.OutputFraction = v }},
+	{name: "backbone", set: func(c *core.Config, v float64) { c.BackboneMBps = v }},
+	{name: "ls", levels: map[string]func(*core.Config){
+		"SJF":  func(c *core.Config) { c.LS = "SJF" },
+		"LIFO": func(c *core.Config) { c.LS = "LIFO" },
+	}},
+	{name: "sharing", levels: map[string]func(*core.Config){
+		"MaxMinFair": func(c *core.Config) { c.Sharing = netsim.MaxMinFair },
+	}},
+	{name: "mapping", levels: map[string]func(*core.Config){
+		"central":  func(c *core.Config) { c.Mapping = core.ESCentral },
+		"per-user": func(c *core.Config) { c.Mapping = core.ESPerUser },
+	}},
+	{name: "batch", levels: map[string]func(*core.Config){
+		"BatchMinMin":    func(c *core.Config) { c.BatchES, c.BatchWindow = "BatchMinMin", 120 },
+		"BatchMaxMin":    func(c *core.Config) { c.BatchES, c.BatchWindow = "BatchMaxMin", 120 },
+		"BatchSufferage": func(c *core.Config) { c.BatchES, c.BatchWindow = "BatchSufferage", 120 },
+	}},
+	// A GriPhyN-style hierarchy with provisioned tiers: 30 leaves at depth 3.
+	{name: "tiers", levels: map[string]func(*core.Config){
+		"four-level": func(c *core.Config) { c.Tiers, c.TierBandwidthsMBps = []int{5, 3, 2}, []float64{40, 20, 10} },
+	}},
+	{name: "info", levels: map[string]func(*core.Config){
+		"regional-view": func(c *core.Config) { c.RegionalInfo = true },
+	}},
+	{name: "submission", levels: map[string]func(*core.Config){
+		"think-300s":    func(c *core.Config) { c.ThinkTimeMean = 300 },
+		"open-1per600s": func(c *core.Config) { c.ArrivalRate = 1.0 / 600 },
+	}},
+}
+
+// lookupParam returns the params entry called name, or nil.
+func lookupParam(name string) *param {
+	for i := range params {
+		if params[i].name == name {
+			return &params[i]
 		}
 	}
 	return nil
@@ -175,6 +229,24 @@ func (cr *CellResult) aggregate() {
 	cr.AvgExecSec = stats.Mean(exec)
 }
 
+// PairedResponseDelta summarizes arm's per-seed mean response minus
+// control's, pairing runs on Results.Seed; a seed only one cell ran is
+// left out. Both cells draw their workload from the same seed, so the
+// pairing cancels much of the seed-to-seed spread.
+func PairedResponseDelta(control, arm *CellResult) stats.Summary {
+	base := make(map[uint64]float64, len(control.Runs))
+	for _, r := range control.Runs {
+		base[r.Seed] = r.AvgResponseSec
+	}
+	var diffs []float64
+	for _, r := range arm.Runs {
+		if b, ok := base[r.Seed]; ok {
+			diffs = append(diffs, r.AvgResponseSec-b)
+		}
+	}
+	return stats.Summarize(diffs)
+}
+
 // CompareResponse runs Welch's t-test on the per-seed response times of
 // two cells, answering the paper's "no significant performance
 // difference" style questions (§5.2: DataRandom vs DataLeastLoaded).
@@ -183,35 +255,27 @@ func CompareResponse(a, b *CellResult) (stats.TTestResult, error) {
 }
 
 // Campaign describes a set of cells to run with seed replication.
+//
+// Base carries the observation settings to every run. With
+// Base.ObsInterval > 0 each run's Results hold a per-site time series,
+// sampled on the simulation's own virtual clock, so series are
+// bit-identical regardless of Workers. Base.Metrics, when non-nil, is
+// shared by every simulation: counts merge deterministically across
+// workers, float sums only up to their summation order, and gauges are
+// last-write-wins between concurrently running simulations. The runner
+// adds its own campaign_runs_total / campaign_cells_total counters to it.
+// Base.Watchdog applies to every run; a Fail-mode violation surfaces as
+// that cell's Err. Both need Base.ObsInterval > 0, or every run errors.
 type Campaign struct {
-	Base    core.Config // template; ES/DS/Bandwidth/Seed overridden per run
+	Base    core.Config // template; the cell's coordinates and Seed set per run
 	Cells   []Cell
 	Seeds   []uint64
 	Workers int // <= 0: GOMAXPROCS
-
-	// ObsInterval, when > 0, attaches the probe registry to every
-	// simulation (overriding Base.ObsInterval) so each run's Results
-	// carry a per-site time series. Each simulation samples on its own
-	// virtual clock, so series are bit-identical regardless of Workers.
-	ObsInterval float64
 
 	// Progress, when non-nil, receives wall-clock telemetry (runs
 	// done/total, sims/sec, ETA, worker occupancy) as workers pick up
 	// and finish simulations. May be nil.
 	Progress *obs.Progress
-
-	// Metrics, when non-nil, is shared by every simulation in the
-	// campaign: counters and histograms merge deterministically across
-	// workers (the updates commute); gauges are last-write-wins between
-	// concurrently running simulations. The runner adds its own
-	// campaign_runs_total / campaign_cells_total counters. Requires an
-	// effective ObsInterval > 0 (here or in Base), or every run errors.
-	Metrics *registry.Registry
-
-	// Watchdog applies the given invariant-check mode to every run; a
-	// Fail-mode violation surfaces as that cell's Err. Requires an
-	// effective ObsInterval > 0.
-	Watchdog watchdog.Mode
 
 	// OnViolation, when non-nil, observes watchdog violations from any
 	// run. Called concurrently from worker goroutines.
@@ -316,7 +380,7 @@ func FeedbackSweepCells(bandwidthMBps float64, mtbfs []float64) []Cell {
 // swept value.
 func SensitivityCells() []Cell {
 	var cells []Cell
-	for _, p := range sensitivityParams {
+	for _, p := range params {
 		for _, v := range p.values {
 			bw := 10.0
 			if p.name == "bandwidth" {
@@ -327,6 +391,72 @@ func SensitivityCells() []Cell {
 				{"JobLocal", "DataDoNothing"},
 			} {
 				cells = append(cells, Cell{ES: pair.es, DS: pair.ds, BandwidthMBps: bw, Param: p.name, Value: v})
+			}
+		}
+	}
+	return cells
+}
+
+// Ablation is one design-choice study of DESIGN.md §6. Arms[0] is the
+// control; every other arm changes that one choice against it.
+type Ablation struct {
+	Name string
+	Arms []Cell
+}
+
+// Ablations returns the design-choice studies behind EXPERIMENTS.md
+// "Extension results", on the Table 1 grid at 10 MB/s unless a study
+// varies the bandwidth. The arms that run DefaultConfig unchanged share
+// one cell, the paper's winning pair.
+func Ablations() []Ablation {
+	def := Cell{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10}
+	remote := Cell{ES: "JobLeastLoaded", DS: "DataLeastLoaded", BandwidthMBps: 10} // jobs run away from their data
+	heavy := Cell{ES: "JobLeastLoaded", DS: "DataDoNothing", BandwidthMBps: 10}    // the transfer-heavy pair
+	at := func(c Cell, param string, v float64) Cell { c.Param, c.Value = param, v; return c }
+	is := func(c Cell, param, level string) Cell { c.Param, c.Level = param, level; return c }
+	ds := []Cell{def}
+	for _, name := range core.DatasetNames() {
+		if name != def.DS {
+			ds = append(ds, Cell{ES: def.ES, DS: name, BandwidthMBps: 10})
+		}
+	}
+	adaptive := func(bw float64) []Cell {
+		var arms []Cell
+		for _, es := range []string{"JobDataPresent", "JobLocal", "JobAdaptive"} {
+			arms = append(arms, Cell{ES: es, DS: "DataLeastLoaded", BandwidthMBps: bw})
+		}
+		return arms
+	}
+	return []Ablation{
+		{"dataset-scheduler", ds},
+		{"local-scheduler", []Cell{def, is(def, "ls", "SJF"), is(def, "ls", "LIFO")}},
+		{"sharing", []Cell{heavy, is(heavy, "sharing", "MaxMinFair")}},
+		{"adaptive@10MB/s", adaptive(10)},
+		{"adaptive@100MB/s", adaptive(100)},
+		{"multi-input", []Cell{at(def, "inputs", 1), at(def, "inputs", 2), at(def, "inputs", 4)}},
+		{"staleness", []Cell{remote, at(remote, "staleness", 0), at(remote, "staleness", 300)}},
+		{"es-mapping", []Cell{def, is(def, "mapping", "central"), is(def, "mapping", "per-user")}},
+		{"batch", []Cell{def, is(def, "batch", "BatchMinMin"), is(def, "batch", "BatchMaxMin"), is(def, "batch", "BatchSufferage")}},
+		{"user-focus", []Cell{def, at(def, "user-focus", 0.5), at(def, "user-focus", 1)}},
+		{"cpu-spread", []Cell{def, at(def, "cpu-spread", 0.25), at(def, "cpu-spread", 0.5)}},
+		{"tiers", []Cell{def, is(def, "tiers", "four-level")}},
+		{"regional-info", []Cell{def, is(def, "info", "regional-view")}},
+		{"ds-deletion", []Cell{at(def, "ds-delete-after", 0), at(def, "ds-delete-after", 2), at(def, "ds-delete-after", 5)}},
+		{"output", []Cell{remote, at(remote, "output", 0.1), at(remote, "output", 0.5)}},
+		{"backbone", []Cell{heavy, at(heavy, "backbone", 100)}},
+		{"submission", []Cell{def, is(def, "submission", "think-300s"), is(def, "submission", "open-1per600s")}},
+	}
+}
+
+// AblationCells returns every arm of Ablations once, in first-seen order.
+func AblationCells() []Cell {
+	var cells []Cell
+	seen := make(map[Cell]bool)
+	for _, a := range Ablations() {
+		for _, c := range a.Arms {
+			if !seen[c] {
+				seen[c] = true
+				cells = append(cells, c)
 			}
 		}
 	}
@@ -374,11 +504,6 @@ func Run(c Campaign) []CellResult {
 				cfg := c.Base
 				err := c.Cells[t.cell].apply(&cfg)
 				cfg.Seed = t.seed
-				if c.ObsInterval > 0 {
-					cfg.ObsInterval = c.ObsInterval
-				}
-				cfg.Metrics = c.Metrics
-				cfg.Watchdog = c.Watchdog
 				if c.OnViolation != nil {
 					cell, seed := c.Cells[t.cell], t.seed
 					cfg.OnViolation = func(v watchdog.Violation) { c.OnViolation(cell, seed, v) }
@@ -416,11 +541,11 @@ func Run(c Campaign) []CellResult {
 	}()
 
 	var runsOK, runsErr, cellsDone registry.Counter
-	if c.Metrics != nil {
-		rt := c.Metrics.Counter("campaign_runs_total",
+	if c.Base.Metrics != nil {
+		rt := c.Base.Metrics.Counter("campaign_runs_total",
 			"Simulations finished by the campaign runner, by outcome.", "status")
 		runsOK, runsErr = rt.With("ok"), rt.With("error")
-		cellsDone = c.Metrics.Counter("campaign_cells_total",
+		cellsDone = c.Base.Metrics.Counter("campaign_cells_total",
 			"Campaign cells fully completed (all seeds in).").With()
 	}
 
@@ -465,76 +590,6 @@ func Run(c Campaign) []CellResult {
 		}
 	}
 	return results
-}
-
-// FindBandwidthCrossover bisects for the link bandwidth at which two
-// External Scheduler algorithms reach equal average response time — the
-// crossover the paper's §5.3 observes between data-moving policies
-// (JobLocal) and job-moving policies (JobDataPresent) as networks speed
-// up. Both algorithms use the base config's DS. The responses must
-// bracket the crossover at lo and hi (one algorithm faster at each end);
-// otherwise an error is returned. Each probe averages the given seeds.
-func FindBandwidthCrossover(base core.Config, esA, esB string, lo, hi, tolMBps float64, seeds []uint64) (float64, error) {
-	if lo <= 0 || hi <= lo || tolMBps <= 0 {
-		return 0, fmt.Errorf("experiments: invalid bracket [%v, %v] tol %v", lo, hi, tolMBps)
-	}
-	if len(seeds) == 0 {
-		seeds = PaperSeeds()
-	}
-	diff := func(bw float64) (float64, error) {
-		var dA, dB float64
-		for _, seed := range seeds {
-			for _, esName := range []string{esA, esB} {
-				cfg := base
-				cfg.ES = esName
-				cfg.BandwidthMBps = bw
-				cfg.Seed = seed
-				res, err := core.RunConfig(cfg)
-				if err != nil {
-					return 0, err
-				}
-				if esName == esA {
-					dA += res.AvgResponseSec
-				} else {
-					dB += res.AvgResponseSec
-				}
-			}
-		}
-		return dA - dB, nil
-	}
-	dLo, err := diff(lo)
-	if err != nil {
-		return 0, err
-	}
-	dHi, err := diff(hi)
-	if err != nil {
-		return 0, err
-	}
-	if dLo == 0 {
-		return lo, nil
-	}
-	if dHi == 0 {
-		return hi, nil
-	}
-	if (dLo > 0) == (dHi > 0) {
-		return 0, fmt.Errorf("experiments: no crossover in [%v, %v] MB/s (diffs %v, %v)", lo, hi, dLo, dHi)
-	}
-	for hi-lo > tolMBps {
-		mid := (lo + hi) / 2
-		dMid, err := diff(mid)
-		if err != nil {
-			return 0, err
-		}
-		if dMid == 0 {
-			return mid, nil
-		}
-		if (dMid > 0) == (dLo > 0) {
-			lo, dLo = mid, dMid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2, nil
 }
 
 // ByCell indexes results for lookup in assertions and report code.

@@ -183,37 +183,6 @@ func TestCellString(t *testing.T) {
 	}
 }
 
-func TestFindBandwidthCrossover(t *testing.T) {
-	base := tinyBase()
-	base.TotalJobs = 240
-	base.DS = "DataLeastLoaded"
-	// JobLocal is slower than JobDataPresent on slow links and at least
-	// matches it on fast ones; the crossover must land inside a sane
-	// bracket if it exists.
-	bw, err := FindBandwidthCrossover(base, "JobLocal", "JobDataPresent", 2, 400, 10, []uint64{1})
-	if err != nil {
-		t.Skipf("no crossover on the tiny grid (acceptable): %v", err)
-	}
-	if bw < 2 || bw > 400 {
-		t.Fatalf("crossover %v outside bracket", bw)
-	}
-}
-
-func TestFindBandwidthCrossoverErrors(t *testing.T) {
-	base := tinyBase()
-	if _, err := FindBandwidthCrossover(base, "JobLocal", "JobDataPresent", -1, 10, 1, nil); err == nil {
-		t.Fatal("invalid bracket accepted")
-	}
-	if _, err := FindBandwidthCrossover(base, "JobLocal", "JobDataPresent", 10, 5, 1, nil); err == nil {
-		t.Fatal("inverted bracket accepted")
-	}
-	base.TotalJobs = 60
-	// Same algorithm on both sides: no sign change.
-	if _, err := FindBandwidthCrossover(base, "JobLocal", "JobLocal", 5, 50, 5, []uint64{1}); err == nil {
-		t.Fatal("no-crossover case accepted")
-	}
-}
-
 func TestDefaultSeedsApplied(t *testing.T) {
 	results := Run(Campaign{
 		Base:  tinyBase(),

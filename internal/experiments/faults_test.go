@@ -20,15 +20,15 @@ func TestFaultedRunsIdenticalAcrossWorkers(t *testing.T) {
 	base.Faults.TransferAbort.MTBF = 1500
 	base.Faults.RequeueOnRecovery = true
 	base.Faults.RestoreReplicas = true
+	base.ObsInterval = 120
 
 	cells := FaultSweepCells(10, []float64{0, 3000})
 	run := func(workers int) []CellResult {
 		return Run(Campaign{
-			Base:        base,
-			Cells:       cells,
-			Seeds:       []uint64{1, 2},
-			Workers:     workers,
-			ObsInterval: 120,
+			Base:    base,
+			Cells:   cells,
+			Seeds:   []uint64{1, 2},
+			Workers: workers,
 		})
 	}
 

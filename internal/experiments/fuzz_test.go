@@ -22,6 +22,7 @@ func FuzzReadStream(f *testing.F) {
 		{Cell: Cell{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10}, AvgResponseSec: 812.5, Runs: []core.Results{{}}},
 		{Cell: Cell{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10, SiteMTBF: 3600}, Err: errors.New("core: Sites = 0")},
 		{Cell: Cell{ES: "JobLocal", DS: "DataDoNothing", BandwidthMBps: 100, Param: "storage", Value: 10}, AvgIdleFrac: 0.25},
+		{Cell: Cell{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10, Param: "batch", Level: "BatchMinMin"}, Runs: []core.Results{{Seed: 2}}},
 	} {
 		if err := enc.Encode(RecordOf(&cr)); err != nil {
 			f.Fatal(err)
@@ -33,8 +34,8 @@ func FuzzReadStream(f *testing.F) {
 		name, in string
 		keep     int
 	}{
-		{"truncated tail", valid[:len(valid)-9], 2},
-		{"non-JSON line", valid[:lastLine] + "cell 3 lost\n" + valid[lastLine:], 2},
+		{"truncated tail", valid[:len(valid)-9], 3},
+		{"non-JSON line", valid[:lastLine] + "cell 4 lost\n" + valid[lastLine:], 3},
 	} {
 		got, err := ReadStream(strings.NewReader(c.in))
 		if err == nil || len(got) != c.keep {
@@ -42,7 +43,7 @@ func FuzzReadStream(f *testing.F) {
 		}
 		f.Add(c.in)
 	}
-	if got, err := ReadStream(strings.NewReader(valid)); err != nil || len(got) != 3 {
+	if got, err := ReadStream(strings.NewReader(valid)); err != nil || len(got) != 4 {
 		f.Fatalf("valid stream: %d records, err %v", len(got), err)
 	}
 	f.Add(valid)

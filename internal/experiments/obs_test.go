@@ -14,6 +14,7 @@ import (
 func TestProbeSeriesIdenticalAcrossWorkers(t *testing.T) {
 	base := core.DefaultConfig()
 	base.TotalJobs = 300 // small but long enough for several probe ticks
+	base.ObsInterval = 120
 
 	run := func(workers int) []CellResult {
 		return Run(Campaign{
@@ -22,9 +23,8 @@ func TestProbeSeriesIdenticalAcrossWorkers(t *testing.T) {
 				{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10},
 				{ES: "JobLeastLoaded", DS: "DataRandom", BandwidthMBps: 10},
 			},
-			Seeds:       []uint64{1, 2},
-			Workers:     workers,
-			ObsInterval: 120,
+			Seeds:   []uint64{1, 2},
+			Workers: workers,
 		})
 	}
 

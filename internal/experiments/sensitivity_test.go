@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"encoding/json"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,13 +86,19 @@ func TestRunRecordsUnknownParam(t *testing.T) {
 	cells := []Cell{
 		{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10, Param: "no-such-param", Value: 1},
 		{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10},
+		{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10, Param: "ls", Level: "no-such-level"},
 	}
 	res := Run(Campaign{Base: tinyBase(), Cells: cells, Seeds: []uint64{1, 2}, Workers: 2})
-	if res[0].Err == nil || !strings.Contains(res[0].Err.Error(), `unknown parameter "no-such-param"`) {
-		t.Fatalf("unknown parameter: Err = %v", res[0].Err)
-	}
-	if len(res[0].Runs) != 0 {
-		t.Fatalf("unknown parameter ran %d simulations", len(res[0].Runs))
+	for i, want := range map[int]string{
+		0: `unknown parameter "no-such-param"`,
+		2: `unknown level "no-such-level" of parameter "ls"`,
+	} {
+		if res[i].Err == nil || !strings.Contains(res[i].Err.Error(), want) {
+			t.Fatalf("%v: Err = %v, want %s", cells[i], res[i].Err, want)
+		}
+		if len(res[i].Runs) != 0 {
+			t.Fatalf("%v ran %d simulations", cells[i], len(res[i].Runs))
+		}
 	}
 	if res[1].Err != nil || len(res[1].Runs) != 2 {
 		t.Fatalf("neighbouring cell: Err = %v, runs = %d", res[1].Err, len(res[1].Runs))
@@ -116,4 +124,100 @@ func TestCellEncodingWithoutParam(t *testing.T) {
 	if want := "JobLocal+DataDoNothing@10MB/s/geomp=0.2"; c.String() != want {
 		t.Fatalf("String = %q, want %q", c.String(), want)
 	}
+	c.Param, c.Value, c.Level = "ls", 0, "SJF"
+	if want := "JobLocal+DataDoNothing@10MB/s/ls=SJF"; c.String() != want {
+		t.Fatalf("String = %q, want %q", c.String(), want)
+	}
+}
+
+// TestAblationArms pins every ablation to the configs it runs. Its
+// control's config is written out here, and its arms may differ from the
+// control only in the Config fields the study declares, each of which
+// some arm must vary. A setter that drops a companion setting
+// (TotalJobs on the multi-input arms, BatchWindow on the batch arms) or
+// touches a field the study does not vary fails.
+func TestAblationArms(t *testing.T) {
+	def := func(*core.Config) {}
+	remote := func(c *core.Config) { c.ES = "JobLeastLoaded" }
+	heavy := func(c *core.Config) { c.ES, c.DS = "JobLeastLoaded", "DataDoNothing" }
+	want := map[string]struct {
+		control func(*core.Config)
+		fields  []string
+	}{
+		"dataset-scheduler": {def, []string{"DS"}},
+		"local-scheduler":   {def, []string{"LS"}},
+		"sharing":           {heavy, []string{"Sharing"}},
+		"adaptive@10MB/s":   {def, []string{"ES"}},
+		"adaptive@100MB/s":  {func(c *core.Config) { c.BandwidthMBps = 100 }, []string{"ES"}},
+		"multi-input":       {func(c *core.Config) { c.TotalJobs = 3000 }, []string{"InputsPerJob"}},
+		"staleness":         {remote, []string{"InfoStaleness"}},
+		"es-mapping":        {def, []string{"Mapping"}},
+		"batch":             {def, []string{"BatchES", "BatchWindow"}},
+		"user-focus":        {def, []string{"UserFocus"}},
+		"cpu-spread":        {def, []string{"CPUSpreadFrac"}},
+		"tiers":             {def, []string{"Tiers", "TierBandwidthsMBps"}},
+		"regional-info":     {def, []string{"RegionalInfo"}},
+		"ds-deletion":       {func(c *core.Config) { c.StorageGB = 15 }, []string{"DSDeleteAfter"}},
+		"output":            {remote, []string{"OutputFraction"}},
+		"backbone":          {heavy, []string{"BackboneMBps"}},
+		"submission":        {def, []string{"ThinkTimeMean", "ArrivalRate"}},
+	}
+	configOf := func(c Cell) core.Config {
+		cfg := core.DefaultConfig()
+		if err := c.apply(&cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Fatalf("%v: %v", c, err)
+		}
+		return cfg
+	}
+	arms := 0
+	for _, a := range Ablations() {
+		w, ok := want[a.Name]
+		if !ok {
+			t.Fatalf("ablation %q has no expectation in this test", a.Name)
+		}
+		delete(want, a.Name)
+		arms += len(a.Arms)
+		ref := core.DefaultConfig()
+		w.control(&ref)
+		control := configOf(a.Arms[0])
+		if d := diffFields(ref, control); len(d) > 0 {
+			t.Errorf("%s: control %v differs from its expected config in %v", a.Name, a.Arms[0], d)
+		}
+		var varied []string
+		for _, arm := range a.Arms[1:] {
+			d := diffFields(control, configOf(arm))
+			for _, f := range d {
+				if !slices.Contains(w.fields, f) {
+					t.Errorf("%s: arm %v changes %s, not one of %v", a.Name, arm, f, w.fields)
+				}
+			}
+			if len(d) == 0 {
+				t.Errorf("%s: arm %v runs its control's config", a.Name, arm)
+			}
+			varied = append(varied, d...)
+		}
+		for _, f := range w.fields {
+			if !slices.Contains(varied, f) {
+				t.Errorf("%s: no arm changes %s", a.Name, f)
+			}
+		}
+	}
+	if len(want) > 0 || arms != 51 {
+		t.Errorf("ablations missing: %v; %d arms, want 51", want, arms)
+	}
+}
+
+// diffFields names the Config fields whose values differ between a and b.
+func diffFields(a, b core.Config) []string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	var out []string
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			out = append(out, va.Type().Field(i).Name)
+		}
+	}
+	return out
 }

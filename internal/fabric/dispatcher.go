@@ -46,10 +46,6 @@ type Options struct {
 	// with campaign/shard/worker attributes.
 	Logger *slog.Logger
 
-	// Logf, when non-nil and Logger is nil, receives the same lines
-	// through a printf-style adapter (tests pass t.Logf here).
-	Logf func(format string, args ...any)
-
 	// Now is the clock (tests inject a fake one). Default time.Now.
 	Now func() time.Time
 }
@@ -124,7 +120,7 @@ func NewDispatcher(opts Options) (*Dispatcher, error) {
 		opts.Now = time.Now
 	}
 	if opts.Logger == nil {
-		opts.Logger = logging.Logf(opts.Logf)
+		opts.Logger = logging.Discard()
 	}
 	d := &Dispatcher{
 		opts:    opts,

@@ -3,6 +3,7 @@ package fabric
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -14,6 +15,7 @@ import (
 
 	"chicsim/internal/core"
 	"chicsim/internal/experiments"
+	"chicsim/internal/obs/logging"
 )
 
 // fakeClock is a manually advanced time source.
@@ -55,6 +57,18 @@ func testSpec(nCells int) CampaignSpec {
 // fakeRecord builds a record for a cell without running a simulation.
 func fakeRecord(cell experiments.Cell) experiments.CellRecord {
 	return experiments.CellRecord{Cell: cell, AvgResponseSec: cell.BandwidthMBps * 2}
+}
+
+// testLogger sends the fabric's log lines, debug ones included, to t.Log.
+func testLogger(t *testing.T) *slog.Logger {
+	return logging.New(testLogWriter{t}, slog.LevelDebug, "text", "")
+}
+
+type testLogWriter struct{ t *testing.T }
+
+func (w testLogWriter) Write(p []byte) (int, error) {
+	w.t.Log(strings.TrimSuffix(string(p), "\n"))
+	return len(p), nil
 }
 
 func mustDispatcher(t *testing.T, opts Options) (*Dispatcher, *fakeClock) {
@@ -377,8 +391,9 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestSubmitRejectsUnknownParam checks that a cell naming a parameter no
-// sensitivity sweep defines fails submission over HTTP with 400 and a
-// one-line error, and never reaches the queue.
+// sweep defines, or a level its parameter does not have, fails
+// submission over HTTP with 400 and a one-line error, and never reaches
+// the queue.
 func TestSubmitRejectsUnknownParam(t *testing.T) {
 	d, _ := mustDispatcher(t, Options{})
 	mux := http.NewServeMux()
@@ -389,30 +404,39 @@ func TestSubmitRejectsUnknownParam(t *testing.T) {
 	defer srv.Close()
 
 	spec := testSpec(2)
-	spec.Cells[1].Param, spec.Cells[1].Value = "no-such-param", 1
-	body, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/api/submit", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	_, err = (&Client{BaseURL: srv.URL}).Submit(spec)
-	if err == nil || !strings.Contains(err.Error(), `unknown parameter "no-such-param"`) || strings.Contains(err.Error(), "\n") {
-		t.Fatalf("Submit error = %v, want one line naming the parameter", err)
-	}
-	if _, err := d.Campaign(); err == nil {
-		t.Fatal("rejected campaign was installed")
+	for _, bad := range []struct {
+		cell experiments.Cell
+		want string
+	}{
+		{experiments.Cell{Param: "no-such-param", Value: 1}, `unknown parameter "no-such-param"`},
+		{experiments.Cell{Param: "ls", Level: "no-such-level"}, `unknown level "no-such-level" of parameter "ls"`},
+		{experiments.Cell{Param: "storage", Level: "no-such-level"}, `unknown level "no-such-level" of parameter "storage"`},
+	} {
+		spec.Cells[1].Param, spec.Cells[1].Value, spec.Cells[1].Level = bad.cell.Param, bad.cell.Value, bad.cell.Level
+		body, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(srv.URL+"/api/submit", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400", bad.want, resp.StatusCode)
+		}
+		_, err = (&Client{BaseURL: srv.URL}).Submit(spec)
+		if err == nil || !strings.Contains(err.Error(), bad.want) || strings.Contains(err.Error(), "\n") {
+			t.Fatalf("Submit error = %v, want one line containing %s", err, bad.want)
+		}
+		if _, err := d.Campaign(); err == nil {
+			t.Fatal("rejected campaign was installed")
+		}
 	}
 
-	spec.Cells[1].Param = "storage"
+	spec.Cells[1].Param, spec.Cells[1].Value, spec.Cells[1].Level = "ls", 0, "LIFO"
 	if _, err := d.Submit(spec); err != nil {
-		t.Fatalf("known parameter rejected: %v", err)
+		t.Fatalf("known level rejected: %v", err)
 	}
 }
 

@@ -54,7 +54,7 @@ func TestFabricGoldenByteIdentical(t *testing.T) {
 		JournalPath:  filepath.Join(dir, "queue.journal"),
 		MergedPath:   mergedPath,
 		ManifestPath: manifestPath,
-		Logf:         t.Logf,
+		Logger:       testLogger(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +85,7 @@ func TestFabricGoldenByteIdentical(t *testing.T) {
 		Name:       "doomed",
 		Capacity:   1,
 		Poll:       20 * time.Millisecond,
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		RunShard: func(_ CampaignSpec, _ Shard) experiments.CellRecord {
 			once.Do(func() { close(aStarted) })
 			<-blocked
@@ -109,7 +109,7 @@ func TestFabricGoldenByteIdentical(t *testing.T) {
 		Name:       "survivor",
 		Capacity:   2,
 		Poll:       20 * time.Millisecond,
-		Logf:       t.Logf,
+		Logger:     testLogger(t),
 		OnShardDone: func(shard Shard, _ experiments.CellRecord) {
 			bMu.Lock()
 			bShards = append(bShards, shard.Index)

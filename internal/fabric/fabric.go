@@ -43,9 +43,9 @@ type CampaignSpec struct {
 	Cells []experiments.Cell `json:"cells"`
 	Seeds []uint64           `json:"seeds"`
 
-	// ObsInterval mirrors experiments.Campaign.ObsInterval: when > 0 it
-	// overrides Base.ObsInterval on every run. Probe series are excluded
-	// from CellRecord JSON, so this never perturbs the merged stream.
+	// ObsInterval, when > 0, overrides Base.ObsInterval on every run.
+	// Probe series are excluded from CellRecord JSON, so this never
+	// perturbs the merged stream.
 	ObsInterval float64 `json:"obs_interval,omitempty"`
 }
 

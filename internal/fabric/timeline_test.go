@@ -58,7 +58,7 @@ func wantMonotone(t *testing.T, doc TimelineDoc) {
 func TestTimelineAcrossDispatcherResume(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "q.journal")
-	d1, clock := mustDispatcher(t, Options{JournalPath: jp, Logf: t.Logf})
+	d1, clock := mustDispatcher(t, Options{JournalPath: jp, Logger: testLogger(t)})
 	spec := testSpec(3)
 	if _, err := d1.Submit(spec); err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestTimelineAcrossDispatcherResume(t *testing.T) {
 
 	// "Kill" d1 (drop it; the journal is its only legacy) and resume.
 	clock.Advance(time.Minute)
-	d2, err := NewDispatcher(Options{JournalPath: jp, LeaseSeconds: 30, Now: clock.Now, Logf: t.Logf})
+	d2, err := NewDispatcher(Options{JournalPath: jp, LeaseSeconds: 30, Now: clock.Now, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestTimelineAcrossDispatcherResume(t *testing.T) {
 	// A third incarnation replays the full two-incarnation history
 	// identically (the golden resume property: the timeline is a pure
 	// function of the journal).
-	d3, err := NewDispatcher(Options{JournalPath: jp, LeaseSeconds: 30, Now: clock.Now, Logf: t.Logf})
+	d3, err := NewDispatcher(Options{JournalPath: jp, LeaseSeconds: 30, Now: clock.Now, Logger: testLogger(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestFleetDoc(t *testing.T) {
 func TestFleetTraceChrome(t *testing.T) {
 	dir := t.TempDir()
 	jp := filepath.Join(dir, "q.journal")
-	d, clock := mustDispatcher(t, Options{JournalPath: jp, Logf: t.Logf})
+	d, clock := mustDispatcher(t, Options{JournalPath: jp, Logger: testLogger(t)})
 	spec := testSpec(2)
 	if _, err := d.Submit(spec); err != nil {
 		t.Fatal(err)
@@ -367,7 +367,7 @@ func TestJournalWithoutEventsStillLoads(t *testing.T) {
 	if err := os.WriteFile(jp, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d, clock := mustDispatcher(t, Options{JournalPath: jp, Logf: t.Logf})
+	d, clock := mustDispatcher(t, Options{JournalPath: jp, Logger: testLogger(t)})
 	_ = clock
 	tl := d.Timeline()
 	if len(tl.Shards) != 2 || tl.Shards[0].State != "completed" || tl.Shards[1].State != "queued" {

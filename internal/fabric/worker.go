@@ -43,10 +43,6 @@ type Worker struct {
 	// Logger, when non-nil, receives structured operational log lines.
 	Logger *slog.Logger
 
-	// Logf, when non-nil and Logger is nil, receives the same lines
-	// through a printf-style adapter (tests pass t.Logf here).
-	Logf func(format string, args ...any)
-
 	// RunShard executes one shard (test hook). Default ExecuteShard.
 	RunShard func(spec CampaignSpec, shard Shard) experiments.CellRecord
 
@@ -136,14 +132,15 @@ func (w *Worker) Status() WorkerSnapshot {
 // the resulting CellRecord is byte-identical to the record a
 // single-process `gridsweep -jsonl` run streams for the cell.
 func ExecuteShard(spec CampaignSpec, shard Shard) experiments.CellRecord {
-	camp := experiments.Campaign{
-		Base:        spec.Base,
-		Cells:       []experiments.Cell{shard.Cell},
-		Seeds:       spec.Seeds,
-		Workers:     1,
-		ObsInterval: spec.ObsInterval,
+	if spec.ObsInterval > 0 {
+		spec.Base.ObsInterval = spec.ObsInterval
 	}
-	results := experiments.Run(camp)
+	results := experiments.Run(experiments.Campaign{
+		Base:    spec.Base,
+		Cells:   []experiments.Cell{shard.Cell},
+		Seeds:   spec.Seeds,
+		Workers: 1,
+	})
 	return experiments.RecordOf(&results[0])
 }
 
@@ -167,10 +164,9 @@ func (w *Worker) Run(ctx context.Context) error {
 	if w.RunShard == nil {
 		w.RunShard = ExecuteShard
 	}
-	if w.Logger != nil {
-		w.log = w.Logger
-	} else {
-		w.log = logging.Logf(w.Logf)
+	w.log = w.Logger
+	if w.log == nil {
+		w.log = logging.Discard()
 	}
 	w.Metrics()
 	w.m.capG.Set(float64(w.Capacity))

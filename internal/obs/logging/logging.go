@@ -8,9 +8,7 @@
 //
 // Commands bind the shared -log-level / -log-format flags with
 // BindFlags and build their logger with Flags.Logger. Libraries accept a
-// *slog.Logger and never choose the handler themselves; the LogfHandler
-// adapter keeps printf-style sinks (tests passing t.Logf, older Logf
-// hooks) usable behind the same structured call sites.
+// *slog.Logger and never choose the handler themselves.
 package logging
 
 import (
@@ -21,7 +19,6 @@ import (
 	"log/slog"
 	"os"
 	"strings"
-	"sync"
 )
 
 // Flags is the destination of the shared logging flag block. Bind it
@@ -100,71 +97,3 @@ func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false 
 func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
-
-// Logf adapts a printf-style sink (testing.T.Logf, a legacy Logf hook)
-// into a *slog.Logger, rendering each record as "LEVEL msg k=v ...".
-// Nil logf yields a Discard logger, so call sites can pass an optional
-// hook straight through.
-func Logf(logf func(format string, args ...any)) *slog.Logger {
-	if logf == nil {
-		return Discard()
-	}
-	return slog.New(&logfHandler{logf: logf})
-}
-
-// logfHandler renders records to a printf sink. All levels are enabled:
-// the sink owns any filtering (tests want everything anyway).
-type logfHandler struct {
-	logf  func(format string, args ...any)
-	attrs []slog.Attr
-	group string
-	mu    sync.Mutex
-}
-
-func (h *logfHandler) Enabled(context.Context, slog.Level) bool { return true }
-
-func (h *logfHandler) Handle(_ context.Context, r slog.Record) error {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s %s", r.Level, r.Message)
-	// Attrs accumulated via WithAttrs already carry their group prefix;
-	// only the record's own attrs still need the current one.
-	for _, a := range h.attrs {
-		fmt.Fprintf(&sb, " %s=%v", a.Key, a.Value.Resolve().Any())
-	}
-	r.Attrs(func(a slog.Attr) bool {
-		fmt.Fprintf(&sb, " %s=%v", h.prefixed(a.Key), a.Value.Resolve().Any())
-		return true
-	})
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.logf("%s", sb.String())
-	return nil
-}
-
-func (h *logfHandler) prefixed(key string) string {
-	if h.group == "" {
-		return key
-	}
-	return h.group + "." + key
-}
-
-func (h *logfHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	merged := make([]slog.Attr, 0, len(h.attrs)+len(attrs))
-	merged = append(merged, h.attrs...)
-	for _, a := range attrs {
-		a.Key = h.prefixed(a.Key)
-		merged = append(merged, a)
-	}
-	return &logfHandler{logf: h.logf, attrs: merged, group: h.group}
-}
-
-func (h *logfHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	prefix := name
-	if h.group != "" {
-		prefix = h.group + "." + name
-	}
-	return &logfHandler{logf: h.logf, attrs: h.attrs, group: prefix}
-}

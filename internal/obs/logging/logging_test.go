@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"log/slog"
 	"strings"
 	"testing"
@@ -82,30 +81,4 @@ func TestFlagsLogger(t *testing.T) {
 	if _, err := f.Logger("test"); err == nil {
 		t.Error("unknown level accepted")
 	}
-}
-
-func TestLogfAdapter(t *testing.T) {
-	var lines []string
-	l := Logf(func(format string, args ...any) {
-		lines = append(lines, fmt.Sprintf(format, args...))
-	})
-	l = l.With("campaign", "abc")
-	l.Info("booked", "shard", 2, "worker", "w1")
-	if len(lines) != 1 {
-		t.Fatalf("got %d lines, want 1", len(lines))
-	}
-	for _, frag := range []string{"INFO booked", "campaign=abc", "shard=2", "worker=w1"} {
-		if !strings.Contains(lines[0], frag) {
-			t.Errorf("line %q missing %q", lines[0], frag)
-		}
-	}
-	// Groups prefix keys; WithAttrs accumulates.
-	lines = nil
-	g := l.WithGroup("fabric").With("shard", 9)
-	g.Warn("lost lease")
-	if len(lines) != 1 || !strings.Contains(lines[0], "fabric.shard=9") {
-		t.Errorf("grouped line: %q", lines)
-	}
-	// Nil sink is a silent logger, not a panic.
-	Logf(nil).Error("nobody hears this")
 }

@@ -5,6 +5,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"chicsim/internal/experiments"
@@ -303,6 +304,65 @@ func Significance(w io.Writer, results []experiments.CellResult, a, b experiment
 	}
 	fmt.Fprintf(w, "%s (%.1f s) vs %s (%.1f s): t=%.2f df=%.1f → %s\n",
 		a, ca.AvgResponseSec, b, cb.AvgResponseSec, r.T, r.DF, verdict)
+}
+
+// Ablations writes each design-choice study of experiments.Ablations as
+// seed-paired deltas: every arm's mean response over seeds, then its
+// difference from the study's control (Arms[0]) by
+// experiments.PairedResponseDelta, as mean ± 95% CI half-width and as a
+// share of the control's mean. An interval that spans zero reads "no
+// detectable effect". A failed or missing cell, or an arm with fewer
+// than two seeds paired with the control, prints "-".
+func Ablations(w io.Writer, results []experiments.CellResult, ablations []experiments.Ablation) {
+	idx := experiments.ByCell(results)
+	ran := func(c experiments.Cell) *experiments.CellResult {
+		if cr := idx[c]; cr != nil && cr.Err == nil && len(cr.Runs) > 0 {
+			return cr
+		}
+		return nil
+	}
+	for i, a := range ablations {
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "%s, control %v\n", a.Name, a.Arms[0])
+		fmt.Fprintf(w, "  %-38s %9s  %-18s %8s\n", "arm", "resp (s)", "Δ resp (s), 95% CI", "Δ")
+		control := ran(a.Arms[0])
+		for j, arm := range a.Arms {
+			cr := ran(arm)
+			if cr == nil {
+				fmt.Fprintf(w, "  %-38s %9s\n", armLabel(arm), "-")
+				continue
+			}
+			fmt.Fprintf(w, "  %-38s %9.1f  ", armLabel(arm), cr.AvgResponseSec)
+			var d stats.Summary
+			if control != nil {
+				d = experiments.PairedResponseDelta(control, cr)
+			}
+			switch {
+			case j == 0:
+				fmt.Fprintln(w, "control")
+			case d.N < 2:
+				fmt.Fprintln(w, "-")
+			case math.Abs(d.Mean) <= d.CI95:
+				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%  no detectable effect\n", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
+			default:
+				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%\n", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
+			}
+		}
+	}
+}
+
+// armLabel names an ablation arm by the parameter it sets, or by its
+// scheduler pair and bandwidth when it sets none.
+func armLabel(c experiments.Cell) string {
+	switch {
+	case c.Level != "":
+		return c.Param + "=" + c.Level
+	case c.Param != "":
+		return fmt.Sprintf("%s=%g", c.Param, c.Value)
+	}
+	return fmt.Sprintf("%s+%s@%gMB/s", c.ES, c.DS, c.BandwidthMBps)
 }
 
 // Histogram renders a text histogram of per-rank request counts — the

@@ -9,6 +9,7 @@ import (
 	"chicsim/internal/experiments"
 	"chicsim/internal/metrics"
 	"chicsim/internal/obs"
+	"chicsim/internal/stats"
 )
 
 func fakeResults() []experiments.CellResult {
@@ -284,5 +285,58 @@ func TestSignificance(t *testing.T) {
 func TestMetricString(t *testing.T) {
 	if ResponseTime.String() == "" || DataTransferred.String() == "" || IdleTime.String() == "" {
 		t.Fatal("metric strings empty")
+	}
+}
+
+// TestAblations pins the seed-paired report on synthetic cells: each
+// delta is stats.Summarize of the arm's per-seed differences from the
+// control, runs pair on Results.Seed whatever order they come in, an
+// interval that spans zero reads "no detectable effect", and an arm
+// with under two paired seeds, or no result, prints "-".
+func TestAblations(t *testing.T) {
+	cell := func(ds string) experiments.Cell {
+		return experiments.Cell{ES: "JobDataPresent", DS: ds, BandwidthMBps: 10}
+	}
+	mk := func(c experiments.Cell, respBySeed ...float64) experiments.CellResult {
+		cr := experiments.CellResult{Cell: c}
+		for i := 0; i < len(respBySeed); i += 2 {
+			cr.Runs = append(cr.Runs, core.Results{
+				Results: metrics.Results{AvgResponseSec: respBySeed[i+1]},
+				Seed:    uint64(respBySeed[i]),
+			})
+		}
+		cr.AvgResponseSec = stats.Mean(cr.ResponseSamples())
+		return cr
+	}
+	control := mk(cell("DataLeastLoaded"), 1, 100, 2, 110, 3, 90)
+	clear := mk(cell("DataRandom"), 3, 125, 1, 130, 2, 145)    // +35, +30, +35
+	noisy := mk(cell("DataCascade"), 1, 150, 2, 60, 3, 100)    // +50, -50, +10
+	lonely := mk(cell("DataBestClient"), 1, 120, 4, 200, 5, 1) // one seed pairs
+	results := []experiments.CellResult{control, clear, noisy, lonely}
+	abl := []experiments.Ablation{{Name: "ds", Arms: []experiments.Cell{
+		control.Cell, clear.Cell, noisy.Cell, lonely.Cell, cell("DataFeedback"),
+	}}}
+
+	for _, c := range []struct {
+		arm   *experiments.CellResult
+		diffs []float64
+	}{{&clear, []float64{35, 30, 35}}, {&noisy, []float64{50, -50, 10}}} {
+		if got, want := experiments.PairedResponseDelta(&control, c.arm), stats.Summarize(c.diffs); got != want {
+			t.Errorf("%v: paired delta %+v, want %+v", c.arm.Cell, got, want)
+		}
+	}
+
+	var sb strings.Builder
+	Ablations(&sb, results, abl)
+	want := `ds, control JobDataPresent+DataLeastLoaded@10MB/s
+  arm                                     resp (s)  Δ resp (s), 95% CI        Δ
+  JobDataPresent+DataLeastLoaded@10MB/s      100.0  control
+  JobDataPresent+DataRandom@10MB/s           133.3     +33.3 ± 7.2       +33.3%
+  JobDataPresent+DataCascade@10MB/s          103.3      +3.3 ± 125.0      +3.3%  no detectable effect
+  JobDataPresent+DataBestClient@10MB/s       107.0  -
+  JobDataPresent+DataFeedback@10MB/s             -
+`
+	if sb.String() != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
