@@ -219,9 +219,10 @@ type Config struct {
 	// of Results (counts, sums, means, min/max, makespan, transfer and
 	// fault counters, SiteJobGini) is byte-identical to full mode, while
 	// median/P95/histogram come from a 1%-relative-error sketch, a seeded
-	// deterministic reservoir samples exemplar rows, and top-K sketches
-	// report the hottest sites and datasets. Use bounded for million-job
-	// runs where the record slice would dominate memory.
+	// deterministic reservoir samples exemplar rows, and exact per-site
+	// and per-file counts rank the hottest sites and datasets. Use
+	// bounded for million-job runs where the record slice would dominate
+	// memory.
 	ResultMode string `json:",omitempty"`
 
 	// ObsInterval, when > 0, books the run's one recurring observation

@@ -3,14 +3,17 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"sort"
 	"testing"
+
+	"chicsim/internal/metrics"
 )
 
 // stripApprox zeroes the fields that are allowed to differ between result
 // modes: the quantile-shaped statistics (approximate in bounded mode) and
-// the bounded-only sketch extras. Everything left — every count, sum,
-// mean, min/max, makespan, Gini, cache/fault/transfer counter — must then
-// be byte-identical between the two modes.
+// the exemplar sample. Everything left — every count, sum, mean, min/max,
+// makespan, Gini, cache/fault/transfer counter and the hot-item lists —
+// must then be byte-identical between the two modes.
 func stripApprox(r Results) Results {
 	r.MedResponseSec = 0
 	r.P95ResponseSec = 0
@@ -19,17 +22,40 @@ func stripApprox(r Results) Results {
 	r.ResultMode = ""
 	r.RespQuantileRelErr = 0
 	r.Exemplars = nil
-	r.TopSites = nil
-	r.TopDatasets = nil
 	r.Series = nil
 	return r
+}
+
+// hotLists sets the full run's TopSites and TopDatasets to what an exact
+// bounded run must report: the top metrics.HotReportK of the run's per-site
+// completed-job counts and of the workload's per-file request counts, by
+// count descending then key ascending. The request counts are the
+// completed jobs' only when every job completed.
+func hotLists(sim *Simulation, r *Results) {
+	top := func(counts []int) []metrics.HotItem {
+		var items []metrics.HotItem
+		for key, n := range counts {
+			if n > 0 {
+				items = append(items, metrics.HotItem{Key: key, Count: n})
+			}
+		}
+		sort.SliceStable(items, func(a, b int) bool { return items[a].Count > items[b].Count })
+		return items[:min(metrics.HotReportK, len(items))]
+	}
+	var sites []int
+	for _, n := range sim.collector.SiteJobCounts(len(sim.sites)) {
+		sites = append(sites, int(n))
+	}
+	r.TopSites = top(sites)
+	r.TopDatasets = top(sim.wl.PopularityHistogram())
 }
 
 // TestResultModeEquivalence is the bounded-mode contract: across every
 // kernel-golden configuration, a bounded-mode run produces exactly the
 // same exact aggregate fields as a full-mode run — same bits, enforced on
 // the JSON encoding so newly added Results fields are covered by default
-// unless stripApprox explicitly exempts them.
+// unless stripApprox explicitly exempts them — and hot-item lists equal to
+// the ones the full run's counts give (hotLists).
 func TestResultModeEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -41,7 +67,11 @@ func TestResultModeEquivalence(t *testing.T) {
 		bounded := cfgs[name]
 		bounded.ResultMode = ResultModeBounded
 
-		fr, err := RunConfig(full)
+		sim, err := New(full)
+		if err != nil {
+			t.Fatalf("%s full: %v", name, err)
+		}
+		fr, err := sim.Run()
 		if err != nil {
 			t.Fatalf("%s full: %v", name, err)
 		}
@@ -52,6 +82,10 @@ func TestResultModeEquivalence(t *testing.T) {
 		if br.ResultMode != ResultModeBounded {
 			t.Fatalf("%s: bounded run reported ResultMode %q", name, br.ResultMode)
 		}
+		if fr.JobsDone != sim.wl.TotalJobs() {
+			t.Fatalf("%s: %d of %d jobs completed; hotLists needs them all", name, fr.JobsDone, sim.wl.TotalJobs())
+		}
+		hotLists(sim, &fr)
 
 		fb, err := json.Marshal(stripApprox(fr))
 		if err != nil {
@@ -69,7 +103,7 @@ func TestResultModeEquivalence(t *testing.T) {
 
 // TestBoundedModeSketchFields checks the bounded-only outputs on one
 // configuration: quantiles within the documented error of the exact ones,
-// exemplars present, and hot-site/dataset sketches populated.
+// exemplars present, and hot-site and hot-dataset lists populated.
 func TestBoundedModeSketchFields(t *testing.T) {
 	_, cfgs := kernelGoldenCases()
 	cfg := cfgs["JobDataPresent+DataLeastLoaded"]
@@ -102,14 +136,11 @@ func TestBoundedModeSketchFields(t *testing.T) {
 		t.Fatalf("sketch outputs missing: %d exemplars, %d sites, %d datasets",
 			len(br.Exemplars), len(br.TopSites), len(br.TopDatasets))
 	}
-	var siteTotal uint64
+	siteTotal := 0
 	for _, s := range br.TopSites {
-		if s.Over != 0 {
-			t.Errorf("site sketch evicted below capacity: %+v", s)
-		}
 		siteTotal += s.Count
 	}
-	if siteTotal != uint64(br.JobsDone) {
+	if siteTotal != br.JobsDone {
 		t.Errorf("site counts sum to %d, want %d", siteTotal, br.JobsDone)
 	}
 	if fr.ResultMode != "" {

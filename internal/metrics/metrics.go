@@ -6,19 +6,22 @@
 // The Collector runs in one of two modes. Full mode (NewCollector) keeps a
 // JobRecord per completed job — O(jobs) memory — and computes distribution
 // statistics from the raw rows. Bounded mode (NewBounded) replaces the
-// record slice with the constant-memory aggregators in metrics/stream: a
-// log-bucketed histogram for quantiles, a seeded reservoir of exemplar
-// rows, and space-saving top-K sketches for the hottest sites and
-// datasets. Every exact aggregate (counts, sums, means, min/max, makespan,
-// transfer counters) is accumulated identically — same floating-point
-// operations in the same completion order — so the exact fields of Results
-// are byte-identical between the two modes; only quantile-shaped fields
-// (median, P95, histogram bins) come from the sketch in bounded mode.
+// record slice with the constant-memory aggregators in metrics/stream (a
+// log-bucketed histogram for quantiles and a seeded reservoir of exemplar
+// rows) and ranks the hottest sites and datasets from exact per-site and
+// per-file job counts, O(sites + files) memory. Every exact aggregate
+// (counts, sums, means, min/max, makespan, transfer counters) is
+// accumulated identically — same floating-point operations in the same
+// completion order — so the exact fields of Results are byte-identical
+// between the two modes; only quantile-shaped fields (median, P95,
+// histogram bins) come from the sketch in bounded mode.
 package metrics
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"chicsim/internal/desim"
@@ -37,13 +40,15 @@ const RespHistBins = 12
 // seed regardless of worker count).
 const ExemplarK = 64
 
-// HotTrackK is the capacity of the bounded-mode space-saving sketches: any
-// site or dataset involved in more than jobs/HotTrackK completions is
-// guaranteed to be tracked.
-const HotTrackK = 64
-
-// HotReportK is how many of the tracked heavy hitters Results reports.
+// HotReportK is how many of the hottest sites and datasets Results reports.
 const HotReportK = 16
+
+// HotItem is one reported hot site or dataset and its exact count of
+// completed jobs.
+type HotItem struct {
+	Key   int
+	Count int
+}
 
 // TransferPurpose labels why bytes moved.
 type TransferPurpose int
@@ -137,11 +142,11 @@ type Collector struct {
 	// computed exactly from these).
 	records []JobRecord
 
-	// Bounded mode: constant-memory sketches standing in for the rows.
+	// Bounded mode: constant-memory sketches standing in for the rows,
+	// and the completed jobs that read each file, by FileID.
 	hist      *stream.Histogram
 	exemplars *stream.Reservoir[JobRecord]
-	topSites  *stream.TopK
-	topFiles  *stream.TopK
+	fileJobs  []float64
 
 	fetchBytes  float64
 	replBytes   float64
@@ -164,8 +169,6 @@ func NewBounded(src *rng.Source) *Collector {
 		bounded:   true,
 		hist:      stream.NewHistogram(),
 		exemplars: stream.NewReservoir[JobRecord](ExemplarK, src),
-		topSites:  stream.NewTopK(HotTrackK),
-		topFiles:  stream.NewTopK(HotTrackK),
 	}
 }
 
@@ -222,9 +225,11 @@ func (c *Collector) JobDone(j *job.Job) {
 	}
 	c.hist.Observe(resp)
 	c.exemplars.Add(rec)
-	c.topSites.Add(int64(rec.Site))
 	for _, f := range j.Inputs {
-		c.topFiles.Add(int64(f))
+		for len(c.fileJobs) <= int(f) {
+			c.fileJobs = append(c.fileJobs, 0)
+		}
+		c.fileJobs[f]++
 	}
 }
 
@@ -310,13 +315,13 @@ type Results struct {
 	// this Results. RespQuantileRelErr is the documented relative-error
 	// bound on MedResponseSec/P95ResponseSec (zero when they are exact).
 	// Exemplars is a uniform deterministic sample of completed-job rows;
-	// TopSites and TopDatasets are space-saving heavy-hitter estimates
-	// (true count within [Count−Over, Count]).
-	ResultMode         string           `json:",omitempty"`
-	RespQuantileRelErr float64          `json:",omitempty"`
-	Exemplars          []JobRecord      `json:",omitempty"`
-	TopSites           []stream.HotItem `json:",omitempty"`
-	TopDatasets        []stream.HotItem `json:",omitempty"`
+	// TopSites and TopDatasets are the HotReportK sites and datasets with
+	// the most completed jobs, exact counts.
+	ResultMode         string      `json:",omitempty"`
+	RespQuantileRelErr float64     `json:",omitempty"`
+	Exemplars          []JobRecord `json:",omitempty"`
+	TopSites           []HotItem   `json:",omitempty"`
+	TopDatasets        []HotItem   `json:",omitempty"`
 }
 
 // Summarize computes the aggregates. busyCEIntegral is Σ over sites of
@@ -351,8 +356,8 @@ func (c *Collector) Summarize(busyCEIntegral float64, totalCEs int) Results {
 		r.RespQuantileRelErr = c.hist.RelativeError()
 		r.RespHistCounts, r.RespHistEdges = c.hist.Bins(RespHistBins)
 		r.Exemplars = c.exemplars.Items()
-		r.TopSites = c.topSites.Items(HotReportK)
-		r.TopDatasets = c.topFiles.Items(HotReportK)
+		r.TopSites = hottest(c.siteJobs, HotReportK)
+		r.TopDatasets = hottest(c.fileJobs, HotReportK)
 	} else {
 		responses := make([]float64, 0, len(c.records))
 		for _, rec := range c.records {
@@ -377,6 +382,24 @@ func (c *Collector) Summarize(busyCEIntegral float64, totalCEs int) Results {
 		r.IdleFrac = math.Max(0, math.Min(1, r.IdleFrac))
 	}
 	return r
+}
+
+// hottest returns the k keys with the highest nonzero counts, ordered by
+// count descending, then key ascending.
+func hottest(counts []float64, k int) []HotItem {
+	var items []HotItem
+	for key, n := range counts {
+		if n > 0 {
+			items = append(items, HotItem{Key: key, Count: int(n)})
+		}
+	}
+	slices.SortFunc(items, func(a, b HotItem) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
+		}
+		return cmp.Compare(a.Key, b.Key)
+	})
+	return items[:min(k, len(items))]
 }
 
 // percentile returns the p-quantile of sorted xs by nearest-rank.

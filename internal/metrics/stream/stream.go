@@ -2,9 +2,10 @@
 // bounded result collection (core.Config.ResultMode = "bounded"): a
 // fixed-boundary log-bucketed histogram with exact count/sum/min/max and
 // bounded-relative-error quantiles, a seeded deterministic reservoir
-// sampler for exemplar rows, a space-saving top-K sketch for hottest
-// sites/datasets, and a windowed downsampler that caps an observability
-// series at a fixed point budget.
+// sampler for exemplar rows, and a windowed downsampler that caps an
+// observability series at a fixed point budget. The hottest sites and
+// datasets need no sketch: metrics ranks them from exact per-site and
+// per-file counts.
 //
 // Every aggregator is deterministic: no wall clock, no global randomness
 // (the reservoir draws from an explicitly passed rng.Source sub-stream),

@@ -181,57 +181,6 @@ func TestReservoirShortStream(t *testing.T) {
 	}
 }
 
-func TestTopKExactWhenUnderCapacity(t *testing.T) {
-	k := NewTopK(8)
-	for i := 0; i < 5; i++ {
-		for j := 0; j <= i; j++ {
-			k.Add(int64(i))
-		}
-	}
-	items := k.Items(3)
-	if len(items) != 3 {
-		t.Fatalf("len = %d", len(items))
-	}
-	if items[0].Key != 4 || items[0].Count != 5 || items[0].Over != 0 {
-		t.Fatalf("top = %+v", items[0])
-	}
-	if items[1].Key != 3 || items[2].Key != 2 {
-		t.Fatalf("order = %+v", items)
-	}
-}
-
-func TestTopKHeavyHitterSurvivesEviction(t *testing.T) {
-	k := NewTopK(4)
-	// One heavy key among a churn of one-off keys.
-	for i := 0; i < 400; i++ {
-		k.Add(77)
-		k.Add(int64(1000 + i))
-	}
-	items := k.Items(1)
-	if items[0].Key != 77 {
-		t.Fatalf("heavy hitter lost: %+v", items)
-	}
-	if true77 := uint64(400); items[0].Count < true77 || items[0].Count-items[0].Over > true77 {
-		t.Fatalf("count bound violated: %+v (true 400)", items[0])
-	}
-}
-
-func TestTopKDeterministicTieBreak(t *testing.T) {
-	fill := func() []HotItem {
-		k := NewTopK(3)
-		for _, key := range []int64{5, 3, 9, 1, 8, 2, 5, 3} {
-			k.Add(key)
-		}
-		return k.Items(3)
-	}
-	a, b := fill(), fill()
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("tie-break nondeterministic: %v vs %v", a, b)
-		}
-	}
-}
-
 func TestWindowCapsPointsAndPreservesCoverage(t *testing.T) {
 	w := NewWindow(8, []bool{false, true}) // one gauge, one counter
 	for i := 0; i < 100; i++ {

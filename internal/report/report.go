@@ -9,7 +9,7 @@ import (
 	"strings"
 
 	"chicsim/internal/experiments"
-	"chicsim/internal/metrics/stream"
+	"chicsim/internal/metrics"
 	"chicsim/internal/obs"
 	"chicsim/internal/stats"
 )
@@ -388,22 +388,16 @@ func Histogram(w io.Writer, counts []int, ranks, maxWidth int) {
 	}
 }
 
-// HotItems renders a bounded-mode heavy-hitter table (Results.TopSites or
-// Results.TopDatasets): one row per item with its estimated count and,
-// when the space-saving sketch may have overcounted it, the ± error bound
-// (true count lies in [Count−Over, Count]).
-func HotItems(w io.Writer, label string, items []stream.HotItem) {
+// HotItems renders a bounded-mode hot-item table (Results.TopSites or
+// Results.TopDatasets): one row per item with its count of completed jobs.
+func HotItems(w io.Writer, label string, items []metrics.HotItem) {
 	if len(items) == 0 {
 		fmt.Fprintf(w, "(no %s recorded)\n", label)
 		return
 	}
 	fmt.Fprintf(w, "%-10s %12s\n", label, "jobs")
 	for _, it := range items {
-		if it.Over > 0 {
-			fmt.Fprintf(w, "%-10d %12d (−%d possible overcount)\n", it.Key, it.Count, it.Over)
-		} else {
-			fmt.Fprintf(w, "%-10d %12d\n", it.Key, it.Count)
-		}
+		fmt.Fprintf(w, "%-10d %12d\n", it.Key, it.Count)
 	}
 }
 

@@ -21,7 +21,7 @@ import (
 )
 
 // FileID identifies a dataset grid-wide.
-type FileID int
+type FileID int32
 
 // Slot is a record's index in a Store's slab. NoSlot means no record.
 type Slot int32

@@ -33,8 +33,16 @@ func FuzzReadTrace(f *testing.F) {
 	f.Add(`{"spec":{"users":1,"sites":2},"user_home":[0],"file_sizes":[1e6],"master_site":[7]}`)
 	f.Add(`{"spec":{"users":3,"sites":2},"user_home":[0,1]}`)
 	f.Add(`{"spec":{"users":202000000,"sites":2},"user_home":[0,1]}`)
+	// An input id past storage.FileID's int32 range: wrapped, it would
+	// name file 0.
+	wide := `{"spec":{"users":1,"sites":1},"user_home":[0],"file_sizes":[1e6],"master_site":[0]}` + "\n" +
+		`{"id":0,"user":0,"inputs":[4294967296],"compute_sec":1}`
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, input string) {
 		w, err := ReadTrace(strings.NewReader(input))
+		if input == wide && err == nil {
+			t.Fatalf("input id 4294967296 accepted as file %d", w.Jobs[0][0].Inputs[0])
+		}
 		if err != nil {
 			return
 		}

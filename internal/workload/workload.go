@@ -84,6 +84,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("workload: Sites = %d", s.Sites)
 	case s.Files <= 0:
 		return fmt.Errorf("workload: Files = %d", s.Files)
+	case s.Files > math.MaxInt32:
+		return fmt.Errorf("workload: Files = %d exceeds the file id range %d", s.Files, math.MaxInt32)
 	case s.TotalJobs <= 0:
 		return fmt.Errorf("workload: TotalJobs = %d", s.TotalJobs)
 	case s.MinFileBytes <= 0 || s.MaxFileBytes < s.MinFileBytes:
@@ -116,11 +118,11 @@ type JobSpec struct {
 // Workload is a fully generated scenario: file metadata, master placement,
 // user homes, and each user's job sequence, read through Count and Job.
 //
-// A generated workload stores only its input ids, InputsPerJob per job in
-// global order, and derives the rest: job n belongs to user n mod Users
-// and has ID n, and its compute time follows from its inputs' sizes. A
-// trace's IDs, compute times and order are arbitrary, so ReadTrace keeps
-// them in Jobs.
+// A generated workload stores only its input ids, InputsPerJob per job,
+// user by user and each user's jobs in sequence, and derives the rest:
+// user u's k-th job has ID k·Users+u, and its compute time follows from
+// its inputs' sizes. A trace's IDs, compute times and order are
+// arbitrary, so ReadTrace keeps them in Jobs.
 type Workload struct {
 	Spec       Spec              `json:"spec"`
 	FileSizes  []float64         `json:"file_sizes"`  // bytes, by FileID
@@ -128,7 +130,11 @@ type Workload struct {
 	UserHome   []topology.SiteID `json:"user_home"`   // by UserID
 	Jobs       [][]JobSpec       `json:"jobs"`        // [user][sequence]: a trace's jobs; Generate leaves it nil
 
-	inputs []storage.FileID // generated: InputsPerJob file ids per job, by job ID
+	// Generated only: InputsPerJob file ids per job, stored user by user
+	// (see jobInputs). Every user has jobsPer jobs, the first longUsers
+	// one more.
+	inputs             []storage.FileID
+	jobsPer, longUsers int
 }
 
 // Generate builds a workload from the spec using the given random stream.
@@ -143,7 +149,9 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 		FileSizes:  make([]float64, spec.Files),
 		MasterSite: make([]topology.SiteID, spec.Files),
 		UserHome:   make([]topology.SiteID, spec.Users),
-		inputs:     make([]storage.FileID, 0, spec.TotalJobs*spec.InputsPerJob),
+		inputs:     make([]storage.FileID, spec.TotalJobs*spec.InputsPerJob),
+		jobsPer:    spec.TotalJobs / spec.Users,
+		longUsers:  spec.TotalJobs % spec.Users,
 	}
 	fileSrc := src.Derive("files")
 	for f := range w.FileSizes {
@@ -196,18 +204,30 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 		return storage.FileID(rank)
 	}
 
+	// Jobs are drawn in ID order and dealt round-robin, so users get ±1
+	// of each other; each is stored at its user's slot.
 	for n := 0; n < spec.TotalJobs; n++ {
-		u := n % spec.Users // deal jobs round-robin so users get ±1 of each other
-		start := len(w.inputs)
-		for len(w.inputs)-start < spec.InputsPerJob {
+		u := n % spec.Users
+		inputs := w.jobInputs(u, n/spec.Users)[:0]
+		for len(inputs) < spec.InputsPerJob {
 			f := draw(u)
-			if slices.Contains(w.inputs[start:], f) {
+			if slices.Contains(inputs, f) {
 				continue // distinct inputs per job
 			}
-			w.inputs = append(w.inputs, f)
+			inputs = append(inputs, f)
 		}
 	}
 	return w, nil
+}
+
+// jobInputs returns the stored inputs of a generated workload's user u's
+// k-th job, capped at their own length so that an append cannot reach the
+// next job's. User u's jobs take the slots from u·⌊J/U⌋ + min(u, J mod U),
+// J jobs over U users, so consecutive jobs of a user share cache lines.
+func (w *Workload) jobInputs(u, k int) []storage.FileID {
+	per := w.Spec.InputsPerJob
+	slot := u*w.jobsPer + min(u, w.longUsers) + k
+	return w.inputs[slot*per : (slot+1)*per : (slot+1)*per]
 }
 
 // users returns the number of job sequences the workload holds.
@@ -223,11 +243,10 @@ func (w *Workload) Count(u int) int {
 	if w.inputs == nil {
 		return len(w.Jobs[u])
 	}
-	n := w.Spec.TotalJobs / w.Spec.Users
-	if u < w.Spec.TotalJobs%w.Spec.Users {
-		n++
+	if u < w.longUsers {
+		return w.jobsPer + 1
 	}
-	return n
+	return w.jobsPer
 }
 
 // Job returns user u's k-th job, 0 ≤ k < Count(u). Its Inputs are shared
@@ -236,16 +255,13 @@ func (w *Workload) Job(u, k int) JobSpec {
 	if w.inputs == nil {
 		return w.Jobs[u][k]
 	}
-	n := k*w.Spec.Users + u
-	per := w.Spec.InputsPerJob
-	// Capped at its own length, so an append cannot reach the next job's.
-	inputs := w.inputs[n*per : (n+1)*per : (n+1)*per]
+	inputs := w.jobInputs(u, k)
 	totalGB := 0.0
 	for _, f := range inputs {
 		totalGB += w.FileSizes[f] / 1e9
 	}
 	return JobSpec{
-		ID:      job.ID(n),
+		ID:      job.ID(k*w.Spec.Users + u),
 		User:    job.UserID(u),
 		Inputs:  inputs,
 		Compute: w.Spec.ComputePerGB * totalGB,

@@ -255,6 +255,21 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// Validate bounds Files by the width of storage.FileID. It is checked on
+// Validate alone: Generate without the check would size its file tables
+// to the bad count.
+func TestValidateFileIDRange(t *testing.T) {
+	spec := baseSpec()
+	spec.Files = math.MaxInt32
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("Files = MaxInt32 rejected: %v", err)
+	}
+	spec.Files++
+	if err := spec.Validate(); err == nil {
+		t.Fatal("Files = MaxInt32+1 accepted")
+	}
+}
+
 // A generated workload is one slice of input ids sized up front: how
 // many allocations Generate makes must not depend on the job count.
 func TestGenerateAllocsIndependentOfJobs(t *testing.T) {
