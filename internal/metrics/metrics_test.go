@@ -214,10 +214,50 @@ func TestBoundedSketchOutputs(t *testing.T) {
 	}
 }
 
-// TestHotItemsRanking checks the hot-item order on counts with ties, zeros
-// and a heavy key among many one-off keys: count descending, then key
-// ascending, zero counts left out, exact counts, at most k items.
-func TestHotItemsRanking(t *testing.T) {
+// TestHotItemsExactWhenUnderCapacity checks that hot items carry exact
+// counts in count-descending order, at most k of them, zero counts left out.
+func TestHotItemsExactWhenUnderCapacity(t *testing.T) {
+	counts := make([]float64, 8)
+	for key := 0; key < 5; key++ {
+		counts[key] = float64(key + 1)
+	}
+	got := hottest(counts, 3)
+	want := []HotItem{{4, 5}, {3, 4}, {2, 3}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hottest = %v, want %v", got, want)
+	}
+	if got := hottest(counts, 16); len(got) != 5 {
+		t.Fatalf("hottest of 5 nonzero counts = %v, want 5 items", got)
+	}
+	if got := hottest(make([]float64, 5), 16); got != nil {
+		t.Fatalf("hottest of zero counts = %v, want nil", got)
+	}
+}
+
+// TestHotItemsDeterministicTieBreak checks that equal counts rank by key
+// ascending, whatever order the keys were counted in.
+func TestHotItemsDeterministicTieBreak(t *testing.T) {
+	counts := make([]float64, 10)
+	for _, key := range []int{5, 3, 9, 1, 8, 2, 5, 3} {
+		counts[key]++
+	}
+	got := hottest(counts, 3)
+	want := []HotItem{{3, 2}, {5, 2}, {1, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hottest = %v, want %v", got, want)
+	}
+	counts = make([]float64, 9)
+	counts[3], counts[8], counts[5], counts[2] = 2, 2, 2, 1
+	got = hottest(counts, 16)
+	want = []HotItem{{3, 2}, {5, 2}, {8, 2}, {2, 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("hottest = %v, want %v", got, want)
+	}
+}
+
+// TestHotItemsHeavyHitterAmongOneOffs checks that a heavy key among many
+// one-off keys ranks first with its exact count, followed by ties by key.
+func TestHotItemsHeavyHitterAmongOneOffs(t *testing.T) {
 	counts := make([]float64, 1200)
 	counts[3], counts[8], counts[5], counts[2] = 2, 2, 2, 1
 	counts[1100] = 400
@@ -228,12 +268,6 @@ func TestHotItemsRanking(t *testing.T) {
 	want := []HotItem{{1100, 400}, {3, 2}, {5, 2}, {8, 2}, {2, 1}, {10, 1}}
 	if !slices.Equal(got, want) {
 		t.Fatalf("hottest = %v, want %v", got, want)
-	}
-	if got := hottest(counts[:9], 16); len(got) != 4 {
-		t.Fatalf("hottest of 4 nonzero counts = %v, want 4 items", got)
-	}
-	if got := hottest(make([]float64, 5), 16); got != nil {
-		t.Fatalf("hottest of zero counts = %v, want nil", got)
 	}
 }
 
