@@ -190,8 +190,8 @@ func BenchmarkSimScaleRandom(b *testing.B) {
 // cmd/kernelbench's ResultsMemory rows, which CI tracks in
 // BENCH_results_mem.json via -only ResultsMemory). Full
 // mode's B/op and live-results-bytes grow linearly with jobs — one
-// JobRecord each — while bounded mode's stay flat, the O(1) claim of
-// DESIGN.md §17 as a measurement.
+// 8-byte response time each — while bounded mode's stay flat, the O(1)
+// claim of DESIGN.md §17 as a measurement.
 func BenchmarkResultsMemory(b *testing.B) {
 	for _, mode := range []string{core.ResultModeFull, core.ResultModeBounded} {
 		b.Run(mode, kernelbench.ResultsMemory(mode, 1_000_000))

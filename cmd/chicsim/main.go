@@ -8,8 +8,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -58,7 +60,7 @@ func main() {
 	flag.IntVar(&cfg.DSThreshold, "ds-threshold", cfg.DSThreshold, "popularity threshold for replication")
 	flag.IntVar(&cfg.DSDeleteAfter, "ds-delete-after", cfg.DSDeleteAfter, "DS deletes replicas idle for this many windows (0 = LRU only)")
 	flag.Float64Var(&cfg.MaxTime, "max-time", cfg.MaxTime, "abort after this virtual time (0 = none)")
-	flag.StringVar(&cfg.ResultMode, "result-mode", cfg.ResultMode, "result collection: full (per-job records) or bounded (constant-memory sketches; exact aggregates identical)")
+	flag.StringVar(&cfg.ResultMode, "result-mode", cfg.ResultMode, "result collection: full (one response time per job) or bounded (constant-memory sketches; exact aggregates identical)")
 	flag.Float64Var(&cfg.InfoStaleness, "staleness", cfg.InfoStaleness, "GIS snapshot staleness (s, 0 = oracle)")
 	flag.BoolVar(&cfg.RegionalInfo, "regional-info", cfg.RegionalInfo, "schedulers see only in-region replicas plus masters")
 	flag.Float64Var(&cfg.Faults.SiteCrash.MTBF, "site-mtbf", cfg.Faults.SiteCrash.MTBF, "mean time between site crashes (s, 0 = off)")
@@ -88,7 +90,18 @@ func main() {
 	configPath := flag.String("config", "", "load the model configuration from a JSON file (model flags are then ignored)")
 	saveConfig := flag.String("save-config", "", "write the effective configuration to this file and exit")
 	obsFlags := obs.BindFlags(flag.CommandLine)
-	flag.Parse()
+	// Parse silently: a bad flag is one line on stderr, not the usage.
+	flag.CommandLine.Init("chicsim", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			flag.CommandLine.SetOutput(os.Stderr)
+			flag.Usage()
+			os.Exit(0)
+		}
+		fmt.Fprintln(os.Stderr, "chicsim:", err)
+		os.Exit(2)
+	}
 
 	if *configPath != "" {
 		f, err := os.Open(*configPath)

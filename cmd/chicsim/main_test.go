@@ -31,6 +31,7 @@ func TestErrorPaths(t *testing.T) {
 		{"-obs-stream into a missing directory", []string{"-obs-stream", "no-such-dir/s.csv"}, 1},
 		{"-obs into a missing directory", []string{"-obs", "no-such-dir/s.csv"}, 1},
 		{"-trace-out into a missing directory", []string{"-trace-out", "no-such-dir/t.jsonl"}, 1},
+		{"unknown flag", []string{"-bogus"}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

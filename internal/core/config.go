@@ -51,8 +51,8 @@ func (m ESMapping) String() string {
 
 // Result collection modes (Config.ResultMode).
 const (
-	// ResultModeFull keeps a record per completed job (the default; an
-	// empty ResultMode means the same thing).
+	// ResultModeFull keeps one response time, 8 bytes, per completed job
+	// (the default; an empty ResultMode means the same thing).
 	ResultModeFull = "full"
 	// ResultModeBounded collects results into constant-memory streaming
 	// aggregators; memory is independent of TotalJobs.
@@ -212,17 +212,17 @@ type Config struct {
 	Faults faults.Config `json:"faults,omitzero"`
 
 	// ResultMode selects how the run's results are collected.
-	// ResultModeFull (or empty, the default) keeps one measurement row per
-	// completed job — exact distribution statistics, O(jobs) memory.
-	// ResultModeBounded swaps the row slice for constant-memory streaming
+	// ResultModeFull (or empty, the default) keeps one response time per
+	// completed job — exact distribution statistics, 8 bytes a job.
+	// ResultModeBounded swaps that buffer for constant-memory streaming
 	// aggregators (internal/metrics/stream): every exact aggregate field
 	// of Results (counts, sums, means, min/max, makespan, transfer and
 	// fault counters, SiteJobGini) is byte-identical to full mode, while
 	// median/P95/histogram come from a 1%-relative-error sketch, a seeded
 	// deterministic reservoir samples exemplar rows, and exact per-site
 	// and per-file counts rank the hottest sites and datasets. Use
-	// bounded for million-job runs where the record slice would dominate
-	// memory.
+	// bounded for million-job runs where the response buffer would
+	// dominate memory.
 	ResultMode string `json:",omitempty"`
 
 	// ObsInterval, when > 0, books the run's one recurring observation

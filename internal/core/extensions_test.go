@@ -215,16 +215,9 @@ func TestCPUHeterogeneity(t *testing.T) {
 		t.Fatalf("done=%d", res.JobsDone)
 	}
 	// With spread, some jobs run faster than their nominal compute time.
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
 	faster := 0
-	for _, rec := range sim.collector.Records() {
-		if rec.End-rec.Start < rec.ComputeTime-1e-9 {
+	for _, rec := range runJobRows(t, cfg) {
+		if rec.end-rec.start < rec.compute-1e-9 {
 			faster++
 		}
 	}

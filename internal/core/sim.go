@@ -246,14 +246,6 @@ func New(cfg Config) (*Simulation, error) {
 		s.rec = trace.Discard
 	}
 	root := rng.New(cfg.Seed)
-	if cfg.ResultMode == ResultModeBounded {
-		// The reservoir draws from its own derived sub-stream; Derive does
-		// not perturb root, so every other named stream below is identical
-		// to full mode.
-		s.collector = metrics.NewBounded(root.Derive("results"))
-	} else {
-		s.collector = metrics.NewCollector()
-	}
 
 	var err error
 	if len(cfg.Tiers) > 0 {
@@ -290,6 +282,14 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	}
 	s.totalJobs = s.wl.TotalJobs()
+	if cfg.ResultMode == ResultModeBounded {
+		// The reservoir draws from its own derived sub-stream; Derive does
+		// not perturb root, so every other named stream is identical to
+		// full mode.
+		s.collector = metrics.NewBounded(root.Derive("results"))
+	} else {
+		s.collector = metrics.NewCollector(s.totalJobs)
+	}
 	for f, size := range s.wl.FileSizes {
 		if err := s.cat.DefineFile(storage.FileID(f), size); err != nil {
 			return nil, err

@@ -7,6 +7,7 @@ import (
 
 	"chicsim/internal/netsim"
 	"chicsim/internal/rng"
+	"chicsim/internal/trace"
 	"chicsim/internal/workload"
 )
 
@@ -19,6 +20,68 @@ func smallConfig() Config {
 	cfg.TotalJobs = 800
 	cfg.RegionFanout = 4
 	return cfg
+}
+
+// jobRow is one completed job's site and timeline as the run's trace
+// reports them, with its nominal compute time from the run's workload.
+type jobRow struct {
+	site                         int
+	submit, dispatch, start, end float64
+	compute                      float64
+}
+
+// runJobRows runs cfg with a trace log attached and returns one row per
+// completed job, keyed by job id.
+func runJobRows(t *testing.T, cfg Config) map[int]jobRow {
+	t.Helper()
+	log := trace.NewLog()
+	cfg.Recorder = log
+	sim, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sim.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	compute := make(map[int]float64, res.JobsDone)
+	for _, jobs := range sim.Workload().Jobs {
+		for _, spec := range jobs {
+			compute[int(spec.ID)] = spec.Compute
+		}
+	}
+	timelines := make(map[int]*jobRow)
+	row := func(id int) *jobRow {
+		r := timelines[id]
+		if r == nil {
+			c, ok := compute[id]
+			if !ok {
+				t.Fatalf("trace names job %d, which the workload lacks", id)
+			}
+			r = &jobRow{compute: c}
+			timelines[id] = r
+		}
+		return r
+	}
+	rows := make(map[int]jobRow, res.JobsDone)
+	for _, e := range log.Events() { // time order: a redispatch overwrites the first
+		switch e.Kind {
+		case trace.JobSubmitted:
+			row(e.Job).submit = e.T
+		case trace.JobDispatched:
+			row(e.Job).dispatch = e.T
+		case trace.JobStarted:
+			row(e.Job).start = e.T
+		case trace.JobCompleted:
+			r := row(e.Job)
+			r.end, r.site = e.T, e.Site
+			rows[e.Job] = *r
+		}
+	}
+	if len(rows) != res.JobsDone {
+		t.Fatalf("trace completed %d jobs, Results %d", len(rows), res.JobsDone)
+	}
+	return rows
 }
 
 func TestDefaultConfigValid(t *testing.T) {
@@ -282,17 +345,10 @@ func TestCentralMappingJobLocalRunsAtHost(t *testing.T) {
 	cfg.ES = "JobLocal"
 	cfg.DS = "DataDoNothing"
 	cfg.Mapping = ESCentral
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
 	// All jobs must have run at site 0, the central host.
-	for _, rec := range sim.collector.Records() {
-		if rec.Site != 0 {
-			t.Fatalf("job %d ran at %d under central JobLocal", rec.ID, rec.Site)
+	for id, rec := range runJobRows(t, cfg) {
+		if rec.site != 0 {
+			t.Fatalf("job %d ran at %d under central JobLocal", id, rec.site)
 		}
 	}
 }
@@ -355,20 +411,12 @@ func TestMaxMinSharingRuns(t *testing.T) {
 }
 
 func TestResponseNeverBelowCompute(t *testing.T) {
-	cfg := smallConfig()
-	sim, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range sim.collector.Records() {
-		if rec.Response() < rec.ComputeTime-1e-9 {
-			t.Fatalf("job %d response %v < compute %v", rec.ID, rec.Response(), rec.ComputeTime)
+	for id, rec := range runJobRows(t, smallConfig()) {
+		if resp := rec.end - rec.submit; resp < rec.compute-1e-9 {
+			t.Fatalf("job %d response %v < compute %v", id, resp, rec.compute)
 		}
-		if rec.Start < rec.Dispatch || rec.End < rec.Start || rec.Dispatch < rec.Submit {
-			t.Fatalf("job %d timestamps inverted", rec.ID)
+		if rec.start < rec.dispatch || rec.end < rec.start || rec.dispatch < rec.submit {
+			t.Fatalf("job %d timestamps inverted", id)
 		}
 	}
 }

@@ -7,17 +7,22 @@ import (
 	"chicsim/internal/topology"
 )
 
-// slabSize is how many jobs each slab holds. Slabs are fixed-size so the
-// *Job pointers handed out stay stable as the store grows (appending new
-// slabs never moves existing ones).
-const slabSize = 1024
+// The first slab holds firstSlab jobs and each later one twice as many as
+// the one before, up to maxSlab: a run with about a hundred live jobs
+// makes 192 entries rather than 1,024, and a million-job run grows in
+// 1,024-job steps. A slab is never resized or moved once made, so the
+// *Job pointers handed out stay stable as the store grows.
+const (
+	firstSlab = 64
+	maxSlab   = 1024
+)
 
 // recycled marks a freed job sitting on the Store's free list; any use of
 // such a job is a lifecycle bug and panics loudly in the State machinery.
 const recycled State = -1
 
 // Store is a slab allocator for jobs: the struct-of-arrays job storage
-// behind million-job runs. Jobs live in index-addressed slabs — hot
+// behind million-job runs. Jobs live in slabs that grow with the run — hot
 // scheduling fields in one array, cold timestamps in a parallel array —
 // and freed jobs go on a free list for reuse, so the steady-state
 // dispatch→fetch→exec→complete loop allocates nothing per job: after the
@@ -28,11 +33,10 @@ const recycled State = -1
 // store. A job handle is valid from Alloc until Free; the core frees a
 // job after its completion has been fully recorded.
 type Store struct {
-	slabs [][]Job   // hot fields, slabSize entries each
-	times [][]Times // cold timestamps, parallel to slabs
-	free  []*Job    // recycled entries, reused LIFO
-	next  int       // fresh entries handed out so far (high-water mark)
-	live  int       // entries allocated and not yet freed
+	fresh []Job  // the newest slab's entries not yet handed out
+	free  []*Job // recycled entries, reused LIFO
+	next  int    // fresh entries handed out so far (high-water mark)
+	live  int    // entries allocated and not yet freed
 }
 
 // NewStore returns an empty job store.
@@ -47,22 +51,30 @@ func (s *Store) Alloc(id ID, user UserID, origin topology.SiteID, inputs []stora
 		s.free[n-1] = nil
 		s.free = s.free[:n-1]
 	} else {
-		if s.next == len(s.slabs)*slabSize {
-			hot := make([]Job, slabSize)
-			cold := make([]Times, slabSize)
-			for i := range hot {
-				hot[i].Times = &cold[i]
-				hot[i].fromStore = true
-			}
-			s.slabs = append(s.slabs, hot)
-			s.times = append(s.times, cold)
+		if len(s.fresh) == 0 {
+			// The slabs so far hold firstSlab·(2^k − 1) entries, all
+			// handed out, so doubling makes the next one next+firstSlab.
+			s.fresh = newSlab(min(s.next+firstSlab, maxSlab))
 		}
-		j = &s.slabs[s.next/slabSize][s.next%slabSize]
+		j = &s.fresh[0]
+		s.fresh = s.fresh[1:]
 		s.next++
 	}
 	s.live++
 	initJob(j, id, user, origin, inputs, compute)
 	return j
+}
+
+// newSlab returns n store jobs: hot fields in one array, each pointing at
+// its cold timestamps in a parallel one.
+func newSlab(n int) []Job {
+	hot := make([]Job, n)
+	cold := make([]Times, n)
+	for i := range hot {
+		hot[i].Times = &cold[i]
+		hot[i].fromStore = true
+	}
+	return hot
 }
 
 // Free returns a terminal job's slot to the store for reuse. The handle

@@ -1,6 +1,7 @@
 package job
 
 import (
+	"slices"
 	"testing"
 
 	"chicsim/internal/rng"
@@ -134,4 +135,51 @@ func TestStoreFreePanics(t *testing.T) {
 		}()
 		s.Free(j)
 	})
+}
+
+// TestStoreSlabsGrowWithTheRun checks the slabs a growing store makes — 64
+// jobs doubling to 1,024 — and that growing past 2,048 jobs leaves every
+// first-slab handle pointing at its own job, and that the store reuses
+// freed first-slab slots before it makes another.
+func TestStoreSlabsGrowWithTheRun(t *testing.T) {
+	s := NewStore()
+	var sizes []int
+	first := make([]*Job, 0, firstSlab)
+	n := 2*maxSlab + firstSlab + 1
+	for i := 0; i < n; i++ {
+		made := len(s.fresh) == 0
+		j := s.Alloc(ID(i), 0, 0, nil, 1)
+		j.RunIdx = i
+		if made {
+			sizes = append(sizes, len(s.fresh)+1)
+		}
+		if i < firstSlab {
+			first = append(first, j)
+		}
+	}
+	if want := []int{64, 128, 256, 512, 1024, 1024}; !slices.Equal(sizes, want) {
+		t.Fatalf("slab sizes = %v, want %v", sizes, want)
+	}
+	for i, j := range first {
+		if j.ID != ID(i) || j.RunIdx != i {
+			t.Fatalf("first-slab handle %d moved or was clobbered by slab growth: %+v", i, j)
+		}
+	}
+
+	for _, j := range first {
+		s.Free(j)
+	}
+	hw := s.HighWater()
+	reused := make(map[*Job]bool, len(first))
+	for i := 0; i < len(first); i++ {
+		reused[s.Alloc(ID(n+i), 0, 0, nil, 1)] = true
+	}
+	for i, j := range first {
+		if !reused[j] {
+			t.Fatalf("freed first-slab slot %d was not reused", i)
+		}
+	}
+	if s.HighWater() != hw || s.Live() != n {
+		t.Fatalf("HighWater = %d, Live = %d after reuse, want %d and %d", s.HighWater(), s.Live(), hw, n)
+	}
 }

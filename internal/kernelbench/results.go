@@ -18,10 +18,11 @@ import (
 // Summarizes — the whole results pipeline of a run, isolated from the
 // simulation kernel. One Job struct is reused for every synthetic
 // completion, so allocs/op and B/op charge the collector alone: full
-// mode appends one JobRecord per job (linear in jobs), bounded mode
-// touches fixed-size sketches (flat). The run's retained results
-// memory is reported as live-results-bytes, measured on the final
-// iteration while the collector is still holding its state.
+// mode is built with the job count, as a simulation builds it, and keeps
+// one 8-byte response time per job in a buffer allocated once (linear in
+// jobs); bounded mode touches fixed-size sketches (flat). The run's
+// retained results memory is reported as live-results-bytes, measured on
+// the final iteration while the collector is still holding its state.
 func ResultsMemory(mode string, jobs int) func(*testing.B) {
 	return func(b *testing.B) {
 		j := job.New(0, 0, 0, make([]storage.FileID, 1), 60)
@@ -37,7 +38,7 @@ func ResultsMemory(mode string, jobs int) func(*testing.B) {
 			if mode == core.ResultModeBounded {
 				c = metrics.NewBounded(rng.New(1).Derive("results"))
 			} else {
-				c = metrics.NewCollector()
+				c = metrics.NewCollector(jobs)
 			}
 			for i := 0; i < jobs; i++ {
 				j.ID = job.ID(i)

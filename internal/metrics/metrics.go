@@ -3,13 +3,14 @@
 // per job, and average processor idle time (§5.2), plus supporting detail
 // (queue waits, transfer split by cause, makespan, percentiles).
 //
-// The Collector runs in one of two modes. Full mode (NewCollector) keeps a
-// JobRecord per completed job — O(jobs) memory — and computes distribution
-// statistics from the raw rows. Bounded mode (NewBounded) replaces the
-// record slice with the constant-memory aggregators in metrics/stream (a
-// log-bucketed histogram for quantiles and a seeded reservoir of exemplar
-// rows) and ranks the hottest sites and datasets from exact per-site and
-// per-file job counts, O(sites + files) memory. Every exact aggregate
+// The Collector runs in one of two modes. Full mode (NewCollector) keeps
+// one response time per completed job — 8 bytes a job, in one buffer sized
+// for the whole run — and computes the exact median, P95 and histogram from
+// them. Bounded mode (NewBounded) replaces that buffer with the
+// constant-memory aggregators in metrics/stream (a log-bucketed histogram
+// for quantiles and a seeded reservoir of exemplar rows) and ranks the
+// hottest sites and datasets from exact per-site and per-file job counts,
+// O(sites + files) memory. Every exact aggregate
 // (counts, sums, means, min/max, makespan, transfer counters) is
 // accumulated identically — same floating-point operations in the same
 // completion order — so the exact fields of Results are byte-identical
@@ -21,8 +22,8 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
-	"sort"
 
 	"chicsim/internal/desim"
 	"chicsim/internal/job"
@@ -63,7 +64,8 @@ const (
 	OutputTransfer
 )
 
-// JobRecord is the completed-job measurement row.
+// JobRecord is the completed-job measurement row: the exemplar row bounded
+// mode samples.
 type JobRecord struct {
 	ID          job.ID
 	User        job.UserID
@@ -138,9 +140,11 @@ type Collector struct {
 	respMax     float64
 	siteJobs    []float64
 
-	// Full mode: the raw rows (quantiles and the response histogram are
-	// computed exactly from these).
-	records []JobRecord
+	// Full mode: every response time (the exact quantiles and histogram
+	// need nothing else). Allocated at the first completion with room for
+	// the expected jobs, so the run appends without growing it.
+	responses    []float64
+	expectedJobs int
 
 	// Bounded mode: constant-memory sketches standing in for the rows,
 	// and the completed jobs that read each file, by FileID.
@@ -156,9 +160,10 @@ type Collector struct {
 	outputCount int
 }
 
-// NewCollector returns an empty full-mode collector (one JobRecord kept
-// per completed job).
-func NewCollector() *Collector { return &Collector{} }
+// NewCollector returns an empty full-mode collector that keeps one
+// response time per completed job. jobs is how many jobs the run will
+// complete at most; the buffer is sized for it at the first completion.
+func NewCollector(jobs int) *Collector { return &Collector{expectedJobs: jobs} }
 
 // NewBounded returns a bounded-mode collector whose memory is independent
 // of how many jobs complete. src seeds the exemplar reservoir; pass a
@@ -220,7 +225,10 @@ func (c *Collector) JobDone(j *job.Job) {
 	}
 
 	if !c.bounded {
-		c.records = append(c.records, rec)
+		if c.responses == nil {
+			c.responses = make([]float64, 0, c.expectedJobs)
+		}
+		c.responses = append(c.responses, resp)
 		return
 	}
 	c.hist.Observe(resp)
@@ -252,11 +260,6 @@ func (c *Collector) Transfer(p TransferPurpose, bytes float64) {
 
 // JobsDone returns the number of completed jobs recorded.
 func (c *Collector) JobsDone() int { return c.jobs }
-
-// Records returns the recorded rows (shared slice; treat as read-only).
-// Bounded mode keeps no rows and returns nil; use SiteJobCounts and the
-// Results sketch fields instead.
-func (c *Collector) Records() []JobRecord { return c.records }
 
 // SiteJobCounts returns per-site completed-job counts padded with zeros to
 // numSites entries (sites that completed nothing still count toward load
@@ -326,6 +329,8 @@ type Results struct {
 
 // Summarize computes the aggregates. busyCEIntegral is Σ over sites of
 // ∫ busy(t) dt up to makespan; totalCEs is the grid-wide processor count.
+// In full mode it reorders the response buffer in place; calling it again
+// gives the same Results.
 func (c *Collector) Summarize(busyCEIntegral float64, totalCEs int) Results {
 	r := Results{
 		JobsDone:    c.jobs,
@@ -359,14 +364,18 @@ func (c *Collector) Summarize(busyCEIntegral float64, totalCEs int) Results {
 		r.TopSites = hottest(c.siteJobs, HotReportK)
 		r.TopDatasets = hottest(c.fileJobs, HotReportK)
 	} else {
-		responses := make([]float64, 0, len(c.records))
-		for _, rec := range c.records {
-			responses = append(responses, rec.Response())
-		}
-		sort.Float64s(responses)
-		r.MedResponseSec = percentile(responses, 0.5)
-		r.P95ResponseSec = percentile(responses, 0.95)
-		r.RespHistCounts, r.RespHistEdges = stats.Histogram(responses, RespHistBins)
+		// Selection reorders the buffer in place; neither the nearest-rank
+		// values nor the histogram depend on its order. Every value at or
+		// below the P95 rank is in xs[:p95+1], so the median is selected
+		// within it.
+		xs := c.responses
+		p95 := nearestRank(0.95, len(xs))
+		selectRank(xs, p95)
+		r.P95ResponseSec = xs[p95]
+		med := nearestRank(0.5, len(xs))
+		selectRank(xs[:p95+1], med)
+		r.MedResponseSec = xs[med]
+		r.RespHistCounts, r.RespHistEdges = stats.Histogram(xs, RespHistBins)
 	}
 
 	const mb = 1e6
@@ -402,17 +411,48 @@ func hottest(counts []float64, k int) []HotItem {
 	return items[:min(k, len(items))]
 }
 
-// percentile returns the p-quantile of sorted xs by nearest-rank.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank returns the index the nearest-rank p-quantile of n values
+// has in their sorted order.
+func nearestRank(p float64, n int) int {
+	return min(max(int(math.Ceil(p*float64(n)))-1, 0), n-1)
+}
+
+// selectRank reorders xs so that xs[k] holds the value sorting would put
+// there, with nothing greater before it and nothing smaller after it.
+// Quickselect with a median-of-three pivot and a three-way partition (runs
+// of equal values end a pass at once); a range still unsettled after
+// 2·log2(n) passes is sorted outright, which bounds the worst case.
+func selectRank(xs []float64, k int) {
+	lo, hi := 0, len(xs)-1
+	for budget := 2 * bits.Len(uint(len(xs))); lo < hi; budget-- {
+		if budget == 0 {
+			slices.Sort(xs[lo : hi+1])
+			return
+		}
+		a, b, c := xs[lo], xs[lo+(hi-lo)/2], xs[hi]
+		pivot := max(min(a, b), min(max(a, b), c))
+		// xs[lo:lt] < pivot, xs[lt:i] == pivot, xs[gt+1:hi+1] > pivot.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch x := xs[i]; {
+			case x < pivot:
+				xs[lt], xs[i] = x, xs[lt]
+				lt++
+				i++
+			case x > pivot:
+				xs[i], xs[gt] = xs[gt], x
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return
+		}
 	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(sorted) {
-		idx = len(sorted) - 1
-	}
-	return sorted[idx]
 }

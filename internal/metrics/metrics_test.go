@@ -1,12 +1,16 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"chicsim/internal/job"
 	"chicsim/internal/rng"
+	"chicsim/internal/stats"
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
 )
@@ -21,7 +25,7 @@ func doneJob(id job.ID, submit, start, end float64) *job.Job {
 }
 
 func TestJobDoneAndSummarize(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(3)
 	c.JobDone(doneJob(1, 0, 10, 110))  // response 110
 	c.JobDone(doneJob(2, 50, 60, 160)) // response 110
 	c.JobDone(doneJob(3, 0, 0, 400))   // response 400
@@ -62,14 +66,14 @@ func TestJobDoneAndSummarize(t *testing.T) {
 }
 
 func TestEmptyCollector(t *testing.T) {
-	r := NewCollector().Summarize(0, 10)
+	r := NewCollector(0).Summarize(0, 10)
 	if r.JobsDone != 0 || r.AvgResponseSec != 0 || r.IdleFrac != 0 {
 		t.Fatalf("empty results = %+v", r)
 	}
 }
 
 func TestJobDonePanicsOnUnfinished(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(1)
 	j := job.New(1, 0, 0, nil, 1)
 	defer func() {
 		if recover() == nil {
@@ -80,13 +84,29 @@ func TestJobDonePanicsOnUnfinished(t *testing.T) {
 }
 
 func TestIdleClamped(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(1)
 	c.JobDone(doneJob(1, 0, 0, 100))
 	// Busy integral exceeding capacity (numeric excursion) clamps to 0.
 	r := c.Summarize(1e9, 1)
 	if r.IdleFrac != 0 {
 		t.Fatalf("IdleFrac = %v, want clamp to 0", r.IdleFrac)
 	}
+}
+
+// percentile returns the p-quantile of sorted xs by nearest-rank: the
+// sort-based reference the collector's selection must reproduce.
+func percentile(sorted []float64, p float64) float64 {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
 }
 
 func TestPercentile(t *testing.T) {
@@ -106,7 +126,7 @@ func TestPercentile(t *testing.T) {
 }
 
 func TestRecordFields(t *testing.T) {
-	c := NewCollector()
+	c := NewBounded(rng.New(1))
 	j := job.New(7, 3, 2, []storage.FileID{1}, 50)
 	j.Advance(job.Submitted, 5)
 	j.Advance(job.Queued, 6)
@@ -114,7 +134,11 @@ func TestRecordFields(t *testing.T) {
 	j.Advance(job.Done, 60)
 	j.Site = 4
 	c.JobDone(j)
-	rec := c.Records()[0]
+	ex := c.Summarize(0, 1).Exemplars
+	if len(ex) != 1 {
+		t.Fatalf("exemplars = %d, want the one completed job", len(ex))
+	}
+	rec := ex[0]
 	if rec.ID != 7 || rec.User != 3 || rec.Origin != 2 || rec.Site != 4 {
 		t.Fatalf("identity fields wrong: %+v", rec)
 	}
@@ -141,7 +165,7 @@ func fillBoth(t *testing.T, n int) (full, bounded Results) {
 		c.Transfer(ReplicationTransfer, 100e6)
 		return c.Summarize(float64(n)*20, 8)
 	}
-	full = feed(NewCollector())
+	full = feed(NewCollector(n))
 	bounded = feed(NewBounded(rng.New(99).Derive("results")))
 	return full, bounded
 }
@@ -287,8 +311,8 @@ func TestBoundedExemplarsDeterministic(t *testing.T) {
 func TestBoundedRecordsNil(t *testing.T) {
 	c := NewBounded(rng.New(1))
 	c.JobDone(doneJob(1, 0, 10, 20))
-	if c.Records() != nil {
-		t.Fatal("bounded collector kept records")
+	if c.responses != nil {
+		t.Fatal("bounded collector kept response times")
 	}
 	if !c.Bounded() {
 		t.Fatal("Bounded() = false")
@@ -299,7 +323,7 @@ func TestBoundedRecordsNil(t *testing.T) {
 }
 
 func TestSiteJobCountsPadded(t *testing.T) {
-	c := NewCollector()
+	c := NewCollector(1)
 	j := doneJob(1, 0, 5, 10)
 	j.Site = 2
 	c.JobDone(j)
@@ -321,5 +345,87 @@ func TestTransferPanicsOnUnknownPurpose(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCollector().Transfer(TransferPurpose(9), 1)
+	NewCollector(0).Transfer(TransferPurpose(9), 1)
+}
+
+// TestQuantilesMatchSortReference checks that full mode's selection-based
+// median, P95 and histogram are bit-identical to sorting the responses and
+// reading the nearest ranks, on random slices with and without ties and at
+// the smallest sizes, and that summarizing twice gives the same Results.
+func TestQuantilesMatchSortReference(t *testing.T) {
+	src := rng.New(31)
+	cases := map[string][]float64{
+		"n=1":       {42},
+		"n=2":       {7, 3},
+		"n=3":       {5, 1, 5},
+		"all equal": make([]float64, 97),
+	}
+	for i := range cases["all equal"] {
+		cases["all equal"][i] = 120
+	}
+	for _, n := range []int{4, 5, 19, 20, 21, 100, 1000, 6000} {
+		distinct := make([]float64, n)
+		ties := make([]float64, n)
+		for i := range distinct {
+			distinct[i] = src.Range(60, 5000)
+			ties[i] = float64(src.Intn(7)) * 60 // few values, many ties
+		}
+		cases[fmt.Sprintf("distinct n=%d", n)] = distinct
+		cases[fmt.Sprintf("ties n=%d", n)] = ties
+	}
+	// An ascending and a descending run: no pivot luck.
+	up, down := make([]float64, 2048), make([]float64, 2048)
+	for i := range up {
+		up[i], down[len(down)-1-i] = float64(i), float64(i)
+	}
+	cases["ascending"], cases["descending"] = up, down
+	for name, resp := range cases {
+		t.Run(name, func(t *testing.T) {
+			c := NewCollector(len(resp))
+			for i, r := range resp {
+				c.JobDone(doneJob(job.ID(i), 0, 0, r))
+			}
+			got := c.Summarize(0, 1)
+
+			sorted := slices.Clone(resp)
+			sort.Float64s(sorted)
+			if med := percentile(sorted, 0.5); got.MedResponseSec != med {
+				t.Errorf("median = %v, sorted reference %v", got.MedResponseSec, med)
+			}
+			if p95 := percentile(sorted, 0.95); got.P95ResponseSec != p95 {
+				t.Errorf("P95 = %v, sorted reference %v", got.P95ResponseSec, p95)
+			}
+			counts, edges := stats.Histogram(sorted, RespHistBins)
+			if !slices.Equal(got.RespHistCounts, counts) || !slices.Equal(got.RespHistEdges, edges) {
+				t.Errorf("histogram = %v %v, sorted reference %v %v",
+					got.RespHistCounts, got.RespHistEdges, counts, edges)
+			}
+			if again := c.Summarize(0, 1); !reflect.DeepEqual(again, got) {
+				t.Errorf("second Summarize differs:\n%+v\n%+v", again, got)
+			}
+		})
+	}
+}
+
+// TestFullCollectorAllocatesOnce checks that a full collector built with
+// the run's job count allocates its response buffer once, at the first
+// completion, and never grows it.
+func TestFullCollectorAllocatesOnce(t *testing.T) {
+	const n = 5000
+	jobs := make([]*job.Job, n)
+	for i := range jobs {
+		jobs[i] = doneJob(job.ID(i), float64(i), float64(i)+1, float64(i)+60)
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		c := NewCollector(n)
+		for _, j := range jobs {
+			c.JobDone(j)
+		}
+		if c.JobsDone() != n {
+			t.Fatalf("JobsDone = %d", c.JobsDone())
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("%v allocations for %d completions, want 1", allocs, n)
+	}
 }
