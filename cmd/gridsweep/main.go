@@ -21,13 +21,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -44,11 +44,7 @@ import (
 )
 
 func main() {
-	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, faults, feedback, seeds, sensitivity, ablations, all")
-	siteMTBFs := flag.String("site-mtbf", "0,14400,7200,3600", "comma-separated site-crash MTBFs for -fig faults (s; 0 = failure-free control)")
-	faultMTTR := flag.Float64("fault-mttr", 600, "mean site repair time for -fig faults/feedback (s)")
-	fbStaleness := flag.Float64("feedback-staleness", 120, "GIS InfoStaleness for the -fig feedback contended scenario (s)")
-	fbMTBF := flag.Float64("feedback-mtbf", 3600, "site-crash MTBF for the -fig feedback degraded column (s; 0 = skip)")
+	fig := flag.String("fig", "all", "which figure to regenerate: 3a, 3b, 4, 5, seeds, sensitivity, ablations, all")
 	csv := flag.Bool("csv", false, "emit CSV rows instead of tables")
 	md := flag.Bool("md", false, "emit markdown tables (EXPERIMENTS.md format)")
 	quick := flag.Bool("quick", false, "reduced workload (1500 jobs, 1 seed) for a fast check")
@@ -62,15 +58,26 @@ func main() {
 	fleetTrace := flag.String("fleet-trace", "", "with -dispatch: write the campaign timeline as a Chrome/Perfetto trace to this file after the merge (.gz gzips)")
 	resultMode := flag.String("result-mode", "", "result collection for every simulation: full (default) or bounded (constant-memory sketches)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
-	flag.Parse()
-
-	if obsFlags.StreamPath != "" {
-		fmt.Fprintln(os.Stderr, "gridsweep: -obs-stream applies to a single simulation; ignoring (use chicsim -obs-stream)")
-		obsFlags.StreamPath = ""
+	// Parse silently: a bad flag is one line on stderr, not the usage.
+	flag.CommandLine.Init("gridsweep", flag.ContinueOnError)
+	flag.CommandLine.SetOutput(io.Discard)
+	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			flag.CommandLine.SetOutput(os.Stderr)
+			flag.Usage()
+			os.Exit(0)
+		}
+		usageError("%v", err)
 	}
-	if obsFlags.TracePath != "" {
-		fmt.Fprintln(os.Stderr, "gridsweep: -trace-out applies to a single simulation; ignoring (use chicsim -trace-out or dgetrace -run)")
-		obsFlags.TracePath = ""
+	switch {
+	case obsFlags.StreamPath != "":
+		usageError("-obs-stream applies to a single simulation (use chicsim -obs-stream)")
+	case obsFlags.TracePath != "":
+		usageError("-trace-out applies to a single simulation (use chicsim -trace-out or dgetrace -run)")
+	case *fleetTrace != "" && *dispatch == "":
+		usageError("-fleet-trace needs -dispatch")
+	case *dispatch != "" && (obsFlags.ListenAddr != "" || obsFlags.MetricsPath != "" || obsFlags.WatchdogMode != "off"):
+		usageError("-listen, -metrics-out and -watchdog run on the dispatcher and workers, not with -dispatch")
 	}
 
 	base := core.DefaultConfig()
@@ -80,22 +87,20 @@ func main() {
 		return
 	}
 
-	var mtbfs []float64
+	var cells []experiments.Cell
 	switch *fig {
-	case "faults":
-		for _, part := range strings.Split(*siteMTBFs, ",") {
-			v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			if err != nil || v < 0 {
-				fmt.Fprintf(os.Stderr, "gridsweep: bad -site-mtbf value %q\n", part)
-				os.Exit(2)
-			}
-			mtbfs = append(mtbfs, v)
-		}
-	case "feedback":
-		mtbfs = []float64{0}
-		if *fbMTBF > 0 {
-			mtbfs = append(mtbfs, *fbMTBF)
-		}
+	case "3a", "3b", "4", "seeds":
+		cells = experiments.PaperCells(10)
+	case "5":
+		cells = experiments.Figure5Cells()
+	case "ablations":
+		cells = experiments.AblationCells()
+	case "sensitivity":
+		cells = experiments.SensitivityCells()
+	case "all":
+		cells = experiments.FullPaperCampaign(base).Cells
+	default:
+		usageError("unknown figure %q", *fig)
 	}
 
 	if *fromJSONL != "" {
@@ -120,7 +125,7 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "gridsweep: rebuilding reports from %d streamed cells in %s\n",
 			len(results), *fromJSONL)
-		render(results, *fig, *csv, *md, mtbfs)
+		render(results, *fig, *csv, *md)
 		return
 	}
 
@@ -134,50 +139,13 @@ func main() {
 		seedList = append(seedList, uint64(s))
 	}
 
-	var cells []experiments.Cell
-	switch *fig {
-	case "3a", "3b", "4":
-		cells = experiments.PaperCells(10)
-	case "5":
-		cells = experiments.Figure5Cells()
-	case "seeds", "ablations":
-		if len(seedList) < 2 {
-			fmt.Fprintf(os.Stderr, "gridsweep: -fig %s needs -seeds 2 or more (and no -quick)\n", *fig)
-			os.Exit(2)
-		}
-		cells = experiments.PaperCells(10)
-		if *fig == "ablations" {
-			cells = experiments.AblationCells()
-		}
-	case "sensitivity":
-		cells = experiments.SensitivityCells()
-	case "faults":
-		base.Faults.SiteCrash.MTTR = *faultMTTR
-		base.Faults.RequeueOnRecovery = true
-		base.Faults.RestoreReplicas = true
-		cells = experiments.FaultSweepCells(10, mtbfs)
-	case "feedback":
-		// Contended grid: stale scheduling information is what the
-		// telemetry loop compensates for. The degraded column adds site
-		// crashes on top (fault-telemetry avoidance).
-		base.InfoStaleness = *fbStaleness
-		base.Faults.SiteCrash.MTTR = *faultMTTR
-		base.Faults.RequeueOnRecovery = true
-		base.Faults.RestoreReplicas = true
-		cells = experiments.FeedbackSweepCells(10, mtbfs)
-	case "all":
-		cells = append(experiments.PaperCells(10), experiments.PaperCells(100)...)
-	default:
-		fmt.Fprintf(os.Stderr, "gridsweep: unknown figure %q\n", *fig)
-		os.Exit(2)
+	if (*fig == "seeds" || *fig == "ablations") && len(seedList) < 2 {
+		usageError("-fig %s needs -seeds 2 or more (and no -quick)", *fig)
 	}
 
 	if *dispatch != "" {
-		runDispatched(*dispatch, base, cells, seedList, obsFlags, *jsonlPath, *fleetTrace, *fig, *csv, *md, mtbfs)
+		runDispatched(*dispatch, base, cells, seedList, obsFlags, *jsonlPath, *fleetTrace, *fig, *csv, *md)
 		return
-	}
-	if *fleetTrace != "" {
-		fmt.Fprintln(os.Stderr, "gridsweep: -fleet-trace only applies with -dispatch; ignoring")
 	}
 
 	totalSims := len(cells) * len(seedList)
@@ -379,7 +347,13 @@ func main() {
 		}
 	}
 
-	render(results, *fig, *csv, *md, mtbfs)
+	render(results, *fig, *csv, *md)
+}
+
+// usageError reports a bad invocation in one line and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "gridsweep: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 // runDispatched shards the campaign across a fabric dispatcher instead of
@@ -389,10 +363,7 @@ func main() {
 // campaign order, the stream — and every report rendered from it — is
 // byte-identical to a single-process run.
 func runDispatched(addr string, base core.Config, cells []experiments.Cell, seeds []uint64,
-	obsFlags *obs.Flags, jsonlPath, fleetTrace, fig string, csv, md bool, mtbfs []float64) {
-	if obsFlags.ListenAddr != "" || obsFlags.MetricsPath != "" || obsFlags.WatchdogMode != "off" {
-		fmt.Fprintln(os.Stderr, "gridsweep: -listen/-metrics-out/-watchdog run on the dispatcher and workers; ignoring in -dispatch mode")
-	}
+	obsFlags *obs.Flags, jsonlPath, fleetTrace, fig string, csv, md bool) {
 	spec := fabric.CampaignSpec{Base: base, Cells: cells, Seeds: seeds}
 	client := &fabric.Client{BaseURL: addr}
 	sub, err := client.Submit(spec)
@@ -470,7 +441,7 @@ func runDispatched(addr string, base core.Config, cells []experiments.Cell, seed
 			os.Exit(1)
 		}
 	}
-	render(results, fig, csv, md, mtbfs)
+	render(results, fig, csv, md)
 }
 
 // progressLine renders one -dispatch progress line. The fleet endpoint
@@ -521,7 +492,7 @@ func writeFleetTrace(client *fabric.Client, path string) error {
 
 // render writes the requested report for results, whether they came from a
 // live campaign or a -from-jsonl stream.
-func render(results []experiments.CellResult, fig string, csv, md bool, mtbfs []float64) {
+func render(results []experiments.CellResult, fig string, csv, md bool) {
 	// The three studies have one output format each.
 	switch fig {
 	case "seeds":
@@ -559,10 +530,6 @@ func render(results []experiments.CellResult, fig string, csv, md bool, mtbfs []
 		return
 	}
 	switch fig {
-	case "faults":
-		printFaultTable(results, mtbfs)
-	case "feedback":
-		printFeedbackTable(results, mtbfs)
 	case "3a":
 		report.Grid(os.Stdout, results, report.ResponseTime, esNames, dsNames, 10)
 	case "3b":
@@ -614,94 +581,6 @@ func writeMetricsSnapshot(reg *registry.Registry, path string) error {
 		fmt.Fprintf(os.Stderr, "gridsweep: wrote metrics snapshot to %s\n", path)
 	}
 	return werr
-}
-
-// schedulerPairs indexes results by cell and lists their distinct
-// (ES, DS, bandwidth) pairs in first-seen order: the rows of the MTBF
-// sweep tables.
-func schedulerPairs(results []experiments.CellResult) (map[experiments.Cell]*experiments.CellResult, []experiments.Cell) {
-	var pairs []experiments.Cell
-	seen := make(map[experiments.Cell]bool)
-	for _, cr := range results {
-		key := experiments.Cell{ES: cr.Cell.ES, DS: cr.Cell.DS, BandwidthMBps: cr.Cell.BandwidthMBps}
-		if !seen[key] {
-			seen[key] = true
-			pairs = append(pairs, key)
-		}
-	}
-	return experiments.ByCell(results), pairs
-}
-
-// printFaultTable renders the degraded-grid sweep: one row per scheduler
-// pair, one column per site-crash MTBF, cell value = mean response time
-// over seeds (with the abandoned-job count when any jobs were lost).
-func printFaultTable(results []experiments.CellResult, mtbfs []float64) {
-	byCell, pairs := schedulerPairs(results)
-	fmt.Println("Degraded grid: avg response time (s) vs site-crash MTBF")
-	fmt.Printf("%-34s", "ES+DS")
-	for _, m := range mtbfs {
-		if m == 0 {
-			fmt.Printf("  %12s", "no faults")
-		} else {
-			fmt.Printf("  %10gs", m)
-		}
-	}
-	fmt.Println()
-	for _, p := range pairs {
-		fmt.Printf("%-34s", p.ES+"+"+p.DS)
-		for _, m := range mtbfs {
-			key := p
-			key.SiteMTBF = m
-			cr, ok := byCell[key]
-			if !ok || cr.Err != nil || len(cr.Runs) == 0 {
-				fmt.Printf("  %12s", "-")
-				continue
-			}
-			abandoned := 0
-			for _, r := range cr.Runs {
-				abandoned += r.JobsFailed
-			}
-			if abandoned > 0 {
-				fmt.Printf("  %8.0f(%d!)", cr.AvgResponseSec, abandoned)
-			} else {
-				fmt.Printf("  %12.0f", cr.AvgResponseSec)
-			}
-		}
-		fmt.Println()
-	}
-	fmt.Println("(! = jobs abandoned after exhausting retries, summed over seeds)")
-}
-
-// printFeedbackTable renders the adaptive-vs-static sweep: one row per
-// scheduler pair, a contended column (stale GIS, no faults) and, when
-// requested, a degraded column (site crashes on top).
-func printFeedbackTable(results []experiments.CellResult, mtbfs []float64) {
-	byCell, pairs := schedulerPairs(results)
-	fmt.Println("Feedback sweep: avg response time (s), contended grid (stale GIS)")
-	fmt.Printf("%-34s", "ES+DS")
-	for _, m := range mtbfs {
-		if m == 0 {
-			fmt.Printf("  %14s", "contended")
-		} else {
-			fmt.Printf("  %5s%8gs", "+mtbf", m)
-		}
-	}
-	fmt.Println()
-	for _, p := range pairs {
-		fmt.Printf("%-34s", p.ES+"+"+p.DS)
-		for _, m := range mtbfs {
-			key := p
-			key.SiteMTBF = m
-			cr, ok := byCell[key]
-			if !ok || cr.Err != nil || len(cr.Runs) == 0 {
-				fmt.Printf("  %14s", "-")
-				continue
-			}
-			fmt.Printf("  %11.0f±%-2.0f", cr.AvgResponseSec, cr.CI95ResponseSec)
-		}
-		fmt.Println()
-	}
-	fmt.Println("(± = 95% CI half-width over seeds)")
 }
 
 // writeReferenceSeries dumps the probe series of the campaign's reference

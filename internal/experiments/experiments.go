@@ -28,7 +28,8 @@ import (
 
 // Cell identifies one (ES, DS, bandwidth) combination in the campaign.
 // SiteMTBF, when > 0, additionally subjects the cell to site-crash fault
-// injection at that mean time between failures (degraded-grid sweeps).
+// injection at that mean time between failures (the degraded-grid
+// studies), with crashed sites' jobs requeued and replicas restored.
 // Param, when set, names a parameter of the params table that the cell
 // sets to Value, or to Level when the parameter is categorical. All three
 // are omitted from JSON when zero, so a cell without a parameter keeps
@@ -75,12 +76,14 @@ func (c Cell) Validate() error {
 }
 
 // apply sets the cell's coordinates on cfg: ES, DS and bandwidth, site
-// crashes when SiteMTBF > 0, then Param last, so a bandwidth sweep point
-// overrides the cell's bandwidth. An invalid cell is reported, not run.
+// crashes and their recovery policy when SiteMTBF > 0, then Param last,
+// so a bandwidth sweep point overrides the cell's bandwidth. An invalid
+// cell is reported, not run.
 func (c Cell) apply(cfg *core.Config) error {
 	cfg.ES, cfg.DS, cfg.BandwidthMBps = c.ES, c.DS, c.BandwidthMBps
 	if c.SiteMTBF > 0 {
 		cfg.Faults.SiteCrash.MTBF = c.SiteMTBF
+		cfg.Faults.RequeueOnRecovery, cfg.Faults.RestoreReplicas = true, true
 		if cfg.Faults.SiteCrash.MTTR == 0 {
 			cfg.Faults.SiteCrash.MTTR = 600
 		}
@@ -332,46 +335,6 @@ func Figure5Cells() []Cell {
 	return cells
 }
 
-// FaultSweepCells returns the degraded-grid sweep: the paper's winning
-// pair (JobDataPresent+DataLeastLoaded) against the random baseline
-// (JobRandom+DataRandom), each at every site-crash MTBF in mtbfs. An
-// MTBF of 0 is the failure-free control column.
-func FaultSweepCells(bandwidthMBps float64, mtbfs []float64) []Cell {
-	pairs := []struct{ es, ds string }{
-		{"JobDataPresent", "DataLeastLoaded"},
-		{"JobRandom", "DataRandom"},
-	}
-	var cells []Cell
-	for _, p := range pairs {
-		for _, mtbf := range mtbfs {
-			cells = append(cells, Cell{ES: p.es, DS: p.ds, BandwidthMBps: bandwidthMBps, SiteMTBF: mtbf})
-		}
-	}
-	return cells
-}
-
-// FeedbackSweepCells returns the adaptive-vs-static sweep: the feedback
-// pair (JobFeedback+DataFeedback) against the paper's strongest static
-// pairs, each at the given bandwidth and at every site-crash MTBF in
-// mtbfs (0 = failure-free column). Run it on a contended base config
-// (e.g. InfoStaleness raised to 120 s) to expose the stale-information
-// herding the telemetry loop corrects.
-func FeedbackSweepCells(bandwidthMBps float64, mtbfs []float64) []Cell {
-	pairs := []struct{ es, ds string }{
-		{"JobFeedback", "DataFeedback"},
-		{"JobDataPresent", "DataLeastLoaded"},
-		{"JobDataPresent", "DataRandom"},
-		{"JobLeastLoaded", "DataLeastLoaded"},
-	}
-	var cells []Cell
-	for _, p := range pairs {
-		for _, mtbf := range mtbfs {
-			cells = append(cells, Cell{ES: p.es, DS: p.ds, BandwidthMBps: bandwidthMBps, SiteMTBF: mtbf})
-		}
-	}
-	return cells
-}
-
 // SensitivityCells returns the sensitivity study: every sweep point of
 // every parameter Table 1 leaves unspecified, each for the headline
 // comparison of decoupled JobDataPresent+DataLeastLoaded against the best
@@ -427,6 +390,29 @@ func Ablations() []Ablation {
 		}
 		return arms
 	}
+	crashes := func(c Cell) []Cell {
+		arms := []Cell{c}
+		for _, mtbf := range []float64{14400, 7200, 3600} {
+			c.SiteMTBF = mtbf
+			arms = append(arms, c)
+		}
+		return arms
+	}
+	// The adaptive pair against the paper's strongest static pairs on a
+	// contended grid, where stale scheduling information is what the
+	// telemetry loop compensates for.
+	feedback := func(mtbf float64) []Cell {
+		var arms []Cell
+		for _, p := range [][2]string{
+			{"JobDataPresent", "DataLeastLoaded"},
+			{"JobFeedback", "DataFeedback"},
+			{"JobDataPresent", "DataRandom"},
+			{"JobLeastLoaded", "DataLeastLoaded"},
+		} {
+			arms = append(arms, at(Cell{ES: p[0], DS: p[1], BandwidthMBps: 10, SiteMTBF: mtbf}, "staleness", 120))
+		}
+		return arms
+	}
 	return []Ablation{
 		{"dataset-scheduler", ds},
 		{"local-scheduler", []Cell{def, is(def, "ls", "SJF"), is(def, "ls", "LIFO")}},
@@ -445,6 +431,10 @@ func Ablations() []Ablation {
 		{"output", []Cell{remote, at(remote, "output", 0.1), at(remote, "output", 0.5)}},
 		{"backbone", []Cell{heavy, at(heavy, "backbone", 100)}},
 		{"submission", []Cell{def, is(def, "submission", "think-300s"), is(def, "submission", "open-1per600s")}},
+		{"crashes", crashes(def)},
+		{"crashes-random", crashes(Cell{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10})},
+		{"feedback", feedback(0)},
+		{"feedback-crashes", feedback(3600)},
 	}
 }
 

@@ -87,26 +87,35 @@ func TestRunAggregates(t *testing.T) {
 	}
 }
 
-func TestFeedbackSweepCells(t *testing.T) {
-	cells := FeedbackSweepCells(10, []float64{0, 3600})
-	if len(cells) != 8 {
-		t.Fatalf("got %d cells, want 4 pairs × 2 MTBF columns", len(cells))
+// TestFeedbackStudiesHoldAllPairs checks that both feedback studies set
+// the adaptive pair against the three static pairs, on the same
+// contended grid, with the static winner as the control.
+func TestFeedbackStudiesHoldAllPairs(t *testing.T) {
+	pairs := [][2]string{
+		{"JobDataPresent", "DataLeastLoaded"},
+		{"JobFeedback", "DataFeedback"},
+		{"JobDataPresent", "DataRandom"},
+		{"JobLeastLoaded", "DataLeastLoaded"},
 	}
-	seen := make(map[Cell]bool)
-	for _, c := range cells {
-		if seen[c] {
-			t.Fatalf("duplicate cell %v", c)
+	studies := map[string]float64{"feedback": 0, "feedback-crashes": 3600}
+	for _, a := range Ablations() {
+		mtbf, ok := studies[a.Name]
+		if !ok {
+			continue
 		}
-		seen[c] = true
-		if c.BandwidthMBps != 10 {
-			t.Fatalf("cell %v: bandwidth not threaded through", c)
+		delete(studies, a.Name)
+		if len(a.Arms) != len(pairs) {
+			t.Fatalf("%s: %d arms, want %d", a.Name, len(a.Arms), len(pairs))
+		}
+		for i, p := range pairs {
+			want := Cell{ES: p[0], DS: p[1], BandwidthMBps: 10, SiteMTBF: mtbf, Param: "staleness", Value: 120}
+			if a.Arms[i] != want {
+				t.Errorf("%s: arm %d = %v, want %v", a.Name, i, a.Arms[i], want)
+			}
 		}
 	}
-	if !seen[Cell{ES: "JobFeedback", DS: "DataFeedback", BandwidthMBps: 10}] {
-		t.Fatal("adaptive pair missing from the sweep")
-	}
-	if !seen[Cell{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10}] {
-		t.Fatal("static reference pair missing from the sweep")
+	if len(studies) > 0 {
+		t.Fatalf("feedback studies missing: %v", studies)
 	}
 }
 

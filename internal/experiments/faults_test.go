@@ -22,7 +22,15 @@ func TestFaultedRunsIdenticalAcrossWorkers(t *testing.T) {
 	base.Faults.RestoreReplicas = true
 	base.ObsInterval = 120
 
-	cells := FaultSweepCells(10, []float64{0, 3000})
+	var cells []Cell
+	for _, a := range Ablations() {
+		if a.Name == "crashes" {
+			cells = a.Arms
+		}
+	}
+	if len(cells) < 2 {
+		t.Fatalf("crashes study has %d arms", len(cells))
+	}
 	run := func(workers int) []CellResult {
 		return Run(Campaign{
 			Base:    base,

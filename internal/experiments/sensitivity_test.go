@@ -140,6 +140,13 @@ func TestAblationArms(t *testing.T) {
 	def := func(*core.Config) {}
 	remote := func(c *core.Config) { c.ES = "JobLeastLoaded" }
 	heavy := func(c *core.Config) { c.ES, c.DS = "JobLeastLoaded", "DataDoNothing" }
+	random := func(c *core.Config) { c.ES, c.DS = "JobRandom", "DataRandom" }
+	contended := func(c *core.Config) { c.InfoStaleness = 120 }
+	contendedCrashes := func(c *core.Config) {
+		c.InfoStaleness = 120
+		c.Faults.SiteCrash.MTBF, c.Faults.SiteCrash.MTTR = 3600, 600
+		c.Faults.RequeueOnRecovery, c.Faults.RestoreReplicas = true, true
+	}
 	want := map[string]struct {
 		control func(*core.Config)
 		fields  []string
@@ -161,6 +168,10 @@ func TestAblationArms(t *testing.T) {
 		"output":            {remote, []string{"OutputFraction"}},
 		"backbone":          {heavy, []string{"BackboneMBps"}},
 		"submission":        {def, []string{"ThinkTimeMean", "ArrivalRate"}},
+		"crashes":           {def, []string{"Faults"}},
+		"crashes-random":    {random, []string{"Faults"}},
+		"feedback":          {contended, []string{"ES", "DS"}},
+		"feedback-crashes":  {contendedCrashes, []string{"ES", "DS"}},
 	}
 	configOf := func(c Cell) core.Config {
 		cfg := core.DefaultConfig()
@@ -205,8 +216,8 @@ func TestAblationArms(t *testing.T) {
 			}
 		}
 	}
-	if len(want) > 0 || arms != 51 {
-		t.Errorf("ablations missing: %v; %d arms, want 51", want, arms)
+	if len(want) > 0 || arms != 67 {
+		t.Errorf("ablations missing: %v; %d arms, want 67", want, arms)
 	}
 }
 

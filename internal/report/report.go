@@ -312,7 +312,8 @@ func Significance(w io.Writer, results []experiments.CellResult, a, b experiment
 // experiments.PairedResponseDelta, as mean ± 95% CI half-width and as a
 // share of the control's mean. An interval that spans zero reads "no
 // detectable effect". A failed or missing cell, or an arm with fewer
-// than two seeds paired with the control, prints "-".
+// than two seeds paired with the control, prints "-". An arm whose runs
+// abandoned jobs after exhausting their retries ends with the total.
 func Ablations(w io.Writer, results []experiments.CellResult, ablations []experiments.Ablation) {
 	idx := experiments.ByCell(results)
 	ran := func(c experiments.Cell) *experiments.CellResult {
@@ -329,40 +330,55 @@ func Ablations(w io.Writer, results []experiments.CellResult, ablations []experi
 		fmt.Fprintf(w, "  %-38s %9s  %-18s %8s\n", "arm", "resp (s)", "Δ resp (s), 95% CI", "Δ")
 		control := ran(a.Arms[0])
 		for j, arm := range a.Arms {
+			label := armLabel(arm, a.Arms[0])
 			cr := ran(arm)
 			if cr == nil {
-				fmt.Fprintf(w, "  %-38s %9s\n", armLabel(arm), "-")
+				fmt.Fprintf(w, "  %-38s %9s\n", label, "-")
 				continue
 			}
-			fmt.Fprintf(w, "  %-38s %9.1f  ", armLabel(arm), cr.AvgResponseSec)
+			fmt.Fprintf(w, "  %-38s %9.1f  ", label, cr.AvgResponseSec)
 			var d stats.Summary
 			if control != nil {
 				d = experiments.PairedResponseDelta(control, cr)
 			}
 			switch {
 			case j == 0:
-				fmt.Fprintln(w, "control")
+				fmt.Fprint(w, "control")
 			case d.N < 2:
-				fmt.Fprintln(w, "-")
+				fmt.Fprint(w, "-")
 			case math.Abs(d.Mean) <= d.CI95:
-				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%  no detectable effect\n", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
+				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%  no detectable effect", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
 			default:
-				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%\n", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
+				fmt.Fprintf(w, "%+8.1f ± %-7.1f %+7.1f%%", d.Mean, d.CI95, 100*d.Mean/control.AvgResponseSec)
 			}
+			abandoned := 0
+			for _, r := range cr.Runs {
+				abandoned += r.JobsFailed
+			}
+			if abandoned > 0 {
+				fmt.Fprintf(w, "  %d jobs abandoned", abandoned)
+			}
+			fmt.Fprintln(w)
 		}
 	}
 }
 
-// armLabel names an ablation arm by the parameter it sets, or by its
-// scheduler pair and bandwidth when it sets none.
-func armLabel(c experiments.Cell) string {
+// armLabel names an ablation arm by what sets it apart from its study's
+// control: its scheduler pair, its site-crash MTBF, or else the
+// parameter it sets, or its pair and bandwidth when it sets none.
+func armLabel(arm, control experiments.Cell) string {
+	pair := fmt.Sprintf("%s+%s@%gMB/s", arm.ES, arm.DS, arm.BandwidthMBps)
 	switch {
-	case c.Level != "":
-		return c.Param + "=" + c.Level
-	case c.Param != "":
-		return fmt.Sprintf("%s=%g", c.Param, c.Value)
+	case arm.ES != control.ES || arm.DS != control.DS:
+		return pair
+	case arm.SiteMTBF != control.SiteMTBF:
+		return fmt.Sprintf("site-mtbf=%gs", arm.SiteMTBF)
+	case arm.Level != "":
+		return arm.Param + "=" + arm.Level
+	case arm.Param != "":
+		return fmt.Sprintf("%s=%g", arm.Param, arm.Value)
 	}
-	return fmt.Sprintf("%s+%s@%gMB/s", c.ES, c.DS, c.BandwidthMBps)
+	return pair
 }
 
 // Histogram renders a text histogram of per-rank request counts — the

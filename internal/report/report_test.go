@@ -340,3 +340,45 @@ func TestAblations(t *testing.T) {
 		t.Fatalf("report:\n%s\nwant:\n%s", sb.String(), want)
 	}
 }
+
+// TestAblationLabelsUnique checks that no study of experiments.Ablations
+// gives two arms the same label, and that an arm whose runs abandoned
+// jobs reports the total over its seeds.
+func TestAblationLabelsUnique(t *testing.T) {
+	for _, a := range experiments.Ablations() {
+		seen := make(map[string]bool)
+		for _, arm := range a.Arms {
+			label := armLabel(arm, a.Arms[0])
+			if seen[label] {
+				t.Errorf("%s: two arms labelled %q", a.Name, label)
+			}
+			seen[label] = true
+		}
+	}
+
+	control := experiments.Cell{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10}
+	crashed := control
+	crashed.SiteMTBF = 3600
+	mk := func(c experiments.Cell, failed ...int) experiments.CellResult {
+		cr := experiments.CellResult{Cell: c, AvgResponseSec: 100}
+		for i, f := range failed {
+			cr.Runs = append(cr.Runs, core.Results{
+				Results:    metrics.Results{AvgResponseSec: 100},
+				Seed:       uint64(i + 1),
+				JobsFailed: f,
+			})
+		}
+		return cr
+	}
+	var sb strings.Builder
+	Ablations(&sb, []experiments.CellResult{mk(control, 0, 0), mk(crashed, 3, 4)},
+		[]experiments.Ablation{{Name: "crashes", Arms: []experiments.Cell{control, crashed}}})
+	want := `crashes, control JobRandom+DataRandom@10MB/s
+  arm                                     resp (s)  Δ resp (s), 95% CI        Δ
+  JobRandom+DataRandom@10MB/s                100.0  control
+  site-mtbf=3600s                            100.0      +0.0 ± 0.0        +0.0%  no detectable effect  7 jobs abandoned
+`
+	if sb.String() != want {
+		t.Fatalf("report:\n%s\nwant:\n%s", sb.String(), want)
+	}
+}
