@@ -11,113 +11,138 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 
 	"chicsim/internal/core"
 	"chicsim/internal/netsim"
 	"chicsim/internal/obs"
-	"chicsim/internal/obs/monitor"
-	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/report"
-	"chicsim/internal/trace"
 	"chicsim/internal/workload"
 )
 
+// cli holds chicsim's own flags: where the base configuration comes
+// from and what to do with the run.
+type cli struct {
+	scenario, configPath, saveConfig, tracePath string
+	list, heatmap, hist, jsonOut                bool
+}
+
+// newFlagSet binds every chicsim flag: the model flags onto cfg, with
+// cfg's values as their defaults, and the rest onto c and the returned
+// observability flags.
+func newFlagSet(cfg *core.Config, c *cli) (*flag.FlagSet, *obs.Flags) {
+	fs := flag.NewFlagSet("chicsim", flag.ContinueOnError)
+	fs.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
+	fs.IntVar(&cfg.Sites, "sites", cfg.Sites, "number of sites")
+	fs.IntVar(&cfg.Users, "users", cfg.Users, "number of users")
+	fs.IntVar(&cfg.Files, "files", cfg.Files, "number of datasets")
+	fs.IntVar(&cfg.TotalJobs, "jobs", cfg.TotalJobs, "total jobs")
+	fs.IntVar(&cfg.MinCEs, "min-ces", cfg.MinCEs, "min compute elements per site")
+	fs.IntVar(&cfg.MaxCEs, "max-ces", cfg.MaxCEs, "max compute elements per site")
+	fs.IntVar(&cfg.RegionFanout, "fanout", cfg.RegionFanout, "sites per regional center")
+	fs.Func("tiers", "comma-separated fanouts for a multi-tier tree (e.g. 2,3,2); product must equal -sites", func(s string) error {
+		var tiers []int
+		for _, part := range strings.Split(s, ",") {
+			n, err := strconv.Atoi(strings.TrimSpace(part))
+			if err != nil {
+				return err
+			}
+			tiers = append(tiers, n)
+		}
+		cfg.Tiers = tiers
+		return nil
+	})
+	fs.Float64Var(&cfg.CPUSpreadFrac, "cpu-spread", cfg.CPUSpreadFrac, "per-site CPU speed spread in [0,1) (0 = paper's homogeneous processors)")
+	fs.Float64Var(&cfg.BandwidthMBps, "bw", cfg.BandwidthMBps, "link bandwidth (MB/s)")
+	fs.Float64Var(&cfg.BackboneMBps, "backbone", cfg.BackboneMBps, "backbone link bandwidth (MB/s, 0 = same as -bw)")
+	fs.BoolFunc("maxmin", "use max-min fair bandwidth sharing instead of equal share", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		if on {
+			cfg.Sharing = netsim.MaxMinFair
+		}
+		return err
+	})
+	fs.Float64Var(&cfg.ThinkTimeMean, "think", cfg.ThinkTimeMean, "mean user think time between jobs (s, 0 = paper's immediate resubmission)")
+	fs.Float64Var(&cfg.ArrivalRate, "arrival-rate", cfg.ArrivalRate, "open-model per-user Poisson submission rate (jobs/s, 0 = paper's closed model)")
+	fs.Float64Var(&cfg.StorageGB, "storage", cfg.StorageGB, "per-site storage (GB, <=0 unlimited)")
+	fs.Float64Var(&cfg.GeomP, "geom-p", cfg.GeomP, "geometric popularity parameter")
+	fs.Func("zipf", "use Zipf popularity with this alpha instead of geometric", func(s string) error {
+		alpha, err := strconv.ParseFloat(s, 64)
+		if err != nil || alpha <= 0 {
+			return fmt.Errorf("alpha %q, want a number > 0", s)
+		}
+		cfg.Popularity, cfg.ZipfAlpha = workload.Zipf, alpha
+		return nil
+	})
+	fs.BoolFunc("uniform-pop", "use uniform dataset popularity", func(s string) error {
+		on, err := strconv.ParseBool(s)
+		if on {
+			cfg.Popularity = workload.Uniform
+		}
+		return err
+	})
+	fs.IntVar(&cfg.InputsPerJob, "inputs", cfg.InputsPerJob, "input files per job")
+	fs.Float64Var(&cfg.UserFocus, "user-focus", cfg.UserFocus, "fraction of requests drawn from per-user working sets (0 = paper)")
+	fs.Float64Var(&cfg.OutputFraction, "output", cfg.OutputFraction, "job output size as a fraction of input (0 = paper, costs ignored)")
+	fs.StringVar(&cfg.ES, "es", cfg.ES, "external scheduler algorithm")
+	fs.StringVar(&cfg.BatchES, "batch-es", cfg.BatchES, "use a centralized batch heuristic instead of -es (BatchMinMin, BatchMaxMin, BatchSufferage)")
+	fs.Float64Var(&cfg.BatchWindow, "batch-window", cfg.BatchWindow, "batch scheduling window (s; required with -batch-es)")
+	fs.StringVar(&cfg.LS, "ls", cfg.LS, "local scheduler algorithm")
+	fs.StringVar(&cfg.DS, "ds", cfg.DS, "dataset scheduler algorithm")
+	fs.Float64Var(&cfg.DSInterval, "ds-interval", cfg.DSInterval, "dataset scheduler wake interval (s)")
+	fs.IntVar(&cfg.DSThreshold, "ds-threshold", cfg.DSThreshold, "popularity threshold for replication")
+	fs.IntVar(&cfg.DSDeleteAfter, "ds-delete-after", cfg.DSDeleteAfter, "DS deletes replicas idle for this many windows (0 = LRU only)")
+	fs.Func("mapping", "user->ES mapping: per-site (the default), central, per-user", func(s string) error {
+		for _, m := range []core.ESMapping{core.ESPerSite, core.ESCentral, core.ESPerUser} {
+			if m.String() == s {
+				cfg.Mapping = m
+				return nil
+			}
+		}
+		return errors.New("want per-site, central or per-user")
+	})
+	fs.Float64Var(&cfg.MaxTime, "max-time", cfg.MaxTime, "abort after this virtual time (0 = none)")
+	fs.StringVar(&cfg.ResultMode, "result-mode", cfg.ResultMode, "result collection: full (one response time per job) or bounded (constant-memory sketches; exact aggregates identical)")
+	fs.Float64Var(&cfg.InfoStaleness, "staleness", cfg.InfoStaleness, "GIS snapshot staleness (s, 0 = oracle)")
+	fs.BoolVar(&cfg.RegionalInfo, "regional-info", cfg.RegionalInfo, "schedulers see only in-region replicas plus masters")
+	f := &cfg.Faults
+	fs.Float64Var(&f.SiteCrash.MTBF, "site-mtbf", f.SiteCrash.MTBF, "mean time between site crashes (s, 0 = off)")
+	fs.Float64Var(&f.SiteCrash.MTTR, "site-mttr", f.SiteCrash.MTTR, "mean site repair time (s, with -site-mtbf; 0 = 600)")
+	fs.Float64Var(&f.CEFailure.MTBF, "ce-mtbf", f.CEFailure.MTBF, "mean time between compute-element failures (s, 0 = off)")
+	fs.Float64Var(&f.CEFailure.MTTR, "ce-mttr", f.CEFailure.MTTR, "mean compute-element repair time (s, with -ce-mtbf; 0 = 300)")
+	fs.Float64Var(&f.LinkDegrade.MTBF, "link-mtbf", f.LinkDegrade.MTBF, "mean time between link degradations (s, 0 = off)")
+	fs.Float64Var(&f.LinkDegrade.MTTR, "link-mttr", f.LinkDegrade.MTTR, "mean link degradation repair time (s, with -link-mtbf; 0 = 600)")
+	fs.Float64Var(&f.LinkOutage.MTBF, "outage-mtbf", f.LinkOutage.MTBF, "mean time between link outages (s, 0 = off)")
+	fs.Float64Var(&f.LinkOutage.MTTR, "outage-mttr", f.LinkOutage.MTTR, "mean link outage repair time (s, with -outage-mtbf; 0 = 300)")
+	fs.Float64Var(&f.TransferAbort.MTBF, "abort-mtbf", f.TransferAbort.MTBF, "mean time between transfer aborts (s, 0 = off)")
+	fs.Float64Var(&f.ReplicaLoss.MTBF, "loss-mtbf", f.ReplicaLoss.MTBF, "mean time between cached-replica losses (s, 0 = off)")
+	fs.Float64Var(&f.DegradeFactor, "degrade-factor", f.DegradeFactor, "bandwidth multiplier a degraded link runs at (0 = default 0.1)")
+	fs.IntVar(&f.MaxRetries, "fault-retries", f.MaxRetries, "ES resubmissions before abandoning a failed job (0 = default 3, -1 = none)")
+	fs.BoolVar(&f.RequeueOnRecovery, "fault-requeue", f.RequeueOnRecovery, "crashed sites keep queued jobs and requeue them on recovery")
+	fs.BoolVar(&f.RestoreReplicas, "fault-restore", f.RestoreReplicas, "DS re-replicates popular files lost to faults")
+
+	fs.StringVar(&c.scenario, "scenario", "", "start from a named preset (see -list); model flags override it")
+	fs.StringVar(&c.configPath, "config", "", "start from the configuration in this JSON file; model flags override it")
+	fs.StringVar(&c.saveConfig, "save-config", "", "write the effective configuration to this file and exit")
+	fs.StringVar(&c.tracePath, "trace", "", "replay a workload trace file instead of generating")
+	fs.BoolVar(&c.list, "list", false, "list available algorithms and scenarios, then exit")
+	fs.BoolVar(&c.heatmap, "heatmap", false, "render a per-site occupancy heatmap of the run, sampled every -obs-interval")
+	fs.BoolVar(&c.hist, "hist", false, "render the response-time histogram of the run")
+	fs.BoolVar(&c.jsonOut, "json", false, "emit results as JSON instead of text")
+	return fs, obs.BindFlags(fs)
+}
+
 func main() {
-	cfg := core.DefaultConfig()
-	flag.Uint64Var(&cfg.Seed, "seed", cfg.Seed, "random seed")
-	flag.IntVar(&cfg.Sites, "sites", cfg.Sites, "number of sites")
-	flag.IntVar(&cfg.Users, "users", cfg.Users, "number of users")
-	flag.IntVar(&cfg.Files, "files", cfg.Files, "number of datasets")
-	flag.IntVar(&cfg.TotalJobs, "jobs", cfg.TotalJobs, "total jobs")
-	flag.IntVar(&cfg.MinCEs, "min-ces", cfg.MinCEs, "min compute elements per site")
-	flag.IntVar(&cfg.MaxCEs, "max-ces", cfg.MaxCEs, "max compute elements per site")
-	flag.IntVar(&cfg.RegionFanout, "fanout", cfg.RegionFanout, "sites per regional center")
-	tiers := flag.String("tiers", "", "comma-separated fanouts for a multi-tier tree (e.g. 2,3,2); product must equal -sites")
-	flag.Float64Var(&cfg.CPUSpreadFrac, "cpu-spread", cfg.CPUSpreadFrac, "per-site CPU speed spread in [0,1) (0 = paper's homogeneous processors)")
-	flag.Float64Var(&cfg.BandwidthMBps, "bw", cfg.BandwidthMBps, "link bandwidth (MB/s)")
-	flag.Float64Var(&cfg.BackboneMBps, "backbone", cfg.BackboneMBps, "backbone link bandwidth (MB/s, 0 = same as -bw)")
-	flag.Float64Var(&cfg.ThinkTimeMean, "think", cfg.ThinkTimeMean, "mean user think time between jobs (s, 0 = paper's immediate resubmission)")
-	flag.Float64Var(&cfg.ArrivalRate, "arrival-rate", cfg.ArrivalRate, "open-model per-user Poisson submission rate (jobs/s, 0 = paper's closed model)")
-	flag.Float64Var(&cfg.StorageGB, "storage", cfg.StorageGB, "per-site storage (GB, <=0 unlimited)")
-	flag.Float64Var(&cfg.GeomP, "geom-p", cfg.GeomP, "geometric popularity parameter")
-	flag.IntVar(&cfg.InputsPerJob, "inputs", cfg.InputsPerJob, "input files per job")
-	flag.Float64Var(&cfg.UserFocus, "user-focus", cfg.UserFocus, "fraction of requests drawn from per-user working sets (0 = paper)")
-	flag.Float64Var(&cfg.OutputFraction, "output", cfg.OutputFraction, "job output size as a fraction of input (0 = paper, costs ignored)")
-	flag.StringVar(&cfg.ES, "es", cfg.ES, "external scheduler algorithm")
-	flag.StringVar(&cfg.BatchES, "batch-es", cfg.BatchES, "use a centralized batch heuristic instead of -es (BatchMinMin, BatchMaxMin, BatchSufferage)")
-	flag.Float64Var(&cfg.BatchWindow, "batch-window", cfg.BatchWindow, "batch scheduling window (s; required with -batch-es)")
-	flag.StringVar(&cfg.LS, "ls", cfg.LS, "local scheduler algorithm")
-	flag.StringVar(&cfg.DS, "ds", cfg.DS, "dataset scheduler algorithm")
-	flag.Float64Var(&cfg.DSInterval, "ds-interval", cfg.DSInterval, "dataset scheduler wake interval (s)")
-	flag.IntVar(&cfg.DSThreshold, "ds-threshold", cfg.DSThreshold, "popularity threshold for replication")
-	flag.IntVar(&cfg.DSDeleteAfter, "ds-delete-after", cfg.DSDeleteAfter, "DS deletes replicas idle for this many windows (0 = LRU only)")
-	flag.Float64Var(&cfg.MaxTime, "max-time", cfg.MaxTime, "abort after this virtual time (0 = none)")
-	flag.StringVar(&cfg.ResultMode, "result-mode", cfg.ResultMode, "result collection: full (one response time per job) or bounded (constant-memory sketches; exact aggregates identical)")
-	flag.Float64Var(&cfg.InfoStaleness, "staleness", cfg.InfoStaleness, "GIS snapshot staleness (s, 0 = oracle)")
-	flag.BoolVar(&cfg.RegionalInfo, "regional-info", cfg.RegionalInfo, "schedulers see only in-region replicas plus masters")
-	flag.Float64Var(&cfg.Faults.SiteCrash.MTBF, "site-mtbf", cfg.Faults.SiteCrash.MTBF, "mean time between site crashes (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.SiteCrash.MTTR, "site-mttr", 600, "mean site repair time (s, with -site-mtbf)")
-	flag.Float64Var(&cfg.Faults.CEFailure.MTBF, "ce-mtbf", cfg.Faults.CEFailure.MTBF, "mean time between compute-element failures (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.CEFailure.MTTR, "ce-mttr", 300, "mean compute-element repair time (s, with -ce-mtbf)")
-	flag.Float64Var(&cfg.Faults.LinkDegrade.MTBF, "link-mtbf", cfg.Faults.LinkDegrade.MTBF, "mean time between link degradations (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.LinkDegrade.MTTR, "link-mttr", 600, "mean link degradation repair time (s, with -link-mtbf)")
-	flag.Float64Var(&cfg.Faults.LinkOutage.MTBF, "outage-mtbf", cfg.Faults.LinkOutage.MTBF, "mean time between link outages (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.LinkOutage.MTTR, "outage-mttr", 300, "mean link outage repair time (s, with -outage-mtbf)")
-	flag.Float64Var(&cfg.Faults.TransferAbort.MTBF, "abort-mtbf", cfg.Faults.TransferAbort.MTBF, "mean time between transfer aborts (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.ReplicaLoss.MTBF, "loss-mtbf", cfg.Faults.ReplicaLoss.MTBF, "mean time between cached-replica losses (s, 0 = off)")
-	flag.Float64Var(&cfg.Faults.DegradeFactor, "degrade-factor", cfg.Faults.DegradeFactor, "bandwidth multiplier a degraded link runs at (0 = default 0.1)")
-	flag.IntVar(&cfg.Faults.MaxRetries, "fault-retries", cfg.Faults.MaxRetries, "ES resubmissions before abandoning a failed job (0 = default 3, -1 = none)")
-	flag.BoolVar(&cfg.Faults.RequeueOnRecovery, "fault-requeue", cfg.Faults.RequeueOnRecovery, "crashed sites keep queued jobs and requeue them on recovery")
-	flag.BoolVar(&cfg.Faults.RestoreReplicas, "fault-restore", cfg.Faults.RestoreReplicas, "DS re-replicates popular files lost to faults")
-	maxmin := flag.Bool("maxmin", false, "use max-min fair bandwidth sharing instead of equal share")
-	zipf := flag.Float64("zipf", 0, "use Zipf popularity with this alpha instead of geometric")
-	uniformPop := flag.Bool("uniform-pop", false, "use uniform dataset popularity")
-	mapping := flag.String("mapping", "per-site", "user->ES mapping: per-site, central, per-user")
-	tracePath := flag.String("trace", "", "replay a workload trace file instead of generating")
-	listAlgos := flag.Bool("list", false, "list available algorithms and scenarios, then exit")
-	scenario := flag.String("scenario", "", "start from a named preset (see -list); model flags given before -scenario are ignored")
-	heatmap := flag.Bool("heatmap", false, "render a per-site occupancy heatmap of the run, sampled every -obs-interval")
-	hist := flag.Bool("hist", false, "render the response-time histogram of the run")
-	jsonOut := flag.Bool("json", false, "emit results as JSON instead of text")
-	configPath := flag.String("config", "", "load the model configuration from a JSON file (model flags are then ignored)")
-	saveConfig := flag.String("save-config", "", "write the effective configuration to this file and exit")
-	obsFlags := obs.BindFlags(flag.CommandLine)
-	// Parse silently: a bad flag is one line on stderr, not the usage.
-	flag.CommandLine.Init("chicsim", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			flag.CommandLine.SetOutput(os.Stderr)
-			flag.Usage()
-			os.Exit(0)
-		}
-		fmt.Fprintln(os.Stderr, "chicsim:", err)
-		os.Exit(2)
-	}
-
-	if *configPath != "" {
-		f, err := os.Open(*configPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-		cfg, err = core.LoadConfig(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-	}
-
-	if *listAlgos {
+	// The first parse finds the base; the second binds every flag given
+	// onto it, so each one overrides the base whatever their order.
+	var c cli
+	scratch := core.DefaultConfig()
+	fs, _ := newFlagSet(&scratch, &c)
+	obs.ParseFlags(fs, os.Args[1:])
+	if c.list {
 		fmt.Println("External schedulers:", core.ExternalNames())
 		fmt.Println("Batch schedulers:   ", core.BatchNames())
 		fmt.Println("Local schedulers:   ", core.LocalNames())
@@ -128,230 +153,100 @@ func main() {
 		}
 		return
 	}
-	if *scenario != "" {
-		loaded, err := core.Scenario(*scenario)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(2)
+	cfg := core.DefaultConfig()
+	switch {
+	case c.scenario != "" && c.configPath != "":
+		usageError("-scenario and -config both name the base configuration; give one")
+	case c.scenario != "":
+		var err error
+		if cfg, err = core.Scenario(c.scenario); err != nil {
+			usageError("%v", err)
 		}
-		cfg = loaded
-	}
-	if *maxmin {
-		cfg.Sharing = netsim.MaxMinFair
-	}
-	if *zipf > 0 {
-		cfg.Popularity = workload.Zipf
-		cfg.ZipfAlpha = *zipf
-	}
-	if *uniformPop {
-		cfg.Popularity = workload.Uniform
-	}
-	switch *mapping {
-	case "per-site":
-		cfg.Mapping = core.ESPerSite
-	case "central":
-		cfg.Mapping = core.ESCentral
-	case "per-user":
-		cfg.Mapping = core.ESPerUser
-	default:
-		fmt.Fprintf(os.Stderr, "chicsim: unknown mapping %q\n", *mapping)
-		os.Exit(2)
-	}
-	if *tracePath != "" {
-		f, err := os.Open(*tracePath)
+	case c.configPath != "":
+		f, err := os.Open(c.configPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
+		}
+		cfg, err = core.LoadConfig(f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+	}
+	fs, obsFlags := newFlagSet(&cfg, &c)
+	obs.ParseFlags(fs, os.Args[1:])
+	cfg.Faults = cfg.Faults.WithRepairDefaults()
+
+	if c.tracePath != "" {
+		f, err := os.Open(c.tracePath)
+		if err != nil {
+			fatal(err)
 		}
 		w, err := workload.ReadTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		cfg.Trace = w
 	}
-
-	if *saveConfig != "" {
-		f, err := os.Create(*saveConfig)
+	if c.saveConfig != "" {
+		f, err := os.Create(c.saveConfig)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		err = cfg.WriteJSON(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "chicsim: wrote configuration to %s\n", *saveConfig)
-		return
-	}
-	if *tiers != "" {
-		cfg.Tiers = nil
-		for _, part := range strings.Split(*tiers, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "chicsim: bad -tiers value %q: %v\n", part, err)
-				os.Exit(2)
-			}
-			cfg.Tiers = append(cfg.Tiers, n)
-		}
-	}
-	if *heatmap || obsFlags.SeriesPath != "" || obsFlags.StreamPath != "" {
-		cfg.ObsInterval = obsFlags.SeriesInterval
-	}
-	if *heatmap && cfg.ObsInterval <= 0 {
-		fmt.Fprintln(os.Stderr, "chicsim: -heatmap draws the probe series and needs -obs-interval > 0")
-		os.Exit(2)
-	}
-	if obsFlags.SeriesInterval < 0 {
-		fmt.Fprintf(os.Stderr, "chicsim: -obs-interval = %v, want >= 0\n", obsFlags.SeriesInterval)
-		os.Exit(2)
-	}
-
-	// Live control plane: a metrics registry when anything wants to read
-	// it, a watchdog when asked for. Both need the obs tick.
-	wdMode, err := watchdog.ParseMode(obsFlags.WatchdogMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chicsim:", err)
-		os.Exit(2)
-	}
-	var reg *registry.Registry
-	if obsFlags.ListenAddr != "" || obsFlags.MetricsPath != "" {
-		reg = registry.New()
-		cfg.Metrics = reg
-	}
-	cfg.Watchdog = wdMode
-	if (reg != nil || wdMode != watchdog.Off) && cfg.ObsInterval == 0 {
-		cfg.ObsInterval = obsFlags.SeriesInterval
-	}
-	var srv *monitor.Server
-	if obsFlags.ListenAddr != "" {
-		var extra map[string]http.Handler
-		if obsFlags.Pprof {
-			extra = monitor.PprofHandlers()
-		}
-		srv, err = monitor.StartMux(obsFlags.ListenAddr, reg, func() any {
-			return map[string]any{
-				"command": "chicsim", "seed": cfg.Seed,
-				"es": cfg.ES, "ls": cfg.LS, "ds": cfg.DS,
-			}
-		}, extra)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "chicsim: monitor listening on http://%s (/metrics /status /events)\n", srv.Addr())
-	}
-	if wdMode != watchdog.Off {
-		cfg.OnViolation = func(v watchdog.Violation) {
-			fmt.Fprintln(os.Stderr, "chicsim: watchdog:", v)
-			if srv != nil {
-				srv.Publish("violation", v)
-			}
-		}
-	}
-	streamSink, closeStream, err := obsFlags.OpenStreamSink()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chicsim:", err)
-		os.Exit(1)
-	}
-	cfg.ObsSink = streamSink
-
-	var traceRec *trace.StreamRecorder
-	var closeTrace func() error
-	if obsFlags.TracePath != "" {
-		w, err := trace.CreateWriter(obsFlags.TracePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-		traceRec = trace.NewStreamRecorder(w)
-		cfg.Recorder = traceRec
-		closeTrace = func() error {
-			if err := traceRec.Flush(); err != nil {
-				w.Close()
-				return err
-			}
-			return w.Close()
-		}
-	}
-
-	var manifest *obs.Manifest
-	if obsFlags.ManifestPath != "" {
-		var err error
-		manifest, err = obs.NewManifest("chicsim", cfg, []uint64{cfg.Seed})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-	}
-	stopProfiling, err := obsFlags.StartProfiling()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chicsim:", err)
-		os.Exit(1)
-	}
-
-	// On SIGINT/SIGTERM, flush every open artifact (sample stream, trace,
-	// manifest marked interrupted) before exiting, so a cancelled run still
-	// leaves usable partial output. A second signal force-kills.
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "chicsim: interrupted; flushing partial output")
-		if closeStream != nil {
-			closeStream()
-		}
-		if closeTrace != nil {
-			closeTrace()
-		}
-		if manifest != nil {
-			manifest.MarkInterrupted()
-			manifest.Finish()
-			if err := manifest.WriteFile(obsFlags.ManifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "chicsim:", err)
-			}
-		}
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(130)
-	}()
-
-	res, err := core.RunConfig(cfg)
-	if perr := stopProfiling(); perr != nil {
-		fmt.Fprintln(os.Stderr, "chicsim:", perr)
-	}
-	if closeStream != nil {
-		if cerr := closeStream(); cerr != nil && err == nil {
+		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-	}
-	if closeTrace != nil {
-		if terr := closeTrace(); terr != nil && err == nil {
-			err = terr
+		if err != nil {
+			fatal(err)
 		}
+		fmt.Fprintf(os.Stderr, "chicsim: wrote configuration to %s\n", c.saveConfig)
+		return
+	}
+
+	if err := obsFlags.Check(); err != nil {
+		usageError("%v", err)
+	}
+	if c.heatmap || obsFlags.Observing() {
+		cfg.ObsInterval = obsFlags.SeriesInterval
+	}
+	if c.heatmap && cfg.ObsInterval <= 0 {
+		usageError("-heatmap draws the probe series and needs -obs-interval > 0")
+	}
+	sess, err := obsFlags.Start("chicsim", cfg, []uint64{cfg.Seed}, func() any {
+		return map[string]any{
+			"command": "chicsim", "seed": cfg.Seed,
+			"es": cfg.ES, "ls": cfg.LS, "ds": cfg.DS,
+		}
+	})
+	if err != nil {
+		fatal(err)
+	}
+	cfg.Metrics, cfg.Watchdog, cfg.ObsSink = sess.Registry, sess.Watchdog, sess.Sink
+	if sess.Trace != nil {
+		cfg.Recorder = sess.Trace
+	}
+	if sess.Watchdog != watchdog.Off {
+		cfg.OnViolation = func(v watchdog.Violation) { sess.Violation("", v, v) }
+	}
+	sess.ExitOnInterrupt(nil)
+
+	res, err := core.RunConfig(cfg)
+	if ferr := sess.Finish(false); err == nil {
+		err = ferr
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "chicsim:", err)
-		os.Exit(1)
-	}
-	if traceRec != nil {
-		fmt.Fprintf(os.Stderr, "chicsim: wrote %d trace events to %s\n", traceRec.Recorded(), obsFlags.TracePath)
+		fatal(err)
 	}
 	if obsFlags.SeriesPath != "" {
 		f, err := os.Create(obsFlags.SeriesPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		report.SeriesCSV(f, res.Series)
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		samples := 0
 		if res.Series != nil {
@@ -359,40 +254,16 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "chicsim: wrote %d probe samples to %s\n", samples, obsFlags.SeriesPath)
 	}
-	if manifest != nil {
-		manifest.Finish()
-		if err := manifest.WriteFile(obsFlags.ManifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-	}
-	if obsFlags.MetricsPath != "" {
-		f, err := os.Create(obsFlags.MetricsPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
-		}
-		werr := registry.WritePrometheus(f, reg.Gather())
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", werr)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "chicsim: wrote metrics snapshot to %s\n", obsFlags.MetricsPath)
-	}
-	if *jsonOut {
+	if c.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(res); err != nil {
-			fmt.Fprintln(os.Stderr, "chicsim:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		return
 	}
 	printResults(res)
-	if *hist {
+	if c.hist {
 		fmt.Println()
 		report.ResponseHistogram(os.Stdout, res.RespHistCounts, res.RespHistEdges, 60)
 	}
@@ -402,12 +273,24 @@ func main() {
 		fmt.Println()
 		report.HotItems(os.Stdout, "dataset", res.TopDatasets)
 	}
-	if *heatmap {
+	if c.heatmap {
 		fmt.Println()
 		report.Heatmap(os.Stdout, res.Series, 100)
 		fmt.Println()
 		report.Timeline(os.Stdout, res.Series, 100)
 	}
+}
+
+// usageError reports a bad invocation in one line and exits with status 2.
+func usageError(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "chicsim: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatal reports a failed run in one line and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "chicsim:", err)
+	os.Exit(1)
 }
 
 func printResults(r core.Results) {

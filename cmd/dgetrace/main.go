@@ -1,13 +1,10 @@
-// Command dgetrace records and analyzes Data Grid execution (DGE) traces.
-//
-// With -run it executes a simulation and writes the DGE trace; with a file
-// argument it loads a previously written trace, replays it once
+// Command dgetrace analyzes Data Grid execution (DGE) traces. It loads a
+// trace written by `chicsim -trace-out`, replays it once
 // (trace.BuildSpans), which checks the lifecycle, transfer and
 // fault-injection invariants, and prints the offline analysis the mode
-// asks for. Trace files ending in .gz are gzipped transparently in both
-// directions.
+// asks for. Trace files ending in .gz are gunzipped transparently.
 //
-//	dgetrace -run -o dge.jsonl.gz -es JobDataPresent -ds DataLeastLoaded
+//	chicsim -es JobDataPresent -ds DataLeastLoaded -trace-out dge.jsonl.gz
 //	dgetrace dge.jsonl.gz                  # summary
 //	dgetrace -validate dge.jsonl.gz        # the invariant check alone
 //	dgetrace -spans 17 dge.jsonl.gz        # span tree of job 17
@@ -22,65 +19,19 @@ import (
 	"sort"
 	"strings"
 
-	"chicsim/internal/core"
+	"chicsim/internal/obs"
 	"chicsim/internal/trace"
 )
 
 func main() {
-	run := flag.Bool("run", false, "run a simulation and record its trace")
-	out := flag.String("o", "", "with -run: write the trace to this file (default stdout; .gz gzips)")
-	esName := flag.String("es", "JobDataPresent", "with -run: external scheduler")
-	dsName := flag.String("ds", "DataLeastLoaded", "with -run: dataset scheduler")
-	jobs := flag.Int("jobs", 0, "with -run: override total jobs (0 = Table 1's 6000)")
-	seed := flag.Uint64("seed", 1, "with -run: random seed")
 	topN := flag.Int("top", 5, "analysis: show the N hottest files and sites")
 	spans := flag.Int("spans", -1, "print the span tree of this job id (-1 = off)")
 	critpath := flag.Bool("critpath", false, "print the whole-DGE critical path and response decomposition")
 	chrome := flag.String("chrome", "", "export a Chrome trace-event JSON file to this path (view in Perfetto)")
 	validate := flag.Bool("validate", false, "check lifecycle, transfer, and fault-injection invariants, then exit")
-	flag.Parse()
-
-	if *run {
-		cfg := core.DefaultConfig()
-		cfg.ES, cfg.DS, cfg.Seed = *esName, *dsName, *seed
-		if *jobs > 0 {
-			cfg.TotalJobs = *jobs
-		}
-		// Stream events straight to the sink: memory stays flat no matter
-		// how long the execution runs.
-		var rec *trace.StreamRecorder
-		if *out != "" {
-			w, err := trace.CreateWriter(*out)
-			if err != nil {
-				fatal(err)
-			}
-			rec = trace.NewStreamRecorder(w)
-			cfg.Recorder = rec
-			defer func() {
-				if err := rec.Flush(); err != nil {
-					fatal(err)
-				}
-				if err := w.Close(); err != nil {
-					fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "dgetrace: wrote %d events to %s\n", rec.Recorded(), *out)
-			}()
-		} else {
-			rec = trace.NewStreamRecorder(os.Stdout)
-			cfg.Recorder = rec
-			defer func() {
-				if err := rec.Flush(); err != nil {
-					fatal(err)
-				}
-			}()
-		}
-		if _, err := core.RunConfig(cfg); err != nil {
-			fatal(err)
-		}
-		return
-	}
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: dgetrace -run [-o file] | dgetrace [-validate|-spans N|-critpath|-chrome out.json] <trace.jsonl[.gz]>")
+		fmt.Fprintln(os.Stderr, "usage: dgetrace [-validate|-spans N|-critpath|-chrome out.json] <trace.jsonl[.gz]>")
 		os.Exit(2)
 	}
 	log, err := trace.OpenLog(flag.Arg(0))

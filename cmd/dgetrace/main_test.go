@@ -1,26 +1,22 @@
 package main
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"chicsim/internal/cmdtest"
 )
 
-// TestErrorPaths builds dgetrace and feeds every analysis mode each bad
-// input: all must exit with status 1 and exactly one line on stderr, and
-// -chrome must not create its output file.
+// TestErrorPaths feeds every analysis mode of dgetrace each bad input:
+// all must exit with status 1 and exactly one line on stderr, and -chrome
+// must not create its output file. An unknown flag exits 2.
 func TestErrorPaths(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "dgetrace")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
-
+	bin := cmdtest.Build(t)
+	dir := filepath.Dir(bin)
 	inputs := []struct{ name, trace string }{
 		{"missing file", ""},
 		{"malformed JSON line", `{"t":0,"kind":"job_submitted","job":1}` + "\n" + `{"t":1,"kind":`},
@@ -39,13 +35,9 @@ func TestErrorPaths(t *testing.T) {
 			`{"t":5,"kind":"job_abandoned","job":1}`,
 		}, "\n")},
 	}
-	modes := [][]string{
-		nil,
-		{"-validate"},
-		{"-spans", "1"},
-		{"-critpath"},
-		{"-chrome", filepath.Join(dir, "out.json")},
-	}
+	chrome := filepath.Join(dir, "out.json")
+	modes := [][]string{nil, {"-validate"}, {"-spans", "1"}, {"-critpath"}, {"-chrome", chrome}}
+	cases := []cmdtest.Case{{Name: "unknown flag", Args: []string{"-bogus", "t.jsonl"}, Exit: 2}}
 	for i, in := range inputs {
 		path := filepath.Join(dir, "missing.jsonl")
 		if in.trace != "" {
@@ -59,24 +51,11 @@ func TestErrorPaths(t *testing.T) {
 			if mode != nil {
 				name = in.name + "/" + mode[0]
 			}
-			t.Run(name, func(t *testing.T) {
-				cmd := exec.Command(bin, append(mode, path)...)
-				var stderr bytes.Buffer
-				cmd.Stderr = &stderr
-				err := cmd.Run()
-				var exit *exec.ExitError
-				if !errors.As(err, &exit) || exit.ExitCode() != 1 {
-					t.Fatalf("exit = %v, want status 1", err)
-				}
-				if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || lines[0] == "" {
-					t.Fatalf("stderr has %d lines, want one:\n%s", len(lines), stderr.String())
-				}
-				if mode != nil && mode[0] == "-chrome" {
-					if _, err := os.Stat(mode[1]); !errors.Is(err, os.ErrNotExist) {
-						t.Fatalf("a rejected trace left %s behind (stat: %v)", mode[1], err)
-					}
-				}
-			})
+			cases = append(cases, cmdtest.Case{Name: name, Args: append(mode, path), Exit: 1})
 		}
+	}
+	cmdtest.ErrorPaths(t, bin, cases)
+	if _, err := os.Stat(chrome); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a rejected trace left %s behind (stat: %v)", chrome, err)
 	}
 }

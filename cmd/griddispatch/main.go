@@ -31,6 +31,7 @@ import (
 	"syscall"
 
 	"chicsim/internal/fabric"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/logging"
 	"chicsim/internal/obs/monitor"
 )
@@ -45,7 +46,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-shard log lines (same as -log-level error)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on the listener")
 	logFlags := logging.BindFlags(flag.CommandLine)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *quiet {
 		logFlags.Level = "error"

@@ -21,11 +21,8 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/signal"
 	"sync"
@@ -36,8 +33,6 @@ import (
 	"chicsim/internal/experiments"
 	"chicsim/internal/fabric"
 	"chicsim/internal/obs"
-	"chicsim/internal/obs/monitor"
-	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/report"
 	"chicsim/internal/trace"
@@ -58,22 +53,15 @@ func main() {
 	fleetTrace := flag.String("fleet-trace", "", "with -dispatch: write the campaign timeline as a Chrome/Perfetto trace to this file after the merge (.gz gzips)")
 	resultMode := flag.String("result-mode", "", "result collection for every simulation: full (default) or bounded (constant-memory sketches)")
 	obsFlags := obs.BindFlags(flag.CommandLine)
-	// Parse silently: a bad flag is one line on stderr, not the usage.
-	flag.CommandLine.Init("gridsweep", flag.ContinueOnError)
-	flag.CommandLine.SetOutput(io.Discard)
-	if err := flag.CommandLine.Parse(os.Args[1:]); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			flag.CommandLine.SetOutput(os.Stderr)
-			flag.Usage()
-			os.Exit(0)
-		}
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
+	if err := obsFlags.Check(); err != nil {
 		usageError("%v", err)
 	}
 	switch {
 	case obsFlags.StreamPath != "":
 		usageError("-obs-stream applies to a single simulation (use chicsim -obs-stream)")
 	case obsFlags.TracePath != "":
-		usageError("-trace-out applies to a single simulation (use chicsim -trace-out or dgetrace -run)")
+		usageError("-trace-out applies to a single simulation (use chicsim -trace-out)")
 	case *fleetTrace != "" && *dispatch == "":
 		usageError("-fleet-trace needs -dispatch")
 	case *dispatch != "" && (obsFlags.ListenAddr != "" || obsFlags.MetricsPath != "" || obsFlags.WatchdogMode != "off"):
@@ -109,8 +97,7 @@ func main() {
 			// A campaign killed mid-write leaves a truncated final line;
 			// every intact record before it is still good.
 			if len(results) == 0 {
-				fmt.Fprintln(os.Stderr, "gridsweep:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			fmt.Fprintf(os.Stderr, "gridsweep: warning: %v; recovering the %d intact cells before it\n",
 				err, len(results))
@@ -152,42 +139,14 @@ func main() {
 	fmt.Fprintf(os.Stderr, "gridsweep: running %d cells × %d seeds (%d simulations)...\n",
 		len(cells), len(seedList), totalSims)
 
-	var manifest *obs.Manifest
-	if obsFlags.ManifestPath != "" {
-		var err error
-		manifest, err = obs.NewManifest("gridsweep", base, seedList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
-		manifest.SetExtra("cells", len(cells))
-	}
 	progress := obs.NewProgress(os.Stderr, "gridsweep", totalSims)
 	if *progressJSONL != "" {
 		f, err := os.Create(*progressJSONL)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		defer f.Close()
 		progress.JSONLTo(f)
-	}
-	stopProfiling, err := obsFlags.StartProfiling()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsweep:", err)
-		os.Exit(1)
-	}
-
-	// Live control plane: shared metrics registry, invariant watchdog,
-	// optional HTTP monitor with per-cell campaign state.
-	wdMode, err := watchdog.ParseMode(obsFlags.WatchdogMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsweep:", err)
-		os.Exit(2)
-	}
-	var reg *registry.Registry
-	if obsFlags.ListenAddr != "" || obsFlags.MetricsPath != "" {
-		reg = registry.New()
 	}
 
 	type cellState struct {
@@ -200,68 +159,42 @@ func main() {
 	for _, c := range cells {
 		cellStates[c.String()] = &cellState{}
 	}
-
-	var srv *monitor.Server
-	if obsFlags.ListenAddr != "" {
-		var extra map[string]http.Handler
-		if obsFlags.Pprof {
-			extra = monitor.PprofHandlers()
+	// The manifest keeps base as the user configured it.
+	sess, err := obsFlags.Start("gridsweep", base, seedList, func() any {
+		stateMu.Lock()
+		cellsCopy := make(map[string]cellState, len(cellStates))
+		for k, v := range cellStates {
+			cellsCopy[k] = *v
 		}
-		srv, err = monitor.StartMux(obsFlags.ListenAddr, reg, func() any {
-			stateMu.Lock()
-			cellsCopy := make(map[string]cellState, len(cellStates))
-			for k, v := range cellStates {
-				cellsCopy[k] = *v
-			}
-			stateMu.Unlock()
-			return struct {
-				Progress obs.Snapshot         `json:"progress"`
-				Seeds    []uint64             `json:"seeds"`
-				RunsPer  int                  `json:"runs_per_cell"`
-				Cells    map[string]cellState `json:"cells"`
-			}{progress.Snapshot(), seedList, len(seedList), cellsCopy}
-		}, extra)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "gridsweep: monitor listening on http://%s (/metrics /status /events)\n", srv.Addr())
+		stateMu.Unlock()
+		return struct {
+			Progress obs.Snapshot         `json:"progress"`
+			Seeds    []uint64             `json:"seeds"`
+			RunsPer  int                  `json:"runs_per_cell"`
+			Cells    map[string]cellState `json:"cells"`
+		}{progress.Snapshot(), seedList, len(seedList), cellsCopy}
+	})
+	if err != nil {
+		fatal(err)
+	}
+	if sess.Manifest != nil {
+		sess.Manifest.SetExtra("cells", len(cells))
+		sess.Manifest.SetExtra("workers", *workers)
 	}
 
 	var stream *experiments.StreamWriter
 	if *jsonlPath != "" {
-		stream, err = experiments.CreateStream(*jsonlPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
+		if stream, err = experiments.CreateStream(*jsonlPath); err != nil {
+			fatal(err)
 		}
 	}
-
-	// On SIGINT/SIGTERM, flush the streamed results and write the manifest
-	// marked interrupted: every cell finished so far stays usable
-	// (`gridsweep -from-jsonl` rebuilds the reports from them).
-	sigc := make(chan os.Signal, 2)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "gridsweep: interrupted; flushing partial results")
+	// Every cell streamed before an interrupt stays usable: `gridsweep
+	// -from-jsonl` rebuilds the reports from them.
+	sess.ExitOnInterrupt(func() {
 		if stream != nil {
 			stream.Close()
 		}
-		if manifest != nil {
-			manifest.MarkInterrupted()
-			manifest.SetExtra("workers", *workers)
-			manifest.Finish()
-			if err := manifest.WriteFile(obsFlags.ManifestPath); err != nil {
-				fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			}
-		}
-		if srv != nil {
-			srv.Close()
-		}
-		os.Exit(130)
-	}()
+	})
 
 	campaign := experiments.Campaign{
 		Base:     base,
@@ -279,9 +212,7 @@ func main() {
 				cs.RunsOK++
 			}
 			stateMu.Unlock()
-			if srv != nil {
-				srv.Publish("run_done", map[string]any{"cell": cell.String(), "seed": seed})
-			}
+			sess.Publish("run_done", map[string]any{"cell": cell.String(), "seed": seed})
 		},
 		OnCellDone: func(cr *experiments.CellResult) {
 			if stream != nil {
@@ -289,34 +220,24 @@ func main() {
 					fmt.Fprintln(os.Stderr, "gridsweep:", werr)
 				}
 			}
-			if srv != nil {
-				srv.Publish("cell_done", map[string]any{
-					"cell": cr.Cell.String(), "avg_response_s": cr.AvgResponseSec,
-				})
-			}
+			sess.Publish("cell_done", map[string]any{
+				"cell": cr.Cell.String(), "avg_response_s": cr.AvgResponseSec,
+			})
 		},
 	}
-	if wdMode != watchdog.Off {
+	if sess.Watchdog != watchdog.Off {
 		campaign.OnViolation = func(cell experiments.Cell, seed uint64, v watchdog.Violation) {
-			fmt.Fprintf(os.Stderr, "gridsweep: watchdog: %v seed=%d: %v\n", cell, seed, v)
-			if srv != nil {
-				srv.Publish("violation", map[string]any{
-					"cell": cell.String(), "seed": seed, "violation": v.String(),
-				})
-			}
+			sess.Violation(fmt.Sprintf("%v seed=%d: ", cell, seed), v, map[string]any{
+				"cell": cell.String(), "seed": seed, "violation": v.String(),
+			})
 		}
 	}
-	// The manifest keeps base as the user configured it; the runs also
-	// observe, when any flag asks for it.
-	campaign.Base.Metrics, campaign.Base.Watchdog = reg, wdMode
-	if obsFlags.SeriesPath != "" || reg != nil || wdMode != watchdog.Off {
+	campaign.Base.Metrics, campaign.Base.Watchdog = sess.Registry, sess.Watchdog
+	if obsFlags.Observing() {
 		campaign.Base.ObsInterval = obsFlags.SeriesInterval
 	}
 	results := experiments.Run(campaign)
 	progress.Finish()
-	if perr := stopProfiling(); perr != nil {
-		fmt.Fprintln(os.Stderr, "gridsweep:", perr)
-	}
 	if stream != nil {
 		if cerr := stream.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "gridsweep:", cerr)
@@ -332,19 +253,8 @@ func main() {
 	if obsFlags.SeriesPath != "" {
 		writeReferenceSeries(results, obsFlags.SeriesPath)
 	}
-	if obsFlags.MetricsPath != "" {
-		if err := writeMetricsSnapshot(reg, obsFlags.MetricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
-	}
-	if manifest != nil {
-		manifest.SetExtra("workers", *workers)
-		manifest.Finish()
-		if err := manifest.WriteFile(obsFlags.ManifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
+	if err := sess.Finish(false); err != nil {
+		fatal(err)
 	}
 
 	render(results, *fig, *csv, *md)
@@ -354,6 +264,12 @@ func main() {
 func usageError(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "gridsweep: "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// fatal reports a failure in one line and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "gridsweep:", err)
+	os.Exit(1)
 }
 
 // runDispatched shards the campaign across a fabric dispatcher instead of
@@ -368,8 +284,7 @@ func runDispatched(addr string, base core.Config, cells []experiments.Cell, seed
 	client := &fabric.Client{BaseURL: addr}
 	sub, err := client.Submit(spec)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsweep:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if sub.Resumed {
 		fmt.Fprintf(os.Stderr, "gridsweep: attached to campaign %s already on dispatcher %s\n", sub.CampaignID, addr)
@@ -378,16 +293,14 @@ func runDispatched(addr string, base core.Config, cells []experiments.Cell, seed
 			sub.CampaignID, len(cells), len(seeds), addr)
 	}
 
-	var manifest *obs.Manifest
-	if obsFlags.ManifestPath != "" {
-		manifest, err = obs.NewManifest("gridsweep", base, seeds)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
-		manifest.SetExtra("cells", len(cells))
-		manifest.SetExtra("dispatcher", addr)
-		manifest.SetExtra("campaign_id", sub.CampaignID)
+	sess, err := obsFlags.Start("gridsweep", base, seeds, nil)
+	if err != nil {
+		fatal(err)
+	}
+	if sess.Manifest != nil {
+		sess.Manifest.SetExtra("cells", len(cells))
+		sess.Manifest.SetExtra("dispatcher", addr)
+		sess.Manifest.SetExtra("campaign_id", sub.CampaignID)
 	}
 
 	// Ctrl-C stops the wait, not the campaign: the fabric keeps running
@@ -407,39 +320,31 @@ func runDispatched(addr string, base core.Config, cells []experiments.Cell, seed
 			fmt.Fprintln(os.Stderr, "gridsweep: wait interrupted; the campaign keeps running on the dispatcher (rerun to re-attach)")
 			os.Exit(130)
 		}
-		fmt.Fprintln(os.Stderr, "gridsweep:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	if jsonlPath != "" {
 		if werr := os.WriteFile(jsonlPath, merged, 0o644); werr != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", werr)
-			os.Exit(1)
+			fatal(werr)
 		}
 		fmt.Fprintf(os.Stderr, "gridsweep: wrote merged stream (%d cells) to %s\n", len(cells), jsonlPath)
 	}
 	if fleetTrace != "" {
 		if err := writeFleetTrace(client, fleetTrace); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "gridsweep: wrote fleet trace to %s (open in Perfetto or chrome://tracing)\n", fleetTrace)
 	}
 	results, err := experiments.ReadStream(bytes.NewReader(merged))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gridsweep:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	for i := range results {
 		if results[i].Err != nil {
 			fmt.Fprintf(os.Stderr, "gridsweep: %v failed: %v\n", results[i].Cell, results[i].Err)
 		}
 	}
-	if manifest != nil {
-		manifest.Finish()
-		if err := manifest.WriteFile(obsFlags.ManifestPath); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
-		}
+	if err := sess.Finish(false); err != nil {
+		fatal(err)
 	}
 	render(results, fig, csv, md)
 }
@@ -567,22 +472,6 @@ func maxRuns(results []experiments.CellResult) int {
 	return m
 }
 
-// writeMetricsSnapshot dumps the campaign registry as Prometheus text.
-func writeMetricsSnapshot(reg *registry.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	werr := registry.WritePrometheus(f, reg.Gather())
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		fmt.Fprintf(os.Stderr, "gridsweep: wrote metrics snapshot to %s\n", path)
-	}
-	return werr
-}
-
 // writeReferenceSeries dumps the probe series of the campaign's reference
 // run — first cell, lowest seed — as CSV. Series are sampled inside each
 // simulation's own event loop, so the file is bit-identical for a given
@@ -595,13 +484,11 @@ func writeReferenceSeries(results []experiments.CellResult, path string) {
 		run := results[i].Runs[0]
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		report.SeriesCSV(f, run.Series)
 		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "gridsweep:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		samples := 0
 		if run.Series != nil {

@@ -34,7 +34,7 @@ func main() {
 	staleness := flag.Float64("staleness", 120, "GIS InfoStaleness of the contended scenario (s)")
 	bandwidth := flag.Float64("bw", 10, "link bandwidth (MB/s)")
 	baseline := flag.Bool("baseline", false, "also measure JobDataPresent+DataLeastLoaded on the same scenario")
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	base := core.DefaultConfig()
 	base.ES = "JobFeedback"

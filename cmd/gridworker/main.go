@@ -43,7 +43,7 @@ func main() {
 	quiet := flag.Bool("quiet", false, "suppress per-shard log lines (same as -log-level error)")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on -listen")
 	logFlags := logging.BindFlags(flag.CommandLine)
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	if *quiet {
 		logFlags.Level = "error"

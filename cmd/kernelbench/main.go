@@ -32,6 +32,7 @@ import (
 	"chicsim/internal/core"
 	"chicsim/internal/kernelbench"
 	"chicsim/internal/netsim"
+	"chicsim/internal/obs"
 )
 
 type result struct {
@@ -107,7 +108,7 @@ func main() {
 	only := flag.String("only", "", "run only benchmarks whose name matches this regular expression")
 	skip := flag.String("skip", "", "skip benchmarks whose name matches this regular expression")
 	gate := flag.Float64("gate", 0, "with -prev: exit 1 if any ns/op regresses more than this percent (0 disables)")
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	onlyRE, err := regexp.Compile(*only)
 	if err != nil {

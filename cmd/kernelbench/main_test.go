@@ -1,0 +1,16 @@
+package main
+
+import (
+	"testing"
+
+	"chicsim/internal/cmdtest"
+)
+
+// TestErrorPaths runs kernelbench on each bad invocation: every one must exit
+// with its status and exactly one line on stderr.
+func TestErrorPaths(t *testing.T) {
+	cmdtest.ErrorPaths(t, cmdtest.Build(t), []cmdtest.Case{
+		{Name: "unknown flag", Args: []string{"-bogus"}, Exit: 2},
+		{Name: "bad -only pattern", Args: []string{"-only", "("}, Exit: 2},
+	})
+}

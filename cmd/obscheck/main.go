@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"chicsim/internal/fabric"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 )
 
@@ -40,7 +41,7 @@ func main() {
 	chrome := flag.String("chrome", "", "Chrome trace-event JSON file to validate (.gz transparently gunzipped)")
 	requireMarker := flag.String("require-marker", "", "instant-marker name that must occur (with -chrome)")
 	requireProcess := flag.String("require-process", "", "substring some process_name must contain (with -chrome)")
-	flag.Parse()
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 
 	ran := false
 	fail := func(format string, args ...any) {
@@ -70,7 +71,6 @@ func main() {
 	}
 	if !ran {
 		fmt.Fprintln(os.Stderr, "obscheck: nothing to check (pass -metrics, -timeline, or -chrome)")
-		flag.Usage()
 		os.Exit(2)
 	}
 }

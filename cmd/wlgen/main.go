@@ -4,50 +4,33 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"chicsim/internal/core"
+	"chicsim/internal/obs"
 	"chicsim/internal/report"
 	"chicsim/internal/rng"
 	"chicsim/internal/workload"
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is wlgen with its arguments and output streams; it returns the exit
-// status. Every error is one line on stderr.
-func run(args []string, stdout, stderr io.Writer) int {
 	cfg := core.DefaultConfig()
-	fs := flag.NewFlagSet("wlgen", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	seed := fs.Uint64("seed", 1, "random seed")
-	users := fs.Int("users", cfg.Users, "number of users")
-	sites := fs.Int("sites", cfg.Sites, "number of sites")
-	files := fs.Int("files", cfg.Files, "number of datasets")
-	jobs := fs.Int("jobs", cfg.TotalJobs, "total jobs")
-	geomP := fs.Float64("geom-p", cfg.GeomP, "geometric popularity parameter")
-	inputs := fs.Int("inputs", 1, "input files per job")
-	out := fs.String("o", "", "write trace to this file (default: stdout unless -hist)")
-	hist := fs.Bool("hist", false, "print the Figure 2 popularity histogram instead of a trace")
-	ranks := fs.Int("ranks", 60, "histogram: number of dataset ranks to show")
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			fs.SetOutput(stderr)
-			fs.PrintDefaults()
-			return 0
-		}
-		fmt.Fprintln(stderr, "wlgen:", err)
-		return 2
-	}
+	seed := flag.Uint64("seed", 1, "random seed")
+	users := flag.Int("users", cfg.Users, "number of users")
+	sites := flag.Int("sites", cfg.Sites, "number of sites")
+	files := flag.Int("files", cfg.Files, "number of datasets")
+	jobs := flag.Int("jobs", cfg.TotalJobs, "total jobs")
+	geomP := flag.Float64("geom-p", cfg.GeomP, "geometric popularity parameter")
+	inputs := flag.Int("inputs", 1, "input files per job")
+	out := flag.String("o", "", "write trace to this file (default: stdout unless -hist)")
+	hist := flag.Bool("hist", false, "print the Figure 2 popularity histogram instead of a trace")
+	ranks := flag.Int("ranks", 60, "histogram: number of dataset ranks to show")
+	obs.ParseFlags(flag.CommandLine, os.Args[1:])
 	if *ranks < 0 {
-		fmt.Fprintf(stderr, "wlgen: -ranks = %d, want >= 0\n", *ranks)
-		return 2
+		fmt.Fprintf(os.Stderr, "wlgen: -ranks = %d, want >= 0\n", *ranks)
+		os.Exit(2)
 	}
 
 	spec := workload.Spec{
@@ -64,33 +47,38 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	w, err := workload.Generate(spec, rng.New(*seed))
 	if err != nil {
-		fmt.Fprintln(stderr, "wlgen:", err)
-		return 1
+		fatal(err)
 	}
 
 	if *hist {
-		fmt.Fprintf(stdout, "Figure 2: dataset popularity (geometric p=%g, %d jobs, first %d of %d datasets)\n",
+		fmt.Printf("Figure 2: dataset popularity (geometric p=%g, %d jobs, first %d of %d datasets)\n",
 			*geomP, *jobs, *ranks, *files)
-		report.Histogram(stdout, w.PopularityHistogram(), *ranks, 60)
-		return 0
+		report.Histogram(os.Stdout, w.PopularityHistogram(), *ranks, 60)
+		return
 	}
 
-	dst := stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(stderr, "wlgen:", err)
-			return 1
+	if *out == "" {
+		if err := w.WriteTrace(os.Stdout); err != nil {
+			fatal(err)
 		}
-		defer f.Close()
-		dst = f
+		return
 	}
-	if err := w.WriteTrace(dst); err != nil {
-		fmt.Fprintln(stderr, "wlgen:", err)
-		return 1
+	f, err := os.Create(*out)
+	if err != nil {
+		fatal(err)
 	}
-	if *out != "" {
-		fmt.Fprintf(stderr, "wlgen: wrote %d jobs to %s\n", w.TotalJobs(), *out)
+	err = w.WriteTrace(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return 0
+	if err != nil {
+		fatal(err)
+	}
+	fmt.Fprintf(os.Stderr, "wlgen: wrote %d jobs to %s\n", w.TotalJobs(), *out)
+}
+
+// fatal reports a failure in one line and exits with status 1.
+func fatal(err error) {
+	fmt.Fprintln(os.Stderr, "wlgen:", err)
+	os.Exit(1)
 }

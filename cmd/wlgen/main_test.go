@@ -1,50 +1,25 @@
 package main
 
 import (
-	"bytes"
-	"errors"
-	"os/exec"
-	"path/filepath"
-	"strings"
 	"testing"
+
+	"chicsim/internal/cmdtest"
 )
 
-// TestErrorPaths builds wlgen and runs it on each bad invocation: every
-// one must exit with its status and exactly one line on stderr.
+// TestErrorPaths runs wlgen on each bad invocation: every one must exit
+// with its status and exactly one line on stderr.
 func TestErrorPaths(t *testing.T) {
-	dir := t.TempDir()
-	bin := filepath.Join(dir, "wlgen")
-	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
+	cases := []cmdtest.Case{
+		{Name: "negative -ranks", Args: []string{"-hist", "-ranks", "-1"}, Exit: 2},
+		{Name: "negative -jobs", Args: []string{"-jobs", "-5"}, Exit: 1},
+		{Name: "no files", Args: []string{"-files", "0"}, Exit: 1},
+		{Name: "no inputs", Args: []string{"-inputs", "0"}, Exit: 1},
+		{Name: "-geom-p above 1", Args: []string{"-geom-p", "2"}, Exit: 1},
+		{Name: "-o into a missing directory", Args: []string{"-o", "no-such-dir/w.jsonl"}, Exit: 1},
+		{Name: "unknown flag", Args: []string{"-bogus"}, Exit: 2},
 	}
-
-	cases := []struct {
-		name string
-		args []string
-		exit int
-	}{
-		{"negative -ranks", []string{"-hist", "-ranks", "-1"}, 2},
-		{"negative -jobs", []string{"-jobs", "-5"}, 1},
-		{"no files", []string{"-files", "0"}, 1},
-		{"no inputs", []string{"-inputs", "0"}, 1},
-		{"-geom-p above 1", []string{"-geom-p", "2"}, 1},
-		{"-o into a missing directory", []string{"-o", "no-such-dir/w.jsonl"}, 1},
-		{"unknown flag", []string{"-bogus"}, 2},
+	for i := range cases {
+		cases[i].Args = append([]string{"-jobs", "50"}, cases[i].Args...)
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cmd := exec.Command(bin, append([]string{"-jobs", "50"}, tc.args...)...)
-			cmd.Dir = dir
-			var stderr bytes.Buffer
-			cmd.Stderr = &stderr
-			err := cmd.Run()
-			var exit *exec.ExitError
-			if !errors.As(err, &exit) || exit.ExitCode() != tc.exit {
-				t.Fatalf("exit = %v, want status %d; stderr:\n%s", err, tc.exit, stderr.String())
-			}
-			if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || lines[0] == "" {
-				t.Fatalf("stderr has %d lines, want one:\n%s", len(lines), stderr.String())
-			}
-		})
-	}
+	cmdtest.ErrorPaths(t, cmdtest.Build(t), cases)
 }

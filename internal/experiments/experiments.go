@@ -84,9 +84,7 @@ func (c Cell) apply(cfg *core.Config) error {
 	if c.SiteMTBF > 0 {
 		cfg.Faults.SiteCrash.MTBF = c.SiteMTBF
 		cfg.Faults.RequeueOnRecovery, cfg.Faults.RestoreReplicas = true, true
-		if cfg.Faults.SiteCrash.MTTR == 0 {
-			cfg.Faults.SiteCrash.MTTR = 600
-		}
+		cfg.Faults = cfg.Faults.WithRepairDefaults()
 	}
 	if err := c.Validate(); err != nil || c.Param == "" {
 		return err

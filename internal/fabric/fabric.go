@@ -42,11 +42,6 @@ type CampaignSpec struct {
 	Base  core.Config        `json:"base"`
 	Cells []experiments.Cell `json:"cells"`
 	Seeds []uint64           `json:"seeds"`
-
-	// ObsInterval, when > 0, overrides Base.ObsInterval on every run.
-	// Probe series are excluded from CellRecord JSON, so this never
-	// perturbs the merged stream.
-	ObsInterval float64 `json:"obs_interval,omitempty"`
 }
 
 // Validate checks the spec is runnable enough to shard.

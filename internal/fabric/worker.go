@@ -132,9 +132,6 @@ func (w *Worker) Status() WorkerSnapshot {
 // the resulting CellRecord is byte-identical to the record a
 // single-process `gridsweep -jsonl` run streams for the cell.
 func ExecuteShard(spec CampaignSpec, shard Shard) experiments.CellRecord {
-	if spec.ObsInterval > 0 {
-		spec.Base.ObsInterval = spec.ObsInterval
-	}
 	results := experiments.Run(experiments.Campaign{
 		Base:    spec.Base,
 		Cells:   []experiments.Cell{shard.Cell},

@@ -125,6 +125,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// WithRepairDefaults returns a copy in which every repairable class
+// whose MTBF is set and MTTR is not repairs in the default mean time:
+// 600 s for site crashes and link degradations, 300 s for CE failures
+// and link outages. Validate rejects such a class, so a caller gets
+// these defaults only by asking for them.
+func (c Config) WithRepairDefaults() Config {
+	fill := func(sp *Spec, mttr float64) {
+		if sp.MTBF > 0 && sp.MTTR == 0 {
+			sp.MTTR = mttr
+		}
+	}
+	fill(&c.SiteCrash, 600)
+	fill(&c.CEFailure, 300)
+	fill(&c.LinkDegrade, 600)
+	fill(&c.LinkOutage, 300)
+	return c
+}
+
 // Normalized returns a copy with defaults filled in for every knob left
 // at its zero value.
 func (c Config) Normalized() Config {

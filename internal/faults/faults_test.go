@@ -50,6 +50,33 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestWithRepairDefaults checks that the repair defaults fill only a
+// repairable class with an MTBF and no MTTR, and that Validate still
+// rejects such a class until a caller asks for them.
+func TestWithRepairDefaults(t *testing.T) {
+	c := Config{
+		SiteCrash:     Spec{MTBF: 100},
+		CEFailure:     Spec{MTBF: 100},
+		LinkDegrade:   Spec{MTBF: 100, MTTR: 7},
+		TransferAbort: Spec{MTBF: 100},
+	}
+	if c.Validate() == nil {
+		t.Fatal("Validate accepted a repairable class with no MTTR")
+	}
+	got := c.WithRepairDefaults()
+	want := c
+	want.SiteCrash.MTTR, want.CEFailure.MTTR = 600, 300
+	if got != want {
+		t.Fatalf("WithRepairDefaults = %+v, want %+v", got, want)
+	}
+	if err := got.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if (Config{}).WithRepairDefaults() != (Config{}) {
+		t.Fatal("WithRepairDefaults changed a config with no faults")
+	}
+}
+
 func TestNormalizedDefaults(t *testing.T) {
 	n := Config{}.Normalized()
 	if n.DegradeFactor != 0.1 || n.MaxRetries != 3 || n.RetryBackoff != 30 || n.RetryBackoffMax != 600 {

@@ -1,11 +1,16 @@
 package obs
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+
+	"chicsim/internal/obs/watchdog"
 )
 
 // Flags is the shared observability flag block for commands: pprof
@@ -43,10 +48,49 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// StartProfiling begins CPU profiling if requested. The returned stop
+// ParseFlags parses args into fs the way every command does: silently,
+// so a bad flag costs one line on stderr (prefixed by the command name,
+// the base of fs.Name()) and exit status 2, and only -h prints the usage,
+// then exits 0.
+func ParseFlags(fs *flag.FlagSet, args []string) {
+	name := filepath.Base(fs.Name())
+	fs.Init(name, flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	err := fs.Parse(args)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
+		os.Exit(2)
+	}
+}
+
+// Check rejects flag values no run can use; commands report its error as
+// a usage error.
+func (f *Flags) Check() error {
+	if f.SeriesInterval < 0 {
+		return fmt.Errorf("-obs-interval = %v, want >= 0", f.SeriesInterval)
+	}
+	_, err := watchdog.ParseMode(f.WatchdogMode)
+	return err
+}
+
+// Observing reports whether any flag needs the observation tick: a probe
+// series or stream, the metrics registry, or the watchdog. The runs then
+// tick every SeriesInterval.
+func (f *Flags) Observing() bool {
+	mode, _ := watchdog.ParseMode(f.WatchdogMode)
+	return f.SeriesPath != "" || f.StreamPath != "" || f.ListenAddr != "" ||
+		f.MetricsPath != "" || mode != watchdog.Off
+}
+
+// startProfiling begins CPU profiling if requested. The returned stop
 // function ends CPU profiling and writes the heap profile if requested;
 // it is safe to call when neither profile was enabled.
-func (f *Flags) StartProfiling() (stop func() error, err error) {
+func (f *Flags) startProfiling() (stop func() error, err error) {
 	var cpu *os.File
 	if f.CPUProfile != "" {
 		cpu, err = os.Create(f.CPUProfile)

@@ -1,8 +1,9 @@
 // Package obs is the live observability layer of the simulator: a probe
 // series sampled on the virtual clock (Registry), wall-clock progress
-// telemetry for experiment sweeps (Progress), shared profiling/series
-// flag wiring for commands (Flags), and run manifests for provenance
-// (Manifest).
+// telemetry for experiment sweeps (Progress), the commands' shared flag
+// parsing and observability flags (ParseFlags, Flags) with the session
+// that opens and flushes what those flags ask for (Session), and run
+// manifests for provenance (Manifest).
 //
 // The layer is strictly opt-in. A simulation with no registry schedules
 // no sampling events and allocates nothing here, so the hot path is

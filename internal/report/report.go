@@ -330,7 +330,7 @@ func Ablations(w io.Writer, results []experiments.CellResult, ablations []experi
 		fmt.Fprintf(w, "  %-38s %9s  %-18s %8s\n", "arm", "resp (s)", "Δ resp (s), 95% CI", "Δ")
 		control := ran(a.Arms[0])
 		for j, arm := range a.Arms {
-			label := armLabel(arm, a.Arms[0])
+			label := armLabel(arm, a.Arms)
 			cr := ran(arm)
 			if cr == nil {
 				fmt.Fprintf(w, "  %-38s %9s\n", label, "-")
@@ -364,13 +364,18 @@ func Ablations(w io.Writer, results []experiments.CellResult, ablations []experi
 }
 
 // armLabel names an ablation arm by what sets it apart from its study's
-// control: its scheduler pair, its site-crash MTBF, or else the
-// parameter it sets, or its pair and bandwidth when it sets none.
-func armLabel(arm, control experiments.Cell) string {
+// control, arms[0]: in a study whose arms differ in scheduler pair, by
+// its pair; otherwise by its site-crash MTBF, or else the parameter it
+// sets, or its pair and bandwidth when it sets none.
+func armLabel(arm experiments.Cell, arms []experiments.Cell) string {
 	pair := fmt.Sprintf("%s+%s@%gMB/s", arm.ES, arm.DS, arm.BandwidthMBps)
+	control := arms[0]
+	for _, a := range arms {
+		if a.ES != control.ES || a.DS != control.DS {
+			return pair
+		}
+	}
 	switch {
-	case arm.ES != control.ES || arm.DS != control.DS:
-		return pair
 	case arm.SiteMTBF != control.SiteMTBF:
 		return fmt.Sprintf("site-mtbf=%gs", arm.SiteMTBF)
 	case arm.Level != "":

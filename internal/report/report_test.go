@@ -341,6 +341,36 @@ func TestAblations(t *testing.T) {
 	}
 }
 
+// TestAblationLabelsNamePairs checks that every arm of a study whose arms
+// vary the scheduler pair, the control included, is labelled by its pair
+// (the feedback studies' control once read "staleness=120"), and that an
+// arm of any other study is labelled against the control alone.
+func TestAblationLabelsNamePairs(t *testing.T) {
+	controls := make(map[string]string)
+	for _, a := range experiments.Ablations() {
+		control := a.Arms[0]
+		varies := false
+		for _, arm := range a.Arms {
+			varies = varies || arm.ES != control.ES || arm.DS != control.DS
+		}
+		for _, arm := range a.Arms {
+			want := armLabel(arm, []experiments.Cell{control, arm})
+			if varies {
+				want = fmt.Sprintf("%s+%s@%gMB/s", arm.ES, arm.DS, arm.BandwidthMBps)
+			}
+			if got := armLabel(arm, a.Arms); got != want {
+				t.Errorf("%s: arm %v labelled %q, want %q", a.Name, arm, got, want)
+			}
+		}
+		controls[a.Name] = armLabel(control, a.Arms)
+	}
+	for _, name := range []string{"feedback", "feedback-crashes"} {
+		if got := controls[name]; got != "JobDataPresent+DataLeastLoaded@10MB/s" {
+			t.Errorf("%s control labelled %q, want JobDataPresent+DataLeastLoaded@10MB/s", name, got)
+		}
+	}
+}
+
 // TestAblationLabelsUnique checks that no study of experiments.Ablations
 // gives two arms the same label, and that an arm whose runs abandoned
 // jobs reports the total over its seeds.
@@ -348,7 +378,7 @@ func TestAblationLabelsUnique(t *testing.T) {
 	for _, a := range experiments.Ablations() {
 		seen := make(map[string]bool)
 		for _, arm := range a.Arms {
-			label := armLabel(arm, a.Arms[0])
+			label := armLabel(arm, a.Arms)
 			if seen[label] {
 				t.Errorf("%s: two arms labelled %q", a.Name, label)
 			}
