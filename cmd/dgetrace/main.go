@@ -40,10 +40,15 @@ func main() {
 	}
 
 	if *validate {
-		if _, err := trace.BuildSpans(log); err != nil {
+		forest, err := trace.BuildSpans(log)
+		if err != nil {
 			fatal(fmt.Errorf("trace INVALID: %w", err))
 		}
-		fmt.Printf("trace OK: %d events, lifecycle + transfer + fault invariants hold\n", log.Len())
+		cut := ""
+		if forest.Cut {
+			cut = " (cut short: jobs open at the cut left out)"
+		}
+		fmt.Printf("trace OK: %d events%s, lifecycle + transfer + fault invariants hold\n", log.Len(), cut)
 		return
 	}
 	if *chrome != "" {

@@ -70,6 +70,17 @@ func main() {
 		cfg.Feedback.DSNeighborhood = int(v[4])
 	}
 
+	var logw *os.File
+	if *jsonlPath != "" {
+		f, err := os.Create(*jsonlPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "gridtune:", err)
+			os.Exit(1)
+		}
+		defer f.Close()
+		logw = f
+	}
+
 	simsPerEval := len(seedList)
 	fmt.Fprintf(os.Stderr, "gridtune: tuning %d knobs, ≤%d evaluations × %d sims each (staleness %gs, %g MB/s)\n",
 		len(knobs), *evals, simsPerEval, *staleness, *bandwidth)
@@ -82,17 +93,6 @@ func main() {
 		Workers:  *workers,
 		Progress: progress,
 		DropRuns: true,
-	}
-
-	var logw *os.File
-	if *jsonlPath != "" {
-		f, err := os.Create(*jsonlPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gridtune:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		logw = f
 	}
 
 	opt := tune.Options{

@@ -11,5 +11,6 @@ import (
 func TestErrorPaths(t *testing.T) {
 	cmdtest.ErrorPaths(t, cmdtest.Build(t), []cmdtest.Case{
 		{Name: "unknown flag", Args: []string{"-bogus"}, Exit: 2},
+		{Name: "-jsonl into a missing directory", Args: []string{"-quick", "-jsonl", "no-such-dir/x.jsonl"}, Exit: 1},
 	})
 }

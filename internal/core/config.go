@@ -249,9 +249,8 @@ type Config struct {
 	// dispatch and replication counters what core's own tallies gained
 	// since the previous tick and sets the gauges; per-site response
 	// histograms and fault counters update inline at their hooks. An HTTP
-	// monitor can scrape the registry while the run (or a whole campaign
-	// sharing one registry) is going. Requires ObsInterval > 0. Attaching
-	// adds no event and never perturbs Results.
+	// monitor can scrape the registry while the run is going. Requires
+	// ObsInterval > 0. Attaching adds no event and never perturbs Results.
 	Metrics *registry.Registry `json:"-"`
 
 	// Watchdog, when not Off, runs online invariant checks

@@ -22,9 +22,9 @@ import (
 // per-site response histograms and the fault counters update inline at
 // their hooks.
 //
-// Determinism: every registry update is commutative arithmetic on values
-// the simulation already maintains; nothing here draws random numbers or
-// is read back by scheduling code, and the watchdog checks are read-only
+// Determinism: every registry update is arithmetic on values the
+// simulation already maintains; nothing here draws random numbers or is
+// read back by scheduling code, and the watchdog checks are read-only
 // over simulation state. The tick exists whenever ObsInterval > 0, with
 // or without a registry or watchdog, so a run with metrics + watchdog
 // attached fires the same events and produces byte-identical Results to
@@ -91,9 +91,7 @@ func (o *obsPass) gauge(f family, lv string, v float64) {
 }
 
 // counter advances the series of counter family f with label value lv by
-// the change in the running total v since the previous publish. Adds
-// commute, so a registry shared by a campaign's concurrent simulations
-// still ends at the exact total.
+// the change in the running total v since the previous publish.
 func (o *obsPass) counter(f family, lv string, v float64) {
 	if o.reg == nil {
 		return
@@ -112,11 +110,7 @@ func (o *obsPass) counter(f family, lv string, v float64) {
 }
 
 // attachObservation declares the observed quantities with a first pass
-// and builds the probe registry from its columns. Under a campaign, many
-// concurrent simulations share one metrics registry: registration is
-// idempotent, counters and histograms merge deterministically (the
-// updates commute), and gauges are last-write-wins across workers,
-// meaningful mainly for single-run monitoring.
+// and builds the probe registry from its columns.
 func (s *Simulation) attachObservation() {
 	n := len(s.sites)
 	s.pass = &obsPass{declaring: true, reg: s.cfg.Metrics, queue: make([]int, n), busy: make([]int, n)}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -109,7 +110,7 @@ func TestMonitorMidCampaign(t *testing.T) {
 	if done.Load() != cells*seeds {
 		t.Fatalf("OnRunDone fired %d times, want %d", done.Load(), cells*seeds)
 	}
-	// Shared-registry counters merge across workers deterministically.
+	// Every run is folded into the campaign registry by the time Run returns.
 	if v, ok := reg.Value("sim_jobs_total", "done"); !ok || int(v) != totalJobs {
 		t.Errorf("sim_jobs_total{done} = %v, %v; want %d", v, ok, totalJobs)
 	}
@@ -122,33 +123,60 @@ func TestMonitorMidCampaign(t *testing.T) {
 	t.Logf("scraped /metrics+/status %d times mid-campaign", scrapes)
 }
 
-// TestCampaignSharedRegistryDeterministic: counter totals across a
-// shared campaign registry must not depend on worker count.
-func TestCampaignSharedRegistryDeterministic(t *testing.T) {
-	gather := func(workers int) (float64, float64) {
+// TestCampaignRegistryDeterministic: the campaign registry's Prometheus
+// text, histogram sums included, must not depend on worker count; each
+// run writes its own registry and the runner folds them in (cell, seed)
+// order.
+func TestCampaignRegistryDeterministic(t *testing.T) {
+	gather := func(workers int) (text string, done, dispatches float64) {
 		reg := registry.New()
 		camp := Campaign{
 			Base: tinyBase(),
 			Cells: []Cell{
 				{ES: "JobDataPresent", DS: "DataLeastLoaded", BandwidthMBps: 10},
 				{ES: "JobLeastLoaded", DS: "DataLeastLoaded", BandwidthMBps: 10},
+				{ES: "JobRandom", DS: "DataRandom", BandwidthMBps: 10},
 			},
-			Seeds:   []uint64{1, 2},
+			Seeds:   []uint64{1, 2, 3},
 			Workers: workers,
 		}
+		camp.Base.TotalJobs = 600
 		camp.Base.ObsInterval, camp.Base.Metrics = 500, reg
 		for _, cr := range Run(camp) {
 			if cr.Err != nil {
 				t.Fatalf("cell %v: %v", cr.Cell, cr.Err)
 			}
 		}
-		d, _ := reg.Value("sim_jobs_total", "done")
-		disp, _ := reg.Value("sim_dispatches_total")
-		return d, disp
+		var b strings.Builder
+		if err := registry.WritePrometheus(&b, reg.Gather()); err != nil {
+			t.Fatal(err)
+		}
+		done, _ = reg.Value("sim_jobs_total", "done")
+		dispatches, _ = reg.Value("sim_dispatches_total")
+		return b.String(), done, dispatches
 	}
-	d1, disp1 := gather(1)
-	d4, disp4 := gather(4)
-	if d1 != d4 || disp1 != disp4 {
-		t.Errorf("shared-registry counters depend on workers: (%v, %v) vs (%v, %v)", d1, disp1, d4, disp4)
+	text1, d1, disp1 := gather(1)
+	if want := 3 * 3 * 600.0; d1 != want {
+		t.Errorf("sim_jobs_total{done} = %v, want %v", d1, want)
 	}
+	for _, workers := range []int{2, 4} {
+		text, d, disp := gather(workers)
+		if d != d1 || disp != disp1 {
+			t.Errorf("workers=%d: counters (%v, %v), want (%v, %v) as with one worker", workers, d, disp, d1, disp1)
+		}
+		if text != text1 {
+			t.Errorf("workers=%d: campaign exposition differs from one worker's:\n%s", workers, firstDiff(text1, text))
+		}
+	}
+}
+
+// firstDiff returns the first line where a and b differ.
+func firstDiff(a, b string) string {
+	al, bl := strings.Split(a, "\n"), strings.Split(b, "\n")
+	for i := range min(len(al), len(bl)) {
+		if al[i] != bl[i] {
+			return fmt.Sprintf("line %d: %q vs %q", i+1, al[i], bl[i])
+		}
+	}
+	return fmt.Sprintf("%d vs %d lines", len(al), len(bl))
 }

@@ -260,13 +260,15 @@ func CompareResponse(a, b *CellResult) (stats.TTestResult, error) {
 // Base carries the observation settings to every run. With
 // Base.ObsInterval > 0 each run's Results hold a per-site time series,
 // sampled on the simulation's own virtual clock, so series are
-// bit-identical regardless of Workers. Base.Metrics, when non-nil, is
-// shared by every simulation: counts merge deterministically across
-// workers, float sums only up to their summation order, and gauges are
-// last-write-wins between concurrently running simulations. The runner
-// adds its own campaign_runs_total / campaign_cells_total counters to it.
-// Base.Watchdog applies to every run; a Fail-mode violation surfaces as
-// that cell's Err. Both need Base.ObsInterval > 0, or every run errors.
+// bit-identical regardless of Workers. Base.Metrics, when non-nil,
+// receives every run: each simulation writes a registry of its own, and
+// the runner folds them into Base.Metrics in (cell, seed) order as soon
+// as every earlier run has finished, so the exposition is the same for
+// any Workers and a gauge holds the last folded run's final value. The
+// runner adds its own campaign_runs_total / campaign_cells_total
+// counters to it. Base.Watchdog applies to every run; a Fail-mode
+// violation surfaces as that cell's Err. Both need Base.ObsInterval > 0,
+// or every run errors.
 type Campaign struct {
 	Base    core.Config // template; the cell's coordinates and Seed set per run
 	Cells   []Cell
@@ -471,15 +473,26 @@ func Run(c Campaign) []CellResult {
 	c.Progress.SetWorkers(workers)
 
 	type task struct {
-		cell int
-		seed uint64
+		cell, run int // run: the (cell, seed) pair's index in campaign order
+		seed      uint64
 	}
 	type outcome struct {
-		cell int
-		seed uint64
-		res  core.Results
-		err  error
+		task
+		res core.Results
+		reg *registry.Registry // the run's own metrics, nil without Base.Metrics
+		err error
 	}
+	// The runner's counters register before any fold, so they lead the
+	// exposition.
+	var runsOK, runsErr, cellsDone registry.Counter
+	if c.Base.Metrics != nil {
+		rt := c.Base.Metrics.Counter("campaign_runs_total",
+			"Simulations finished by the campaign runner, by outcome.", "status")
+		runsOK, runsErr = rt.With("ok"), rt.With("error")
+		cellsDone = c.Base.Metrics.Counter("campaign_cells_total",
+			"Campaign cells fully completed (all seeds in).").With()
+	}
+
 	tasks := make(chan task)
 	outcomes := make(chan outcome)
 
@@ -492,6 +505,9 @@ func Run(c Campaign) []CellResult {
 				cfg := c.Base
 				err := c.Cells[t.cell].apply(&cfg)
 				cfg.Seed = t.seed
+				if c.Base.Metrics != nil {
+					cfg.Metrics = registry.New()
+				}
 				if c.OnViolation != nil {
 					cell, seed := c.Cells[t.cell], t.seed
 					cfg.OnViolation = func(v watchdog.Violation) { c.OnViolation(cell, seed, v) }
@@ -513,14 +529,14 @@ func Run(c Campaign) []CellResult {
 					})
 				}
 				c.Progress.RunDone(fmt.Sprintf("%v seed=%d", c.Cells[t.cell], t.seed))
-				outcomes <- outcome{cell: t.cell, seed: t.seed, res: res, err: err}
+				outcomes <- outcome{task: t, res: res, reg: cfg.Metrics, err: err}
 			}
 		}()
 	}
 	go func() {
 		for i := range c.Cells {
-			for _, seed := range c.Seeds {
-				tasks <- task{cell: i, seed: seed}
+			for j, seed := range c.Seeds {
+				tasks <- task{cell: i, run: i*len(c.Seeds) + j, seed: seed}
 			}
 		}
 		close(tasks)
@@ -528,24 +544,26 @@ func Run(c Campaign) []CellResult {
 		close(outcomes)
 	}()
 
-	var runsOK, runsErr, cellsDone registry.Counter
-	if c.Base.Metrics != nil {
-		rt := c.Base.Metrics.Counter("campaign_runs_total",
-			"Simulations finished by the campaign runner, by outcome.", "status")
-		runsOK, runsErr = rt.With("ok"), rt.With("error")
-		cellsDone = c.Base.Metrics.Counter("campaign_cells_total",
-			"Campaign cells fully completed (all seeds in).").With()
-	}
-
 	results := make([]CellResult, len(c.Cells))
 	pending := make([]int, len(c.Cells))
 	for i := range results {
 		results[i].Cell = c.Cells[i]
 		pending[i] = len(c.Seeds)
 	}
+	// Finished runs' registries wait here until every earlier run is in;
+	// folded is the next run to fold.
+	regs := make([]*registry.Registry, len(c.Cells)*len(c.Seeds))
+	folded := 0
 	// The collector (this loop) is the only goroutine touching results,
 	// so every callback fired here runs serialized.
 	for o := range outcomes {
+		if o.reg != nil {
+			regs[o.run] = o.reg
+			for ; folded < len(regs) && regs[folded] != nil; folded++ {
+				c.Base.Metrics.Fold(regs[folded])
+				regs[folded] = nil
+			}
+		}
 		cr := &results[o.cell]
 		if o.err != nil {
 			if cr.Err == nil {

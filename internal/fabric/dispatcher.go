@@ -219,6 +219,9 @@ func (d *Dispatcher) loadJournal(path string) error {
 			if e.Spec == nil {
 				return fmt.Errorf("fabric: journal spec entry without a spec")
 			}
+			if err := e.Spec.Validate(); err != nil {
+				return fmt.Errorf("%w (in the journal's spec entry)", err)
+			}
 			d.installCampaign(e.Spec, e.CampaignID)
 		case "done":
 			if d.spec == nil || e.Shard < 0 || e.Shard >= len(d.shards) || e.Record == nil {

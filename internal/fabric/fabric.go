@@ -27,6 +27,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"time"
 
 	"chicsim/internal/core"
@@ -44,7 +45,10 @@ type CampaignSpec struct {
 	Seeds []uint64           `json:"seeds"`
 }
 
-// Validate checks the spec is runnable enough to shard.
+// Validate checks the spec is runnable enough to shard: it has cells and
+// seeds, and every cell names a known ES and DS and a parameter the
+// sweeps define. Specs cross the trust boundary twice, at submission and
+// when a journal is resumed.
 func (s *CampaignSpec) Validate() error {
 	if len(s.Cells) == 0 {
 		return fmt.Errorf("fabric: campaign has no cells")
@@ -53,6 +57,12 @@ func (s *CampaignSpec) Validate() error {
 		return fmt.Errorf("fabric: campaign has no seeds")
 	}
 	for _, c := range s.Cells {
+		if !slices.Contains(core.ExternalNames(), c.ES) {
+			return fmt.Errorf("fabric: cell %v: unknown ES %q", c, c.ES)
+		}
+		if !slices.Contains(core.DatasetNames(), c.DS) {
+			return fmt.Errorf("fabric: cell %v: unknown DS %q", c, c.DS)
+		}
 		if err := c.Validate(); err != nil {
 			return fmt.Errorf("fabric: %w", err)
 		}

@@ -7,25 +7,26 @@
 // while a simulation — or a whole campaign of them — is still running.
 // Two properties drive the design:
 //
-//   - Determinism. Metric updates are plain commutative arithmetic on
-//     values the simulation already maintains; the registry schedules no
-//     events, draws no random numbers, and is never read by scheduling
-//     code, so attaching it cannot perturb a run's Results. Counter and
-//     histogram totals are therefore bit-identical for a given seed
-//     regardless of how many campaign workers update them concurrently.
-//     Gather output is ordered by family registration and sorted label
-//     values, never map order.
+//   - Determinism. Metric updates are plain arithmetic on values the
+//     simulation already maintains; the registry schedules no events,
+//     draws no random numbers, and is never read by scheduling code, so
+//     attaching it cannot perturb a run's Results. One simulation writes
+//     one registry; a campaign merges its runs' registries with Fold in
+//     a fixed run order, so even float sums are bit-identical whatever
+//     the worker count. Gather output is ordered by family registration
+//     and sorted label values, never map order.
 //
-//   - Concurrency. A campaign updates one shared registry from many
-//     simulation goroutines while the monitor scrapes it from an HTTP
-//     handler. All value updates are lock-free atomics; the registry
-//     mutex guards only registration and snapshotting.
+//   - Concurrency. The monitor scrapes a registry from an HTTP handler
+//     while its simulation (or a campaign's fold) updates it. All value
+//     updates are lock-free atomics; the registry mutex guards only
+//     registration and snapshotting.
 package registry
 
 import (
 	"fmt"
 	"math"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -149,7 +150,7 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f := r.byName[name]; f != nil {
-		if f.kind != kind || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic(fmt.Sprintf("registry: conflicting re-registration of %q", name))
 		}
 		return f
@@ -164,30 +165,6 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 	r.families = append(r.families, f)
 	r.byName[name] = f
 	return f
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (f *family) child(values []string) *child {
@@ -280,8 +257,7 @@ type GaugeVec struct{ f *family }
 type HistogramVec struct{ f *family }
 
 // Counter registers (or finds) a counter family. Registration is
-// idempotent, so independent simulations sharing a campaign registry can
-// all "register" the same families and end up updating the same cells.
+// idempotent: registering a family again returns the same cells.
 func (r *Registry) Counter(name, help string, labels ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, CounterKind, labels, nil)}
 }
@@ -435,9 +411,7 @@ func (r *Registry) Gather() []Family {
 		f.mu.Lock()
 		children := f.series(nil)
 		f.mu.Unlock()
-		sort.Slice(children, func(i, j int) bool {
-			return lessStrings(children[i].labelVals, children[j].labelVals)
-		})
+		slices.SortFunc(children, func(a, b *child) int { return slices.Compare(a.labelVals, b.labelVals) })
 		for _, c := range children {
 			s := Sample{LabelValues: c.labelVals}
 			if f.kind == HistogramKind {
@@ -463,6 +437,39 @@ func (r *Registry) Gather() []Family {
 	return out
 }
 
+// Fold adds src's series into r: counters add, histogram buckets, counts
+// and sums add, and a gauge takes src's value. src's families register in
+// r in src's order, so a family conflicting with one r already holds
+// panics, as re-registration does. Folding the same registries in the
+// same order gives bit-identical float sums; src must not be updated
+// while it is folded.
+func (r *Registry) Fold(src *Registry) {
+	src.mu.Lock()
+	fams := append([]*family(nil), src.families...)
+	src.mu.Unlock()
+	for _, sf := range fams {
+		df := r.register(sf.name, sf.help, sf.kind, sf.labels, sf.buckets)
+		sf.mu.Lock()
+		children := sf.series(nil)
+		sf.mu.Unlock()
+		for _, sc := range children {
+			dc := df.child(sc.labelVals)
+			switch sf.kind {
+			case CounterKind:
+				addFloat(&dc.bits, math.Float64frombits(sc.bits.Load()))
+			case GaugeKind:
+				dc.bits.Store(sc.bits.Load())
+			case HistogramKind:
+				for i := range sc.hist.counts {
+					dc.hist.counts[i].Add(sc.hist.counts[i].Load())
+				}
+				dc.hist.count.Add(sc.hist.count.Load())
+				addFloat(&dc.hist.sumBits, math.Float64frombits(sc.hist.sumBits.Load()))
+			}
+		}
+	}
+}
+
 // Value looks up the current value of one counter or gauge series, mainly
 // for status endpoints and tests. labelValues must match the family's
 // label names in order. ok is false for unknown families or series.
@@ -480,16 +487,4 @@ func (r *Registry) Value(name string, labelValues ...string) (v float64, ok bool
 		return 0, false
 	}
 	return math.Float64frombits(c.bits.Load()), true
-}
-
-func lessStrings(a, b []string) bool {
-	for i := range a {
-		if i >= len(b) {
-			return false
-		}
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
 }

@@ -401,3 +401,61 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		h.Observe(float64(i % 100))
 	}
 }
+
+// TestFold: folding A then B gives the counters and histogram counts of
+// one registry that saw both runs' updates, gauges end at B's values, and
+// a family conflicting with one the target holds panics.
+func TestFold(t *testing.T) {
+	buckets := []float64{10, 100}
+	type run struct {
+		done, queued float64
+		obs          []float64
+	}
+	runs := []run{{3, 7, []float64{5, 50, 500}}, {2, 4, []float64{20, 1000}}}
+	update := func(r *Registry, x run) {
+		r.Counter("jobs_total", "Jobs.", "state").With("done").Add(x.done)
+		r.Gauge("queued", "Queued.").With().Set(x.queued)
+		h := r.Histogram("resp", "Response.", buckets, "site").With("0")
+		for _, v := range x.obs {
+			h.Observe(v)
+		}
+	}
+	both, folded := New(), New()
+	for _, x := range runs {
+		update(both, x)
+		one := New()
+		update(one, x)
+		folded.Fold(one)
+	}
+	if v, _ := folded.Value("jobs_total", "done"); v != 5 {
+		t.Errorf("folded counter = %v, want 5", v)
+	}
+	if v, _ := folded.Value("queued"); v != runs[1].queued {
+		t.Errorf("folded gauge = %v, want the last run's %v", v, runs[1].queued)
+	}
+	want, got := both.Gather(), folded.Gather()
+	if len(got) != len(want) {
+		t.Fatalf("folded %d families, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i].Name != want[i].Name {
+			t.Errorf("family %d = %s, want %s (source order)", i, got[i].Name, want[i].Name)
+		}
+	}
+	if w, g := want[0].Samples[0].Value, got[0].Samples[0].Value; g != w {
+		t.Errorf("counter = %v, want %v", g, w)
+	}
+	wh, gh := want[2].Samples[0].Hist, got[2].Samples[0].Hist
+	if !reflect.DeepEqual(gh.CumCounts, wh.CumCounts) || gh.Count != wh.Count || gh.Sum != wh.Sum {
+		t.Errorf("histogram = %+v, want %+v", gh, wh)
+	}
+
+	conflict := New()
+	conflict.Gauge("jobs_total", "Jobs.", "state").With("done").Set(1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("folding a conflicting family should panic")
+		}
+	}()
+	folded.Fold(conflict)
+}

@@ -30,7 +30,7 @@ type Session struct {
 	flags         *Flags
 	server        *monitor.Server
 	closeSink     func() error
-	closeTrace    func() error
+	closeTrace    func(cut bool) error
 	stopProfiling func() error
 
 	mu       sync.Mutex
@@ -63,7 +63,7 @@ func (f *Flags) Start(command string, config any, seeds []uint64, status func() 
 			s.closeSink()
 		}
 		if s.closeTrace != nil {
-			s.closeTrace()
+			s.closeTrace(false)
 		}
 		if s.server != nil {
 			s.server.Close()
@@ -78,8 +78,12 @@ func (f *Flags) Start(command string, config any, seeds []uint64, status func() 
 			return nil, err
 		}
 		s.Trace = trace.NewStreamRecorder(w)
-		s.closeTrace = func() error {
-			if err := s.Trace.Flush(); err != nil {
+		s.closeTrace = func(cut bool) error {
+			end := s.Trace.Flush
+			if cut {
+				end = s.Trace.Cut
+			}
+			if err := end(); err != nil {
 				w.Close()
 				return err
 			}
@@ -139,8 +143,10 @@ func (s *Session) ExitOnInterrupt(flush func()) {
 }
 
 // Finish stops the profiles, closes the sample stream and the trace,
-// writes the metrics snapshot and the manifest (marked interrupted when
-// the run was cut short) and stops the monitor. Only the first call
+// writes the metrics snapshot and the manifest and stops the monitor.
+// When the run was cut short, the manifest is marked interrupted and the
+// trace ends in a cut marker, after which the still running simulation
+// records nothing. Only the first call
 // acts; it returns the first error.
 func (s *Session) Finish(interrupted bool) error {
 	s.mu.Lock()
@@ -160,7 +166,7 @@ func (s *Session) Finish(interrupted bool) error {
 		keep(s.closeSink())
 	}
 	if s.closeTrace != nil {
-		if err := s.closeTrace(); err != nil {
+		if err := s.closeTrace(interrupted); err != nil {
 			keep(err)
 		} else {
 			fmt.Fprintf(os.Stderr, "%s: wrote %d trace events to %s\n", s.command, s.Trace.Recorded(), s.flags.TracePath)

@@ -1,13 +1,13 @@
-// Package queueing provides analytical queueing-theory baselines (M/M/1,
-// M/M/c with Erlang-C) and a discrete-event implementation of the same
-// systems on the simulation engine.
+// Package queueing provides analytical queueing-theory baselines: M/M/1,
+// M/M/c with Erlang-C, and the Pollaczek–Khinchine M/G/1 wait.
 //
-// Its purpose is validation: the simulator's event core, random streams,
-// and timestamp accounting are checked end-to-end against closed-form
-// results — a standard credibility step for a from-scratch simulator like
-// ChicSim's Go reimplementation. The formulas are also handy as sanity
-// baselines when interpreting grid results (a site with c compute elements
-// fed by Poisson-ish arrivals is approximately M/G/c).
+// Its purpose is validation: core's TestSingleSiteMatchesQueueingTheory
+// runs the whole simulator on a one-site grid fed by a Poisson stream,
+// which is an M/G/c queue, and checks its mean queue wait against these
+// closed forms — a standard credibility step for a from-scratch
+// simulator. The formulas are also handy as sanity baselines when
+// interpreting grid results (a site with c compute elements fed by
+// Poisson-ish arrivals is approximately M/G/c).
 package queueing
 
 import (
@@ -72,6 +72,22 @@ func MMCAvgWait(lambda, mu float64, c int) (float64, error) {
 		return 0, err
 	}
 	return pWait / (float64(c)*mu - lambda), nil
+}
+
+// MG1AvgWait returns the Pollaczek–Khinchine expected queueing delay
+// (excluding service) of an M/G/1 system with arrival rate lambda and
+// service-time moments es = E[S] and es2 = E[S²]: λE[S²]/(2(1−ρ)) with
+// ρ = λE[S]. It errors when the system is unstable or an input is not
+// positive.
+func MG1AvgWait(lambda, es, es2 float64) (float64, error) {
+	if lambda <= 0 || es <= 0 || es2 <= 0 {
+		return 0, fmt.Errorf("queueing: λ=%v E[S]=%v E[S²]=%v must be positive", lambda, es, es2)
+	}
+	rho := lambda * es
+	if rho >= 1 {
+		return 0, fmt.Errorf("queueing: unstable system (ρ=%v ≥ 1)", rho)
+	}
+	return lambda * es2 / (2 * (1 - rho)), nil
 }
 
 // MMCUtilization returns per-server utilization ρ = λ/(cμ).

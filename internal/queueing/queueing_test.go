@@ -84,73 +84,21 @@ func TestUtilization(t *testing.T) {
 	}
 }
 
-// The simulator validation: DES results must match closed-form M/M/1 and
-// M/M/c within Monte-Carlo tolerance. This exercises the event engine,
-// exponential sampling, and time-integral accounting end-to-end.
-func TestSimMatchesMM1Theory(t *testing.T) {
-	const lambda, mu = 0.8, 1.0
-	want, _ := MM1AvgWait(lambda, mu)
-	res, err := SimulateMMC(lambda, mu, 1, 200000, 42)
-	if err != nil {
-		t.Fatal(err)
+// TestMG1ReducesToMM1: with exponential service, E[S²] = 2/μ², P–K is
+// the M/M/1 wait; deterministic service (E[S²] = 1/μ²) halves it.
+func TestMG1ReducesToMM1(t *testing.T) {
+	const lambda, mu = 0.6, 1.0
+	mm1, _ := MM1AvgWait(lambda, mu)
+	if w, err := MG1AvgWait(lambda, 1/mu, 2/(mu*mu)); err != nil || math.Abs(w-mm1) > 1e-12 {
+		t.Fatalf("M/G/1 with exponential service = %v, %v; want M/M/1 %v", w, err, mm1)
 	}
-	if res.Served != 200000 {
-		t.Fatalf("served = %d", res.Served)
+	if w, _ := MG1AvgWait(lambda, 1/mu, 1/(mu*mu)); math.Abs(w-mm1/2) > 1e-12 {
+		t.Fatalf("M/D/1 = %v, want %v", w, mm1/2)
 	}
-	if rel := math.Abs(res.AvgWait-want) / want; rel > 0.05 {
-		t.Fatalf("sim Wq = %v, theory %v (rel err %.3f)", res.AvgWait, want, rel)
-	}
-	wantL, _ := MM1AvgInSystem(lambda, mu)
-	if rel := math.Abs(res.AvgInSystem-wantL) / wantL; rel > 0.05 {
-		t.Fatalf("sim L = %v, theory %v", res.AvgInSystem, wantL)
-	}
-	if rel := math.Abs(res.Utilization-lambda/mu) / (lambda / mu); rel > 0.02 {
-		t.Fatalf("sim rho = %v, theory %v", res.Utilization, lambda/mu)
-	}
-}
-
-func TestSimMatchesMMCTheory(t *testing.T) {
-	const lambda, mu = 2.4, 1.0
-	const c = 3
-	want, _ := MMCAvgWait(lambda, mu, c)
-	res, err := SimulateMMC(lambda, mu, c, 200000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(res.AvgWait-want) / want; rel > 0.06 {
-		t.Fatalf("sim Wq = %v, theory %v (rel err %.3f)", res.AvgWait, want, rel)
-	}
-	wantRho := MMCUtilization(lambda, mu, c)
-	if rel := math.Abs(res.Utilization-wantRho) / wantRho; rel > 0.02 {
-		t.Fatalf("sim rho = %v, theory %v", res.Utilization, wantRho)
-	}
-}
-
-func TestSimDeterministic(t *testing.T) {
-	a, err := SimulateMMC(0.5, 1, 2, 5000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SimulateMMC(0.5, 1, 2, 5000, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.AvgWait != b.AvgWait || a.AvgInSystem != b.AvgInSystem {
-		t.Fatal("simulation not deterministic")
-	}
-}
-
-func TestSimInvalidParams(t *testing.T) {
-	for _, c := range []struct{ l, m float64 }{{0, 1}, {1, 0}, {-1, 1}} {
-		if _, err := SimulateMMC(c.l, c.m, 1, 10, 1); err == nil {
-			t.Fatalf("accepted λ=%v μ=%v", c.l, c.m)
+	for _, c := range [][3]float64{{0, 1, 1}, {1, 0, 1}, {1, 1, 0}, {1, 1, 2}} {
+		if _, err := MG1AvgWait(c[0], c[1], c[2]); err == nil {
+			t.Errorf("MG1AvgWait(%v) accepted", c)
 		}
-	}
-	if _, err := SimulateMMC(1, 2, 0, 10, 1); err == nil {
-		t.Fatal("accepted c=0")
-	}
-	if _, err := SimulateMMC(1, 2, 1, 0, 1); err == nil {
-		t.Fatal("accepted n=0")
 	}
 }
 

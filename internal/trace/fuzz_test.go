@@ -17,6 +17,11 @@ func FuzzReadJSONL(f *testing.F) {
 		`{"t":5,"kind":"fetch_end","file":3,"src":1,"dst":2,"bytes":1e9}`)
 	f.Add(`{"t":-1,"kind":"evicted"}`)
 	f.Add(`garbage`)
+	// A cut log: job 2 still open at the marker.
+	f.Add(jsonl(
+		`{"t":0,"kind":"job_submitted","job":2}`,
+		`{"t":0,"kind":"job_dispatched","job":2,"site":1}`,
+		`{"t":3,"kind":"trace_cut"}`))
 	f.Add(`{"kind":""}`)
 	// The fault paths of the walk: a crash that kills an in-flight fetch
 	// of a job rerun elsewhere; aborts of a fetch and of an output; a push

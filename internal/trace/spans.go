@@ -102,6 +102,9 @@ type Forest struct {
 	// transfers whose job never finished. They still occupy link tracks.
 	Loose    []*Span
 	Makespan float64
+	// Cut reports a trace that ends in a TraceCut event; its jobs still
+	// open at the cut are in none of the lists above.
+	Cut bool
 
 	byJob map[int]*JobTree
 	// counts holds the per-kind tallies and the bytes by purpose and by
@@ -180,7 +183,10 @@ type siteFaults struct {
 //
 // Every killed transfer has its abort event, so the walk closes spans
 // only on events. A span still open at the end of the trace is dropped,
-// as a truncated trace.
+// as a truncated trace. A trace that ends in a TraceCut event is the
+// prefix of an interrupted run: no event may follow the cut, and a job
+// submitted but not yet completed or abandoned at it is dropped rather
+// than rejected as an incomplete lifecycle (Forest.Cut records it).
 func BuildSpans(l *Log) (*Forest, error) {
 	jobs := make(map[int]*jobBuild)
 	get := func(id int) *jobBuild {
@@ -239,6 +245,9 @@ func BuildSpans(l *Log) (*Forest, error) {
 	for i, e := range l.Events() {
 		if e.T < 0 {
 			return nil, fmt.Errorf("trace: event %d at negative time %v", i, e.T)
+		}
+		if f.Cut {
+			return nil, fmt.Errorf("trace: %s event after the trace_cut (t=%v)", e.Kind, e.T)
 		}
 		if e.T > f.Makespan && isJobKind(e.Kind) {
 			f.Makespan = e.T
@@ -424,6 +433,8 @@ func BuildSpans(l *Log) (*Forest, error) {
 			}
 		case Evicted:
 			c.EvictCount++
+		case TraceCut:
+			f.Cut = true
 		default:
 			return nil, fmt.Errorf("trace: unknown event kind %q", e.Kind)
 		}
@@ -459,6 +470,9 @@ func BuildSpans(l *Log) (*Forest, error) {
 			f.Loose = append(f.Loose, jb.fetches...)
 			f.Loose = append(f.Loose, jb.outputs...)
 			continue
+		}
+		if !jb.haveEnd && f.Cut {
+			continue // still running when the run was interrupted
 		}
 		if !jb.haveEnd || jb.starts == 0 || jb.dispatches == 0 {
 			return nil, fmt.Errorf("trace: job %d has an incomplete lifecycle", id)

@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 )
 
 // Kind enumerates DGE event types.
@@ -47,6 +48,10 @@ const (
 	ReplicaLost   Kind = "replica_lost"   // cached replica dropped by fault
 	JobRetried    Kind = "job_retried"    // failed job scheduled for resubmission
 	JobAbandoned  Kind = "job_abandoned"  // job out of retries, permanently failed
+
+	// TraceCut ends a log whose run was interrupted (StreamRecorder.Cut):
+	// jobs still open at it are not an error. Nothing follows it.
+	TraceCut Kind = "trace_cut"
 )
 
 // Event is one DGE record. Fields that do not apply to a kind are -1 (ids)
@@ -114,12 +119,16 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 // they are recorded, keeping memory flat for very long executions. Events
 // are emitted in *recording* order, which is not timestamp order (job
 // lifecycle events flush at completion); ReadJSONL + Log.Events restores
-// timestamp order on load. Call Flush before reading the output.
+// timestamp order on load. Call Flush before reading the output. Record,
+// Flush and Cut may be called from different goroutines.
 type StreamRecorder struct {
-	w   *bufio.Writer
-	enc *json.Encoder
-	err error
-	n   int
+	mu   sync.Mutex
+	w    *bufio.Writer
+	enc  *json.Encoder
+	err  error
+	n    int
+	last float64 // latest timestamp recorded
+	cut  bool
 }
 
 // NewStreamRecorder wraps w.
@@ -129,9 +138,12 @@ func NewStreamRecorder(w io.Writer) *StreamRecorder {
 }
 
 // Record implements Recorder. The first write error is retained and
-// surfaces from Flush; later events are dropped.
+// surfaces from Flush; later events are dropped, as are events recorded
+// after Cut.
 func (r *StreamRecorder) Record(e Event) {
-	if r.err != nil {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil || r.cut {
 		return
 	}
 	if err := r.enc.Encode(e); err != nil {
@@ -139,17 +151,40 @@ func (r *StreamRecorder) Record(e Event) {
 		return
 	}
 	r.n++
+	r.last = max(r.last, e.T)
 }
 
 // Recorded returns the number of events successfully written.
-func (r *StreamRecorder) Recorded() int { return r.n }
+func (r *StreamRecorder) Recorded() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n
+}
 
 // Flush drains buffers and reports the first error encountered.
 func (r *StreamRecorder) Flush() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.err != nil {
 		return fmt.Errorf("trace: stream recorder: %w", r.err)
 	}
 	return r.w.Flush()
+}
+
+// Cut ends the stream of a run that is being interrupted: it writes a
+// TraceCut event at the latest timestamp recorded, so the marker sorts
+// last, and flushes. Every later Record is dropped, so the log is a
+// prefix of the run's events that BuildSpans accepts.
+func (r *StreamRecorder) Cut() error {
+	r.mu.Lock()
+	if !r.cut && r.err == nil {
+		if err := r.enc.Encode(Event{T: r.last, Kind: TraceCut}); err != nil {
+			r.err = err
+		}
+	}
+	r.cut = true
+	r.mu.Unlock()
+	return r.Flush()
 }
 
 // ReadJSONL parses a JSON-lines DGE trace.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -239,5 +240,89 @@ func TestSiteLoadGini(t *testing.T) {
 	}
 	if g := a.SiteLoadGini(); math.Abs(g-0.4) > 1e-9 {
 		t.Fatalf("Gini = %v, want 0.4 for (9,1) split", g)
+	}
+}
+
+// TestStreamRecorderCutWhileRecording cuts the stream while another
+// goroutine keeps recording, as an interrupt does to a running
+// simulation (run it with -race): the output must parse, end in the cut
+// marker and hold exactly the events recorded before it.
+func TestStreamRecorderCutWhileRecording(t *testing.T) {
+	var buf bytes.Buffer
+	r := NewStreamRecorder(&buf)
+	started, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for id := 0; ; id++ {
+			for _, e := range lifecycleEvents(id, float64(id), float64(id), float64(id)+1, float64(id)+2, 0) {
+				r.Record(e)
+			}
+			if id == 100 {
+				close(started)
+			}
+			if id == 20000 {
+				return
+			}
+		}
+	}()
+	<-started
+	if err := r.Cut(); err != nil {
+		t.Fatal(err)
+	}
+	n := r.Recorded()
+	<-done
+	if got := r.Recorded(); got != n {
+		t.Fatalf("%d events recorded after the cut", got-n)
+	}
+	l, err := ReadJSONL(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatalf("cut stream does not parse: %v", err)
+	}
+	if l.Len() != n+1 {
+		t.Fatalf("stream holds %d events, want %d recorded + the marker", l.Len(), n)
+	}
+	evs := l.Events()
+	if last := evs[len(evs)-1]; last.Kind != TraceCut {
+		t.Fatalf("last event = %+v, want the cut marker", last)
+	}
+	f, err := BuildSpans(l)
+	if err != nil {
+		t.Fatalf("cut stream rejected: %v", err)
+	}
+	if !f.Cut {
+		t.Fatal("Forest.Cut not set")
+	}
+}
+
+// TestCutLogAcceptsOpenJobs: a job still open at the cut marker is
+// dropped, the same log without the marker is rejected, and no event may
+// follow the marker.
+func TestCutLogAcceptsOpenJobs(t *testing.T) {
+	build := func(tail ...Event) (*Forest, error) {
+		l := NewLog()
+		for _, e := range lifecycleEvents(1, 0, 0, 10, 110, 4) {
+			l.Record(e)
+		}
+		l.Record(Event{T: 50, Kind: JobSubmitted, Job: 2, User: 1})
+		l.Record(Event{T: 50, Kind: JobDispatched, Job: 2, Site: 4})
+		l.Record(Event{T: 60, Kind: FetchStart, Job: 2, File: 9, Src: 1, Dst: 4})
+		for _, e := range tail {
+			l.Record(e)
+		}
+		return BuildSpans(l)
+	}
+	f, err := build(Event{T: 110, Kind: TraceCut})
+	if err != nil {
+		t.Fatalf("cut log rejected: %v", err)
+	}
+	if !f.Cut || len(f.Jobs) != 1 || f.Jobs[0].Job != 1 {
+		t.Fatalf("cut log: Cut=%v, %d jobs; want the one completed job", f.Cut, len(f.Jobs))
+	}
+	if _, err := build(); err == nil || !strings.Contains(err.Error(), "job 2 has an incomplete lifecycle") {
+		t.Fatalf("uncut log with an open job: err = %v", err)
+	}
+	if _, err := build(Event{T: 110, Kind: TraceCut}, Event{T: 120, Kind: Evicted, File: 3, Site: 4}); err == nil ||
+		!strings.Contains(err.Error(), "after the trace_cut") {
+		t.Fatalf("event after the cut: err = %v", err)
 	}
 }
