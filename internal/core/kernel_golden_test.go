@@ -114,6 +114,18 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 		cfgs["pressure-"+strings.ToLower(strings.TrimPrefix(dsName, "Data"))] = pressure
 	}
 
+	// The batch heuristics over 120 s windows (the batch buffer and its
+	// flush event) and the open model's Poisson arrivals (the per-user
+	// arrival callbacks), which no case above reaches.
+	for _, name := range BatchNames() {
+		batch := base()
+		batch.BatchES, batch.BatchWindow = name, 120
+		cfgs["batch-"+strings.ToLower(strings.TrimPrefix(name, "Batch"))] = batch
+	}
+	open := base()
+	open.ArrivalRate = 1.0 / 600
+	cfgs["open"] = open
+
 	for name := range cfgs {
 		names = append(names, name)
 	}
