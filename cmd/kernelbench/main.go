@@ -83,6 +83,8 @@ func suite() []bench {
 	// The stale GIS's snapshot refresh and least-loaded holders memo.
 	out = append(out, bench{"GISLeastLoaded", kernelbench.GISLeastLoaded})
 	out = append(out, bench{"Sim", kernelbench.Sim})
+	// Seed-replicated short runs, each built in the previous one's memory.
+	out = append(out, bench{"Campaign", kernelbench.Campaign})
 	for _, tier := range []struct {
 		name string
 		jobs int

@@ -27,6 +27,7 @@ package catalog
 
 import (
 	"fmt"
+	"slices"
 
 	"chicsim/internal/storage"
 	"chicsim/internal/topology"
@@ -53,10 +54,24 @@ type Catalog struct {
 // New returns an empty catalog.
 func New() *Catalog { return &Catalog{} }
 
-// growTo extends the file-indexed arrays to cover id f.
+// Reset empties the catalog for a new run. It keeps its file-indexed
+// arrays, each file's replica list buffer among them, and its change
+// list's, so redefining the files and registering their replicas
+// allocates nothing up to the previous run's sizes.
+func (c *Catalog) Reset() {
+	*c = Catalog{sizes: c.sizes[:0], defined: c.defined[:0], repl: c.repl[:0], changed: c.changed[:0], dirty: c.dirty[:0]}
+}
+
+// growTo extends the file-indexed arrays to cover id f. An entry the
+// arrays held before a Reset keeps its replica list's buffer.
 func (c *Catalog) growTo(f storage.FileID) {
-	for int(f) >= len(c.repl) {
-		c.repl = append(c.repl, nil)
+	for n := len(c.repl); int(f) >= n; n++ {
+		if n < cap(c.repl) {
+			c.repl = c.repl[:n+1]
+			c.repl[n] = c.repl[n][:0]
+		} else {
+			c.repl = append(c.repl, nil)
+		}
 		c.sizes = append(c.sizes, 0)
 		c.defined = append(c.defined, false)
 	}
@@ -86,7 +101,8 @@ func (c *Catalog) markChanged(f storage.FileID) {
 func (c *Catalog) TakeChanges() []storage.FileID {
 	if !c.tracking {
 		c.tracking = true
-		c.dirty = make([]bool, len(c.defined))
+		c.dirty = slices.Grow(c.dirty[:0], len(c.defined))[:len(c.defined)]
+		clear(c.dirty)
 	}
 	out := c.changed
 	for _, f := range out {

@@ -13,10 +13,12 @@ import (
 )
 
 // Case is one bad invocation and the exit status it must end with.
+// Line, when set, is the one stderr line it must print.
 type Case struct {
 	Name string
 	Args []string
 	Exit int
+	Line string
 }
 
 // Build compiles the command in the current directory (a test's package
@@ -37,7 +39,7 @@ func Build(t *testing.T) string {
 
 // ErrorPaths runs bin once per case, each as a subtest named by the case:
 // every run must exit with the case's status and write exactly one line
-// to stderr.
+// to stderr, the case's Line when it names one.
 func ErrorPaths(t *testing.T, bin string, cases []Case) {
 	t.Helper()
 	for _, tc := range cases {
@@ -51,8 +53,12 @@ func ErrorPaths(t *testing.T, bin string, cases []Case) {
 			if !errors.As(err, &exit) || exit.ExitCode() != tc.Exit {
 				t.Fatalf("exit = %v, want status %d; stderr:\n%s", err, tc.Exit, stderr.String())
 			}
-			if lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n"); len(lines) != 1 || lines[0] == "" {
+			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
+			if len(lines) != 1 || lines[0] == "" {
 				t.Fatalf("stderr has %d lines, want one:\n%s", len(lines), stderr.String())
+			}
+			if tc.Line != "" && lines[0] != tc.Line {
+				t.Fatalf("stderr = %q, want %q", lines[0], tc.Line)
 			}
 		})
 	}

@@ -85,16 +85,18 @@ type Results struct {
 	ReplicasRestored   int // DS re-replications of fault-lost popular files
 }
 
-// Simulation is a fully assembled Data Grid ready to Run. Build with New;
-// a Simulation is single-use.
+// Simulation is a fully assembled Data Grid ready to Run. Build one with
+// New and Run it once: a second Run is refused. A Runner runs a sequence
+// of simulations, each built in the memory of the one before.
 type Simulation struct {
-	cfg  Config
-	eng  *desim.Engine
-	topo *topology.Topology
-	net  *netsim.Network
-	cat  *catalog.Catalog
-	gis  *gis.Service
-	wl   *workload.Workload
+	cfg   Config
+	eng   *desim.Engine
+	topo  *topology.Topology
+	net   *netsim.Network
+	cat   *catalog.Catalog
+	gis   *gis.Service
+	wl    *workload.Workload // Config.Trace, or genWL
+	genWL *workload.Workload // the generated workload's memory; never a caller's trace
 
 	sites []*site.Site
 	esFor []scheduler.External // indexed by user
@@ -232,18 +234,101 @@ func (v view) PredictTransfer(a, b topology.SiteID, size float64) float64 {
 
 // New assembles a simulation from the config.
 func New(cfg Config) (*Simulation, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(Simulation)
+	if err := s.build(cfg); err != nil {
 		return nil, err
 	}
-	s := &Simulation{
-		cfg:            cfg,
-		eng:            desim.New(),
-		cat:            catalog.New(),
-		pushesInFlight: make(map[pushKey]bool),
-		rec:            cfg.Recorder,
+	return s, nil
+}
+
+// Runner runs simulations one after another. It keeps the last finished
+// Simulation and builds the next one in its memory: every component is
+// reset in place and keeps the arrays, pools and slabs it grew, so a run
+// no bigger than the one before allocates almost nothing. A campaign
+// worker owns one Runner. The zero Runner is ready to use; it is not safe
+// for concurrent use.
+type Runner struct{ sim *Simulation }
+
+// Run builds and runs one simulation, with the same Results as
+// RunConfig(cfg). Nothing in the Results shares memory with the Runner,
+// so they stay valid across later runs.
+func (r *Runner) Run(cfg Config) (Results, error) {
+	if r.sim == nil {
+		r.sim = new(Simulation)
+	} else {
+		r.sim.reset()
 	}
+	if err := r.sim.build(cfg); err != nil {
+		return Results{}, err
+	}
+	return r.sim.Run()
+}
+
+// reset readies a finished (or failed) simulation to be built again. The
+// struct literal carries the components and buffers a run grows, the
+// buffers cut to length 0, and leaves every other field zero, so no
+// counter, flag or caller-owned input (Config.Trace, Recorder, Metrics,
+// the watchdog and the probes) passes from one run to the next. build
+// resets each carried component in place.
+func (s *Simulation) reset() {
+	clear(s.pushesInFlight)
+	clear(s.esFor)
+	clear(s.batchBuf)
+	*s = Simulation{
+		eng:            s.eng,
+		net:            s.net,
+		cat:            s.cat,
+		gis:            s.gis,
+		genWL:          s.genWL,
+		sites:          s.sites[:0],
+		esFor:          s.esFor[:0],
+		batchBuf:       s.batchBuf[:0],
+		collector:      s.collector,
+		jobs:           s.jobs,
+		submitFns:      s.submitFns[:0],
+		arriveFns:      s.arriveFns[:0],
+		dsWakeFns:      s.dsWakeFns[:0],
+		dsIdleAt:       s.dsIdleAt[:0],
+		transferPool:   s.transferPool,
+		nextJob:        s.nextJob[:0],
+		pushesInFlight: s.pushesInFlight,
+	}
+}
+
+// reuse returns p, or a new zero T when p is nil: build resets each
+// component in place, in an earlier run's memory when there is one.
+func reuse[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
+// upTo returns buf with length n, keeping what its array holds past
+// len(buf) from an earlier, longer use; entries never used are zero.
+func upTo[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		buf = append(buf[:cap(buf)], make([]T, n-cap(buf))...)
+	}
+	return buf[:n]
+}
+
+// build assembles the simulation of cfg into s, which is new or reset.
+func (s *Simulation) build(cfg Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	s.cfg = cfg
+	s.rec = cfg.Recorder
 	if s.rec == nil {
 		s.rec = trace.Discard
+	}
+	s.eng = reuse(s.eng)
+	s.eng.Reset()
+	s.cat = reuse(s.cat)
+	s.cat.Reset()
+	if s.pushesInFlight == nil {
+		s.pushesInFlight = make(map[pushKey]bool)
 	}
 	root := rng.New(cfg.Seed)
 
@@ -266,9 +351,10 @@ func New(cfg Config) (*Simulation, error) {
 		}, root.Derive("topology"))
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
-	s.net = netsim.New(s.eng, s.topo, cfg.Sharing)
+	s.net = reuse(s.net)
+	s.net.Reset(s.eng, s.topo, cfg.Sharing)
 	if cfg.LatencyMsPerHop > 0 {
 		s.net.SetLatencyPerHop(cfg.LatencyMsPerHop / 1000)
 	}
@@ -276,10 +362,11 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.Trace != nil {
 		s.wl = cfg.Trace
 	} else {
-		s.wl, err = workload.Generate(cfg.WorkloadSpec(), root.Derive("workload"))
-		if err != nil {
-			return nil, err
+		s.genWL = reuse(s.genWL)
+		if err := s.genWL.Regenerate(cfg.WorkloadSpec(), root.Derive("workload")); err != nil {
+			return err
 		}
+		s.wl = s.genWL
 	}
 	s.totalJobs = s.wl.TotalJobs()
 	if cfg.ResultMode == ResultModeBounded {
@@ -288,22 +375,27 @@ func New(cfg Config) (*Simulation, error) {
 		// full mode.
 		s.collector = metrics.NewBounded(root.Derive("results"))
 	} else {
-		s.collector = metrics.NewCollector(s.totalJobs)
+		s.collector = reuse(s.collector)
+		s.collector.Reset(s.totalJobs)
 	}
 	for f, size := range s.wl.FileSizes {
 		if err := s.cat.DefineFile(storage.FileID(f), size); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
 	lsched, err := NewLocal(cfg.LS)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	rearmDS := func(sid topology.SiteID) { s.dsRearm(int(sid)) }
+	evicted := func(sid topology.SiteID, f storage.FileID) {
+		s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.Evicted, File: int(f), Site: int(sid)})
+	}
 	ceSrc := root.Derive("ces")
 	speedSrc := root.Derive("speeds")
-	s.sites = make([]*site.Site, cfg.Sites)
+	jobDone := s.jobDone
+	s.sites = upTo(s.sites, cfg.Sites)
 	for i := range s.sites {
 		ces := ceSrc.IntRange(cfg.MinCEs, cfg.MaxCEs)
 		s.totalCEs += ces
@@ -311,28 +403,27 @@ func New(cfg Config) (*Simulation, error) {
 		if cfg.CPUSpreadFrac > 0 {
 			speed = speedSrc.Range(1-cfg.CPUSpreadFrac, 1+cfg.CPUSpreadFrac)
 		}
-		sid := topology.SiteID(i)
-		s.sites[i], err = site.New(s.eng, s.topo, s.cat, mover{s}, lsched, site.Config{
-			ID:       sid,
-			CEs:      ces,
-			Speed:    speed,
-			Capacity: cfg.StorageGB * 1e9,
-			OnEvict: func(f storage.FileID) {
-				s.rec.Record(trace.Event{T: s.eng.Now(), Kind: trace.Evicted, File: int(f), Site: int(sid)})
-			},
+		s.sites[i] = reuse(s.sites[i])
+		err := s.sites[i].Reset(s.eng, s.topo, s.cat, mover{s}, lsched, site.Config{
+			ID:           topology.SiteID(i),
+			CEs:          ces,
+			Speed:        speed,
+			Capacity:     cfg.StorageGB * 1e9,
+			OnEvict:      evicted,
 			OnWindowOpen: rearmDS,
-		}, s.jobDone)
+		}, jobDone)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for f, master := range s.wl.MasterSite {
 		if err := s.sites[master].InstallMaster(storage.FileID(f), s.wl.FileSizes[f]); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
-	s.gis = gis.New(s.eng, s.cat, s.topo, func(sid topology.SiteID) int {
+	s.gis = reuse(s.gis)
+	s.gis.Reset(s.eng, s.cat, s.topo, func(sid topology.SiteID) int {
 		return s.sites[sid].QueueLen()
 	}, cfg.InfoStaleness)
 	for f, master := range s.wl.MasterSite {
@@ -348,7 +439,7 @@ func New(cfg Config) (*Simulation, error) {
 
 	avgCompute := cfg.ComputePerGB * (cfg.MinFileGB + cfg.MaxFileGB) / 2 * float64(cfg.InputsPerJob)
 	avgCEs := float64(cfg.MinCEs+cfg.MaxCEs) / 2
-	s.esFor = make([]scheduler.External, cfg.Users)
+	s.esFor = upTo(s.esFor, cfg.Users)
 	esRoot := root.Derive("es")
 	switch cfg.Mapping {
 	case ESPerSite:
@@ -356,7 +447,7 @@ func New(cfg Config) (*Simulation, error) {
 		for i := range perSite {
 			perSite[i], err = NewExternal(cfg.ES, esRoot.Derive(fmt.Sprintf("site-%d", i)), avgCompute, avgCEs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.wireFeedback(perSite[i])
 		}
@@ -366,7 +457,7 @@ func New(cfg Config) (*Simulation, error) {
 	case ESCentral:
 		central, err := NewExternal(cfg.ES, esRoot.Derive("central"), avgCompute, avgCEs)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		s.wireFeedback(central)
 		for u := range s.esFor {
@@ -376,17 +467,17 @@ func New(cfg Config) (*Simulation, error) {
 		for u := range s.esFor {
 			s.esFor[u], err = NewExternal(cfg.ES, esRoot.Derive(fmt.Sprintf("user-%d", u)), avgCompute, avgCEs)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			s.wireFeedback(s.esFor[u])
 		}
 	default:
-		return nil, fmt.Errorf("core: unknown ES mapping %v", cfg.Mapping)
+		return fmt.Errorf("core: unknown ES mapping %v", cfg.Mapping)
 	}
 
 	s.dsch, err = NewDataset(cfg.DS, root.Derive("ds"))
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if fds, ok := s.dsch.(*feedback.DS); ok {
 		fds.Tracker = s.fb
@@ -395,7 +486,7 @@ func New(cfg Config) (*Simulation, error) {
 	if cfg.BatchES != "" {
 		s.batch, err = NewBatch(cfg.BatchES, avgCompute)
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -415,21 +506,29 @@ func New(cfg Config) (*Simulation, error) {
 		}
 	}
 
-	s.nextJob = make([]int, cfg.Users)
+	s.nextJob = upTo(s.nextJob, cfg.Users)
+	clear(s.nextJob)
 	s.arrivalSrc = root.Derive("arrivals")
-	s.jobs = job.NewStore()
-	s.submitFns = make([]func(), cfg.Users)
-	s.arriveFns = make([]func(), cfg.Users)
-	for u := 0; u < cfg.Users; u++ {
-		uid := job.UserID(u)
-		s.submitFns[u] = func() { s.submitNext(uid) }
-		s.arriveFns[u] = func() { s.submitNext(uid); s.scheduleArrival(uid) }
+	s.jobs = reuse(s.jobs)
+	s.jobs.Reset()
+	// The callbacks close over s and an index only, so those an earlier
+	// run built are kept.
+	s.submitFns = upTo(s.submitFns, cfg.Users)
+	s.arriveFns = upTo(s.arriveFns, cfg.Users)
+	for u := range s.submitFns {
+		if s.submitFns[u] == nil {
+			uid := job.UserID(u)
+			s.submitFns[u] = func() { s.submitNext(uid) }
+			s.arriveFns[u] = func() { s.submitNext(uid); s.scheduleArrival(uid) }
+		}
 	}
-	s.dsWakeFns = make([]func(), cfg.Sites)
-	s.dsIdleAt = make([]float64, cfg.Sites)
+	s.dsWakeFns = upTo(s.dsWakeFns, cfg.Sites)
+	s.dsIdleAt = upTo(s.dsIdleAt, cfg.Sites)
 	for i := range s.dsWakeFns {
-		i := i
-		s.dsWakeFns[i] = func() { s.dsWake(i) }
+		if s.dsWakeFns[i] == nil {
+			i := i
+			s.dsWakeFns[i] = func() { s.dsWake(i) }
+		}
 		s.dsIdleAt[i] = -1
 	}
 	if cfg.ObsInterval > 0 {
@@ -438,7 +537,7 @@ func New(cfg Config) (*Simulation, error) {
 	if s.wd = newWatchdog(cfg); s.wd != nil {
 		s.registerWatchdog()
 	}
-	return s, nil
+	return nil
 }
 
 // wireFeedback attaches the simulation's telemetry tracker and feedback

@@ -111,6 +111,21 @@ type Engine struct {
 // New returns a fresh engine with the clock at zero.
 func New() *Engine { return &Engine{} }
 
+// Reset returns the engine to its zero state for a new simulation: the
+// clock at zero, no events pending and every counter cleared. The nodes of
+// the dropped events join the free list, and the queue and free list keep
+// their arrays, so the next simulation schedules into the memory this one
+// grew. Each dropped node's generation is bumped, so a handle to it
+// cancels nothing.
+func (e *Engine) Reset() {
+	for i, n := range e.queue {
+		n.gen++
+		e.release(n)
+		e.queue[i] = nil
+	}
+	*e = Engine{queue: e.queue[:0], free: e.free}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 

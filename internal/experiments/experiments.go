@@ -501,6 +501,9 @@ func Run(c Campaign) []CellResult {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			// Each worker builds every simulation in the memory of its
+			// previous one.
+			var runner core.Runner
 			for t := range tasks {
 				cfg := c.Base
 				err := c.Cells[t.cell].apply(&cfg)
@@ -525,7 +528,7 @@ func Run(c Campaign) []CellResult {
 						"cell", c.Cells[t.cell].String(),
 						"seed", strconv.FormatUint(t.seed, 10),
 					), func(context.Context) {
-						res, err = core.RunConfig(cfg)
+						res, err = runner.Run(cfg)
 					})
 				}
 				c.Progress.RunDone(fmt.Sprintf("%v seed=%d", c.Cells[t.cell], t.seed))

@@ -64,10 +64,10 @@ type Service struct {
 	memo []holdersMemo
 	scan []topology.SiteID // the oracle's LeastLoadedHolders answer, reused
 
-	// masterOf records each file's permanent master site. Masters are
-	// globally advertised even under regional scoping (the initial
-	// dataset→site mapping is static, well-known metadata).
-	masterOf map[storage.FileID]topology.SiteID
+	// masterOf records each file's permanent master site, -1 where none
+	// is set. Masters are globally advertised even under regional scoping
+	// (the initial dataset→site mapping is static, well-known metadata).
+	masterOf []topology.SiteID
 	// regionOf caches each site's region membership for scoped queries.
 	regionOf []map[topology.SiteID]bool
 }
@@ -80,13 +80,27 @@ type holdersMemo struct {
 
 // New creates a service. staleness <= 0 yields an oracle.
 func New(eng *desim.Engine, cat *catalog.Catalog, topo *topology.Topology, loadOf LoadFunc, staleness float64) *Service {
-	return &Service{
+	s := new(Service)
+	s.Reset(eng, cat, topo, loadOf, staleness)
+	return s
+}
+
+// Reset makes s the service New would return, keeping the arrays of its
+// snapshot, its memo and its master table, each entry's holder buffer
+// among them, for the next run to fill.
+func (s *Service) Reset(eng *desim.Engine, cat *catalog.Catalog, topo *topology.Topology, loadOf LoadFunc, staleness float64) {
+	*s = Service{
 		eng:      eng,
 		cat:      cat,
 		topo:     topo,
 		loadOf:   loadOf,
 		stale:    staleness,
 		snapTime: -1,
+		snapLoad: s.snapLoad[:0],
+		snapRep:  s.snapRep[:0],
+		memo:     s.memo[:0],
+		scan:     s.scan[:0],
+		masterOf: s.masterOf[:0],
 	}
 }
 
@@ -96,8 +110,8 @@ func (s *Service) Topology() *topology.Topology { return s.topo }
 // SetMaster records a file's master site (used for scoped visibility:
 // master locations are global knowledge).
 func (s *Service) SetMaster(f storage.FileID, site topology.SiteID) {
-	if s.masterOf == nil {
-		s.masterOf = make(map[storage.FileID]topology.SiteID)
+	for int(f) >= len(s.masterOf) {
+		s.masterOf = append(s.masterOf, -1)
 	}
 	s.masterOf[f] = site
 }
@@ -127,10 +141,13 @@ func (s *Service) region(viewer topology.SiteID) map[topology.SiteID]bool {
 func (s *Service) ReplicasVisibleTo(f storage.FileID, viewer topology.SiteID) []topology.SiteID {
 	all := s.Replicas(f)
 	region := s.region(viewer)
-	master, hasMaster := s.masterOf[f]
+	master := topology.SiteID(-1)
+	if f >= 0 && int(f) < len(s.masterOf) {
+		master = s.masterOf[f]
+	}
 	out := make([]topology.SiteID, 0, len(all))
 	for _, r := range all {
-		if region[r] || (hasMaster && r == master) {
+		if region[r] || r == master {
 			out = append(out, r)
 		}
 	}
@@ -170,9 +187,21 @@ func (s *Service) refresh() {
 		s.snapLoad[i] = s.loadOf(topology.SiteID(i))
 	}
 	bound := s.cat.FileIDBound()
-	for len(s.snapRep) < bound {
-		s.snapRep = append(s.snapRep, nil)
-		s.memo = append(s.memo, holdersMemo{})
+	for n := len(s.snapRep); n < bound; n++ {
+		// An entry from before a Reset keeps its buffers; its memo is
+		// stale again.
+		if n < cap(s.snapRep) {
+			s.snapRep = s.snapRep[:n+1]
+			s.snapRep[n] = s.snapRep[n][:0]
+		} else {
+			s.snapRep = append(s.snapRep, nil)
+		}
+		if n < cap(s.memo) {
+			s.memo = s.memo[:n+1]
+			s.memo[n] = holdersMemo{sites: s.memo[n].sites[:0]}
+		} else {
+			s.memo = append(s.memo, holdersMemo{})
+		}
 	}
 	if first {
 		s.cat.TakeChanges() // starts the change list

@@ -33,6 +33,8 @@ const recycled State = -1
 // store. A job handle is valid from Alloc until Free; the core frees a
 // job after its completion has been fully recorded.
 type Store struct {
+	slabs [][]Job // every slab made, in order; slabs[:made] are in use
+	made  int
 	fresh []Job  // the newest slab's entries not yet handed out
 	free  []*Job // recycled entries, reused LIFO
 	next  int    // fresh entries handed out so far (high-water mark)
@@ -41,6 +43,15 @@ type Store struct {
 
 // NewStore returns an empty job store.
 func NewStore() *Store { return &Store{} }
+
+// Reset empties the store for a new run and keeps its slabs: they are
+// handed out again in the order they were made, each the size a new
+// store's slab of that rank would be, so a run allocates no job storage
+// up to the previous run's high-water mark. Every handle from before the
+// reset is dead.
+func (s *Store) Reset() {
+	*s = Store{slabs: s.slabs, free: s.free[:0]}
+}
 
 // Alloc returns a job in the Created state, recycling a freed slot when
 // one is available and growing by one slab otherwise.
@@ -52,9 +63,14 @@ func (s *Store) Alloc(id ID, user UserID, origin topology.SiteID, inputs []stora
 		s.free = s.free[:n-1]
 	} else {
 		if len(s.fresh) == 0 {
-			// The slabs so far hold firstSlab·(2^k − 1) entries, all
-			// handed out, so doubling makes the next one next+firstSlab.
-			s.fresh = newSlab(min(s.next+firstSlab, maxSlab))
+			if s.made == len(s.slabs) {
+				// The slabs so far hold firstSlab·(2^k − 1) entries, all
+				// handed out, so doubling makes the next one
+				// next+firstSlab.
+				s.slabs = append(s.slabs, newSlab(min(s.next+firstSlab, maxSlab)))
+			}
+			s.fresh = s.slabs[s.made]
+			s.made++
 		}
 		j = &s.fresh[0]
 		s.fresh = s.fresh[1:]

@@ -8,7 +8,8 @@
 // queue under schedule/cancel churn (the flow-cancellation matrix cancels
 // constantly), netsim's reflow on every flow admission and completion,
 // and a site's per-file data path. Sim is the end-to-end anchor,
-// reporting events/sec.
+// reporting events/sec, and Campaign the paper's campaign, reporting
+// jobs/s and what each simulation allocates.
 package kernelbench
 
 import (
@@ -19,6 +20,7 @@ import (
 	"chicsim/internal/catalog"
 	"chicsim/internal/core"
 	"chicsim/internal/desim"
+	"chicsim/internal/experiments"
 	"chicsim/internal/gis"
 	"chicsim/internal/job"
 	"chicsim/internal/netsim"
@@ -327,6 +329,40 @@ func Sim(b *testing.B) {
 	if s := b.Elapsed().Seconds(); s > 0 {
 		b.ReportMetric(float64(events)/s, "events/sec")
 	}
+}
+
+// Campaign runs the paper's Figure 3 campaign at 10 MB/s on the Table 1
+// grid, the 12 ES × DS cells × 2 seeds, through experiments.Run on one
+// worker, so every simulation after the first is built in the memory of
+// the one before. Beyond ns/op, the time of one campaign, it reports
+// simulated jobs/s and, per simulation, the bytes and mallocs allocated;
+// gc-cycles counts the collections one campaign triggers.
+func Campaign(b *testing.B) {
+	base := core.DefaultConfig()
+	base.Sites, base.Users, base.Files = 30, 120, 200
+	base.RegionFanout = 6
+	base.LS = "FIFO"
+	base.InfoStaleness = 30
+	base.TotalJobs = 6000
+	c := experiments.Campaign{Base: base, Cells: experiments.PaperCells(10), Seeds: []uint64{1, 2}, Workers: 1, DropRuns: true}
+	sims := len(c.Cells) * len(c.Seeds)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < b.N; i++ {
+		for _, cr := range experiments.Run(c) {
+			if cr.Err != nil {
+				b.Fatal(cr.Err)
+			}
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runs := float64(b.N * sims)
+	if s := b.Elapsed().Seconds(); s > 0 {
+		b.ReportMetric(runs*float64(base.TotalJobs)/s, "jobs/s")
+	}
+	b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/runs, "B/sim")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/runs, "allocs/sim")
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc-cycles")
 }
 
 // ScaleConfig is the fixed large-grid scenario behind SimScale: a

@@ -141,8 +141,8 @@ type Collector struct {
 	siteJobs    []float64
 
 	// Full mode: every response time (the exact quantiles and histogram
-	// need nothing else). Allocated at the first completion with room for
-	// the expected jobs, so the run appends without growing it.
+	// need nothing else). Sized at the first completion with room for the
+	// expected jobs, so the run appends without growing it.
 	responses    []float64
 	expectedJobs int
 
@@ -163,7 +163,19 @@ type Collector struct {
 // NewCollector returns an empty full-mode collector that keeps one
 // response time per completed job. jobs is how many jobs the run will
 // complete at most; the buffer is sized for it at the first completion.
-func NewCollector(jobs int) *Collector { return &Collector{expectedJobs: jobs} }
+func NewCollector(jobs int) *Collector {
+	c := new(Collector)
+	c.Reset(jobs)
+	return c
+}
+
+// Reset makes c the empty full-mode collector NewCollector(jobs) would
+// return, keeping its response buffer and per-site counts' arrays for
+// the next run to fill. Results it summarized before share no memory
+// with it.
+func (c *Collector) Reset(jobs int) {
+	*c = Collector{expectedJobs: jobs, responses: c.responses[:0], siteJobs: c.siteJobs[:0]}
+}
 
 // NewBounded returns a bounded-mode collector whose memory is independent
 // of how many jobs complete. src seeds the exemplar reservoir; pass a
@@ -225,7 +237,7 @@ func (c *Collector) JobDone(j *job.Job) {
 	}
 
 	if !c.bounded {
-		if c.responses == nil {
+		if len(c.responses) == 0 && cap(c.responses) < c.expectedJobs {
 			c.responses = make([]float64, 0, c.expectedJobs)
 		}
 		c.responses = append(c.responses, resp)

@@ -204,25 +204,74 @@ func (s *linkState) consume(rate float64) {
 
 // New creates a network simulator bound to an engine and topology.
 func New(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) *Network {
-	n := &Network{
-		eng:       eng,
-		topo:      topo,
-		policy:    policy,
-		onLink:    make([]int, topo.NumLinks()),
-		share:     make([]float64, topo.NumLinks()),
-		linkFlows: make([][]*Flow, topo.NumLinks()),
-
-		bwOverride: make([]float64, topo.NumLinks()),
-		linkBusy:   make([]float64, topo.NumLinks()),
-		busySince:  make([]desim.Time, topo.NumLinks()),
-		linkBytes:  make([]float64, topo.NumLinks()),
-	}
-	for i := range n.bwOverride {
-		n.bwOverride[i] = -1
-		n.busySince[i] = -1
-	}
-	n.completeFn = func() { n.complete(n.next) }
+	n := new(Network)
+	n.Reset(eng, topo, policy)
 	return n
+}
+
+// Reset makes n the network New would return, in the memory n already
+// holds: its flows, active or not, join the pool with their route
+// buffers and closures, and its per-link arrays, per-link flow lists and
+// scratch keep their arrays. The counters, the flow ids and the latency
+// start over; every flow handle from before the reset is dead.
+func (n *Network) Reset(eng *desim.Engine, topo *topology.Topology, policy SharingPolicy) {
+	pool := n.pool
+	for _, f := range n.ordered {
+		if f != nil {
+			pool = append(pool, f)
+		}
+	}
+	for _, f := range pool {
+		*f = Flow{path: f.path[:0], hopPos: f.hopPos[:0], localFn: f.localFn, activateFn: f.activateFn, pooled: true}
+	}
+	links := topo.NumLinks()
+	linkFlows := n.linkFlows[:cap(n.linkFlows)]
+	if len(linkFlows) < links {
+		linkFlows = append(linkFlows, make([][]*Flow, links-len(linkFlows))...)
+	}
+	linkFlows = linkFlows[:links]
+	for l, fl := range linkFlows {
+		clear(fl)
+		linkFlows[l] = fl[:0]
+	}
+	clear(n.ordered)
+	completeFn := n.completeFn
+	if completeFn == nil {
+		completeFn = func() { n.complete(n.next) }
+	}
+	*n = Network{
+		eng:        eng,
+		topo:       topo,
+		policy:     policy,
+		bwOverride: filled(n.bwOverride, links, -1),
+		ordered:    n.ordered[:0],
+		finishAt:   n.finishAt[:0],
+		onLink:     filled(n.onLink, links, 0),
+		share:      filled(n.share, links, 0),
+		linkFlows:  linkFlows,
+		pool:       pool,
+		blockMin:   n.blockMin[:0],
+		completeFn: completeFn,
+		changed:    n.changed[:0],
+		lsBuf:      n.lsBuf,
+		frozenBuf:  n.frozenBuf,
+		linkBusy:   filled(n.linkBusy, links, 0),
+		busySince:  filled(n.busySince, links, -1),
+		linkBytes:  filled(n.linkBytes, links, 0),
+	}
+}
+
+// filled returns buf resized to n entries, each v, in buf's array when it
+// is large enough.
+func filled[T any](buf []T, n int, v T) []T {
+	if cap(buf) < n {
+		buf = make([]T, n)
+	}
+	buf = buf[:n]
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }
 
 // SetLatencyPerHop sets the fixed startup delay charged per link crossed

@@ -38,8 +38,9 @@ func (Random) Name() string { return "DataRandom" }
 // Decide implements scheduler.Dataset.
 func (r Random) Decide(g scheduler.GridView, self topology.SiteID, popular []scheduler.PopularFile) []scheduler.Replication {
 	var out []scheduler.Replication
+	var buf [64]topology.SiteID // the candidates of grids this size stay off the heap
 	for _, p := range popular {
-		cands := NonHolders(g, p.File, self, nil)
+		cands := NonHolders(g, p.File, self, buf[:0])
 		if len(cands) == 0 {
 			continue
 		}

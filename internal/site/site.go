@@ -32,9 +32,10 @@ type Config struct {
 	ID       topology.SiteID
 	CEs      int     // compute elements ("processors"), paper: 2–5
 	Capacity float64 // storage bytes; <= 0 means unlimited
-	// OnEvict, when non-nil, observes LRU evictions of cached replicas
-	// (in addition to the automatic catalog deregistration).
-	OnEvict func(storage.FileID)
+	// OnEvict, when non-nil, is called with the site's id and the file
+	// at each LRU eviction of a cached replica (in addition to the
+	// automatic catalog deregistration).
+	OnEvict func(topology.SiteID, storage.FileID)
 	// Speed scales processor performance: a job's wall time is
 	// ComputeTime/Speed. <= 0 means 1.0 (the paper's homogeneous grid).
 	Speed float64
@@ -88,6 +89,8 @@ type Site struct {
 
 	onDone       func(*job.Job)
 	onWindowOpen func(topology.SiteID)
+	onEvict      func(topology.SiteID, storage.FileID)
+	evictFn      func(storage.FileID) // the store's eviction hook, built once per Site
 
 	// Busy-time integral for the idle-time metric.
 	busyInt  float64
@@ -122,14 +125,34 @@ type fileState struct {
 // New creates a site. onDone fires after each job completes (used by the
 // workload driver to submit the user's next job and by metrics).
 func New(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover DataMover, lsched scheduler.Local, cfg Config, onDone func(*job.Job)) (*Site, error) {
+	s := new(Site)
+	if err := s.Reset(eng, topo, cat, mover, lsched, cfg, onDone); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// Reset makes s the site New would return, in the memory s already holds:
+// its store, file table, queues, waiter lists, record pools and
+// popularity arenas keep their arrays for the next run to fill, and all
+// other state starts over. A job or record handle from before the reset
+// is dead.
+func (s *Site) Reset(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover DataMover, lsched scheduler.Local, cfg Config, onDone func(*job.Job)) error {
 	if cfg.CEs <= 0 {
-		return nil, fmt.Errorf("site %d: CEs = %d, must be > 0", cfg.ID, cfg.CEs)
+		return fmt.Errorf("site %d: CEs = %d, must be > 0", cfg.ID, cfg.CEs)
 	}
 	speed := cfg.Speed
 	if speed <= 0 {
 		speed = 1
 	}
-	s := &Site{
+	store, evictFn := s.store, s.evictFn
+	if store == nil {
+		store = new(storage.Store)
+		evictFn = func(f storage.FileID) { s.evicted(f) }
+	}
+	clear(s.queue)
+	clear(s.running)
+	*s = Site{
 		id:     cfg.ID,
 		ces:    cfg.CEs,
 		speed:  speed,
@@ -138,17 +161,34 @@ func New(eng *desim.Engine, topo *topology.Topology, cat *catalog.Catalog, mover
 		cat:    cat,
 		mover:  mover,
 		ls:     lsched,
+		store:  store,
 		onDone: onDone,
 
+		queue:    s.queue[:0],
+		files:    s.files[:0],
+		waitPool: s.waitPool,
+		running:  s.running[:0],
+		runPool:  s.runPool,
+		arrPool:  s.arrPool,
+		touched:  s.touched[:0],
+		reqs:     s.reqs[:0],
+		lentReq:  s.lentReq[:0],
+		popBuf:   s.popBuf[:0],
+
 		onWindowOpen: cfg.OnWindowOpen,
+		onEvict:      cfg.OnEvict,
+		evictFn:      evictFn,
 	}
-	s.store = storage.New(cfg.Capacity, func(f storage.FileID) {
-		cat.Deregister(f, s.id)
-		if cfg.OnEvict != nil {
-			cfg.OnEvict(f)
-		}
-	})
-	return s, nil
+	s.store.Reset(cfg.Capacity, evictFn)
+	return nil
+}
+
+// evicted deregisters a replica the store evicted and reports it.
+func (s *Site) evicted(f storage.FileID) {
+	s.cat.Deregister(f, s.id)
+	if s.onEvict != nil {
+		s.onEvict(s.id, f)
+	}
 }
 
 // ID returns the site id.
@@ -220,7 +260,9 @@ func (s *Site) setBusy(b int) {
 // state returns the site's half of a slot's record.
 func (s *Site) state(slot storage.Slot) *fileState {
 	if int(slot) >= len(s.files) {
-		s.files = append(s.files, make([]fileState, s.store.Slots()-len(s.files))...)
+		n, old := s.store.Slots(), len(s.files)
+		s.files = slices.Grow(s.files, n-old)[:n]
+		clear(s.files[old:])
 	}
 	return &s.files[slot]
 }

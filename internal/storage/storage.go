@@ -67,7 +67,16 @@ type Store struct {
 // capacity means "unlimited" (the paper's Table 1 does not bound storage;
 // bounded storage is the documented default in DESIGN.md).
 func New(capacity float64, onEvict EvictFunc) *Store {
-	return &Store{capacity: capacity, free: NoSlot, head: NoSlot, tail: NoSlot, onEvict: onEvict}
+	s := new(Store)
+	s.Reset(capacity, onEvict)
+	return s
+}
+
+// Reset makes s the empty store New would return, keeping the arrays of
+// its record slab and hash table for the next run to fill.
+func (s *Store) Reset(capacity float64, onEvict EvictFunc) {
+	s.tab.clear()
+	*s = Store{capacity: capacity, tab: s.tab, recs: s.recs[:0], free: NoSlot, head: NoSlot, tail: NoSlot, onEvict: onEvict}
 }
 
 // Capacity returns the configured capacity (<= 0 means unlimited).
@@ -426,6 +435,14 @@ type tabEntry struct {
 // file ids spread over the whole table).
 func (t *table) home(id FileID) int {
 	return int(uint64(id) * 0x9E3779B97F4A7C15 >> t.shift)
+}
+
+// clear empties the table and keeps its size.
+func (t *table) clear() {
+	for i := range t.ents {
+		t.ents[i].slot = NoSlot
+	}
+	t.n = 0
 }
 
 func (t *table) find(id FileID) Slot {

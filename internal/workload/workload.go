@@ -141,15 +141,26 @@ type Workload struct {
 // Dataset rank equals FileID: lower ids are more popular (the mapping of
 // ids to sites is itself uniform, so this loses no generality).
 func Generate(spec Spec, src *rng.Source) (*Workload, error) {
-	if err := spec.Validate(); err != nil {
+	w := new(Workload)
+	if err := w.Regenerate(spec, src); err != nil {
 		return nil, err
 	}
-	w := &Workload{
+	return w, nil
+}
+
+// Regenerate overwrites w with the workload Generate(spec, src) returns,
+// in w's own arrays where they are large enough. Slices taken from w
+// before the call see the new workload's values.
+func (w *Workload) Regenerate(spec Spec, src *rng.Source) error {
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	*w = Workload{
 		Spec:       spec,
-		FileSizes:  make([]float64, spec.Files),
-		MasterSite: make([]topology.SiteID, spec.Files),
-		UserHome:   make([]topology.SiteID, spec.Users),
-		inputs:     make([]storage.FileID, spec.TotalJobs*spec.InputsPerJob),
+		FileSizes:  resized(w.FileSizes, spec.Files),
+		MasterSite: resized(w.MasterSite, spec.Files),
+		UserHome:   resized(w.UserHome, spec.Users),
+		inputs:     resized(w.inputs, spec.TotalJobs*spec.InputsPerJob),
 		jobsPer:    spec.TotalJobs / spec.Users,
 		longUsers:  spec.TotalJobs % spec.Users,
 	}
@@ -217,7 +228,16 @@ func Generate(spec Spec, src *rng.Source) (*Workload, error) {
 			inputs = append(inputs, f)
 		}
 	}
-	return w, nil
+	return nil
+}
+
+// resized returns buf with length n, in buf's array when it is large
+// enough; the caller overwrites every entry.
+func resized[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // jobInputs returns the stored inputs of a generated workload's user u's
