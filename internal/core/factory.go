@@ -16,30 +16,59 @@ import (
 // the algorithm's tie-breaking/choice stream. avgComputeSec and avgCEs feed
 // the JobBestCost estimator.
 func NewExternal(name string, src *rng.Source, avgComputeSec, avgCEs float64) (scheduler.External, error) {
+	return reuseExternal(nil, name, src, avgComputeSec, avgCEs)
+}
+
+// reuseExternal is NewExternal in the memory of prev, a policy an earlier
+// run built: when prev has the named policy's type, every field
+// NewExternal sets is set again and its per-placement scratch is kept.
+// Scratch is refilled before each use, so the policy places exactly as a
+// new one would.
+func reuseExternal(prev scheduler.External, name string, src *rng.Source, avgComputeSec, avgCEs float64) (scheduler.External, error) {
 	switch name {
 	case "JobRandom":
 		return es.Random{Src: src}, nil
 	case "JobLeastLoaded":
-		return &es.LeastLoaded{Src: src}, nil
+		p := reuseAs[es.LeastLoaded](prev)
+		p.Src = src
+		return p, nil
 	case "JobDataPresent":
-		return &es.DataPresent{Src: src}, nil
+		p := reuseAs[es.DataPresent](prev)
+		p.Src = src
+		return p, nil
 	case "JobLocal":
 		return es.Local{}, nil
 	case "JobBestCost":
-		return &es.BestCost{Src: src, AvgComputeSec: avgComputeSec, CEsPerSite: avgCEs}, nil
+		p := reuseAs[es.BestCost](prev)
+		p.Src, p.AvgComputeSec, p.CEsPerSite = src, avgComputeSec, avgCEs
+		return p, nil
 	case "JobAdaptive":
-		return &es.Adaptive{Src: src, PullFraction: 0.5}, nil
+		p := reuseAs[es.Adaptive](prev)
+		p.Src, p.PullFraction = src, 0.5
+		return p, nil
 	case "JobRegional":
-		return &es.Regional{Src: src}, nil
+		p := reuseAs[es.Regional](prev)
+		p.Src = src
+		return p, nil
 	case "JobFeedback":
 		// Constructed without a tracker: nil-safe telemetry reads make the
 		// standalone policy behave exactly like JobDataPresent. The
 		// simulation attaches its tracker and Config.Feedback after
 		// construction (see wireFeedback in sim.go).
-		return &feedback.ES{Src: src, AvgComputeSec: avgComputeSec, CEsPerSite: avgCEs}, nil
+		p := reuseAs[feedback.ES](prev)
+		p.Src, p.AvgComputeSec, p.CEsPerSite, p.Tracker, p.Params = src, avgComputeSec, avgCEs, nil, feedback.Params{}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("core: unknown external scheduler %q (have %v)", name, ExternalNames())
 	}
+}
+
+// reuseAs returns prev when it is a *T, and a new zero T otherwise.
+func reuseAs[T any](prev any) *T {
+	if p, ok := prev.(*T); ok {
+		return p
+	}
+	return new(T)
 }
 
 // NewBatch instantiates a batch External Scheduler by name.
@@ -75,21 +104,33 @@ func NewLocal(name string) (scheduler.Local, error) {
 
 // NewDataset instantiates a Dataset Scheduler by name.
 func NewDataset(name string, src *rng.Source) (scheduler.Dataset, error) {
+	return reuseDataset(nil, name, src)
+}
+
+// reuseDataset is NewDataset in the memory of prev, as reuseExternal is
+// NewExternal's.
+func reuseDataset(prev scheduler.Dataset, name string, src *rng.Source) (scheduler.Dataset, error) {
 	switch name {
 	case "DataDoNothing":
 		return ds.DoNothing{}, nil
 	case "DataRandom":
 		return ds.Random{Src: src}, nil
 	case "DataLeastLoaded":
-		return &ds.LeastLoaded{Src: src}, nil
+		p := reuseAs[ds.LeastLoaded](prev)
+		p.Src = src
+		return p, nil
 	case "DataCascade":
-		return &ds.Cascade{Src: src}, nil
+		p := reuseAs[ds.Cascade](prev)
+		p.Src = src
+		return p, nil
 	case "DataBestClient":
 		return ds.BestClient{Src: src}, nil
 	case "DataFeedback":
 		// Tracker and params attached by the simulation (see NewExternal's
 		// JobFeedback case); standalone it matches DataLeastLoaded.
-		return &feedback.DS{Src: src}, nil
+		p := reuseAs[feedback.DS](prev)
+		p.Src, p.Tracker, p.Params = src, nil, feedback.Params{}
+		return p, nil
 	default:
 		return nil, fmt.Errorf("core: unknown dataset scheduler %q (have %v)", name, DatasetNames())
 	}

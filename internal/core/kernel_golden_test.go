@@ -27,7 +27,7 @@ var updateKernelGolden = flag.Bool("update-kernel-golden", false,
 // JobDataPresent on a 60-site grid under the default GIS staleness, and
 // two storage-pressure runs on the contended grid that reach the DS's
 // best-client and cascade pushes, its deletion role, LRU eviction and
-// transient staging.
+// transient staging, plus the three batch heuristics and the open model.
 func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	base := func() Config {
 		cfg := DefaultConfig()

@@ -98,9 +98,10 @@ type Simulation struct {
 	wl    *workload.Workload // Config.Trace, or genWL
 	genWL *workload.Workload // the generated workload's memory; never a caller's trace
 
-	sites []*site.Site
-	esFor []scheduler.External // indexed by user
-	dsch  scheduler.Dataset
+	sites    []*site.Site
+	policies []scheduler.External // the ES instances: one per site, user, or the central one
+	esFor    []scheduler.External // indexed by user
+	dsch     scheduler.Dataset
 
 	batch    scheduler.Batch // non-nil in batch-scheduling mode
 	batchBuf []*job.Job      // submissions awaiting the next batch window
@@ -281,7 +282,9 @@ func (s *Simulation) reset() {
 		gis:            s.gis,
 		genWL:          s.genWL,
 		sites:          s.sites[:0],
+		policies:       s.policies[:0],
 		esFor:          s.esFor[:0],
+		dsch:           s.dsch,
 		batchBuf:       s.batchBuf[:0],
 		collector:      s.collector,
 		jobs:           s.jobs,
@@ -441,41 +444,43 @@ func (s *Simulation) build(cfg Config) error {
 	avgCEs := float64(cfg.MinCEs+cfg.MaxCEs) / 2
 	s.esFor = upTo(s.esFor, cfg.Users)
 	esRoot := root.Derive("es")
+	var stream func(k int) string // the name of policy k's random stream
 	switch cfg.Mapping {
 	case ESPerSite:
-		perSite := make([]scheduler.External, cfg.Sites)
-		for i := range perSite {
-			perSite[i], err = NewExternal(cfg.ES, esRoot.Derive(fmt.Sprintf("site-%d", i)), avgCompute, avgCEs)
-			if err != nil {
-				return err
-			}
-			s.wireFeedback(perSite[i])
-		}
-		for u := range s.esFor {
-			s.esFor[u] = perSite[s.wl.UserHome[u]]
-		}
+		s.policies = upTo(s.policies, cfg.Sites)
+		stream = func(k int) string { return fmt.Sprintf("site-%d", k) }
 	case ESCentral:
-		central, err := NewExternal(cfg.ES, esRoot.Derive("central"), avgCompute, avgCEs)
-		if err != nil {
-			return err
-		}
-		s.wireFeedback(central)
-		for u := range s.esFor {
-			s.esFor[u] = hostedES{inner: central, host: 0}
-		}
+		s.policies = upTo(s.policies, 1)
+		stream = func(int) string { return "central" }
 	case ESPerUser:
-		for u := range s.esFor {
-			s.esFor[u], err = NewExternal(cfg.ES, esRoot.Derive(fmt.Sprintf("user-%d", u)), avgCompute, avgCEs)
-			if err != nil {
-				return err
-			}
-			s.wireFeedback(s.esFor[u])
-		}
+		s.policies = upTo(s.policies, cfg.Users)
+		stream = func(k int) string { return fmt.Sprintf("user-%d", k) }
 	default:
 		return fmt.Errorf("core: unknown ES mapping %v", cfg.Mapping)
 	}
+	for k, prev := range s.policies {
+		s.policies[k], err = reuseExternal(prev, cfg.ES, esRoot.Derive(stream(k)), avgCompute, avgCEs)
+		if err != nil {
+			return err
+		}
+		s.wireFeedback(s.policies[k])
+	}
+	var central scheduler.External
+	if cfg.Mapping == ESCentral {
+		central = hostedES{inner: s.policies[0], host: 0}
+	}
+	for u := range s.esFor {
+		switch cfg.Mapping {
+		case ESPerSite:
+			s.esFor[u] = s.policies[s.wl.UserHome[u]]
+		case ESCentral:
+			s.esFor[u] = central
+		case ESPerUser:
+			s.esFor[u] = s.policies[u]
+		}
+	}
 
-	s.dsch, err = NewDataset(cfg.DS, root.Derive("ds"))
+	s.dsch, err = reuseDataset(s.dsch, cfg.DS, root.Derive("ds"))
 	if err != nil {
 		return err
 	}

@@ -21,6 +21,32 @@ func TestZeroValueUsable(t *testing.T) {
 	}
 }
 
+// TestResetDropsPendingEvents checks that Reset returns the engine to
+// its zero state with events still pending, and that a handle to one of
+// them cancels nothing afterwards.
+func TestResetDropsPendingEvents(t *testing.T) {
+	e := New()
+	stale := e.Schedule(5, func() { t.Fatal("a dropped event fired") })
+	e.Schedule(1, func() {})
+	e.Step()
+	e.Reset()
+	if e.Now() != 0 || e.Pending() != 0 || e.Fired() != 0 {
+		t.Fatalf("after Reset: now %v, pending %d, fired %d; want all zero", e.Now(), e.Pending(), e.Fired())
+	}
+	e.Cancel(stale)
+	if e.Pending() != 0 {
+		t.Fatalf("cancelling a dropped event left %d pending", e.Pending())
+	}
+	var order []int
+	e.Schedule(2, func() { order = append(order, 2) })
+	e.Schedule(1, func() { order = append(order, 1) })
+	e.Cancel(stale)
+	e.Run()
+	if len(order) != 2 || order[0] != 1 || order[1] != 2 || e.Now() != 2 {
+		t.Fatalf("after Reset: fired %v by t=%v, want [1 2] by t=2", order, e.Now())
+	}
+}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
 	e := New()
 	var got []Time
