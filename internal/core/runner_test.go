@@ -117,11 +117,11 @@ func TestRunnerAfterCutAndFailedRuns(t *testing.T) {
 // it generates, never that of a workload it was given.
 func TestRunnerLeavesTraceUnchanged(t *testing.T) {
 	cfg := smallConfig()
-	wl, err := New(cfg)
+	sim, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := wl.Workload()
+	trace := sim.Workload()
 	var before bytes.Buffer
 	if err := trace.WriteTrace(&before); err != nil {
 		t.Fatal(err)

@@ -14,8 +14,12 @@ import (
 // bytes and its sojourn, start to delivery, in seconds.
 type psFlow struct{ size, sojourn float64 }
 
-// psCapacity is the bottleneck of the processor-sharing runs: 100 MB/s.
-const psCapacity = 100e6
+// The processor-sharing runs' bottleneck, 100 MB/s, and mean flow size,
+// the mean of U[500 MB, 2 GB].
+const (
+	psCapacity = 100e6
+	psMeanSize = 1.25e9
+)
 
 // runPS sends flows of U[500 MB, 2 GB] bytes, the paper's file sizes,
 // from site 0 to site 1 of a 3-site star whose links all carry
@@ -26,14 +30,13 @@ const psCapacity = 100e6
 func runPS(t *testing.T, seed uint64, rho float64, policy SharingPolicy, latency float64) []psFlow {
 	t.Helper()
 	const flows = 40000
-	const meanSize = 1.25e9
 	eng := desim.New()
 	n := New(eng, star(t, 3, psCapacity), policy)
 	if latency > 0 {
 		n.SetLatencyPerHop(latency)
 	}
 	src := rng.New(seed)
-	meanGap := meanSize / psCapacity / rho
+	meanGap := psMeanSize / psCapacity / rho
 	out := make([]psFlow, flows)
 	i := 0
 	var arrive func()
@@ -72,7 +75,7 @@ func psRatios(flows []psFlow, rho, lag float64) (all float64, thirds [3]float64)
 	for _, f := range flows {
 		x += f.size / psCapacity
 	}
-	realized := rho * x / float64(len(flows)) / (1.25e9 / psCapacity)
+	realized := rho * x / float64(len(flows)) / (psMeanSize / psCapacity)
 	norm := 1 - realized
 	all = ratio(flows) * norm
 	for k := range thirds {
