@@ -52,7 +52,10 @@ func kernelGoldenCases() (names []string, cfgs map[string]Config) {
 	maxmin.Sharing = netsim.MaxMinFair
 	cfgs["maxmin"] = maxmin
 
+	// JobLeastLoaded moves data on almost every job, so the faults abort
+	// and restart transfers and the two sharing policies part ways.
 	faulted := base()
+	faulted.ES = "JobLeastLoaded"
 	faulted.Faults.SiteCrash = faults.Spec{MTBF: 4000, MTTR: 500}
 	faulted.Faults.CEFailure = faults.Spec{MTBF: 6000, MTTR: 600}
 	faulted.Faults.LinkDegrade = faults.Spec{MTBF: 5000, MTTR: 800}
