@@ -15,6 +15,7 @@ import (
 	"chicsim/internal/core"
 	"chicsim/internal/faults"
 	"chicsim/internal/kernelbench"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/trace"
@@ -22,10 +23,11 @@ import (
 
 // BenchmarkObservability measures the cost of the probe layer on the
 // default scenario: probes-off must match the uninstrumented seed hot
-// path (no sampling events are scheduled and no registry exists), and
+// path (no sampling events are scheduled and no sink is called), and
 // probes-on shows the marginal cost of sampling ~129 probes every 60
-// virtual seconds. Compare the pair across BENCH_*.json entries to keep
-// the "zero cost when disabled" claim measurable.
+// virtual seconds into an in-memory obs.Series. Compare the pair across
+// BENCH_*.json entries to keep the "zero cost when disabled" claim
+// measurable.
 func BenchmarkObservability(b *testing.B) {
 	for _, interval := range []float64{0, 60} {
 		interval := interval
@@ -38,13 +40,12 @@ func BenchmarkObservability(b *testing.B) {
 			cfg.ObsInterval = interval
 			var points int
 			for i := 0; i < b.N; i++ {
-				res, err := core.RunConfig(cfg)
-				if err != nil {
+				series := new(obs.Series)
+				cfg.ObsSink = series
+				if _, err := core.RunConfig(cfg); err != nil {
 					b.Fatal(err)
 				}
-				if res.Series != nil {
-					points = len(res.Series.Points)
-				}
+				points = len(series.Points)
 			}
 			b.ReportMetric(float64(points), "samples/run")
 		})

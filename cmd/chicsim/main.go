@@ -224,6 +224,11 @@ func main() {
 		fatal(err)
 	}
 	cfg.Metrics, cfg.Watchdog, cfg.ObsSink = sess.Registry, sess.Watchdog, sess.Sink
+	var heat *obs.Series // what -heatmap draws
+	if c.heatmap {
+		heat = new(obs.Series)
+		cfg.ObsSink = obs.Tee(sess.Sink, heat)
+	}
 	if sess.Trace != nil {
 		cfg.Recorder = sess.Trace
 	}
@@ -238,21 +243,6 @@ func main() {
 	}
 	if err != nil {
 		fatal(err)
-	}
-	if obsFlags.SeriesPath != "" {
-		f, err := os.Create(obsFlags.SeriesPath)
-		if err != nil {
-			fatal(err)
-		}
-		report.SeriesCSV(f, res.Series)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		samples := 0
-		if res.Series != nil {
-			samples = len(res.Series.Points)
-		}
-		fmt.Fprintf(os.Stderr, "chicsim: wrote %d probe samples to %s\n", samples, obsFlags.SeriesPath)
 	}
 	if c.jsonOut {
 		enc := json.NewEncoder(os.Stdout)
@@ -275,9 +265,9 @@ func main() {
 	}
 	if c.heatmap {
 		fmt.Println()
-		report.Heatmap(os.Stdout, res.Series, 100)
+		report.Heatmap(os.Stdout, heat, 100)
 		fmt.Println()
-		report.Timeline(os.Stdout, res.Series, 100)
+		report.Timeline(os.Stdout, heat, 100)
 	}
 }
 

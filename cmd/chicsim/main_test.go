@@ -16,12 +16,11 @@ import (
 func TestErrorPaths(t *testing.T) {
 	cases := []cmdtest.Case{
 		{Name: "negative -obs-interval", Args: []string{"-obs-interval", "-5"}, Exit: 2},
-		{Name: "negative -obs-interval with -obs", Args: []string{"-obs", "s.csv", "-obs-interval", "-5"}, Exit: 2},
+		{Name: "negative -obs-interval with -obs-stream", Args: []string{"-obs-stream", "s.csv", "-obs-interval", "-5"}, Exit: 2},
 		{Name: "-heatmap with no interval", Args: []string{"-heatmap", "-obs-interval", "0"}, Exit: 2},
 		{Name: "negative -site-mtbf", Args: []string{"-site-mtbf", "-10"}, Exit: 1},
 		{Name: "unknown -result-mode", Args: []string{"-result-mode", "bogus"}, Exit: 1},
 		{Name: "-obs-stream into a missing directory", Args: []string{"-obs-stream", "no-such-dir/s.csv"}, Exit: 1},
-		{Name: "-obs into a missing directory", Args: []string{"-obs", "no-such-dir/s.csv"}, Exit: 1},
 		{Name: "-trace-out into a missing directory", Args: []string{"-trace-out", "no-such-dir/t.jsonl"}, Exit: 1},
 		{Name: "unknown flag", Args: []string{"-bogus"}, Exit: 2},
 		{Name: "-scenario with -config", Args: []string{"-scenario", "campus", "-config", "f.json"}, Exit: 2},

@@ -250,9 +250,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "gridsweep: %v failed: %v\n", results[i].Cell, results[i].Err)
 		}
 	}
-	if obsFlags.SeriesPath != "" {
-		writeReferenceSeries(results, obsFlags.SeriesPath)
-	}
 	if err := sess.Finish(false); err != nil {
 		fatal(err)
 	}
@@ -470,35 +467,6 @@ func maxRuns(results []experiments.CellResult) int {
 		}
 	}
 	return m
-}
-
-// writeReferenceSeries dumps the probe series of the campaign's reference
-// run — first cell, lowest seed — as CSV. Series are sampled inside each
-// simulation's own event loop, so the file is bit-identical for a given
-// seed regardless of -workers.
-func writeReferenceSeries(results []experiments.CellResult, path string) {
-	for i := range results {
-		if results[i].Err != nil || len(results[i].Runs) == 0 {
-			continue
-		}
-		run := results[i].Runs[0]
-		f, err := os.Create(path)
-		if err != nil {
-			fatal(err)
-		}
-		report.SeriesCSV(f, run.Series)
-		if err := f.Close(); err != nil {
-			fatal(err)
-		}
-		samples := 0
-		if run.Series != nil {
-			samples = len(run.Series.Points)
-		}
-		fmt.Fprintf(os.Stderr, "gridsweep: wrote %d probe samples for %v seed=%d to %s\n",
-			samples, results[i].Cell, run.Seed, path)
-		return
-	}
-	fmt.Fprintln(os.Stderr, "gridsweep: no successful run to take a series from")
 }
 
 func printTable1(cfg core.Config) {

@@ -17,6 +17,7 @@ import (
 	"os"
 
 	"chicsim/internal/core"
+	"chicsim/internal/obs"
 	"chicsim/internal/report"
 )
 
@@ -27,9 +28,10 @@ func main() {
 	brownout := core.Degradation{At: 3000, Duration: 7200, Multiplier: 0.05, BackboneOnly: true}
 
 	type row struct {
-		name    string
-		healthy core.Results
-		hurt    core.Results
+		name     string
+		healthy  core.Results
+		hurt     core.Results
+		timeline *obs.Series // the brownout run's probe series
 	}
 	var rows []row
 	for _, pair := range [][2]string{
@@ -43,11 +45,13 @@ func main() {
 			log.Fatal(err)
 		}
 		cfg.Degradations = []core.Degradation{brownout}
+		timeline := new(obs.Series)
+		cfg.ObsSink = timeline
 		hurt, err := core.RunConfig(cfg)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rows = append(rows, row{pair[0] + "+" + pair[1], healthy, hurt})
+		rows = append(rows, row{pair[0] + "+" + pair[1], healthy, hurt, timeline})
 	}
 
 	fmt.Println("backbone brownout: t=3000 s, 7200 s at 5% capacity")
@@ -60,7 +64,7 @@ func main() {
 
 	fmt.Println("\ndecoupled grid during the brownout (occupancy barely dips —")
 	fmt.Println("jobs already run where their data lives):")
-	report.Timeline(os.Stdout, rows[1].hurt.Series, 100)
+	report.Timeline(os.Stdout, rows[1].timeline, 100)
 	fmt.Println("\ncoupled grid during the brownout (starves while transfers crawl):")
-	report.Timeline(os.Stdout, rows[0].hurt.Series, 100)
+	report.Timeline(os.Stdout, rows[0].timeline, 100)
 }

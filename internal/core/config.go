@@ -226,22 +226,23 @@ type Config struct {
 	ResultMode string `json:",omitempty"`
 
 	// ObsInterval, when > 0, books the run's one recurring observation
-	// event every so many virtual seconds. Each tick samples the probe
-	// registry (internal/obs) into Results.Series — per-site gauges
-	// (queue length, CPU utilization, storage fill, replica count) and
-	// grid-wide gauges/counters (queued jobs, in-flight transfers, GIS
-	// staleness, dispatches, replications, evictions, deletions, jobs
-	// done), which report.Heatmap and report.Timeline render — then
-	// publishes to Metrics and runs the Watchdog when those are set. The
-	// tick is an ordinary engine event, so the series is deterministic
-	// for a given seed; at 0 (the default) no probes exist and the hot
-	// path is untouched.
+	// event every so many virtual seconds. Each tick reads the probes —
+	// per-site gauges (queue length, CPU utilization, storage fill,
+	// replica count) and grid-wide gauges/counters (queued jobs, in-flight
+	// transfers, GIS staleness, dispatches, replications, evictions,
+	// deletions, jobs done) — into one row for ObsSink, then publishes to
+	// Metrics and runs the Watchdog when those are set. The tick is an
+	// ordinary engine event, so the rows are deterministic for a given
+	// seed; at 0 (the default) no probes exist and the hot path is
+	// untouched.
 	ObsInterval float64
 
-	// ObsSink, when non-nil (and ObsInterval > 0), additionally streams
-	// every probe sample to the sink as it is taken — JSONL or CSV rows
-	// on disk while the run is still going — without changing the
-	// in-memory Series the run returns. See obs.NewJSONLSink/NewCSVSink.
+	// ObsSink, when non-nil (and ObsInterval > 0), is the only output of
+	// the probe rows: Begin once with the columns, then Point on every
+	// tick, as the run goes. obs.NewCSVSink and obs.NewJSONLSink write
+	// them to a file; an *obs.Series keeps them in memory for
+	// report.Heatmap and report.Timeline. The first sink error stops
+	// further calls and Run returns it; the Results are unaffected.
 	ObsSink obs.Sink `json:"-"`
 
 	// Metrics, when non-nil, attaches the live metrics registry

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"chicsim/internal/faults"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 )
@@ -24,9 +25,9 @@ func controlPlaneCfg(seed uint64) Config {
 
 // TestControlPlaneDoesNotPerturbResults is the control plane's
 // determinism regression: attaching the registry and the watchdog must
-// leave every field of Results, SimEvents and the probe series included,
-// identical to a bare run with the same ObsInterval — both fire the one
-// observation tick.
+// leave every field of Results, SimEvents included, and every probe row
+// the sink gets identical to a bare run with the same ObsInterval — both
+// fire the one observation tick.
 func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		cfg := controlPlaneCfg(7)
@@ -35,6 +36,8 @@ func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 			cfg.Faults.SiteCrash.MTTR = 500
 			cfg.Faults.TransferAbort.MTBF = 3000
 		}
+		var bareRows, wiredRows strings.Builder
+		cfg.ObsSink = obs.NewCSVSink(&bareRows)
 		bare, err := RunConfig(cfg)
 		if err != nil {
 			t.Fatalf("faulted=%v bare: %v", faulted, err)
@@ -46,6 +49,7 @@ func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 		attached := cfg
 		attached.Metrics = registry.New()
 		attached.Watchdog = watchdog.Fail
+		attached.ObsSink = obs.NewCSVSink(&wiredRows)
 		wired, err := RunConfig(attached)
 		if err != nil {
 			t.Fatalf("faulted=%v wired: %v", faulted, err)
@@ -58,6 +62,10 @@ func TestControlPlaneDoesNotPerturbResults(t *testing.T) {
 		if !reflect.DeepEqual(bare, wired) {
 			t.Errorf("faulted=%v: Results differ with control plane attached:\nbare:  %+v\nwired: %+v",
 				faulted, bare, wired)
+		}
+		if bareRows.Len() == 0 || bareRows.String() != wiredRows.String() {
+			t.Errorf("faulted=%v: probe rows differ with control plane attached (%d vs %d bytes)",
+				faulted, bareRows.Len(), wiredRows.Len())
 		}
 	}
 }

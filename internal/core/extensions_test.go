@@ -438,12 +438,8 @@ func TestSampling(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TotalJobs = 300
 	cfg.ObsInterval = 120
-	res, err := RunConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Series
-	if s == nil || len(s.Points) == 0 {
+	res, s := runSeries(t, cfg)
+	if len(s.Points) == 0 {
 		t.Fatal("no samples collected")
 	}
 	want := int(res.Makespan / 120)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"chicsim/internal/faults"
+	"chicsim/internal/obs"
 	"chicsim/internal/trace"
 )
 
@@ -35,38 +36,31 @@ func faultTestConfig(seed uint64) Config {
 	return cfg
 }
 
-// resultsFingerprint renders everything observable about a run — the
-// JSON results and the full probe time series — into one byte slice.
-func resultsFingerprint(t *testing.T, res Results) []byte {
+// runFingerprint runs cfg and renders everything observable about the
+// run — the JSON results and every probe row — into one byte slice.
+func runFingerprint(t *testing.T, cfg Config) (Results, []byte) {
 	t.Helper()
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	if err := enc.Encode(res); err != nil {
+	var rows bytes.Buffer
+	cfg.ObsSink = obs.NewCSVSink(&rows)
+	res, err := RunConfig(cfg)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	buf, err := json.Marshal(res)
+	if err != nil {
 		t.Fatalf("encoding results: %v", err)
 	}
-	if res.Series != nil {
-		if err := enc.Encode(res.Series); err != nil {
-			t.Fatalf("encoding series: %v", err)
-		}
-	}
-	return buf.Bytes()
+	return res, append(buf, rows.Bytes()...)
 }
 
 // A faulted run must be exactly reproducible: same seed, same faults,
 // same Results and observability series, byte for byte.
 func TestFaultedRunDeterministic(t *testing.T) {
-	run := func() Results {
-		res, err := RunConfig(faultTestConfig(7))
-		if err != nil {
-			t.Fatalf("faulted run: %v", err)
-		}
-		return res
-	}
-	a, b := run(), run()
+	a, fa := runFingerprint(t, faultTestConfig(7))
+	b, fb := runFingerprint(t, faultTestConfig(7))
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("faulted runs differ:\n%+v\n%+v", a, b)
 	}
-	fa, fb := resultsFingerprint(t, a), resultsFingerprint(t, b)
 	if !bytes.Equal(fa, fb) {
 		t.Errorf("faulted run fingerprints differ:\n%s\n%s", fa, fb)
 	}
@@ -92,15 +86,9 @@ func TestZeroFaultRatesMatchBaseline(t *testing.T) {
 	// Recovery knobs set but every MTBF zero: still disabled.
 	disabled.Faults = faults.Config{MaxRetries: 7, RequeueOnRecovery: true, RestoreReplicas: true}
 
-	ra, err := RunConfig(base)
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-	rb, err := RunConfig(disabled)
-	if err != nil {
-		t.Fatalf("zero-rate run: %v", err)
-	}
-	if !bytes.Equal(resultsFingerprint(t, ra), resultsFingerprint(t, rb)) {
+	ra, fa := runFingerprint(t, base)
+	rb, fb := runFingerprint(t, disabled)
+	if !bytes.Equal(fa, fb) {
 		t.Errorf("zero fault rates perturbed the simulation:\n%+v\n%+v", ra, rb)
 	}
 	if rb.Faults != (faults.Stats{}) {

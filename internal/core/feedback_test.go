@@ -11,9 +11,9 @@ import (
 // reduction guarantee: with every telemetry weight at zero, JobFeedback
 // and DataFeedback must produce Results byte-identical to
 // JobDataPresent and DataLeastLoaded — same placements, same replica
-// pushes, same RNG consumption. Only the policy name strings, the Series
-// pointers, and SimEvents (the tracker's sampling ticks are engine
-// events) are excluded.
+// pushes, same RNG consumption. Only the policy name strings and
+// SimEvents (the tracker's sampling ticks are engine events) are
+// excluded.
 func TestFeedbackZeroWeightReducesToBaselines(t *testing.T) {
 	for _, faulted := range []bool{false, true} {
 		cfg := controlPlaneCfg(11)
@@ -43,7 +43,6 @@ func TestFeedbackZeroWeightReducesToBaselines(t *testing.T) {
 
 		base.ES, base.DS = "", ""
 		adaptive.ES, adaptive.DS = "", ""
-		base.Series, adaptive.Series = nil, nil
 		base.SimEvents, adaptive.SimEvents = 0, 0
 		if !reflect.DeepEqual(base, adaptive) {
 			t.Errorf("faulted=%v: zero-weight feedback diverged from baselines:\nbaseline: %+v\nfeedback: %+v",

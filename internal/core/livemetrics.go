@@ -14,13 +14,14 @@ import (
 
 // This file owns the run's single recurring observation event, the
 // ObsInterval tick. Each tick runs one observation pass (observe), which
-// reads every observed quantity once and writes the probe series row
-// from that read and, when Config.Metrics is set, the live registry
-// (internal/obs/registry) from the same value: gauges are set, counters
-// advance by the change since the previous publish. Then the watchdog
-// (internal/obs/watchdog) runs the online invariant checks. Only the
-// per-site response histograms and the fault counters update inline at
-// their hooks.
+// reads every observed quantity once and writes the probe row from that
+// read, handed to Config.ObsSink, and, when Config.Metrics is set, the
+// live registry (internal/obs/registry) from the same value: gauges are
+// set, counters advance by the change since the previous publish. Then
+// the watchdog (internal/obs/watchdog) runs the online invariant checks.
+// Only the per-site response histograms and the fault counters update
+// inline at their hooks. A tick allocates nothing: the row and the
+// per-link buffers are reused.
 //
 // Determinism: every registry update is arithmetic on values the
 // simulation already maintains; nothing here draws random numbers or is
@@ -47,16 +48,19 @@ func (f family) labels(lv string) (names, values []string) {
 	return []string{f.label}, []string{lv}
 }
 
-// obsPass carries one observation pass's values to the probe series and
-// the registry. The first pass, at construction, declares: it records
-// each series column's name and kind and registers each metric family,
-// so column and family order follow the order of the calls in observe.
+// obsPass carries one observation pass's values to the sink and the
+// registry. The first pass, at construction, declares: it records each
+// probe column's name and kind and registers each metric family, so
+// column and family order follow the order of the calls in observe.
 // Later passes write values only.
 type obsPass struct {
 	declaring bool
 	names     []string
 	kinds     []obs.Kind
-	row       []float64 // this pass's series row
+	row       []float64 // this pass's probe row, reused by every pass
+
+	sink    obs.Sink // Config.ObsSink; nil once it has failed
+	sinkErr error    // the sink's first error
 
 	reg      *registry.Registry // nil unless Config.Metrics is set
 	gauges   []registry.Gauge   // in call order
@@ -64,10 +68,11 @@ type obsPass struct {
 	sent     []float64          // per counter: the running total last published
 	g, c     int                // this pass's next gauge and counter
 
-	queue, busy []int // per site: this pass's reads, for the sums and the site columns
+	queue, busy   []int     // per site: this pass's reads, for the sums and the site columns
+	load, backlog []float64 // per link: this pass's reads, reused by the link_capacity check
 }
 
-// column writes one series column.
+// column writes one probe column.
 func (o *obsPass) column(name string, kind obs.Kind, v float64) {
 	if o.declaring {
 		o.names = append(o.names, name)
@@ -110,31 +115,43 @@ func (o *obsPass) counter(f family, lv string, v float64) {
 }
 
 // attachObservation declares the observed quantities with a first pass
-// and builds the probe registry from its columns.
+// and hands their columns to the sink.
 func (s *Simulation) attachObservation() {
 	n := len(s.sites)
-	s.pass = &obsPass{declaring: true, reg: s.cfg.Metrics, queue: make([]int, n), busy: make([]int, n)}
-	s.observe(s.pass)
-	s.pass.declaring = false
-	s.probes = obs.NewRegistry(s.pass.names, s.pass.kinds)
-	s.probes.StreamTo(s.cfg.ObsSink)
-	if s.cfg.ResultMode == ResultModeBounded {
-		// Bounded results extend to the probe series: cap it at a fixed
-		// point budget via the stride-doubling window. A sink still
-		// streams every raw sample.
-		s.probes.LimitPoints(maxBoundedSeriesPoints)
+	o := &obsPass{declaring: true, reg: s.cfg.Metrics, queue: make([]int, n), busy: make([]int, n)}
+	s.pass = o
+	s.observe(o)
+	o.declaring = false
+	if sink := s.cfg.ObsSink; sink != nil {
+		if err := sink.Begin(o.names, o.kinds); err != nil {
+			o.sinkErr = fmt.Errorf("obs: sink header: %w", err)
+		} else {
+			o.sink = sink
+		}
+	}
+}
+
+// emit hands this pass's row, taken at virtual time t, to the sink. The
+// first error drops the sink and is kept for Run to return.
+func (o *obsPass) emit(t float64) {
+	if o.sink == nil {
+		return
+	}
+	if err := o.sink.Point(obs.Point{T: t, Values: o.row}); err != nil {
+		o.sink = nil
+		o.sinkErr = fmt.Errorf("obs: sink point: %w", err)
 	}
 }
 
 // observe runs one observation pass: it reads every observed quantity
-// once and hands it to o as a series column, a registry gauge or
-// counter, or both. The series holds nine grid-wide columns, nine more
-// on faulted runs, then four per site; fixed call order keeps its
-// columns stable across runs, so the output is byte-comparable.
+// once and hands it to o as a probe column, a registry gauge or
+// counter, or both. The row holds nine grid-wide columns, nine more on
+// faulted runs, then four per site; fixed call order keeps its columns
+// stable across runs, so the output is byte-comparable.
 // Quantities only the registry exports are read only when it is set.
 func (s *Simulation) observe(o *obsPass) {
 	prom, faulted := o.reg != nil, s.fcfg.Enabled()
-	o.row, o.g, o.c = make([]float64, 0, len(o.names)), 0, 0
+	o.row, o.g, o.c = o.row[:0], 0, 0
 
 	running, queued, waiting, down, failedCEs, evictions := 0, 0, 0, 0, 0, 0
 	for i, st := range s.sites {
@@ -203,14 +220,16 @@ func (s *Simulation) observe(o *obsPass) {
 		o.gauge(family{"sim_virtual_time_seconds",
 			"Current virtual time of the simulation.", ""}, "", float64(s.eng.Now()))
 		maxFrac, backlog := 0.0, 0.0
-		for l, load := range s.net.LinkLoads() {
+		o.load = s.net.LinkLoads(o.load)
+		o.backlog = s.net.LinkBacklogBytes(o.backlog)
+		for l, load := range o.load {
 			if bw := s.net.EffectiveBandwidth(topology.LinkID(l)); bw > 0 {
 				if frac := load / bw; frac > maxFrac {
 					maxFrac = frac
 				}
 			}
 		}
-		for _, b := range s.net.LinkBacklogBytes() {
+		for _, b := range o.backlog {
 			backlog += b
 		}
 		o.gauge(family{"sim_link_load_max_frac",
@@ -300,7 +319,8 @@ func (s *Simulation) registerWatchdog() {
 		return ""
 	})
 	s.wd.Register("link_capacity", func() string {
-		for l, load := range s.net.LinkLoads() {
+		s.pass.load = s.net.LinkLoads(s.pass.load)
+		for l, load := range s.pass.load {
 			bw := s.net.EffectiveBandwidth(topology.LinkID(l))
 			if load > bw*(1+1e-6)+1e-6 {
 				return fmt.Sprintf("link %d: flow rates sum to %.0f B/s over capacity %.0f B/s", l, load, bw)
@@ -320,19 +340,22 @@ func (s *Simulation) registerWatchdog() {
 	})
 }
 
-// attachObsTick books the run's one recurring observation event. Each
-// tick runs the observation pass, samples its row into Series and runs
-// the watchdog; the recurrence ends with the workload (or at a Fail-mode
-// violation), so the engine can drain.
+// attachObsTick books the run's one recurring observation event, which
+// ends with the workload (or at a Fail-mode violation), so the engine can
+// drain.
 func (s *Simulation) attachObsTick() {
-	s.eng.Every(s.cfg.ObsInterval, func() bool {
-		if s.finished {
-			return false
-		}
-		s.observe(s.pass)
-		s.probes.Sample(s.eng.Now(), s.pass.row)
-		return s.checkInvariants()
-	})
+	s.eng.Every(s.cfg.ObsInterval, s.obsTick)
+}
+
+// obsTick runs the observation pass, hands its row to the sink and runs
+// the watchdog. It reports false once the recurrence is to end.
+func (s *Simulation) obsTick() bool {
+	if s.finished {
+		return false
+	}
+	s.observe(s.pass)
+	s.pass.emit(s.eng.Now())
+	return s.checkInvariants()
 }
 
 // checkInvariants runs one watchdog pass. It reports false once a

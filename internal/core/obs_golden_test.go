@@ -12,8 +12,8 @@ import (
 
 	"chicsim/internal/core"
 	"chicsim/internal/faults"
+	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
-	"chicsim/internal/report"
 )
 
 var updateObsGolden = flag.Bool("update-obs-golden", false,
@@ -22,10 +22,11 @@ var updateObsGolden = flag.Bool("update-obs-golden", false,
 // TestObservationGolden pins, byte for byte, the two observation outputs
 // of a run: the Prometheus exposition text of Config.Metrics after Run
 // (family order, help strings, every counter, gauge and histogram) and
-// the probe series as report.SeriesCSV renders it. It covers a healthy
-// and a faulted (site crashes and CE failures) control-plane run, and a
-// JobRandom run cut by MaxTime while transfers are in flight, whose
-// closing publish pins the link and data-wait gauges at nonzero values.
+// the probe rows as obs.NewCSVSink writes them through Config.ObsSink.
+// It covers a healthy and a faulted (site crashes and CE failures)
+// control-plane run, and a JobRandom run cut by MaxTime while transfers
+// are in flight, whose closing publish pins the link and data-wait
+// gauges at nonzero values.
 // Regenerate with
 //
 //	go test ./internal/core -run TestObservationGolden -update-obs-golden
@@ -46,6 +47,8 @@ func TestObservationGolden(t *testing.T) {
 		}
 		reg := registry.New()
 		cfg.Metrics = reg
+		var prom, csv bytes.Buffer
+		cfg.ObsSink = obs.NewCSVSink(&csv)
 		r, err := core.RunConfig(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -60,11 +63,9 @@ func TestObservationGolden(t *testing.T) {
 				}
 			}
 		}
-		var prom, csv bytes.Buffer
 		if err := registry.WritePrometheus(&prom, reg.Gather()); err != nil {
 			t.Fatal(err)
 		}
-		report.SeriesCSV(&csv, r.Series)
 		got[name+"/prometheus"] = sha256Hex(prom.Bytes())
 		got[name+"/series_csv"] = sha256Hex(csv.Bytes())
 	}

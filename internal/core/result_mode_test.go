@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"chicsim/internal/metrics"
+	"chicsim/internal/obs"
 )
 
 // stripApprox zeroes the fields that are allowed to differ between result
@@ -22,7 +25,6 @@ func stripApprox(r Results) Results {
 	r.ResultMode = ""
 	r.RespQuantileRelErr = 0
 	r.Exemplars = nil
-	r.Series = nil
 	return r
 }
 
@@ -148,32 +150,30 @@ func TestBoundedModeSketchFields(t *testing.T) {
 	}
 }
 
-// TestBoundedSeriesCapped checks that bounded mode caps Results.Series at
-// the fixed point budget while full mode keeps one point per tick.
+// TestBoundedSeriesCapped checks that an in-memory series stays within
+// obs.MaxSeriesPoints on a bounded run of thousands of ticks and still
+// ends at the run's last tick, which a CSV stream of every tick shows.
 func TestBoundedSeriesCapped(t *testing.T) {
 	_, cfgs := kernelGoldenCases()
 	cfg := cfgs["JobDataPresent+DataLeastLoaded"]
 	cfg.ObsInterval = 5 // fine-grained: thousands of virtual seconds / 5
-	full, err := RunConfig(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg.ResultMode = ResultModeBounded
-	bounded, err := RunConfig(cfg)
-	if err != nil {
+	series := new(obs.Series)
+	var rows strings.Builder
+	cfg.ObsSink = obs.Tee(series, obs.NewCSVSink(&rows))
+	if _, err := RunConfig(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if full.Series == nil || bounded.Series == nil {
-		t.Fatal("series missing")
+	lines := strings.Split(strings.TrimSpace(rows.String()), "\n")
+	if ticks := len(lines) - 1; ticks <= obs.MaxSeriesPoints {
+		t.Fatalf("%d ticks, want more than %d", ticks, obs.MaxSeriesPoints)
 	}
-	if len(bounded.Series.Points) > maxBoundedSeriesPoints {
-		t.Fatalf("bounded series has %d points, cap %d", len(bounded.Series.Points), maxBoundedSeriesPoints)
+	if n := len(series.Points); n > obs.MaxSeriesPoints || n == 0 {
+		t.Fatalf("series has %d points, cap %d", n, obs.MaxSeriesPoints)
 	}
-	// The windowed series still covers the whole run.
-	fullLast := full.Series.Points[len(full.Series.Points)-1]
-	boundedLast := bounded.Series.Points[len(bounded.Series.Points)-1]
-	if boundedLast.T != fullLast.T {
-		t.Fatalf("bounded series ends at t=%v, full at t=%v", boundedLast.T, fullLast.T)
+	lastT, _, _ := strings.Cut(lines[len(lines)-1], ",")
+	if got := strconv.FormatFloat(series.Points[len(series.Points)-1].T, 'g', -1, 64); got != lastT {
+		t.Fatalf("series ends at t=%s, the last tick was at t=%s", got, lastT)
 	}
 }
 

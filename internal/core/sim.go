@@ -10,7 +10,6 @@ import (
 	"chicsim/internal/job"
 	"chicsim/internal/metrics"
 	"chicsim/internal/netsim"
-	"chicsim/internal/obs"
 	"chicsim/internal/obs/registry"
 	"chicsim/internal/obs/watchdog"
 	"chicsim/internal/rng"
@@ -24,11 +23,6 @@ import (
 	"chicsim/internal/trace"
 	"chicsim/internal/workload"
 )
-
-// maxBoundedSeriesPoints caps Results.Series under ResultModeBounded: the
-// probe registry downsamples through a stride-doubling window instead of
-// growing one Point per tick (see obs.Registry.LimitPoints).
-const maxBoundedSeriesPoints = 512
 
 // Results are the outputs of one Data Grid execution (DGE).
 type Results struct {
@@ -63,12 +57,6 @@ type Results struct {
 	MaxLinkUtil      float64
 	BackboneLinkUtil float64 // mean over root↔region links
 	AccessLinkUtil   float64 // mean over region↔site links
-
-	// Series holds the observability probe time series when
-	// Config.ObsInterval is set (see report.SeriesCSV, report.Heatmap).
-	// Excluded from JSON results; render it with the report package
-	// instead.
-	Series *obs.Series `json:"-"`
 
 	// WatchdogViolations counts online invariant violations observed by
 	// the watchdog over the run (0 when the watchdog is off or the run
@@ -131,8 +119,7 @@ type Simulation struct {
 	dsDeletions    int
 	dispatches     int // ES/batch dispatch hook-point counter
 
-	probes *obs.Registry // nil unless cfg.ObsInterval > 0
-	pass   *obsPass      // the observation pass's state; nil unless cfg.ObsInterval > 0
+	pass *obsPass // the observation pass's state; nil unless cfg.ObsInterval > 0
 
 	// Feedback-scheduling telemetry (see internal/scheduler/feedback).
 	// Nil unless a feedback policy is configured; all hooks are nil-safe.
@@ -269,8 +256,8 @@ func (r *Runner) Run(cfg Config) (Results, error) {
 // struct literal carries the components and buffers a run grows, the
 // buffers cut to length 0, and leaves every other field zero, so no
 // counter, flag or caller-owned input (Config.Trace, Recorder, Metrics,
-// the watchdog and the probes) passes from one run to the next. build
-// resets each carried component in place.
+// the watchdog and the observation pass) passes from one run to the
+// next. build resets each carried component in place.
 func (s *Simulation) reset() {
 	clear(s.pushesInFlight)
 	clear(s.esFor)
@@ -566,8 +553,8 @@ func (s *Simulation) telemetry() feedback.Sample {
 	return feedback.Sample{
 		Now:          s.eng.Now(),
 		QueueLens:    q,
-		LinkLoads:    s.net.LinkLoads(),
-		LinkBacklog:  s.net.LinkBacklogBytes(),
+		LinkLoads:    s.net.LinkLoads(nil),
+		LinkBacklog:  s.net.LinkBacklogBytes(nil),
 		LinkCapacity: s.net.EffectiveBandwidths(),
 		GISAge:       s.gis.SnapshotAge(),
 	}
@@ -621,7 +608,7 @@ func (s *Simulation) Run() (Results, error) {
 			s.eng.Schedule(0, s.submitFns[u])
 		}
 	}
-	if s.probes != nil {
+	if s.pass != nil {
 		s.attachObsTick()
 	}
 	if s.fb != nil {
@@ -719,9 +706,6 @@ func (s *Simulation) Run() (Results, error) {
 	if g, err := stats.Gini(s.collector.SiteJobCounts(len(s.sites))); err == nil {
 		r.SiteJobGini = g
 	}
-	if s.probes != nil {
-		r.Series = s.probes.Series()
-	}
 	util := s.net.LinkUtilization()
 	var nBack, nAcc int
 	for i, u := range util {
@@ -754,11 +738,9 @@ func (s *Simulation) Run() (Results, error) {
 		return r, fmt.Errorf("core: engine drained with %d/%d jobs accounted for (deadlock?)",
 			s.jobsDone+s.jobsFailed, s.totalJobs)
 	}
-	if s.probes != nil {
-		if err := s.probes.SinkErr(); err != nil {
-			// The simulation itself is fine; the requested stream is not.
-			return r, err
-		}
+	if s.pass != nil && s.pass.sinkErr != nil {
+		// The simulation itself is fine; the requested stream is not.
+		return r, s.pass.sinkErr
 	}
 	return r, nil
 }

@@ -258,10 +258,12 @@ func CompareResponse(a, b *CellResult) (stats.TTestResult, error) {
 // Campaign describes a set of cells to run with seed replication.
 //
 // Base carries the observation settings to every run. With
-// Base.ObsInterval > 0 each run's Results hold a per-site time series,
-// sampled on the simulation's own virtual clock, so series are
-// bit-identical regardless of Workers. Base.Metrics, when non-nil,
-// receives every run: each simulation writes a registry of its own, and
+// Base.ObsInterval > 0 every run ticks its observation pass on its own
+// virtual clock. Runs keep no probe series, and Base.ObsSink would be
+// called by every run at once, so leave it nil: chicsim -obs-stream with
+// a run's cell, seed and base flags writes that run's probe rows, the
+// same bytes for any Workers. Base.Metrics, when non-nil, receives every
+// run: each simulation writes a registry of its own, and
 // the runner folds them into Base.Metrics in (cell, seed) order as soon
 // as every earlier run has finished, so the exposition is the same for
 // any Workers and a gauge holds the last folded run's final value. The

@@ -1,11 +1,9 @@
 // Package stream holds the constant-memory streaming aggregators behind
 // bounded result collection (core.Config.ResultMode = "bounded"): a
 // fixed-boundary log-bucketed histogram with exact count/sum/min/max and
-// bounded-relative-error quantiles, a seeded deterministic reservoir
-// sampler for exemplar rows, and a windowed downsampler that caps an
-// observability series at a fixed point budget. The hottest sites and
-// datasets need no sketch: metrics ranks them from exact per-site and
-// per-file counts.
+// bounded-relative-error quantiles, and a seeded deterministic reservoir
+// sampler for exemplar rows. The hottest sites and datasets need no
+// sketch: metrics ranks them from exact per-site and per-file counts.
 //
 // Every aggregator is deterministic: no wall clock, no global randomness
 // (the reservoir draws from an explicitly passed rng.Source sub-stream),

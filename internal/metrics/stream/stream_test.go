@@ -180,83 +180,3 @@ func TestReservoirShortStream(t *testing.T) {
 		t.Fatalf("Seen = %d", r.Seen())
 	}
 }
-
-func TestWindowCapsPointsAndPreservesCoverage(t *testing.T) {
-	w := NewWindow(8, []bool{false, true}) // one gauge, one counter
-	for i := 0; i < 100; i++ {
-		w.Add(float64(i), []float64{2, float64(i)})
-	}
-	pts := w.Points()
-	if len(pts) > 8 {
-		t.Fatalf("stored %d points, cap 8", len(pts))
-	}
-	// Gauge column is constant 2; averaging must preserve it exactly.
-	for _, p := range pts {
-		if p.Values[0] != 2 {
-			t.Fatalf("gauge merged to %v, want 2", p.Values[0])
-		}
-	}
-	// Counter column keeps the last raw value of each window; the final
-	// point must carry the stream's last counter value.
-	last := pts[len(pts)-1]
-	if last.Values[1] != 99 || last.T != 99 {
-		t.Fatalf("final point = %+v, want counter 99 at t=99", last)
-	}
-	if w.Stride() < 2 {
-		t.Fatalf("stride = %d after overflow", w.Stride())
-	}
-}
-
-func TestWindowGaugeAveraging(t *testing.T) {
-	w := NewWindow(4, []bool{false})
-	for _, v := range []float64{1, 3, 5, 7} {
-		w.Add(v, []float64{v})
-	}
-	// Cap 4 halves once: points are averages of (1,3) and (5,7).
-	pts := w.Points()
-	if len(pts) != 2 || pts[0].Values[0] != 2 || pts[1].Values[0] != 6 {
-		t.Fatalf("points = %+v", pts)
-	}
-}
-
-func TestWindowPartialGroupFlush(t *testing.T) {
-	w := NewWindow(4, []bool{false})
-	for i := 0; i < 5; i++ {
-		w.Add(float64(i), []float64{10})
-	}
-	// Stride is 2 after the halve at 4 points; the 5th sample sits in a
-	// partial group that Points must surface without mutating state.
-	a := w.Points()
-	b := w.Points()
-	if len(a) != len(b) {
-		t.Fatalf("Points not idempotent: %d vs %d", len(a), len(b))
-	}
-	if last := a[len(a)-1]; last.T != 4 || last.Values[0] != 10 {
-		t.Fatalf("partial group = %+v", last)
-	}
-}
-
-func TestWindowDeterministic(t *testing.T) {
-	fill := func() []WindowPoint {
-		w := NewWindow(16, []bool{false, true, false})
-		src := rng.New(11)
-		for i := 0; i < 333; i++ {
-			w.Add(float64(i), []float64{src.Float64(), float64(i * 2), src.Float64() * 10})
-		}
-		return w.Points()
-	}
-	a, b := fill(), fill()
-	if len(a) != len(b) {
-		t.Fatalf("lengths differ")
-	}
-	for i := range a {
-		if a[i].T != b[i].T {
-			t.Fatalf("T diverged at %d", i)
-		}
-		for c := range a[i].Values {
-			if a[i].Values[c] != b[i].Values[c] {
-				t.Fatalf("value diverged at %d/%d", i, c)
-			}
-		}
-	}
-}

@@ -522,12 +522,13 @@ func (n *Network) EffectiveBandwidths() []float64 {
 	return out
 }
 
-// LinkLoads returns, per link, the sum of the current rates of the flows
-// crossing it. With correct flow control this never exceeds
-// EffectiveBandwidth for any link — the watchdog's link-capacity
-// invariant.
-func (n *Network) LinkLoads() []float64 {
-	out := make([]float64, n.topo.NumLinks())
+// LinkLoads fills out, resized to one entry per link, with the sum of
+// the current rates of the flows crossing each link, and returns it; a
+// caller that keeps out reads the loads without allocating. With correct
+// flow control no load exceeds EffectiveBandwidth — the watchdog's
+// link-capacity invariant.
+func (n *Network) LinkLoads(out []float64) []float64 {
+	out = zeroed(out, n.topo.NumLinks())
 	n.eachFlow(func(f *Flow) {
 		for _, l := range f.path {
 			out[l] += f.rate
@@ -536,12 +537,13 @@ func (n *Network) LinkLoads() []float64 {
 	return out
 }
 
-// LinkBacklogBytes returns, per link, the bytes still to be delivered by
-// the flows crossing it (each flow's remaining bytes counted on every
-// link of its route), projected to the current virtual time.
-func (n *Network) LinkBacklogBytes() []float64 {
+// LinkBacklogBytes fills out, resized to one entry per link, with the
+// bytes still to be delivered by the flows crossing each link (each
+// flow's remaining bytes counted on every link of its route), projected
+// to the current virtual time, and returns it.
+func (n *Network) LinkBacklogBytes(out []float64) []float64 {
 	now := n.eng.Now()
-	out := make([]float64, n.topo.NumLinks())
+	out = zeroed(out, n.topo.NumLinks())
 	n.eachFlow(func(f *Flow) {
 		rem := f.remainingAt(now)
 		for _, l := range f.path {
@@ -549,6 +551,17 @@ func (n *Network) LinkBacklogBytes() []float64 {
 		}
 	})
 	return out
+}
+
+// zeroed returns buf resized to n zeros, reusing its memory when it is
+// large enough.
+func zeroed(buf []float64, n int) []float64 {
+	if cap(buf) < n {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 // CongestionOn reports the current number of active flows crossing the

@@ -622,7 +622,7 @@ func TestLinkStatsDoNotPerturbDeliveries(t *testing.T) {
 				eng.At(src.Range(0, ops[len(ops)-1].at), func() {
 					n.LinkUtilization()
 					n.LinkBytes()
-					n.LinkBacklogBytes()
+					n.LinkBacklogBytes(nil)
 				})
 			}
 			got, gotFired := runDiff(ops, sites, true, eng, &netSide{t, n, map[int]*Flow{}})

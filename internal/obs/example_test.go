@@ -6,17 +6,21 @@ import (
 	"chicsim/internal/obs"
 )
 
-// A registry records one row of probe values whenever its host reads the
-// probes and calls Sample; in the simulator that is core's observation
-// tick on the virtual clock. Here a queue-depth gauge and a
-// completed-jobs counter are sampled at three ticks 10 virtual seconds
-// apart while a tiny "workload" (two state-changing events, at t=5 and
-// t=25) plays out.
+// A sink hears the probe columns once and then one row whenever its host
+// reads the probes; in the simulator that is core's observation tick on
+// the virtual clock, which reuses one row for every tick. Here a
+// queue-depth gauge and a completed-jobs counter go to an in-memory
+// Series at three ticks 10 virtual seconds apart while a tiny "workload"
+// (two state-changing events, at t=5 and t=25) plays out.
 func Example() {
 	queue, done := 4, 0
-	reg := obs.NewRegistry([]string{"queue_len", "jobs_done"},
-		[]obs.Kind{obs.GaugeKind, obs.CounterKind})
-	sample := func(t float64) { reg.Sample(t, []float64{float64(queue), float64(done)}) }
+	series := new(obs.Series)
+	series.Begin([]string{"queue_len", "jobs_done"}, []obs.Kind{obs.GaugeKind, obs.CounterKind})
+	row := make([]float64, 2)
+	sample := func(t float64) {
+		row[0], row[1] = float64(queue), float64(done)
+		series.Point(obs.Point{T: t, Values: row})
+	}
 
 	queue, done = 2, 2 // t=5
 	sample(10)
@@ -24,9 +28,8 @@ func Example() {
 	queue, done = 0, 4 // t=25
 	sample(30)
 
-	s := reg.Series()
-	fmt.Println("probes:", s.Names)
-	for _, p := range s.Points {
+	fmt.Println("probes:", series.Names)
+	for _, p := range series.Points {
 		fmt.Printf("t=%g queue_len=%g jobs_done=%g\n", p.T, p.Values[0], p.Values[1])
 	}
 	// Output:

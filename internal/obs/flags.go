@@ -14,12 +14,12 @@ import (
 )
 
 // Flags is the shared observability flag block for commands: pprof
-// profiling, probe-series output, and run-manifest emission. Bind it once
-// per command with BindFlags so every binary exposes the same vocabulary.
+// profiling, the probe-sample stream, and run-manifest emission. Bind it
+// once per command with BindFlags so every binary exposes the same
+// vocabulary.
 type Flags struct {
 	CPUProfile     string
 	MemProfile     string
-	SeriesPath     string  // -obs: CSV destination for the probe series
 	SeriesInterval float64 // -obs-interval: virtual seconds between observation ticks
 	StreamPath     string  // -obs-stream: incremental JSONL/CSV sample stream
 	ManifestPath   string  // -manifest: JSON run-manifest destination
@@ -36,7 +36,6 @@ func BindFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a pprof heap profile to this file on exit")
-	fs.StringVar(&f.SeriesPath, "obs", "", "sample observability probes and write the time series to this CSV file")
 	fs.Float64Var(&f.SeriesInterval, "obs-interval", 60, "virtual seconds between observation ticks: probe samples, metrics sync, watchdog checks")
 	fs.StringVar(&f.StreamPath, "obs-stream", "", "stream probe samples to this file as they are taken (.csv extension selects CSV, anything else JSON Lines)")
 	fs.StringVar(&f.ManifestPath, "manifest", "", "write a run manifest (config hash, seeds, git describe, timings) to this JSON file")
@@ -79,11 +78,11 @@ func (f *Flags) Check() error {
 }
 
 // Observing reports whether any flag needs the observation tick: a probe
-// series or stream, the metrics registry, or the watchdog. The runs then
+// stream, the metrics registry, or the watchdog. The runs then
 // tick every SeriesInterval.
 func (f *Flags) Observing() bool {
 	mode, _ := watchdog.ParseMode(f.WatchdogMode)
-	return f.SeriesPath != "" || f.StreamPath != "" || f.ListenAddr != "" ||
+	return f.StreamPath != "" || f.ListenAddr != "" ||
 		f.MetricsPath != "" || mode != watchdog.Off
 }
 

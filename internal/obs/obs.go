@@ -1,26 +1,26 @@
-// Package obs is the live observability layer of the simulator: a probe
-// series sampled on the virtual clock (Registry), wall-clock progress
+// Package obs is the live observability layer of the simulator: the
+// probe-series sinks that receive the rows sampled on the virtual clock
+// (Sink, with Series as the in-memory one), wall-clock progress
 // telemetry for experiment sweeps (Progress), the commands' shared flag
 // parsing and observability flags (ParseFlags, Flags) with the session
 // that opens and flushes what those flags ask for (Session), and run
 // manifests for provenance (Manifest).
 //
-// The layer is strictly opt-in. A simulation with no registry schedules
-// no sampling events and allocates nothing here, so the hot path is
-// untouched when observability is off (bench_test.go's
-// BenchmarkObservability pair measures exactly that). The registry owns
-// no clock and reads no state: its host reads the probes and hands Sample
-// one row. In the simulator that host is core's one recurring
+// The layer is strictly opt-in. A simulation with no observation
+// interval schedules no sampling events and allocates nothing here, so
+// the hot path is untouched when observability is off (bench_test.go's
+// BenchmarkObservability pair measures exactly that). A sink owns no
+// clock and reads no state: its host reads the probes and hands the sink
+// one row per tick. In the simulator that host is core's one recurring
 // observation event (Config.ObsInterval), an ordinary desim event, so the
-// resulting time series is part of the deterministic event order: the
-// same seed yields a bit-identical series regardless of how many
-// simulations run in parallel around it.
+// rows are part of the deterministic event order: the same seed yields a
+// bit-identical series regardless of how many simulations run in
+// parallel around it.
 package obs
 
 import (
 	"fmt"
-
-	"chicsim/internal/metrics/stream"
+	"slices"
 )
 
 // Kind distinguishes probe semantics: a Gauge is an instantaneous level
@@ -53,12 +53,96 @@ type Point struct {
 	Values []float64
 }
 
-// Series is the output of a run's sampling: probe names/kinds plus one
-// Point per tick. Treat as read-only once produced.
+// MaxSeriesPoints is the most points a Series holds.
+const MaxSeriesPoints = 512
+
+// Series is the in-memory Sink: it keeps a run's probe columns and
+// sampled points so the run can be drawn once it ends (report.Heatmap,
+// report.Timeline). Below MaxSeriesPoints ticks it holds one exact Point
+// per tick. Whenever it fills, adjacent points merge pairwise and each
+// later point spans twice as many ticks, so memory stays bounded however
+// long the run and the points still cover all of it at uniform
+// resolution. A merged point's gauge columns average the ticks it spans
+// and its counter columns keep the last tick's value; the last point may
+// span fewer ticks than the others. The merge arithmetic has a fixed
+// order, so a merged series is as deterministic as the raw rows. Read
+// the fields once the run has ended.
 type Series struct {
 	Names  []string
 	Kinds  []Kind
 	Points []Point
+
+	stride int       // ticks per point
+	n      int       // ticks in the last point while it is still open
+	sum    []float64 // per column: the open point's gauge sum
+}
+
+// Begin starts an empty series with the given columns.
+func (s *Series) Begin(names []string, kinds []Kind) error {
+	s.Names, s.Kinds = slices.Clone(names), slices.Clone(kinds)
+	s.Points, s.stride, s.n = nil, 1, 0
+	s.sum = make([]float64, len(names))
+	return nil
+}
+
+// Point adds one tick's row to the series.
+func (s *Series) Point(p Point) error {
+	if s.n == 0 {
+		s.open()
+	}
+	last := &s.Points[len(s.Points)-1]
+	last.T = p.T
+	s.n++
+	for i, v := range p.Values {
+		if s.Kinds[i] == CounterKind {
+			last.Values[i] = v
+		} else {
+			s.sum[i] += v
+			last.Values[i] = s.sum[i] / float64(s.n)
+		}
+	}
+	if s.n == s.stride {
+		s.n = 0
+		clear(s.sum)
+		if len(s.Points) == MaxSeriesPoints {
+			s.halve()
+		}
+	}
+	return nil
+}
+
+// open appends the point the next ticks go into, reusing the values of a
+// point merged away earlier when there is one.
+func (s *Series) open() {
+	if len(s.Points) == cap(s.Points) {
+		s.Points = append(s.Points, Point{})
+	} else {
+		s.Points = s.Points[:len(s.Points)+1]
+	}
+	if last := &s.Points[len(s.Points)-1]; last.Values == nil {
+		last.Values = make([]float64, len(s.Names))
+	}
+}
+
+// halve merges the points pairwise in place and doubles the stride.
+// Point i's values are overwritten only after they were read as part of
+// pair i/2.
+func (s *Series) halve() {
+	half := len(s.Points) / 2
+	for i := 0; i < half; i++ {
+		a, b := s.Points[2*i].Values, s.Points[2*i+1]
+		merged := s.Points[i].Values
+		for c := range merged {
+			if s.Kinds[c] == CounterKind {
+				merged[c] = b.Values[c]
+			} else {
+				merged[c] = (a[c] + b.Values[c]) / 2
+			}
+		}
+		s.Points[i].T = b.T
+	}
+	s.Points = s.Points[:half]
+	s.stride *= 2
 }
 
 // Column returns the time series of the named probe, or nil if the
@@ -78,80 +162,4 @@ func (s *Series) Column(name string) []float64 {
 		return out
 	}
 	return nil
-}
-
-// Registry accumulates the sampled series of a fixed set of probe
-// columns. It is bound to a single simulation and, like the engine it
-// samples on, is not safe for concurrent use.
-type Registry struct {
-	names []string
-	kinds []Kind
-
-	points []Point
-	window *stream.Window // non-nil once LimitPoints caps the series
-	maxPts int
-
-	sink    Sink // optional streaming copy of every sample (see StreamTo)
-	sinkErr error
-}
-
-// NewRegistry returns a registry for the given probe columns; their order
-// is the column order of every row Sample takes and of the series.
-func NewRegistry(names []string, kinds []Kind) *Registry {
-	return &Registry{names: names, kinds: kinds}
-}
-
-// Sample appends the row values, one per column, as the Point at virtual
-// time t. The registry keeps values: the caller must not modify it
-// afterwards.
-func (r *Registry) Sample(t float64, values []float64) {
-	if len(values) != len(r.names) {
-		panic(fmt.Sprintf("obs: sample of %d values for %d probes", len(values), len(r.names)))
-	}
-	p := Point{T: t, Values: values}
-	if r.maxPts > 0 {
-		if r.window == nil {
-			isCounter := make([]bool, len(r.kinds))
-			for i, k := range r.kinds {
-				isCounter[i] = k == CounterKind
-			}
-			r.window = stream.NewWindow(r.maxPts, isCounter)
-		}
-		r.window.Add(p.T, p.Values)
-	} else {
-		r.points = append(r.points, p)
-	}
-	if r.sink != nil {
-		if err := r.sink.Point(p); err != nil {
-			r.sink = nil
-			r.sinkErr = fmt.Errorf("obs: sink point: %w", err)
-		}
-	}
-}
-
-// LimitPoints caps the in-memory series at roughly max points: samples
-// are funneled through a stride-doubling downsampling window
-// (metrics/stream.Window) instead of an unbounded slice, so memory stays
-// O(max) however long the run. Gauge columns average over each merged
-// window and counter columns keep the window-end value. Call before the
-// first Sample. A streaming sink (StreamTo) is unaffected — it still
-// receives every raw sample.
-func (r *Registry) LimitPoints(max int) {
-	if len(r.points) > 0 || r.window != nil {
-		panic("obs: LimitPoints after sampling started")
-	}
-	r.maxPts = max
-}
-
-// Series returns everything sampled so far.
-func (r *Registry) Series() *Series {
-	pts := r.points
-	if r.window != nil {
-		wpts := r.window.Points()
-		pts = make([]Point, len(wpts))
-		for i, wp := range wpts {
-			pts[i] = Point{T: wp.T, Values: wp.Values}
-		}
-	}
-	return &Series{Names: r.names, Kinds: r.kinds, Points: pts}
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,17 +12,33 @@ import (
 	"time"
 )
 
-func TestRegistrySamplesInRegistrationOrder(t *testing.T) {
-	r := NewRegistry([]string{"a", "b"}, []Kind{GaugeKind, CounterKind})
-	r.Sample(5, []float64{1, 10})
-	r.Sample(6, []float64{2, 20})
-
-	s := r.Series()
-	if !reflect.DeepEqual(s.Names, []string{"a", "b"}) {
-		t.Fatalf("names = %v", s.Names)
+// fill begins a series with one gauge and one counter column and hands
+// it ticks 0..n-1, each at t = i with both values i, in one reused row.
+func fill(n int) *Series {
+	s := new(Series)
+	s.Begin([]string{"g", "c"}, []Kind{GaugeKind, CounterKind})
+	row := make([]float64, 2)
+	for i := 0; i < n; i++ {
+		row[0], row[1] = float64(i), float64(i)
+		s.Point(Point{T: float64(i), Values: row})
 	}
-	if !reflect.DeepEqual(s.Kinds, []Kind{GaugeKind, CounterKind}) {
-		t.Fatalf("kinds = %v", s.Kinds)
+	return s
+}
+
+// TestSeriesExactBelowCap checks that below the cap a series keeps its
+// own copy of the columns and of every tick's row.
+func TestSeriesExactBelowCap(t *testing.T) {
+	names, kinds := []string{"a", "b"}, []Kind{GaugeKind, CounterKind}
+	s := new(Series)
+	s.Begin(names, kinds)
+	names[0], kinds[0] = "changed", CounterKind
+	row := []float64{1, 10}
+	s.Point(Point{T: 5, Values: row})
+	row[0], row[1] = 2, 20
+	s.Point(Point{T: 6, Values: row})
+
+	if !reflect.DeepEqual(s.Names, []string{"a", "b"}) || !reflect.DeepEqual(s.Kinds, []Kind{GaugeKind, CounterKind}) {
+		t.Fatalf("columns = %v %v", s.Names, s.Kinds)
 	}
 	want := []Point{{T: 5, Values: []float64{1, 10}}, {T: 6, Values: []float64{2, 20}}}
 	if !reflect.DeepEqual(s.Points, want) {
@@ -32,6 +49,66 @@ func TestRegistrySamplesInRegistrationOrder(t *testing.T) {
 	}
 	if s.Column("missing") != nil {
 		t.Fatal("Column on unknown probe should be nil")
+	}
+
+	s = fill(MaxSeriesPoints - 1)
+	if len(s.Points) != MaxSeriesPoints-1 {
+		t.Fatalf("%d ticks kept as %d points", MaxSeriesPoints-1, len(s.Points))
+	}
+	for i, p := range s.Points {
+		if p.T != float64(i) || p.Values[0] != float64(i) || p.Values[1] != float64(i) {
+			t.Fatalf("point %d = %v", i, p)
+		}
+	}
+}
+
+// TestSeriesCapsPointsAndPreservesCoverage checks the merged series at
+// and beyond the cap: at most MaxSeriesPoints points, each spanning the
+// ticks after its predecessor up to its own time, with the gauge the
+// mean of those ticks and the counter the last tick's value. Every value
+// here is exact in floating point, so the checks are ==.
+func TestSeriesCapsPointsAndPreservesCoverage(t *testing.T) {
+	for _, n := range []int{MaxSeriesPoints, MaxSeriesPoints + 1, MaxSeriesPoints + 2, 3*MaxSeriesPoints + 5, 20000} {
+		s := fill(n)
+		if len(s.Points) > MaxSeriesPoints || len(s.Points) < MaxSeriesPoints/4 {
+			t.Fatalf("%d ticks: %d points", n, len(s.Points))
+		}
+		lo := 0.0
+		for i, p := range s.Points {
+			if p.Values[0] != (lo+p.T)/2 || p.Values[1] != p.T {
+				t.Fatalf("%d ticks: point %d = %v spans ticks %v..%v", n, i, p, lo, p.T)
+			}
+			lo = p.T + 1
+		}
+		if last := s.Points[len(s.Points)-1].T; last != float64(n-1) {
+			t.Fatalf("%d ticks: series ends at t=%v", n, last)
+		}
+	}
+	// The cap halves the series at MaxSeriesPoints ticks; a 513th tick
+	// opens a point of its own.
+	if s := fill(MaxSeriesPoints); len(s.Points) != MaxSeriesPoints/2 {
+		t.Fatalf("%d ticks: %d points, want %d", MaxSeriesPoints, len(s.Points), MaxSeriesPoints/2)
+	}
+	if s := fill(MaxSeriesPoints + 1); len(s.Points) != MaxSeriesPoints/2+1 {
+		t.Fatalf("%d ticks: %d points, want %d", MaxSeriesPoints+1, len(s.Points), MaxSeriesPoints/2+1)
+	}
+}
+
+// TestSeriesDeterministic feeds the same random rows twice.
+func TestSeriesDeterministic(t *testing.T) {
+	run := func() *Series {
+		s := new(Series)
+		s.Begin([]string{"a", "b", "c"}, []Kind{GaugeKind, CounterKind, GaugeKind})
+		src := rand.New(rand.NewPCG(11, 0))
+		row := make([]float64, 3)
+		for i := 0; i < 3333; i++ {
+			row[0], row[1], row[2] = src.Float64(), float64(2*i), src.Float64()*10
+			s.Point(Point{T: float64(i), Values: row})
+		}
+		return s
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatal("same rows gave different series")
 	}
 }
 

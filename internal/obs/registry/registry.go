@@ -2,9 +2,10 @@
 // control plane: counters, gauges, and fixed-bucket histograms keyed by
 // name plus label pairs, in the Prometheus data model.
 //
-// It complements the sibling obs.Registry (the virtual-time probe
-// *series*) with *current-value* metrics that an HTTP monitor can scrape
-// while a simulation — or a whole campaign of them — is still running.
+// It complements the probe rows the observation pass hands its obs.Sink
+// (the virtual-time *series*) with *current-value* metrics that an HTTP
+// monitor can scrape while a simulation — or a whole campaign of them —
+// is still running.
 // Two properties drive the design:
 //
 //   - Determinism. Metric updates are plain arithmetic on values the

@@ -9,22 +9,23 @@ import (
 	"strings"
 )
 
-// Sink receives probe samples incrementally as the simulation takes
-// them, instead of (not in place of) the in-memory Series: attaching a
-// sink never changes what a run returns, only where copies of the rows
-// go while it is still running. Long sweeps can tail the output without
-// waiting for the run to finish, and a crashed run leaves the samples
-// taken so far on disk.
+// Sink receives the probe rows of a run's observation pass as the
+// simulation takes them; it is the pass's only output. CSV and JSON Lines
+// sinks put the rows on disk while the run is still going, so a long run
+// can be tailed and a crashed one leaves the rows taken so far; Series
+// keeps them in memory for drawing once the run ends.
 //
 // Sinks are called from the simulation goroutine; implementations need
-// no locking but must not block indefinitely. Errors are sticky: after
-// the first failure the registry stops calling the sink and reports the
-// error via SinkErr.
+// no locking but must not block indefinitely. The host passes the same
+// Values slice on every call and overwrites it between calls, so a sink
+// must not keep it. After the first error the host makes no further
+// calls.
 type Sink interface {
 	// Begin is called once, before any points, with the probe columns in
 	// registration order.
 	Begin(names []string, kinds []Kind) error
-	// Point is called once per sampling tick.
+	// Point is called once per sampling tick. p.Values is only valid
+	// during the call.
 	Point(p Point) error
 }
 
@@ -59,7 +60,7 @@ func (s *jsonlSink) Point(p Point) error {
 }
 
 // csvSink streams a header row ("t" plus probe names) and one comma-
-// separated row per tick, matching report.SeriesCSV's layout.
+// separated row per tick, each value formatted as strconv's shortest 'g'.
 type csvSink struct {
 	w   io.Writer
 	buf []byte
@@ -112,26 +113,41 @@ func (f *Flags) OpenStreamSink() (Sink, func() error, error) {
 	return sink, file.Close, nil
 }
 
-// StreamTo attaches a sink: the header goes out immediately and every
-// subsequent Sample also emits one sink row. Call before sampling
-// starts; attaching mid-run would hand the sink a headerless tail.
-// A nil sink is a no-op, so call sites can pass configuration through
-// unconditionally.
-func (r *Registry) StreamTo(sink Sink) {
-	if sink == nil {
-		return
+// Tee returns a Sink that hands every call to each of sinks in order and
+// stops at the first error, which it returns. Nil sinks are left out: Tee
+// of a single non-nil sink is that sink, and Tee of none is nil.
+func Tee(sinks ...Sink) Sink {
+	var t tee
+	for _, s := range sinks {
+		if s != nil {
+			t = append(t, s)
+		}
 	}
-	if len(r.points) > 0 {
-		panic("obs: StreamTo after sampling started")
+	switch len(t) {
+	case 0:
+		return nil
+	case 1:
+		return t[0]
 	}
-	r.sink = sink
-	if err := sink.Begin(r.names, r.kinds); err != nil {
-		r.sink = nil
-		r.sinkErr = fmt.Errorf("obs: sink header: %w", err)
-	}
+	return t
 }
 
-// SinkErr returns the first error the streaming sink hit, or nil. After
-// an error the sink receives nothing further; the in-memory series is
-// unaffected.
-func (r *Registry) SinkErr() error { return r.sinkErr }
+type tee []Sink
+
+func (t tee) Begin(names []string, kinds []Kind) error {
+	for _, s := range t {
+		if err := s.Begin(names, kinds); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (t tee) Point(p Point) error {
+	for _, s := range t {
+		if err := s.Point(p); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -3,24 +3,35 @@ package obs
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
 
-func sampledRegistry() (*Registry, func(t float64)) {
-	r := NewRegistry([]string{"queue", "dispatches"}, []Kind{GaugeKind, CounterKind})
+// sampled begins sink with a gauge and a counter column and returns a
+// function that hands it one row per call, reusing the row's memory as
+// the simulator does.
+func sampled(t *testing.T, sink Sink) func(at float64) {
+	t.Helper()
+	if err := sink.Begin([]string{"queue", "dispatches"}, []Kind{GaugeKind, CounterKind}); err != nil {
+		t.Fatal(err)
+	}
+	row := make([]float64, 2)
 	total := 0.0
-	return r, func(t float64) {
+	return func(at float64) {
 		total++
-		r.Sample(t, []float64{t / 2, total})
+		row[0], row[1] = at/2, total
+		if err := sink.Point(Point{T: at, Values: row}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestJSONLSinkShape(t *testing.T) {
 	var sb strings.Builder
-	r, sample := sampledRegistry()
-	r.StreamTo(NewJSONLSink(&sb))
+	sample := sampled(t, NewJSONLSink(&sb))
 	sample(100)
 	sample(200)
 
@@ -49,15 +60,11 @@ func TestJSONLSinkShape(t *testing.T) {
 	if pt.T != 200 || len(pt.Values) != 2 || pt.Values[0] != 100 || pt.Values[1] != 2 {
 		t.Fatalf("point = %+v", pt)
 	}
-	if err := r.SinkErr(); err != nil {
-		t.Fatalf("SinkErr = %v", err)
-	}
 }
 
 func TestCSVSinkShape(t *testing.T) {
 	var sb strings.Builder
-	r, sample := sampledRegistry()
-	r.StreamTo(NewCSVSink(&sb))
+	sample := sampled(t, NewCSVSink(&sb))
 	sample(100)
 	sample(200)
 
@@ -71,81 +78,60 @@ func TestCSVSinkShape(t *testing.T) {
 			t.Errorf("line %d = %q, want %q", i, lines[i], want[i])
 		}
 	}
-	if err := r.SinkErr(); err != nil {
-		t.Fatalf("SinkErr = %v", err)
-	}
 }
 
-// failAfter accepts n writes and then fails every subsequent one.
-type failAfter struct {
-	n      int
-	writes int
+// recorder keeps a copy of every call it gets, as a string.
+type recorder struct {
+	calls []string
+	fail  int // fail the call with this 1-based number; 0 never
 }
 
-func (w *failAfter) Write(p []byte) (int, error) {
-	w.writes++
-	if w.writes > w.n {
-		return 0, errors.New("disk full")
+func (r *recorder) record(call string) error {
+	r.calls = append(r.calls, call)
+	if len(r.calls) == r.fail {
+		return errors.New("disk full")
 	}
-	return len(p), nil
+	return nil
 }
 
-// A sink error is sticky: the sink is dropped after the first failure,
-// the error is reported via SinkErr, and the in-memory series keeps
-// accumulating unaffected.
-func TestSinkErrorSticky(t *testing.T) {
-	w := &failAfter{n: 2} // header + first point succeed
-	r, sample := sampledRegistry()
-	r.StreamTo(NewJSONLSink(w))
-	sample(100)
-	sample(200) // fails; sink dropped
-	sample(300) // must not reach the writer
-
-	if err := r.SinkErr(); err == nil || !strings.Contains(err.Error(), "disk full") {
-		t.Fatalf("SinkErr = %v", err)
-	}
-	if w.writes != 3 {
-		t.Errorf("writer called %d times; the sink was not dropped after failing", w.writes)
-	}
-	if got := len(r.Series().Points); got != 3 {
-		t.Errorf("in-memory series has %d points, want all 3", got)
-	}
+func (r *recorder) Begin(names []string, kinds []Kind) error {
+	return r.record(fmt.Sprint("begin ", names, kinds))
 }
 
-// A header failure surfaces immediately and no points are streamed.
-func TestSinkHeaderError(t *testing.T) {
-	w := &failAfter{n: 0}
-	r, sample := sampledRegistry()
-	r.StreamTo(NewJSONLSink(w))
-	if err := r.SinkErr(); err == nil {
-		t.Fatal("header failure not reported")
-	}
-	sample(100)
-	if w.writes != 1 {
-		t.Errorf("writer called %d times after header failure", w.writes)
-	}
-}
+func (r *recorder) Point(p Point) error { return r.record(fmt.Sprint(p.T, p.Values)) }
 
-func TestStreamToNilIsNoop(t *testing.T) {
-	r, sample := sampledRegistry()
-	r.StreamTo(nil)
-	sample(100)
-	if err := r.SinkErr(); err != nil {
-		t.Fatalf("SinkErr = %v", err)
+func TestTee(t *testing.T) {
+	if Tee() != nil || Tee(nil, nil) != nil {
+		t.Fatal("Tee of no sinks is not nil")
 	}
-}
+	only := &recorder{}
+	if Tee(nil, only) != Sink(only) {
+		t.Fatal("Tee of one sink is not that sink")
+	}
 
-// Attaching a sink after sampling started would hand it a headerless
-// tail of the series; that is a wiring bug, so it panics.
-func TestStreamToAfterSamplingPanics(t *testing.T) {
-	r, sample := sampledRegistry()
-	sample(100)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("StreamTo after sampling did not panic")
-		}
-	}()
-	r.StreamTo(NewJSONLSink(&strings.Builder{}))
+	a, b := &recorder{}, &recorder{}
+	sink := Tee(a, nil, b)
+	if err := sink.Begin([]string{"q"}, []Kind{GaugeKind}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Point(Point{T: 60, Values: []float64{3}}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"begin [q] [gauge]", "60 [3]"}
+	if !reflect.DeepEqual(a.calls, want) || !reflect.DeepEqual(b.calls, want) {
+		t.Fatalf("calls = %q and %q, want %q each", a.calls, b.calls, want)
+	}
+
+	// The first error stops the call: later sinks do not see it.
+	a, b = &recorder{fail: 2}, &recorder{}
+	sink = Tee(a, b)
+	sink.Begin(nil, nil)
+	if err := sink.Point(Point{T: 1}); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Point error = %v", err)
+	}
+	if len(b.calls) != 1 {
+		t.Fatalf("the sink after the failing one got %q", b.calls)
+	}
 }
 
 func TestOpenStreamSink(t *testing.T) {

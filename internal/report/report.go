@@ -240,7 +240,7 @@ func Heatmap(w io.Writer, s *obs.Series, maxWidth int) {
 
 // Timeline renders grid-wide aggregates of a probe series: mean occupancy
 // per sample, then the peaks of its jobs_queued and inflight_transfers
-// columns.
+// columns (of the window means, once the series has merged its points).
 func Timeline(w io.Writer, s *obs.Series, maxWidth int) {
 	siteCols := occupancy(s)
 	if siteCols == nil {
