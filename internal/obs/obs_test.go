@@ -84,13 +84,68 @@ func TestSeriesCapsPointsAndPreservesCoverage(t *testing.T) {
 			t.Fatalf("%d ticks: series ends at t=%v", n, last)
 		}
 	}
-	// The cap halves the series at MaxSeriesPoints ticks; a 513th tick
-	// opens a point of its own.
-	if s := fill(MaxSeriesPoints); len(s.Points) != MaxSeriesPoints/2 {
+}
+
+// TestSeriesGaugeAveraging feeds a gauge that is not linear in time, so
+// a merged point's gauge is its ticks' mean only if every merge
+// averages: each point must hold the mean of the squares of the ticks it
+// spans. The sums stay below 2^53 and full points span a power of two
+// ticks, so the arithmetic is exact and the check is ==.
+func TestSeriesGaugeAveraging(t *testing.T) {
+	for _, n := range []int{MaxSeriesPoints, 3*MaxSeriesPoints + 5, 20000} {
+		s := new(Series)
+		s.Begin([]string{"sq"}, []Kind{GaugeKind})
+		row := make([]float64, 1)
+		for i := 0; i < n; i++ {
+			row[0] = float64(i * i)
+			s.Point(Point{T: float64(i), Values: row})
+		}
+		lo := 0
+		for i, p := range s.Points {
+			hi := int(p.T)
+			sum := 0.0
+			for k := lo; k <= hi; k++ {
+				sum += float64(k * k)
+			}
+			if want := sum / float64(hi-lo+1); p.Values[0] != want {
+				t.Fatalf("%d ticks: point %d over ticks %d..%d has gauge %v, want %v", n, i, lo, hi, p.Values[0], want)
+			}
+			lo = hi + 1
+		}
+	}
+}
+
+// TestSeriesPartialGroupFlush checks the open last point: the cap halves
+// the series at MaxSeriesPoints ticks, the next tick opens a point of its
+// own that holds what it has so far, and the point closes once it spans
+// as many ticks as the others.
+func TestSeriesPartialGroupFlush(t *testing.T) {
+	s := fill(MaxSeriesPoints)
+	if len(s.Points) != MaxSeriesPoints/2 {
 		t.Fatalf("%d ticks: %d points, want %d", MaxSeriesPoints, len(s.Points), MaxSeriesPoints/2)
 	}
-	if s := fill(MaxSeriesPoints + 1); len(s.Points) != MaxSeriesPoints/2+1 {
+	row := make([]float64, 2)
+	tick := func(i int) {
+		row[0], row[1] = float64(i), float64(i)
+		s.Point(Point{T: float64(i), Values: row})
+	}
+	tick(MaxSeriesPoints)
+	if len(s.Points) != MaxSeriesPoints/2+1 {
 		t.Fatalf("%d ticks: %d points, want %d", MaxSeriesPoints+1, len(s.Points), MaxSeriesPoints/2+1)
+	}
+	if got, want := s.Points[len(s.Points)-1], (Point{T: 512, Values: []float64{512, 512}}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("open point after one tick = %v, want %v", got, want)
+	}
+	if a, b := s.Column("g"), s.Column("g"); !reflect.DeepEqual(a, b) {
+		t.Fatal("reading the series changed it")
+	}
+	tick(MaxSeriesPoints + 1)
+	if got, want := s.Points[len(s.Points)-1], (Point{T: 513, Values: []float64{512.5, 513}}); len(s.Points) != MaxSeriesPoints/2+1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d points, last %v after two ticks; want %d points, last %v", len(s.Points), got, MaxSeriesPoints/2+1, want)
+	}
+	tick(MaxSeriesPoints + 2)
+	if got, want := s.Points[len(s.Points)-1], (Point{T: 514, Values: []float64{514, 514}}); len(s.Points) != MaxSeriesPoints/2+2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d points, last %v after three ticks; want %d points, last %v", len(s.Points), got, MaxSeriesPoints/2+2, want)
 	}
 }
 
