@@ -13,6 +13,11 @@
 // serves the worker's own monitor surface: /metrics (busy slots, upload
 // outcomes/latency, heartbeats) and /status (what it is executing).
 // Logs are structured (-log-level, -log-format).
+//
+// A -dispatcher URL that does not parse, or names no http(s) host, is a
+// usage error (exit 2). A well-formed URL nobody answers on is not: the
+// daemon keeps retrying its registration every 500 ms until a dispatcher
+// comes up there.
 package main
 
 import (
@@ -44,6 +49,10 @@ func main() {
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof profiling endpoints under /debug/pprof/ on -listen")
 	logFlags := logging.BindFlags(flag.CommandLine)
 	obs.ParseFlags(flag.CommandLine, os.Args[1:])
+	if err := fabric.CheckBaseURL(*dispatcher); err != nil {
+		fmt.Fprintln(os.Stderr, "gridworker: -dispatcher:", err)
+		os.Exit(2)
+	}
 
 	if *quiet {
 		logFlags.Level = "error"

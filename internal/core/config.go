@@ -247,11 +247,12 @@ type Config struct {
 
 	// Metrics, when non-nil, attaches the live metrics registry
 	// (internal/obs/registry): the ObsInterval tick adds to the job,
-	// dispatch and replication counters what core's own tallies gained
-	// since the previous tick and sets the gauges; per-site response
-	// histograms and fault counters update inline at their hooks. An HTTP
-	// monitor can scrape the registry while the run is going. Requires
-	// ObsInterval > 0. Attaching adds no event and never perturbs Results.
+	// dispatch, replication and per-class fault counters what core's and
+	// the fault injector's own tallies gained since the previous tick and
+	// sets the gauges; only the per-site response histograms update
+	// inline, at job completion. An HTTP monitor can scrape the registry
+	// while the run is going. Requires ObsInterval > 0. Attaching adds no
+	// event and never perturbs Results.
 	Metrics *registry.Registry `json:"-"`
 
 	// Watchdog, when not Off, runs online invariant checks

@@ -142,9 +142,66 @@ func TestRegistryPopulated(t *testing.T) {
 	}
 }
 
+// TestFaultCountersMatchStats checks sim_faults_total, published on the
+// obs tick from the injector's stats, against the run's own Results: each
+// class's series equals its Faults field, repair equals Faults.Repairs,
+// and a class that never fired has no series. The first run turns on all
+// six classes and needs every one to fire; the second crashes sites only,
+// so the other five must stay absent.
+func TestFaultCountersMatchStats(t *testing.T) {
+	all := controlPlaneCfg(5)
+	all.Faults = faults.Config{
+		SiteCrash:     faults.Spec{MTBF: 3000, MTTR: 500},
+		CEFailure:     faults.Spec{MTBF: 2000, MTTR: 600},
+		LinkDegrade:   faults.Spec{MTBF: 2000, MTTR: 800},
+		LinkOutage:    faults.Spec{MTBF: 3000, MTTR: 300},
+		TransferAbort: faults.Spec{MTBF: 1000},
+		ReplicaLoss:   faults.Spec{MTBF: 1000},
+	}
+	crashes := controlPlaneCfg(5)
+	crashes.Faults.SiteCrash = faults.Spec{MTBF: 3000, MTTR: 500}
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		allSix bool
+	}{{"all six", all, true}, {"crashes only", crashes, false}} {
+		reg := registry.New()
+		tc.cfg.Metrics = reg
+		r, err := RunConfig(tc.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		f := r.Faults
+		classes := []struct {
+			class string
+			n     int
+		}{
+			{"site_crash", f.SiteCrashes},
+			{"ce_failure", f.CEFailures},
+			{"link_degrade", f.LinkDegradations},
+			{"link_outage", f.LinkOutages},
+			{"transfer_abort", f.TransfersAborted},
+			{"replica_loss", f.ReplicasLost},
+			{"repair", f.Repairs},
+		}
+		for _, c := range classes {
+			if (tc.allSix || c.class == "site_crash") && c.n == 0 {
+				t.Fatalf("%s: no %s fired; test exercises nothing (%+v)", tc.name, c.class, f)
+			}
+			v, ok := reg.Value("sim_faults_total", c.class)
+			switch {
+			case c.n == 0 && ok:
+				t.Errorf("%s: %s never fired but has a series (%v)", tc.name, c.class, v)
+			case c.n > 0 && (!ok || v != float64(c.n)):
+				t.Errorf("%s: sim_faults_total{class=%q} = %v (series %v), want %d", tc.name, c.class, v, ok, c.n)
+			}
+		}
+	}
+}
+
 // TestWatchdogCatchesSeededViolation seeds a deliberate conservation bug
-// (wdSkewDone shifts the done count inside the check) and asserts Fail
-// mode aborts the run mid-flight with the violation as the error.
+// (one job counted as submitted before any is) and asserts Fail mode
+// aborts the run mid-flight with the violation as the error.
 func TestWatchdogCatchesSeededViolation(t *testing.T) {
 	cfg := controlPlaneCfg(5)
 	cfg.Watchdog = watchdog.Fail
@@ -154,7 +211,7 @@ func TestWatchdogCatchesSeededViolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.wdSkewDone = 1 // the seeded accounting bug
+	sim.jobsSubmitted = 1 // the seeded accounting bug
 	r, err := sim.Run()
 	if err == nil {
 		t.Fatal("Run succeeded despite broken job accounting")
@@ -187,7 +244,7 @@ func TestWatchdogWarnModeCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim.wdSkewDone = 1
+	sim.jobsSubmitted = 1
 	r, err := sim.Run()
 	if err != nil {
 		t.Fatalf("Warn mode failed the run: %v", err)

@@ -19,9 +19,9 @@ import (
 // live registry (internal/obs/registry) from the same value: gauges are
 // set, counters advance by the change since the previous publish. Then
 // the watchdog (internal/obs/watchdog) runs the online invariant checks.
-// Only the per-site response histograms and the fault counters update
-// inline at their hooks. A tick allocates nothing: the row and the
-// per-link buffers are reused.
+// Only the per-site response histograms update inline, at job
+// completion: no quantity the pass reads carries a job's submit time. A
+// tick allocates nothing: the row and the per-link buffers are reused.
 //
 // Determinism: every registry update is arithmetic on values the
 // simulation already maintains; nothing here draws random numbers or is
@@ -97,17 +97,33 @@ func (o *obsPass) gauge(f family, lv string, v float64) {
 
 // counter advances the series of counter family f with label value lv by
 // the change in the running total v since the previous publish.
-func (o *obsPass) counter(f family, lv string, v float64) {
+func (o *obsPass) counter(f family, lv string, v float64) { o.advance(f, lv, v, false) }
+
+// sparseCounter is counter for a series created only at its first
+// nonzero total, so the exposition names only the label values that
+// occurred.
+func (o *obsPass) sparseCounter(f family, lv string, v float64) { o.advance(f, lv, v, true) }
+
+func (o *obsPass) advance(f family, lv string, v float64, sparse bool) {
 	if o.reg == nil {
 		return
 	}
 	if o.declaring {
 		names, values := f.labels(lv)
-		o.counters = append(o.counters, o.reg.Counter(f.name, f.help, names...).With(values...))
+		vec := o.reg.Counter(f.name, f.help, names...) // registers the family in call order
+		var c registry.Counter
+		if !sparse {
+			c = vec.With(values...)
+		}
+		o.counters = append(o.counters, c)
 		o.sent = append(o.sent, 0)
 		return
 	}
 	if d := v - o.sent[o.c]; d > 0 {
+		if sparse && o.sent[o.c] == 0 {
+			names, values := f.labels(lv)
+			o.counters[o.c] = o.reg.Counter(f.name, f.help, names...).With(values...)
+		}
 		o.counters[o.c].Add(d)
 		o.sent[o.c] = v
 	}
@@ -197,14 +213,13 @@ func (s *Simulation) observe(o *obsPass) {
 	o.column("inflight_transfers", obs.GaugeKind, flows)
 	o.gauge(family{"sim_inflight_transfers", "Wide-area transfers currently moving bytes.", ""}, "", flows)
 	o.column("gis_staleness_s", obs.GaugeKind, s.gis.SnapshotAge())
+	var fs faults.Stats // zero in the declaring pass: Run attaches the injector after it
+	if s.injector != nil {
+		fs = s.injector.Stats()
+	}
 	if faulted {
 		// Fault columns exist only on faulted runs, keeping the default
-		// column set (and its regression tests) untouched. The injector
-		// is attached in Run, after the declaring pass.
-		var fs faults.Stats
-		if s.injector != nil {
-			fs = s.injector.Stats()
-		}
+		// column set (and its regression tests) untouched.
 		o.column("faults_injected", obs.CounterKind, float64(fs.FaultsInjected))
 		o.column("faults_repaired", obs.CounterKind, float64(fs.Repairs))
 		o.column("jobs_retried", obs.CounterKind, retried)
@@ -236,12 +251,14 @@ func (s *Simulation) observe(o *obsPass) {
 			"Most loaded link: sum of flow rates over effective bandwidth.", ""}, "", maxFrac)
 		o.gauge(family{"sim_link_backlog_bytes",
 			"Bytes still to deliver, summed over links crossed.", ""}, "", backlog)
-	}
-	if o.declaring && prom {
-		// Updated inline at the fault hooks; registered here to keep the
-		// family order.
-		s.faultsByClass = o.reg.Counter("sim_faults_total",
-			"Faults applied and repairs completed, by class.", "class")
+		byClass := family{"sim_faults_total", "Faults applied and repairs completed, by class.", "class"}
+		o.sparseCounter(byClass, "site_crash", float64(fs.SiteCrashes))
+		o.sparseCounter(byClass, "ce_failure", float64(fs.CEFailures))
+		o.sparseCounter(byClass, "link_degrade", float64(fs.LinkDegradations))
+		o.sparseCounter(byClass, "link_outage", float64(fs.LinkOutages))
+		o.sparseCounter(byClass, "transfer_abort", float64(fs.TransfersAborted))
+		o.sparseCounter(byClass, "replica_loss", float64(fs.ReplicasLost))
+		o.sparseCounter(byClass, "repair", float64(fs.Repairs))
 	}
 
 	queueDepth := family{"sim_queue_depth", "Jobs queued at the site.", "site"}
@@ -287,11 +304,10 @@ func (s *Simulation) registerWatchdog() {
 			queued += st.QueueLen()
 			running += st.Busy()
 		}
-		done := s.jobsDone + s.wdSkewDone // wdSkewDone is a test-only fault seed
-		accounted := done + s.jobsFailed + queued + running + len(s.batchBuf) + s.retryPending
+		accounted := s.jobsDone + s.jobsFailed + queued + running + len(s.batchBuf) + s.retryPending
 		if accounted != s.jobsSubmitted {
 			return fmt.Sprintf("submitted %d != accounted %d (done %d, abandoned %d, queued %d, running %d, batched %d, retry-pending %d)",
-				s.jobsSubmitted, accounted, done, s.jobsFailed, queued, running, len(s.batchBuf), s.retryPending)
+				s.jobsSubmitted, accounted, s.jobsDone, s.jobsFailed, queued, running, len(s.batchBuf), s.retryPending)
 		}
 		return ""
 	})

@@ -126,16 +126,14 @@ type Simulation struct {
 	fb       *feedback.Tracker
 	fbParams feedback.Params
 
-	// Live control plane (see livemetrics.go): the metric families
-	// updated inline, nil unless cfg.Metrics is set; wd is nil when the
-	// watchdog is off.
-	faultsByClass *registry.CounterVec
+	// Live control plane (see livemetrics.go): the per-site response
+	// histograms, updated inline, nil unless cfg.Metrics is set; wd is
+	// nil when the watchdog is off.
 	respBySite    []registry.Histogram // per site
 	wd            *watchdog.Watchdog
 	wdErr         error
 	jobsSubmitted int // jobs entered into the system (the conservation ledger's left side)
 	retryPending  int // failed jobs waiting out a retry backoff
-	wdSkewDone    int // test hook: seeds a deliberate conservation violation
 
 	// Fault injection (see faults.go in this package). All nil/zero
 	// unless cfg.Faults enables at least one fault class.
@@ -588,11 +586,6 @@ func (s *Simulation) Run() (Results, error) {
 	if s.fcfg.Enabled() {
 		s.injector = faults.Attach(s.eng, s.fcfg, s.faultRoot, faultOps{s},
 			func() bool { return !s.finished })
-		if s.faultsByClass != nil {
-			s.injector.SetObserver(func(class string) {
-				s.faultsByClass.With(class).Inc()
-			})
-		}
 	}
 
 	if s.cfg.ArrivalRate > 0 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 )
@@ -26,11 +27,25 @@ func (c *Client) httpClient() *http.Client {
 }
 
 func (c *Client) url(path string) string {
-	base := strings.TrimSuffix(c.BaseURL, "/")
+	base := c.BaseURL
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	return base + path
+	return strings.TrimSuffix(base, "/") + path
+}
+
+// CheckBaseURL rejects a dispatcher base URL no request can be built
+// on: one that does not parse, or names no http(s) host. A well-formed
+// URL passes whether or not anything listens there.
+func CheckBaseURL(base string) error {
+	u, err := url.Parse((&Client{BaseURL: base}).url(""))
+	if err != nil {
+		return err
+	}
+	if (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("dispatcher URL %q: want http://host:port", base)
+	}
+	return nil
 }
 
 // call POSTs in (or GETs when in is nil) and decodes the JSON response

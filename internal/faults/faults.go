@@ -214,12 +214,11 @@ type Actions interface {
 
 // Injector owns the fault processes. Create with Attach.
 type Injector struct {
-	eng     *desim.Engine
-	cfg     Config
-	acts    Actions
-	active  func() bool
-	stats   Stats
-	observe func(class string)
+	eng    *desim.Engine
+	cfg    Config
+	acts   Actions
+	active func() bool
+	stats  Stats
 }
 
 // Attach starts one fault process per enabled class on eng. Each class
@@ -242,20 +241,6 @@ func Attach(eng *desim.Engine, cfg Config, root *rng.Source, acts Actions, activ
 
 // Stats returns a snapshot of the injection counters.
 func (in *Injector) Stats() Stats { return in.stats }
-
-// SetObserver registers a callback invoked once per applied fault or
-// repair with its class name ("site_crash", "ce_failure",
-// "link_degrade", "link_outage", "transfer_abort", "replica_loss",
-// "repair"). The live metrics registry uses it for per-class fault
-// counters; it runs inside the fault event and must not touch
-// simulation state.
-func (in *Injector) SetObserver(fn func(class string)) { in.observe = fn }
-
-func (in *Injector) event(class string) {
-	if in.observe != nil {
-		in.observe(class)
-	}
-}
 
 // process arms the recurring fault loop for one class: wait Exp(MTBF),
 // fire, repeat. The loop stops re-arming once active() is false.
@@ -285,11 +270,9 @@ func (in *Injector) siteCrash(src *rng.Source, spec Spec) {
 	in.acts.CrashSite(target)
 	in.stats.FaultsInjected++
 	in.stats.SiteCrashes++
-	in.event("site_crash")
 	in.eng.Schedule(src.Exp(spec.MTTR), func() {
 		in.acts.RecoverSite(target)
 		in.stats.Repairs++
-		in.event("repair")
 	})
 }
 
@@ -300,23 +283,21 @@ func (in *Injector) ceFailure(src *rng.Source, spec Spec) {
 	}
 	in.stats.FaultsInjected++
 	in.stats.CEFailures++
-	in.event("ce_failure")
 	in.eng.Schedule(src.Exp(spec.MTTR), func() {
 		in.acts.RecoverCE(target)
 		in.stats.Repairs++
-		in.event("repair")
 	})
 }
 
 func (in *Injector) linkDegrade(src *rng.Source, spec Spec) {
-	in.linkFault(src, spec, in.cfg.DegradeFactor, &in.stats.LinkDegradations, "link_degrade")
+	in.linkFault(src, spec, in.cfg.DegradeFactor, &in.stats.LinkDegradations)
 }
 
 func (in *Injector) linkOutage(src *rng.Source, spec Spec) {
-	in.linkFault(src, spec, 0, &in.stats.LinkOutages, "link_outage")
+	in.linkFault(src, spec, 0, &in.stats.LinkOutages)
 }
 
-func (in *Injector) linkFault(src *rng.Source, spec Spec, factor float64, counter *int, class string) {
+func (in *Injector) linkFault(src *rng.Source, spec Spec, factor float64, counter *int) {
 	target := src.Intn(in.acts.NumLinks())
 	if !in.acts.LinkNominal(target) {
 		return
@@ -324,11 +305,9 @@ func (in *Injector) linkFault(src *rng.Source, spec Spec, factor float64, counte
 	in.acts.DegradeLink(target, factor)
 	in.stats.FaultsInjected++
 	*counter++
-	in.event(class)
 	in.eng.Schedule(src.Exp(spec.MTTR), func() {
 		in.acts.RestoreLink(target)
 		in.stats.Repairs++
-		in.event("repair")
 	})
 }
 
@@ -338,7 +317,6 @@ func (in *Injector) transferAbort(src *rng.Source, _ Spec) {
 	}
 	in.stats.FaultsInjected++
 	in.stats.TransfersAborted++
-	in.event("transfer_abort")
 }
 
 func (in *Injector) replicaLoss(src *rng.Source, _ Spec) {
@@ -347,5 +325,4 @@ func (in *Injector) replicaLoss(src *rng.Source, _ Spec) {
 	}
 	in.stats.FaultsInjected++
 	in.stats.ReplicasLost++
-	in.event("replica_loss")
 }

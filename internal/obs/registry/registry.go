@@ -19,8 +19,8 @@
 //
 //   - Concurrency. The monitor scrapes a registry from an HTTP handler
 //     while its simulation (or a campaign's fold) updates it. All value
-//     updates are lock-free atomics; the registry mutex guards only
-//     registration and snapshotting.
+//     updates are lock-free atomics on handles the caller keeps; the
+//     mutexes guard only registration, series creation and snapshotting.
 package registry
 
 import (
@@ -32,8 +32,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"chicsim/internal/intern"
 )
 
 // Kind is the metric type of a family.
@@ -98,17 +96,11 @@ type family struct {
 	labels  []string
 	buckets []float64 // histogram upper bounds, ascending, +Inf implicit
 
-	// Series storage, guarded by mu. Labels are almost always absent or a
-	// single value drawn from a small vocabulary, so the two common cases
-	// avoid string-keyed maps entirely: a label-less family has one series
-	// (solo), and a 1-label family interns the value to a dense id and
-	// indexes a slice with it. Only families with >= 2 labels fall back to
-	// joining the values into a map key.
+	// Series, guarded by mu and keyed by the joined label values (a
+	// label-less family's one series under ""). Callers keep the handle
+	// With returns, so a key is built once per series, not per update.
 	mu       sync.Mutex
-	solo     *child            // len(labels) == 0
-	vals     intern.Table      // len(labels) == 1: value -> dense id
-	byID     []*child          // len(labels) == 1: dense id -> series
-	children map[string]*child // len(labels) >= 2, lazily allocated
+	children map[string]*child
 }
 
 // child is one (family, label-values) time series.
@@ -157,11 +149,12 @@ func (r *Registry) register(name, help string, kind Kind, labels []string, bucke
 		return f
 	}
 	f := &family{
-		name:    name,
-		help:    help,
-		kind:    kind,
-		labels:  append([]string(nil), labels...),
-		buckets: append([]float64(nil), buckets...),
+		name:     name,
+		help:     help,
+		kind:     kind,
+		labels:   append([]string(nil), labels...),
+		buckets:  append([]float64(nil), buckets...),
+		children: make(map[string]*child),
 	}
 	r.families = append(r.families, f)
 	r.byName[name] = f
@@ -172,80 +165,34 @@ func (f *family) child(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("registry: %q wants %d label values, got %d", f.name, len(f.labels), len(values)))
 	}
+	key := seriesKey(values)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	switch len(f.labels) {
-	case 0:
-		if f.solo == nil {
-			f.solo = f.newChild(values)
-		}
-		return f.solo
-	case 1:
-		id := f.vals.Intern(values[0])
-		for int(id) >= len(f.byID) {
-			f.byID = append(f.byID, nil)
-		}
-		if c := f.byID[id]; c != nil {
-			return c
-		}
-		c := f.newChild(values)
-		f.byID[id] = c
-		return c
-	default:
-		key := strings.Join(values, "\x00")
-		if c := f.children[key]; c != nil {
-			return c
-		}
-		if f.children == nil {
-			f.children = make(map[string]*child)
-		}
-		c := f.newChild(values)
-		f.children[key] = c
+	if c := f.children[key]; c != nil {
 		return c
 	}
-}
-
-// newChild builds a series cell for the given label values. Caller holds
-// f.mu and is responsible for filing the child under its key.
-func (f *family) newChild(values []string) *child {
 	c := &child{labelVals: append([]string(nil), values...)}
 	if f.kind == HistogramKind {
 		c.hist = &histState{counts: make([]atomic.Uint64, len(f.buckets)+1)}
 	}
+	f.children[key] = c
 	return c
 }
 
-// series appends every live child to dst and returns it. Caller holds
-// f.mu. Order is unspecified; Gather sorts by label values afterwards.
-func (f *family) series(dst []*child) []*child {
-	if f.solo != nil {
-		dst = append(dst, f.solo)
-	}
-	for _, c := range f.byID {
-		if c != nil {
-			dst = append(dst, c)
-		}
-	}
+// seriesKey is the children key of the series with the given label
+// values.
+func seriesKey(values []string) string { return strings.Join(values, "\x00") }
+
+// series returns every live child. Order is unspecified; Gather sorts by
+// label values afterwards.
+func (f *family) series() []*child {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	dst := make([]*child, 0, len(f.children))
 	for _, c := range f.children {
 		dst = append(dst, c)
 	}
 	return dst
-}
-
-// lookup returns the child for the given label values without creating
-// it, or nil. Caller holds f.mu; len(values) must equal len(f.labels).
-func (f *family) lookup(values []string) *child {
-	switch len(f.labels) {
-	case 0:
-		return f.solo
-	case 1:
-		if id, ok := f.vals.Lookup(values[0]); ok && int(id) < len(f.byID) {
-			return f.byID[id]
-		}
-		return nil
-	default:
-		return f.children[strings.Join(values, "\x00")]
-	}
 }
 
 // CounterVec is a counter family; With yields one labelled counter.
@@ -409,9 +356,7 @@ func (r *Registry) Gather() []Family {
 	out := make([]Family, 0, len(fams))
 	for _, f := range fams {
 		gf := Family{Name: f.name, Help: f.help, Kind: f.kind, LabelNames: f.labels}
-		f.mu.Lock()
-		children := f.series(nil)
-		f.mu.Unlock()
+		children := f.series()
 		slices.SortFunc(children, func(a, b *child) int { return slices.Compare(a.labelVals, b.labelVals) })
 		for _, c := range children {
 			s := Sample{LabelValues: c.labelVals}
@@ -450,10 +395,7 @@ func (r *Registry) Fold(src *Registry) {
 	src.mu.Unlock()
 	for _, sf := range fams {
 		df := r.register(sf.name, sf.help, sf.kind, sf.labels, sf.buckets)
-		sf.mu.Lock()
-		children := sf.series(nil)
-		sf.mu.Unlock()
-		for _, sc := range children {
+		for _, sc := range sf.series() {
 			dc := df.child(sc.labelVals)
 			switch sf.kind {
 			case CounterKind:
@@ -482,7 +424,7 @@ func (r *Registry) Value(name string, labelValues ...string) (v float64, ok bool
 		return 0, false
 	}
 	f.mu.Lock()
-	c := f.lookup(labelValues)
+	c := f.children[seriesKey(labelValues)]
 	f.mu.Unlock()
 	if c == nil {
 		return 0, false

@@ -31,6 +31,26 @@ func TestCounterBasics(t *testing.T) {
 	if _, ok := r.Value("missing_family"); ok {
 		t.Fatal("Value for unknown family should be !ok")
 	}
+
+	// Every label count keys its series the same way: no labels, and two
+	// labels whose values would run together without a separator.
+	r.Counter("runs_total", "").With().Inc()
+	moves := r.Counter("moves_total", "", "from", "to")
+	moves.With("a", "bc").Inc()
+	moves.With("ab", "c").Add(2)
+	for _, tc := range []struct {
+		name   string
+		labels []string
+		want   float64
+	}{
+		{"runs_total", nil, 1},
+		{"moves_total", []string{"a", "bc"}, 1},
+		{"moves_total", []string{"ab", "c"}, 2},
+	} {
+		if v, ok := r.Value(tc.name, tc.labels...); !ok || v != tc.want {
+			t.Errorf("Value(%s%q) = %v, %v, want %v", tc.name, tc.labels, v, ok, tc.want)
+		}
+	}
 }
 
 func TestGaugeSetAdd(t *testing.T) {
